@@ -388,8 +388,9 @@ def _suite_open(order, seed):
             same,
         )
     )
+    E = open_potential.open_exp(Fo, Fc)
     for n in (-1, 0, 1):
-        res = open_potential.open_virasoro_residual(Fo, Fc, n)
+        res = open_potential.open_virasoro_residual(Fo, Fc, n, E)
         bound = min(degree, res.max_degree)
         checks.append(
             _check(

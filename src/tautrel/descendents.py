@@ -15,10 +15,12 @@ contributes a monomial of weighted degree 6g - 6 + 3n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 from .named_series import double_factorial, series_calA
 from .series import BiPoly, Grading, MultiSeries, PowerSeries, Q, divide_exact
@@ -54,11 +56,12 @@ def bracket(ks: tuple) -> Fraction:
         # String equation from L_{-1}: F_{t_0} = sum_i t_i F_{t_{i-1}} + t_0^2/2.
         if ks == (0, 0, 0):
             return Q(1)
-        rest = list(ks[1:])
+        rest = ks[1:]
         total = Q(0)
-        for j, k in enumerate(rest):
+        for k, m in Counter(rest).items():
             if k >= 1:
-                total += bracket(tuple(rest[:j] + [k - 1] + rest[j + 1 :]))
+                j = rest.index(k)
+                total += m * bracket(rest[:j] + (k - 1,) + rest[j + 1 :])
         return total
     if ks[-1] == 1:
         # Dilaton from L_0: (3/2) F_{t_1} = sum_i ((2i+1)/2) t_i F_{t_i} + 1/16.
@@ -66,25 +69,55 @@ def bracket(ks: tuple) -> Fraction:
             return Q(2, 3) * Q(1, 16)
         rest = ks[:-1]
         return Q(2, 3) * (sum(rest) + Q(len(rest), 2)) * bracket(rest)
-    # DVV recursion from L_n with n = k_max - 1 >= 1.
+    # DVV recursion from L_n with n = k_max - 1 >= 1.  Equal exponents give
+    # equal sub-brackets, so each sum runs over distinct values weighted by
+    # multiplicity, and over sub-multisets weighted by prod comb(m_v, t_v)
+    # for the splits.  Sub-bracket keys are built sorted, so the cache holds
+    # each multiset once.
     n = ks[-1] - 1
-    rest = list(ks[:-1])
-    m = len(rest)
+    rest = ks[:-1]
     total = Q(0)
-    for j, k in enumerate(rest):
+    for k, m in Counter(rest).items():
         c = Q(double_factorial(2 * k + 2 * n + 1), double_factorial(2 * k - 1))
-        total += c * bracket(tuple(rest[:j] + [k + n] + rest[j + 1 :]))
+        j = rest.index(k)
+        total += m * c * bracket(rest[:j] + rest[j + 1 :] + (k + n,))
+    splits = _multiset_splits(rest)
     for i in range(n):
         c = Q(double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2)
-        total += c * bracket(tuple(rest + [i, n - 1 - i]))
-        for r in range(m + 1):
-            for subset in combinations(range(m), r):
-                inside = [rest[j] for j in subset]
-                outside = [rest[j] for j in range(m) if j not in subset]
-                total += c * bracket(tuple([i] + inside)) * bracket(
-                    tuple([n - 1 - i] + outside)
-                )
+        acc = bracket(_insert(_insert(rest, i), n - 1 - i))
+        for weight, inside, outside in splits:
+            left = bracket(_insert(inside, i))
+            if left:
+                acc += weight * left * bracket(_insert(outside, n - 1 - i))
+        total += c * acc
     return total / double_factorial(2 * n + 3)
+
+
+def _insert(ks: tuple, k: int) -> tuple:
+    """The sorted tuple ``ks`` with ``k`` added in order."""
+    j = bisect_left(ks, k)
+    return ks[:j] + (k,) + ks[j:]
+
+
+def _multiset_splits(ks: tuple) -> list:
+    """Every split of the sorted multiset ``ks`` into (inside, outside), as
+    (number of index subsets giving it, inside, outside); both sides sorted.
+
+    >>> _multiset_splits((2, 2))
+    [(1, (), (2, 2)), (2, (2,), (2,)), (1, (2, 2), ())]
+    """
+    counts = sorted(Counter(ks).items())
+    out = []
+    for takes in product(*(range(m + 1) for _, m in counts)):
+        weight = 1
+        inside: tuple = ()
+        outside: tuple = ()
+        for (v, m), t in zip(counts, takes):
+            weight *= comb(m, t)
+            inside += (v,) * t
+            outside += (v,) * (m - t)
+        out.append((weight, inside, outside))
+    return out
 
 
 def descendent(g: int, ks) -> Fraction:
@@ -269,17 +302,12 @@ def specialize_airy(Fc: MultiSeries, order: int) -> PowerSeries:
     return PowerSeries(coeffs, order, var="y").exp()
 
 
+_XY = Grading(["x1", "x2"], [1, 1])
+
+
 def _bipoly_exp(f: BiPoly) -> BiPoly:
-    if f.coefficient(0, 0) != 0:
-        raise ValueError("exp requires zero constant term")
-    acc = BiPoly({(0, 0): Q(1)}, f.max_degree)
-    term = acc
-    for k in range(1, f.max_degree + 1):
-        term = term * f * Q(1, k)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    """exp(f) of a bivariate polynomial, as a series graded by total degree."""
+    return BiPoly(MultiSeries(_XY, f.terms, f.max_degree).exp().terms, f.max_degree)
 
 
 def _apply_D(A: PowerSeries) -> PowerSeries:

@@ -13,10 +13,10 @@ variable s (weight 2).  The three routes:
 - :func:`buryak_formula`: the z^0-pairing closed formula
   exp(F~^o) = Coef_{z^0}[ D(1/z) * G_z(exp F^c)/exp F^c * exp(xi) ].
 
-There are two homonymous shift operators in this subject: one acting on
-KP times T_1, T_2, ... and one acting on the t_i with shifts
-(2i-1)!!/z^{2i+1}.  Both are implemented, under distinct names; only the
-t-variable one enters the closed formula.
+The shift operator G_z of the closed formula acts on the t_i with shifts
+(2i-1)!!/z^{2i+1} (not on KP times, which share its traditional name).
+Both z-graded exponentials of the formula go through
+:func:`tautrel.series.graded_exp`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import comb
 
 from .descendents import build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
-from .series import Grading, MultiSeries, Q
+from .series import Grading, MultiSeries, Q, graded_exp
 
 
 def open_grading(degree_max: int) -> Grading:
@@ -197,42 +197,24 @@ def open_kdv_residual(Fo: MultiSeries, Fc: MultiSeries, n: int) -> MultiSeries:
     return res.truncate(out)
 
 
-def open_virasoro_residual(Fo: MultiSeries, Fc: MultiSeries, n: int) -> MultiSeries:
-    """L_n^open exp(F^o + F^c); vanishes up to the valid truncation."""
+def open_exp(Fo: MultiSeries, Fc: MultiSeries) -> MultiSeries:
+    """exp(F^o + F^c) in the open grading."""
+    return (Fo + lift_to_open(Fc, Fo.grading)).exp()
+
+
+def open_virasoro_residual(
+    Fo: MultiSeries, Fc: MultiSeries, n: int, E: MultiSeries | None = None
+) -> MultiSeries:
+    """L_n^open exp(F^o + F^c); vanishes up to the valid truncation.
+
+    ``E`` is :func:`open_exp` of the same pair, when the caller already has
+    it: it does not depend on n.
+    """
     from .descendents import apply_L
 
-    g = Fo.grading
-    E = (Fo + lift_to_open(Fc, g)).exp()
+    if E is None:
+        E = open_exp(Fo, Fc)
     return apply_L(n, E, s_var=True)
-
-
-def gz_shift_T(f: MultiSeries, z_power_max: int) -> dict:
-    """The KP-times shift T_n -> T_n - 1/(n z^n) applied to a series in
-    variables named T1, T2, ...; returns {j: coefficient of z^{-j}}.
-
-    Provided for completeness; the open-potential formula uses
-    :func:`gz_shift_t_ratio` below, a different operator despite the
-    traditional shared name.
-    """
-    g = f.grading
-    out: dict[int, MultiSeries] = {}
-    for exps, c in f.terms.items():
-        choices = []
-        for i, e in enumerate(exps):
-            nvar = int(g.names[i][1:])  # T<n>
-            choices.append([(r, comb(e, r) * Q(-1, nvar) ** r, nvar * r) for r in range(e + 1)])
-        for combo in iter_product(*choices):
-            j = sum(t[2] for t in combo)
-            if j > z_power_max:
-                continue
-            coeff = c
-            mono = []
-            for (r, w, _), e in zip(combo, exps):
-                coeff *= w
-                mono.append(e - r)
-            tgt = out.setdefault(j, MultiSeries.zero(g, f.max_degree))
-            out[j] = tgt + MultiSeries(g, {tuple(mono): coeff}, f.max_degree)
-    return out
 
 
 def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
@@ -244,10 +226,13 @@ def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
     exactly j degrees, so deeper terms cannot contribute.
     """
     g = Fc.grading
-    # P = G_z Fc - Fc, graded by the z^{-1} power j.
+    # P = G_z Fc - Fc as {j: {weighted degree: {exps: coeff}}}, j the z^{-1}
+    # power.  Shifting r factors t_i moves weight (2i+1) r from the monomial
+    # to j, so a monomial of degree d lands at weighted degree d - j.
     P: dict[int, dict] = {}
     for exps, c in Fc.terms.items():
-        if g.degree(exps) > D_max:
+        d = g.degree(exps)
+        if d > D_max:
             continue
         choices = []
         for i, e in enumerate(exps):
@@ -264,76 +249,28 @@ def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
             for (r, w, _), e in zip(combo, exps):
                 coeff *= w
                 mono.append(e - r)
-            P.setdefault(j, {})
+            part = P.setdefault(j, {}).setdefault(d - j, {})
             key = tuple(mono)
-            P[j][key] = P[j].get(key, Q(0)) + coeff
-
-    def to_ms(j, terms):
-        return MultiSeries(g, terms, D_max - j)
-
-    Pm = {j: to_ms(j, terms) for j, terms in P.items()}
-
-    def graded_mul(a: dict, b: dict) -> dict:
-        out: dict[int, MultiSeries] = {}
-        for j1, m1 in a.items():
-            for j2, m2 in b.items():
-                j = j1 + j2
-                if j > D_max:
-                    continue
-                prod = (m1 * m2).truncate(D_max - j)
-                if prod.is_zero():
-                    continue
-                out[j] = out.get(j, MultiSeries.zero(g, D_max - j)) + prod
-        return {j: m for j, m in out.items() if not m.is_zero()}
-
+            part[key] = part.get(key, Q(0)) + coeff
     # exp(P): P has only j >= 1 terms, hence nilpotent below D_max.
-    result = {0: MultiSeries.constant(g, 1, D_max)}
-    term = {0: MultiSeries.constant(g, 1, D_max)}
-    for k in range(1, D_max + 1):
-        term = graded_mul(term, Pm)
-        term = {j: m * Q(1, k) for j, m in term.items()}
-        if not term:
-            break
-        for j, m in term.items():
-            result[j] = result.get(j, MultiSeries.zero(g, D_max - j)) + m
-    return result
+    ratio = graded_exp(P, D_max, (0,) * len(g), budget=D_max)
+    return {j: MultiSeries.from_buckets(g, m, D_max - j) for j, m in ratio.items()}
 
 
 def exp_xi(grading: Grading, D_max: int) -> dict:
-    """exp(xi) as {j >= 0: MultiSeries coefficient of z^j}; the coefficient
-    of z^j is homogeneous of weighted degree exactly j (asserted)."""
-    nt = len(grading) - 1
-    xi: dict[int, MultiSeries] = {}
-    s = MultiSeries.variable(grading, "s", D_max)
-    if not s.is_zero():
-        xi[2] = s * Q(1, 2)
-    for i in range(nt):
-        j = 2 * i + 1
-        if j > D_max:
-            break
-        ti = MultiSeries.variable(grading, f"t{i}", D_max)
-        xi[j] = ti * Q(1, double_factorial(2 * i + 1))
-    result = {0: MultiSeries.constant(grading, 1, D_max)}
-    term = {0: MultiSeries.constant(grading, 1, D_max)}
-    for k in range(1, D_max + 1):
-        new: dict[int, MultiSeries] = {}
-        for j1, m1 in term.items():
-            for j2, m2 in xi.items():
-                j = j1 + j2
-                if j > D_max:
-                    continue
-                prod = m1 * m2
-                if not prod.is_zero():
-                    new[j] = new.get(j, MultiSeries.zero(grading, D_max)) + prod
-        term = {j: m * Q(1, k) for j, m in new.items() if not m.is_zero()}
-        if not term:
-            break
-        for j, m in term.items():
-            result[j] = result.get(j, MultiSeries.zero(grading, D_max)) + m
-    deg = grading.degree
-    for j, m in result.items():
-        assert all(deg(e) == j for e in m.terms), "z-grading violated in exp(xi)"
-    return result
+    """exp(xi) as {j >= 0: MultiSeries coefficient of z^j}, where
+    xi = sum_i t_i z^{2i+1}/(2i+1)!! + s z^2/2.
+
+    Every variable in xi carries the z-power of its own weight, so the
+    coefficient of z^j is homogeneous of weighted degree exactly j.
+    """
+    xi: dict[int, dict] = {}
+    for i, (name, j) in enumerate(zip(grading.names, grading.weights)):
+        exps = tuple(1 if k == i else 0 for k in range(len(grading)))
+        c = Q(1, 2) if name == "s" else Q(1, double_factorial(j))
+        xi.setdefault(j, {}).setdefault(j, {})[exps] = c
+    out = graded_exp(xi, D_max, (0,) * len(grading))
+    return {j: MultiSeries.from_buckets(grading, m, D_max) for j, m in out.items()}
 
 
 def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:

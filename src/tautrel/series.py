@@ -1,13 +1,31 @@
 r"""Exact truncated series arithmetic over the rationals.
 
-Three containers cover everything the higher-level modules need:
+Two containers cover everything the higher-level modules need:
 
 - :class:`PowerSeries` -- dense univariate series truncated at an explicit
   order (inclusive).
-- :class:`LaurentSeries` -- univariate series with finitely many negative
-  exponents.
 - :class:`MultiSeries` -- sparse multivariate series truncated by a weighted
   total degree; each variable carries a positive integer weight.
+
+:class:`MultiSeries` arithmetic runs on terms grouped by weighted degree,
+``{d: {exps: coeff}}``.  A product multiplies only the pairs of groups whose
+degrees sum to at most the truncation degree, so no pair of terms is formed
+and then discarded.  ``exp`` and ``log`` work degree by degree with the
+Euler operator theta = sum_v w_v x_v d/dx_v, which multiplies the part of
+weighted degree d by d.  As theta is a derivation, theta(exp F) =
+theta(F) exp F, whose degree-d part reads, with E = exp F,
+
+    d * E_d = sum_{k=1..d} k * F_k * E_{d-k},
+
+and theta(G) = G theta(log G) gives, for L = log G with G_0 = 1,
+
+    d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k}.
+
+These are the weighted forms of the recurrences in Brent and Kung, "Fast
+algorithms for manipulating formal power series" (JACM 1978).
+:func:`graded_exp` is the exp recurrence written once, over any grading of
+the factors; besides :meth:`MultiSeries.exp` it serves exponentials graded
+by a power of an auxiliary variable z.
 
 All coefficients are :class:`fractions.Fraction`; no floating point enters
 this module.  Values are immutable after construction and safe to share.
@@ -16,8 +34,9 @@ this module.  Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
-from typing import Iterable, Mapping, Sequence
+from math import inf
+from operator import add, mul
+from typing import Mapping, Sequence
 
 
 Q = Fraction
@@ -208,20 +227,6 @@ class PowerSeries:
             self.var,
         )
 
-    def even_part(self) -> "PowerSeries":
-        return PowerSeries(
-            [self.coeffs[k] if k % 2 == 0 else Q(0) for k in range(self.order + 1)],
-            self.order,
-            self.var,
-        )
-
-    def odd_part(self) -> "PowerSeries":
-        return PowerSeries(
-            [self.coeffs[k] if k % 2 == 1 else Q(0) for k in range(self.order + 1)],
-            self.order,
-            self.var,
-        )
-
     def to_json(self) -> dict:
         return {
             "var": self.var,
@@ -241,92 +246,6 @@ class PowerSeries:
         return f"PowerSeries({body} + O({self.var}^{self.order + 1}))"
 
 
-class LaurentSeries:
-    """Truncated Laurent series with finitely many negative exponents."""
-
-    __slots__ = ("coeffs", "min_exponent", "order", "var")
-
-    def __init__(self, coeffs: Mapping[int, Fraction], order: int, var: str = "z"):
-        clean = {k: _q(v) for k, v in coeffs.items() if v != 0 and k <= order}
-        self.coeffs = dict(clean)
-        self.min_exponent = min(clean, default=0)
-        self.order = order
-        self.var = var
-
-    @classmethod
-    def from_power_series(cls, ps: PowerSeries) -> "LaurentSeries":
-        return cls({k: c for k, c in enumerate(ps.coeffs)}, ps.order, ps.var)
-
-    def __getitem__(self, k: int) -> Fraction:
-        if k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs.get(k, Q(0))
-
-    def __add__(self, other) -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            other = LaurentSeries({0: _q(other)}, self.order, self.var)
-        n = min(self.order, other.order)
-        out: dict[int, Fraction] = {}
-        for k in set(self.coeffs) | set(other.coeffs):
-            if k <= n:
-                out[k] = self.coeffs.get(k, Q(0)) + other.coeffs.get(k, Q(0))
-        return LaurentSeries(out, n, self.var)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries({k: -v for k, v in self.coeffs.items()}, self.order, self.var)
-
-    def __sub__(self, other) -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            other = LaurentSeries({0: _q(other)}, self.order, self.var)
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            c = _q(other)
-            return LaurentSeries({k: c * v for k, v in self.coeffs.items()}, self.order, self.var)
-        # Truncation bookkeeping: with negative exponents present, products of
-        # discarded tail terms with negative-exponent terms could re-enter the
-        # window, so the reliable order is min over cross terms.
-        n = min(
-            self.order + other.min_exponent,
-            other.order + self.min_exponent,
-        )
-        out: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                if i + j <= n:
-                    out[i + j] = out.get(i + j, Q(0)) + a * b
-        return LaurentSeries(out, n, self.var)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def derivative(self) -> "LaurentSeries":
-        return LaurentSeries(
-            {k - 1: k * v for k, v in self.coeffs.items() if k != 0},
-            self.order - 1,
-            self.var,
-        )
-
-    def z0_part(self) -> Fraction:
-        return self.coeffs.get(0, Q(0))
-
-    def to_json(self) -> dict:
-        ks = sorted(self.coeffs)
-        return {
-            "var": self.var,
-            "order": self.order,
-            "min_exponent": self.min_exponent,
-            "coeffs": {str(k): str(self.coeffs[k]) for k in ks},
-        }
-
-    def __repr__(self):
-        terms = [f"{v}*{self.var}^{k}" for k, v in sorted(self.coeffs.items())]
-        return f"LaurentSeries({' + '.join(terms) or '0'} + O({self.var}^{self.order + 1}))"
-
-
 class Grading:
     """Variable alphabet with positive integer weights."""
 
@@ -342,7 +261,7 @@ class Grading:
         self.index = {n: i for i, n in enumerate(names)}
 
     def degree(self, exps: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     def __eq__(self, other):
         return (
@@ -355,15 +274,91 @@ class Grading:
         return len(self.names)
 
 
+def _mul_into(out: dict, a: Mapping, b: Mapping) -> None:
+    """Add the product of the term maps ``a`` and ``b`` into ``out``."""
+    b_items = list(b.items())
+    for e1, c1 in a.items():
+        for e2, c2 in b_items:
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            if e in out:
+                out[e] += c
+            else:
+                out[e] = c
+
+
+def _mul_buckets(a: Mapping, b: Mapping, limit, out: dict | None = None) -> dict:
+    """Product of two degree-bucketed term maps ``{d: {exps: coeff}}``.
+
+    Only bucket pairs with d1 + d2 <= ``limit`` are multiplied.  The result
+    is added into ``out`` (a new map by default) and may hold zeros.
+    """
+    if out is None:
+        out = {}
+    for d1, t1 in a.items():
+        room = limit - d1
+        for d2, t2 in b.items():
+            if d2 <= room:
+                _mul_into(out.setdefault(d1 + d2, {}), t1, t2)
+    return out
+
+
+def _scale(buckets: Mapping, c=1) -> dict:
+    """``c`` times a degree-bucketed term map, zero terms and buckets dropped."""
+    out = {}
+    for d, part in buckets.items():
+        if c == 1:
+            part = {e: v for e, v in part.items() if v}
+        else:
+            part = {e: c * v for e, v in part.items() if v}
+        if part:
+            out[d] = part
+    return out
+
+
+def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None) -> dict:
+    """exp(F) for F = sum_{k>=1} F_k, grade by grade, through grade ``top``.
+
+    Uses d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, which follows from
+    E' = F' E for the derivative counting the grade.  Each F_k and E_d is a
+    term map bucketed by weighted degree, ``{w: {exps: coeff}}``, and
+    ``unit`` is the exponent tuple of the constant 1.  Parts of grade 0 or
+    above ``top`` are ignored.  With ``budget``, a grade-d term of weighted
+    degree w is kept only when w + d <= budget.
+
+    Returns ``{d: E_d}`` for the nonzero E_d, 0 <= d <= top.
+
+    >>> e = graded_exp({1: {1: {(1,): Fraction(1)}}}, 3, (0,))
+    >>> [e[d][d][(d,)] for d in range(4)]
+    [Fraction(1, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 6)]
+    """
+    scaled = [(k, _scale(parts[k], k)) for k in sorted(parts) if 0 < k <= top]
+    out = {0: {0: {unit: Q(1)}}}
+    for d in range(1, top + 1):
+        limit = inf if budget is None else budget - d
+        acc: dict = {}
+        for k, kf in scaled:
+            if k > d:
+                break
+            prev = out.get(d - k)
+            if prev:
+                _mul_buckets(kf, prev, limit, acc)
+        acc = _scale(acc, Q(1, d))
+        if acc:
+            out[d] = acc
+    return out
+
+
 class MultiSeries:
     """Sparse multivariate series truncated by weighted total degree.
 
     Monomials are exponent tuples over a fixed :class:`Grading`; only
     monomials of weighted degree <= ``max_degree`` are stored, and explicit
-    zeros are dropped.
+    zeros are dropped.  The terms grouped by weighted degree are built on
+    first use and kept (see :meth:`buckets`).
     """
 
-    __slots__ = ("grading", "terms", "max_degree")
+    __slots__ = ("grading", "terms", "max_degree", "_buckets")
 
     def __init__(self, grading: Grading, terms: Mapping[tuple, Fraction], max_degree: int):
         self.grading = grading
@@ -376,6 +371,31 @@ class MultiSeries:
             if grading.degree(exps) <= max_degree:
                 clean[tuple(exps)] = c
         self.terms = clean
+        self._buckets = None
+
+    @classmethod
+    def from_buckets(cls, grading: Grading, buckets: dict, max_degree: int) -> "MultiSeries":
+        """Series from degree buckets holding only nonzero terms of weighted
+        degree <= ``max_degree``; takes ownership of ``buckets``."""
+        self = cls.__new__(cls)
+        self.grading = grading
+        self.max_degree = max_degree
+        self.terms = {e: c for part in buckets.values() for e, c in part.items()}
+        self._buckets = buckets
+        return self
+
+    def buckets(self) -> dict:
+        """The terms grouped by weighted degree, ``{d: {exps: coeff}}``.
+
+        Computed once and shared with the series: callers must not modify it.
+        """
+        if self._buckets is None:
+            deg = self.grading.degree
+            out: dict = {}
+            for e, c in self.terms.items():
+                out.setdefault(deg(e), {})[e] = c
+            self._buckets = out
+        return self._buckets
 
     @classmethod
     def zero(cls, grading: Grading, max_degree: int) -> "MultiSeries":
@@ -444,16 +464,8 @@ class MultiSeries:
                 self.grading, {e: c * v for e, v in self.terms.items()}, self.max_degree
             )
         n = min(self.max_degree, other.max_degree)
-        out: dict[tuple, Fraction] = {}
-        deg = self.grading.degree
-        for e1, c1 in self.terms.items():
-            d1 = deg(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + deg(e2) > n:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Q(0)) + c1 * c2
-        return MultiSeries(self.grading, out, n)
+        out = _mul_buckets(self.buckets(), other.buckets(), n)
+        return MultiSeries.from_buckets(self.grading, _scale(out), n)
 
     __rmul__ = __mul__
 
@@ -470,42 +482,45 @@ class MultiSeries:
         return MultiSeries(self.grading, out, self.max_degree)
 
     def exp(self) -> "MultiSeries":
+        """exp of a series with zero constant term.
+
+        Degree by degree, d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, where
+        F_k and E_d are the weighted-degree-k and -d parts of the series
+        and of its exponential (:func:`graded_exp`).
+        """
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        acc = MultiSeries.constant(self.grading, 1, self.max_degree)
-        term = MultiSeries.constant(self.grading, 1, self.max_degree)
-        # Every variable has weight >= 1, so powers beyond max_degree vanish.
-        for k in range(1, self.max_degree + 1):
-            term = term * self * Q(1, k)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
-
-    def log(self) -> "MultiSeries":
-        if self.constant_term() != 1:
-            raise ValueError("log requires constant term 1")
-        u = self - 1
-        acc = MultiSeries.zero(self.grading, self.max_degree)
-        term = MultiSeries.constant(self.grading, -1, self.max_degree)
-        for k in range(1, self.max_degree + 1):
-            term = term * u * Q(-1)
-            if term.is_zero():
-                break
-            acc = acc + term * Q(1, k)
-        return acc
-
-    def homogeneous_part(self, degree: int) -> "MultiSeries":
-        deg = self.grading.degree
-        return MultiSeries(
-            self.grading,
-            {e: c for e, c in self.terms.items() if deg(e) == degree},
-            self.max_degree,
+        parts = {d: {d: part} for d, part in self.buckets().items()}
+        unit = (0,) * len(self.grading)
+        out = graded_exp(parts, self.max_degree, unit)
+        return MultiSeries.from_buckets(
+            self.grading, {d: part[d] for d, part in out.items()}, self.max_degree
         )
 
-    def max_term_degree(self) -> int:
-        deg = self.grading.degree
-        return max((deg(e) for e in self.terms), default=0)
+    def log(self) -> "MultiSeries":
+        """log of a series with constant term 1.
+
+        Degree by degree, d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k},
+        where G_d and L_d are the weighted-degree-d parts of the series and
+        of its logarithm.
+        """
+        if self.constant_term() != 1:
+            raise ValueError("log requires constant term 1")
+        G = self.buckets()
+        kL: dict = {}  # d -> d * L_d
+        for d in range(1, self.max_degree + 1):
+            acc: dict = {}
+            for k, part in kL.items():
+                if d - k in G:
+                    _mul_into(acc, part, G[d - k])
+            part = {e: d * c for e, c in G.get(d, {}).items()}
+            for e, c in acc.items():
+                part[e] = part.get(e, 0) - c
+            part = {e: c for e, c in part.items() if c}
+            if part:
+                kL[d] = part
+        L = {d: {e: c / d for e, c in part.items()} for d, part in kL.items()}
+        return MultiSeries.from_buckets(self.grading, L, self.max_degree)
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())

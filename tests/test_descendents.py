@@ -1,12 +1,49 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 from tautrel import descendents as dsc
 from tautrel.named_series import a_j, series_calA
-from tautrel.series import Grading, MultiSeries
+from tautrel.named_series import double_factorial
+from tautrel.series import BiPoly, Grading, MultiSeries
+
+
+def ref_dvv(ks):
+    """One DVV step summed over every index subset, as before grouping by
+    multiset; the sub-brackets come from dsc.bracket."""
+    n = ks[-1] - 1
+    rest = list(ks[:-1])
+    m = len(rest)
+    total = Q(0)
+    for j, k in enumerate(rest):
+        c = Q(double_factorial(2 * k + 2 * n + 1), double_factorial(2 * k - 1))
+        total += c * dsc.bracket(tuple(rest[:j] + [k + n] + rest[j + 1 :]))
+    for i in range(n):
+        c = Q(double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2)
+        total += c * dsc.bracket(tuple(rest + [i, n - 1 - i]))
+        for r in range(m + 1):
+            for subset in combinations(range(m), r):
+                inside = [rest[j] for j in subset]
+                outside = [rest[j] for j in range(m) if j not in subset]
+                total += c * dsc.bracket(tuple([i] + inside)) * dsc.bracket(
+                    tuple([n - 1 - i] + outside)
+                )
+    return total / double_factorial(2 * n + 3)
+
+
+def ref_bipoly_exp(f):
+    """sum_k f^k / k!, one full BiPoly product per power."""
+    acc = BiPoly({(0, 0): Q(1)}, f.max_degree)
+    term = acc
+    for k in range(1, f.max_degree + 1):
+        term = term * f * Q(1, k)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
 
 
 class TestBracket:
@@ -48,6 +85,16 @@ class TestBracket:
     def test_genus1_known_values(self):
         assert dsc.bracket((0, 2)) == Q(1, 24)
         assert dsc.bracket((1, 1)) == Q(1, 24)
+
+    @pytest.mark.parametrize(
+        "ks", [(2, 3), (1, 1, 2, 2, 5), (2, 2, 3, 3, 4), (2, 4, 4, 6), (8, 8, 8)]
+    )
+    def test_dvv_grouping_matches_subset_loop(self, ks):
+        assert dsc._genus_of(ks) is not None
+        assert dsc.bracket(ks) == ref_dvv(ks) != 0
+
+    def test_dvv_deep_value(self):
+        assert dsc.bracket((8, 8, 8)) == Q(104256173, 343068062515200)
 
 
 class TestBuildFc:
@@ -153,3 +200,13 @@ class TestDeterminantFormula:
     def test_N2(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 2, 8)
         assert rep["ok"], rep
+
+    def test_bipoly_exp_matches_power_loop(self):
+        rng = random.Random(13)
+        f = BiPoly(
+            {(i, j): Q(rng.randint(-6, 6), rng.randint(1, 4))
+             for i in range(5) for j in range(5) if 0 < i + j},
+            9,
+        )
+        assert dsc._bipoly_exp(f) == ref_bipoly_exp(f)
+        assert dsc._bipoly_exp(f).terms == ref_bipoly_exp(f).terms

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -82,11 +83,29 @@ class TestBuryak:
         g = op.open_grading(8)
         ratio = op.gz_shift_t_ratio(op.lift_to_open(Fc17.truncate(8), g), 8)
         assert all(j >= 0 for j in ratio)
+        # the z^{-j} coefficient keeps weighted degree <= 8 - j only
+        for j, m in ratio.items():
+            assert m.max_degree == 8 - j
+            assert all(g.degree(e) <= 8 - j for e in m.terms), j
 
     def test_exp_xi_grading(self):
         g = op.open_grading(10)
-        x = op.exp_xi(g, 10)  # internal assert checks degree == z-power
+        x = op.exp_xi(g, 10)
+        # The z^j coefficient is homogeneous of weighted degree exactly j.
+        for j, m in x.items():
+            assert m.terms and {g.degree(e) for e in m.terms} == {j}, j
+        assert sorted(x) == list(range(11))
         assert x[0].constant_term() == 1
+        # xi is a sum of single variables x_v with coefficients c_v, so the
+        # coefficient of prod x_v^a_v in exp(xi) is prod c_v^a_v / a_v!.
+        cv = [Q(1, 2) if name == "s" else Q(1, op.double_factorial(w))
+              for name, w in zip(g.names, g.weights)]
+        for m in x.values():
+            for e, c in m.terms.items():
+                want = Q(1)
+                for ci, a in zip(cv, e):
+                    want *= ci**a / factorial(a)
+                assert c == want, e
         assert x[2].coefficient(exps(g, s=1)) == Q(1, 2)
         assert x[1].coefficient(exps(g, t0=1)) == 1
         assert x[3].coefficient(exps(g, t1=1)) == Q(1, 3)
@@ -105,13 +124,3 @@ class TestOpenVirasoro:
         bound = min(8, res.max_degree)
         assert res.truncate(bound).is_zero(), (n, sorted(res.terms)[:3])
 
-
-class TestShiftT:
-    def test_kp_shift_operator(self):
-        g = Grading(["T1", "T2"], [1, 2])
-        f = MultiSeries(g, {(1, 0): Q(1), (0, 1): Q(1)}, 4)  # T1 + T2
-        out = op.gz_shift_T(f, 4)
-        # T1 -> T1 - 1/z, T2 -> T2 - 1/(2 z^2)
-        assert out[0] == f
-        assert out[1].constant_term() == -1
-        assert out[2].constant_term() == Q(-1, 2)

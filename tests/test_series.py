@@ -2,15 +2,19 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tautrel import open_potential as op
+from tautrel.descendents import build_Fc
 from tautrel.series import (
     BiPoly,
     DivisibilityError,
     Grading,
-    LaurentSeries,
     MultiSeries,
     PowerSeries,
     divide_exact,
+    graded_exp,
 )
 
 
@@ -96,24 +100,6 @@ class TestPowerSeries:
         assert PowerSeries.from_json(data) == f
 
 
-class TestLaurentSeries:
-    def test_mul_with_negative_exponents(self):
-        a = LaurentSeries({-2: Q(1), 0: Q(3)}, 4)
-        b = LaurentSeries({1: Q(2)}, 4)
-        p = a * b
-        assert p[-1] == 2 and p[1] == 6
-
-    def test_z0_extraction(self):
-        a = LaurentSeries({-1: Q(5), 0: Q(7), 2: Q(1)}, 3)
-        assert a.z0_part() == 7
-
-    def test_truncation_guard_on_mul(self):
-        # 1/z times something valid to z^4 is only valid to z^3.
-        a = LaurentSeries({-1: Q(1)}, 4)
-        b = LaurentSeries({0: Q(1)}, 4)
-        assert (a * b).order == 3
-
-
 class TestMultiSeries:
     def grading(self):
         return Grading(["t0", "t1", "t2"], [1, 3, 5])
@@ -161,6 +147,171 @@ class TestMultiSeries:
         f = MultiSeries.constant(g, 1, 3)
         with pytest.raises(IndexError):
             f.coefficient((0, 0, 1))
+
+
+# Reference implementations: the pairwise product and the D-fold power
+# loops that the degree-graded kernel replaced.  The arithmetic is exact,
+# so the kernel must reproduce them term for term.
+
+
+def ref_mul(a, b):
+    """Every pair of terms, kept when their degrees fit the truncation."""
+    n = min(a.max_degree, b.max_degree)
+    deg = a.grading.degree
+    out = {}
+    for e1, c1 in a.terms.items():
+        d1 = deg(e1)
+        for e2, c2 in b.terms.items():
+            if d1 + deg(e2) > n:
+                continue
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Q(0)) + c1 * c2
+    return MultiSeries(a.grading, out, n)
+
+
+def ref_exp(f):
+    """sum_k f^k / k!, one full product per power."""
+    acc = MultiSeries.constant(f.grading, 1, f.max_degree)
+    term = acc
+    for k in range(1, f.max_degree + 1):
+        term = ref_mul(term, f) * Q(1, k)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def ref_log(f):
+    """sum_k (-1)^(k+1) (f - 1)^k / k, one full product per power."""
+    u = f - 1
+    acc = MultiSeries.zero(f.grading, f.max_degree)
+    term = MultiSeries.constant(f.grading, -1, f.max_degree)
+    for k in range(1, f.max_degree + 1):
+        term = ref_mul(term, u) * Q(-1)
+        if term.is_zero():
+            break
+        acc = acc + term * Q(1, k)
+    return acc
+
+
+def same(a, b):
+    """Equal truncation degree and equal terms, exactly."""
+    return a.max_degree == b.max_degree and a.terms == b.terms
+
+
+@pytest.fixture(scope="module")
+def Fc20():
+    return build_Fc(20)
+
+
+@pytest.fixture(scope="module")
+def open_sum12():
+    Fc = build_Fc(15)
+    Fo = op.solve_open_kdv(Fc, 12)
+    return Fo + op.lift_to_open(Fc, Fo.grading)
+
+
+class TestGradedKernelOracles:
+    def test_mul_closed_potential(self, Fc20):
+        u = Fc20.derivative("t0").derivative("t0")
+        assert same(Fc20 * Fc20, ref_mul(Fc20, Fc20))
+        assert same(u * Fc20.derivative("t1"), ref_mul(u, Fc20.derivative("t1")))
+
+    def test_exp_log_closed_potential(self, Fc20):
+        E = Fc20.exp()
+        assert same(E, ref_exp(Fc20))
+        assert same(E.log(), ref_log(E))
+        assert same(E.log(), Fc20)
+
+    def test_exp_log_open_plus_closed(self, open_sum12):
+        E = open_sum12.exp()
+        assert same(E, ref_exp(open_sum12))
+        assert same(E.log(), ref_log(E))
+        assert same(E.log(), open_sum12)
+
+    def test_zero_series(self):
+        g = Grading(["x", "y"], [1, 2])
+        zero = MultiSeries.zero(g, 6)
+        one = MultiSeries.constant(g, 1, 6)
+        assert same(zero.exp(), one) and same(zero.exp(), ref_exp(zero))
+        assert same(one.log(), zero) and same(one.log(), ref_log(one))
+        assert same(zero * one, zero) and same(one * zero, ref_mul(one, zero))
+
+    def test_single_variable(self):
+        g = Grading(["x"], [3])
+        x = MultiSeries.variable(g, "x", 10)
+        e = x.exp()
+        # x^k has weighted degree 3k, so exp stops at x^3.
+        assert e.terms == {(k,): Q(1, [1, 1, 2, 6][k]) for k in range(4)}
+        assert same(e, ref_exp(x))
+        assert same(e.log(), x)
+
+    def test_truncation_at_zero(self):
+        g = Grading(["x", "y"], [1, 1])
+        x = MultiSeries.variable(g, "x", 0)
+        assert x.is_zero()
+        c = MultiSeries.constant(g, 3, 0)
+        one = MultiSeries.constant(g, 1, 0)
+        assert same(x.exp(), one)
+        assert same(one.log(), MultiSeries.zero(g, 0))
+        assert same(c * c, MultiSeries.constant(g, 9, 0))
+        assert same(c * x, ref_mul(c, x)) and (c * x).is_zero()
+
+    def test_mismatched_max_degree(self):
+        g = Grading(["x", "y"], [1, 2])
+        x7 = MultiSeries.variable(g, "x", 7) + MultiSeries.variable(g, "y", 7)
+        y4 = MultiSeries.variable(g, "y", 4) * 3 + 1
+        for a, b in ((x7, y4), (y4, x7)):
+            p = a * b
+            assert p.max_degree == 4
+            assert same(p, ref_mul(a, b))
+
+    def test_graded_exp_respects_budget(self):
+        # exp(z x) with x of weight 1 and z-grade 1: grade d holds x^d/d!,
+        # kept only while its degree d plus the grade d fits the budget.
+        parts = {1: {1: {(1,): Q(1)}}}
+        out = graded_exp(parts, 5, (0,), budget=7)
+        assert sorted(out) == [0, 1, 2, 3]
+        assert out[3] == {3: {(3,): Q(1, 6)}}
+
+
+WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def sparse_series(draw, weights, constant=None):
+    """A sparse series over the given weights, at a drawn truncation."""
+    g = Grading(["x%d" % i for i in range(len(weights))], weights)
+    D = draw(st.integers(0, 9))
+    exps = st.tuples(*(st.integers(0, 4) for _ in weights))
+    terms = draw(st.dictionaries(exps, COEFFS, max_size=8))
+    if constant is not None:
+        terms[(0,) * len(weights)] = Q(constant)
+    return MultiSeries(g, terms, D)
+
+
+class TestGradedKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_matches_pairwise(self, data):
+        w = data.draw(WEIGHTS)
+        a = data.draw(sparse_series(w))
+        b = data.draw(sparse_series(w))
+        assert same(a * b, ref_mul(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exp_matches_power_loop(self, data):
+        f = data.draw(sparse_series(data.draw(WEIGHTS), constant=0))
+        assert same(f.exp(), ref_exp(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_log_matches_power_loop(self, data):
+        f = data.draw(sparse_series(data.draw(WEIGHTS), constant=1))
+        assert same(f.log(), ref_log(f))
+        assert same(f.log().exp(), f)
 
 
 class TestDivideExact:
