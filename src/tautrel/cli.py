@@ -17,7 +17,8 @@ suites with machine-readable output:
 Exit codes: 0 on success, 1 on a failed check or invalid input data
 (with a structured diff naming the location), 2 on usage errors.
 Rationals serialize as "p/q" strings.  The environment variable
-TAUTREL_THREADS caps internal parallelism.
+TAUTREL_THREADS is validated and echoed as each suite's ``threads``
+field; the computations themselves run in one thread.
 """
 
 import argparse
@@ -27,7 +28,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import airy, descendents, frobenius, fz, named_series, open_potential
@@ -48,7 +48,7 @@ class CheckFailure(Exception):
 
 
 def thread_count():
-    """Worker cap from TAUTREL_THREADS (default: cpu count, at least 1)."""
+    """TAUTREL_THREADS as reported by the suites (default: cpu count)."""
     raw = os.environ.get("TAUTREL_THREADS", "")
     if raw.strip():
         try:
@@ -71,6 +71,18 @@ def _parse_int_list(text):
         raise argparse.ArgumentTypeError(
             "expected a comma-separated integer list, got %r" % text
         )
+
+
+def _nonneg_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text
+        )
+    return value
 
 
 def _parse_fraction(text):
@@ -424,7 +436,8 @@ def _named_terms(ms, max_degree):
 def _suite_strata(order, seed):
     started = time.monotonic()
     checks = []
-    for (g, n), want in [((0, 3), 1), ((1, 1), 2), ((2, 0), 7)]:
+    census = [((0, 3), 1), ((1, 1), 2), ((2, 0), 7), ((3, 0), 42)]
+    for (g, n), want in census:
         got = len(strata.enumerate_stable_graphs(g, n))
         checks.append(
             _check(
@@ -462,16 +475,9 @@ def _pixton_pairings(g, n, A, d):
         rem = extra - sum(psis)
         for ke in _kappa_monomials(rem):
             jobs.append((psis, ke))
-    workers = thread_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(
-            pool.map(
-                lambda job: strata.integrate(
-                    el, psi_exps=job[0], kappa_exps=job[1]
-                ),
-                jobs,
-            )
-        )
+    values = [
+        strata.integrate(el, psi_exps=psis, kappa_exps=ke) for psis, ke in jobs
+    ]
     bad = [
         {"psi": list(j[0]), "kappa": list(j[1]), "value": str(v)}
         for j, v in zip(jobs, values)
@@ -724,13 +730,13 @@ def build_parser():
     p.set_defaults(func=cmd_fz)
 
     p = sub.add_parser("strata", parents=[common])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("pixton", parents=[common])
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--a", type=_parse_int_list, default=())
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_pixton)

@@ -99,25 +99,42 @@ class StableGraph:
     def n_legs(self):
         return len(self.legs)
 
+    @classmethod
+    def _unchecked(cls, genera, legs, edges):
+        """A graph known to be valid, such as a relabelling of a valid
+        one, without _validate.  ``edges`` must be sorted as __init__
+        sorts them."""
+        graph = cls.__new__(cls)
+        graph.genera, graph.legs, graph.edges = tuple(genera), legs, edges
+        return graph
+
     def relabel(self, perm):
         """Apply a vertex permutation: vertex v becomes perm[v]."""
         inv = [0] * len(perm)
         for v, pv in enumerate(perm):
             inv[pv] = v
         genera = tuple(self.genera[inv[v]] for v in range(len(perm)))
-        legs = tuple(perm[v] for v in self.legs)
-        edges = [(perm[v], perm[w]) for v, w in self.edges]
-        return StableGraph(genera, legs, edges)
+        return StableGraph._unchecked(genera, *self._moved(perm))
+
+    def _moved(self, perm):
+        """Legs and sorted edges of the relabelling by ``perm``."""
+        legs = tuple([perm[v] for v in self.legs])
+        edges = []
+        for v, w in self.edges:
+            pv, pw = perm[v], perm[w]
+            edges.append((pv, pw) if pv <= pw else (pw, pv))
+        edges.sort()
+        return legs, tuple(edges)
 
     def key(self):
         return (self.genera, self.legs, self.edges)
 
     def canonical(self):
-        nv = len(self.genera)
-        return min(
-            (self.relabel(p) for p in itertools.permutations(range(nv))),
-            key=StableGraph.key,
+        """The relabelling with the lexicographically least key()."""
+        legs, edges = min(
+            self._moved(p) for p in _genus_sorting_perms(self.genera)
         )
+        return StableGraph._unchecked(sorted(self.genera), legs, edges)
 
     def __eq__(self, other):
         return isinstance(other, StableGraph) and self.key() == other.key()
@@ -136,32 +153,114 @@ class StableGraph:
         }
 
 
+def _genus_perms(genera, target):
+    """Vertex permutations p with target[p[v]] == genera[v] for every v.
+
+    ``target`` is a rearrangement of ``genera``.  Only these can carry
+    a graph to one with genera ``target``: with target = genera they
+    hold every automorphism, and with target = sorted(genera) every
+    relabelling that can reach the least key, whose genera are sorted.
+
+    >>> list(_genus_perms((1, 0, 0), (0, 0, 1)))
+    [[2, 0, 1], [2, 1, 0]]
+    """
+    nv = len(genera)
+    blocks = [
+        (
+            [v for v in range(nv) if genera[v] == h],
+            [s for s in range(nv) if target[s] == h],
+        )
+        for h in sorted(set(genera))
+    ]
+    for images in itertools.product(
+        *(itertools.permutations(slots) for _, slots in blocks)
+    ):
+        p = [0] * nv
+        for (verts, _), img in zip(blocks, images):
+            for v, pv in zip(verts, img):
+                p[v] = pv
+        yield p
+
+
+def _genus_sorting_perms(genera):
+    return _genus_perms(genera, tuple(sorted(genera)))
+
+
+def _subsets(items):
+    for picks in itertools.product((False, True), repeat=len(items)):
+        yield list(itertools.compress(items, picks))
+
+
+def _degenerations(graph):
+    """(genera, legs, edges) of the graphs with one more edge that
+    contract back to ``graph``; they are not validated.
+
+    Either a loop is added at a vertex v of positive genus, lowering
+    its genus by one, or v is split into v and a new vertex u joined
+    to it by an edge: u takes part of v's genus, a subset of its legs
+    and a subset of its half-edges (both halves of a loop counted
+    separately).
+    """
+    genera, legs, edges = graph.genera, graph.legs, graph.edges
+    u = len(genera)
+    for v, h in enumerate(genera):
+        if h:
+            yield (
+                genera[:v] + (h - 1,) + genera[v + 1:],
+                legs,
+                edges + ((v, v),),
+            )
+        leg_slots = [i for i, x in enumerate(legs) if x == v]
+        half_slots = [
+            (i, j) for i, e in enumerate(edges) for j in (0, 1) if e[j] == v
+        ]
+        for hu in range(h + 1):
+            split_genera = genera[:v] + (h - hu,) + genera[v + 1:] + (hu,)
+            for moved_legs in _subsets(leg_slots):
+                split_legs = list(legs)
+                for i in moved_legs:
+                    split_legs[i] = u
+                for moved_halves in _subsets(half_slots):
+                    split_edges = [list(e) for e in edges]
+                    for i, j in moved_halves:
+                        split_edges[i][j] = u
+                    split_edges.append((v, u))
+                    yield split_genera, split_legs, split_edges
+
+
 def enumerate_stable_graphs(g, n):
     """One representative per isomorphism class of stable graphs.
+
+    Graphs are generated by degeneration, one edge count at a time,
+    from the smooth graph.  Contracting any edge of a stable graph
+    gives a stable graph with one edge fewer, so every class is
+    reached.  The representative is the least relabelling
+    (StableGraph.canonical), and the list is sorted by key().
 
     >>> len(enumerate_stable_graphs(0, 3))
     1
     >>> len(enumerate_stable_graphs(1, 1))
     2
     """
+    if g < 0 or n < 0:
+        raise ValueError("negative (g, n) = (%d, %d)" % (g, n))
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
-    found = {}
-    max_v = max(1, 2 * g - 2 + n)
-    for nv in range(1, max_v + 1):
-        pairs = [(v, w) for v in range(nv) for w in range(v, nv)]
-        for genera in itertools.product(range(g + 1), repeat=nv):
-            ne = g - sum(genera) + nv - 1
-            if ne < 0 or (nv > 1 and ne < nv - 1):
-                continue
-            for edges in itertools.combinations_with_replacement(pairs, ne):
-                for legs in itertools.product(range(nv), repeat=n):
-                    try:
-                        graph = StableGraph(genera, legs, edges)
-                    except ValueError:
-                        continue
-                    canon = graph.canonical()
-                    found[canon.key()] = canon
+    smooth = StableGraph((g,), (0,) * n, ())
+    found = {smooth.key(): smooth}
+    level = [smooth]
+    while level:
+        next_level = {}
+        for graph in level:
+            for genera, legs, edges in _degenerations(graph):
+                try:
+                    candidate = StableGraph(genera, legs, edges)
+                except ValueError:
+                    continue
+                canon = candidate.canonical()
+                next_level.setdefault(canon.key(), canon)
+        found.update(next_level)
+        level = list(next_level.values())
     return sorted(found.values(), key=StableGraph.key)
 
 
@@ -175,13 +274,12 @@ def automorphism_order(graph):
     >>> automorphism_order(StableGraph((0, 0), (), [(0, 1)] * 3))
     12
     """
-    nv = len(graph.genera)
-    n_perms = sum(
+    fixed = (graph.legs, graph.edges)
+    order = sum(
         1
-        for p in itertools.permutations(range(nv))
-        if graph.relabel(p).key() == graph.key()
+        for p in _genus_perms(graph.genera, graph.genera)
+        if graph._moved(p) == fixed
     )
-    order = n_perms
     mult = {}
     for e in graph.edges:
         mult[e] = mult.get(e, 0) + 1
@@ -297,11 +395,15 @@ class Decoration:
 
 
 def _canonical_pair(graph, dec):
-    """Minimal representative of a decorated graph under vertex perms."""
+    """Minimal representative of a decorated graph under vertex perms.
+
+    The least candidate has sorted genera, so only genus-sorting
+    permutations are tried.
+    """
     nv = len(graph.genera)
+    genera = tuple(sorted(graph.genera))
     best = None
-    for p in itertools.permutations(range(nv)):
-        rg = graph.relabel(p)
+    for p in _genus_sorting_perms(graph.genera):
         inv = [0] * nv
         for v, pv in enumerate(p):
             inv[pv] = v
@@ -312,14 +414,14 @@ def _canonical_pair(graph, dec):
             a, b = (p[v], kv), (p[w], kw)
             items.append(tuple(sorted((a, b))))
         items.sort()
-        edges = [(a[0], b[0]) for a, b in items]
-        psis = [(a[1], b[1]) for a, b in items]
-        cand_graph = StableGraph(rg.genera, rg.legs, edges)
-        cand = (cand_graph.key(), vk, dec.leg_psis, tuple(psis))
+        edges = tuple(sorted((a[0], b[0]) for a, b in items))
+        psis = tuple((a[1], b[1]) for a, b in items)
+        legs = tuple([p[v] for v in graph.legs])
+        cand = ((genera, legs, edges), vk, dec.leg_psis, psis)
         if best is None or cand < best:
             best = cand
-            best_pair = (cand_graph, Decoration(vk, dec.leg_psis, psis))
-    return best_pair
+    key, vk, leg_psis, psis = best
+    return StableGraph._unchecked(*key), Decoration(vk, leg_psis, psis)
 
 
 class StrataElement:

@@ -34,6 +34,22 @@ class TestExitCodes:
         code, _ = dispatch(["strata", "--g", "0", "--n", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata", "--g", "-1", "--n", "5"],
+            ["strata", "--g", "2", "--n", "-1"],
+            ["strata", "--g", "x", "--n", "1"],
+            ["pixton", "--g", "-1", "--n", "5", "--a", "0,0,0,0,0", "--d", "1"],
+            ["pixton", "--g", "1", "--n", "-1", "--d", "1"],
+        ],
+    )
+    def test_negative_g_n_is_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestReports:
     def test_series_json(self):
@@ -155,7 +171,11 @@ class TestVerify:
 
     def test_strata_suite(self):
         code, out = dispatch(["verify", "strata", "--format", "json"])
-        assert code == 0 and json.loads(out)["ok"]
+        data = json.loads(out)
+        assert code == 0 and data["ok"]
+        census = {c["name"]: c["computed"] for c in data["checks"]
+                  if c["name"].startswith("census_")}
+        assert census["census_3_0"] == 42
 
     def test_pixton_suite(self):
         code, out = dispatch(["verify", "pixton", "--format", "json"])

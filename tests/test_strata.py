@@ -1,13 +1,68 @@
 from fractions import Fraction as Q
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from tautrel import strata
+from tautrel import pixton, strata
 from tautrel.descendents import bracket
 from tautrel.named_series import series_H0
 from tautrel.series import PowerSeries
 from tautrel.strata import Decoration, StableGraph, StrataElement
+
+
+def ref_canonical(graph):
+    """Least key() over all nv! relabellings."""
+    nv = len(graph.genera)
+    return min((graph.relabel(p) for p in permutations(range(nv))),
+               key=StableGraph.key)
+
+
+def ref_enumerate(g, n):
+    """The former enumeration: every labelled (genera, edges, legs)
+    tuple, validated, then canonicalised over all relabellings."""
+    found = {}
+    max_v = max(1, 2 * g - 2 + n)
+    for nv in range(1, max_v + 1):
+        pairs = [(v, w) for v in range(nv) for w in range(v, nv)]
+        for genera in product(range(g + 1), repeat=nv):
+            ne = g - sum(genera) + nv - 1
+            if ne < 0 or (nv > 1 and ne < nv - 1):
+                continue
+            for edges in combinations_with_replacement(pairs, ne):
+                for legs in product(range(nv), repeat=n):
+                    try:
+                        graph = StableGraph(genera, legs, edges)
+                    except ValueError:
+                        continue
+                    canon = ref_canonical(graph)
+                    found[canon.key()] = canon
+    return sorted(found.values(), key=StableGraph.key)
+
+
+def ref_canonical_pair(graph, dec):
+    """The former strata._canonical_pair: all nv! permutations, each
+    candidate graph validated."""
+    nv = len(graph.genera)
+    best = None
+    for p in permutations(range(nv)):
+        rg = graph.relabel(p)
+        inv = [0] * nv
+        for v, pv in enumerate(p):
+            inv[pv] = v
+        vk = tuple(dec.vertex_kappas[inv[v]] for v in range(nv))
+        items = []
+        for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
+            a, b = (p[v], kv), (p[w], kw)
+            items.append(tuple(sorted((a, b))))
+        items.sort()
+        edges = [(a[0], b[0]) for a, b in items]
+        psis = [(a[1], b[1]) for a, b in items]
+        cand_graph = StableGraph(rg.genera, rg.legs, edges)
+        cand = (cand_graph.key(), vk, dec.leg_psis, tuple(psis))
+        if best is None or cand < best:
+            best = cand
+            best_pair = (cand_graph, Decoration(vk, dec.leg_psis, psis))
+    return best_pair
 
 
 def aut_brute(graph):
@@ -59,6 +114,25 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             strata.enumerate_stable_graphs(1, 0)
 
+    @pytest.mark.parametrize("g,n", [(-1, 5), (-2, 9), (1, -1)])
+    def test_negative_rejected(self, g, n):
+        # (-1, 5) passes the stability test 2g - 2 + n > 0.
+        with pytest.raises(ValueError, match="negative"):
+            strata.enumerate_stable_graphs(g, n)
+
+    @pytest.mark.parametrize(
+        "g,n",
+        [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+         (3, 0), (2, 2)],
+    )
+    def test_matches_product_loop(self, g, n):
+        got = [gr.key() for gr in strata.enumerate_stable_graphs(g, n)]
+        assert got == [gr.key() for gr in ref_enumerate(g, n)]
+
+    @pytest.mark.parametrize("g,want", [(3, 42), (4, 379)])
+    def test_closed_counts(self, g, want):
+        assert len(strata.enumerate_stable_graphs(g, 0)) == want
+
     @pytest.mark.parametrize("g,n", [(0, 4), (1, 1), (1, 2), (2, 0), (2, 1)])
     def test_emitted_invariants(self, g, n):
         graphs = strata.enumerate_stable_graphs(g, n)
@@ -95,7 +169,9 @@ class TestAutomorphisms:
         gr = StableGraph((0, 0), (0, 1), [(0, 1), (0, 1)])
         assert strata.automorphism_order(gr) == 2
 
-    @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize(
+        "g,n", [(1, 1), (1, 2), (2, 0), (2, 1), (1, 3), (0, 5)]
+    )
     def test_against_half_edge_brute_force(self, g, n):
         for gr in strata.enumerate_stable_graphs(g, n):
             assert strata.automorphism_order(gr) == aut_brute(gr), gr
@@ -247,6 +323,13 @@ class TestIntegrate:
         el.add_term(a, Decoration.trivial(a), Q(1))
         el.add_term(b, Decoration.trivial(b), Q(-1))
         assert el.is_zero()
+
+    def test_canonical_pair_matches_reference(self, monkeypatch):
+        # Codimension 4 in genus 3: loops and parallel edges carrying
+        # psi classes on both halves, on graphs of up to four vertices.
+        got = pixton.pixton_class(3, 0, (), 4).to_json()
+        monkeypatch.setattr(strata, "_canonical_pair", ref_canonical_pair)
+        assert got == pixton.pixton_class(3, 0, (), 4).to_json()
 
     def test_json_round_structure(self):
         gr = StableGraph((0,), (0,), [(0, 0)])
