@@ -15,7 +15,8 @@ suites with machine-readable output:
 - ``verify``: the invariant suites, in dependency order for ``all``.
 
 Exit codes: 0 on success, 1 on a failed check or invalid input data
-(with a structured diff naming the location), 2 on usage errors.
+(with a structured diff naming the location), 2 on usage errors, which
+include an argument below the smallest value its computation runs at.
 Rationals serialize as "p/q" strings.  The environment variable
 TAUTREL_THREADS is validated and echoed as each suite's ``threads``
 field; the computations themselves run in one thread.
@@ -25,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -73,16 +75,47 @@ def _parse_int_list(text):
         )
 
 
-def _nonneg_int(text):
+def _int_at_least(low):
+    """An argparse type accepting the integers >= ``low``."""
+    what = "a non-negative integer" if low == 0 else "an integer >= %d" % low
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (what, text)
+            )
+        return value
+
+    return parse
+
+
+_nonneg_int = _int_at_least(0)
+
+
+def _positive_float(text):
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
+    if value is None or not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
-            "expected a non-negative integer, got %r" % text
+            "expected a finite positive number, got %r" % text
         )
     return value
+
+
+def _partition(text):
+    """A comma-separated partition with no part congruent to 2 mod 3."""
+    sigma = _parse_int_list(text)
+    try:
+        fz.normalize_partition(sigma)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return sigma
 
 
 def _parse_fraction(text):
@@ -468,6 +501,7 @@ def _suite_strata(order, seed):
 
 
 def _pixton_pairings(g, n, A, d):
+    """(class terms, pairings made, the nonzero pairings) of a class."""
     el = pixton.pixton_class(g, n, A, d)
     extra = 3 * g - 3 + n - d
     jobs = []
@@ -483,7 +517,7 @@ def _pixton_pairings(g, n, A, d):
         for j, v in zip(jobs, values)
         if v != 0
     ]
-    return len(jobs), bad
+    return len(el.terms), len(jobs), bad
 
 
 def _compositions(total, n):
@@ -532,15 +566,16 @@ def _suite_pixton(order, seed):
             )
         )
     for g, n, A, d in [(1, 1, (1,), 1), (2, 0, (), 1), (2, 1, (1,), 1)]:
-        count, bad = _pixton_pairings(g, n, A, d)
-        checks.append(
-            _check(
-                "pairings_%d_%d_%s_%d" % (g, n, "".join(map(str, A)), d),
-                "all %d pairings of the (%d,%d) class vanish" % (count, g, n),
-                not bad,
-                computed=bad or None,
-            )
+        terms, count, bad = _pixton_pairings(g, n, A, d)
+        item = _check(
+            "pairings_%d_%d_%s_%d" % (g, n, "".join(map(str, A)), d),
+            "all %d pairings of the (%d,%d) class vanish" % (count, g, n),
+            not bad,
+            computed=bad or None,
         )
+        # A class with no terms pairs to 0 vacuously.
+        item["class_terms"] = terms
+        checks.append(item)
     return _finish_suite("pixton", order, seed, checks, started)
 
 
@@ -701,32 +736,32 @@ def build_parser():
 
     p = sub.add_parser("series", parents=[common])
     p.add_argument("--which", choices=sorted(_SERIES), default="A")
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_nonneg_int, default=10)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("airy", parents=[common])
-    p.add_argument("--x", type=float, default=10.0)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--x", type=_positive_float, default=10.0)
+    p.add_argument("--k", type=_nonneg_int, default=3)
     p.add_argument("--prime", action="store_true")
-    p.add_argument("--precision-bits", type=int, default=128)
+    p.add_argument("--precision-bits", type=_int_at_least(64), default=128)
     p.set_defaults(func=cmd_airy)
 
     p = sub.add_parser("descendents", parents=[common])
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("closed", parents=[common])
-    d.add_argument("--degree", type=int, default=8)
+    d.add_argument("--degree", type=_nonneg_int, default=8)
     d.set_defaults(func=cmd_descendents_closed)
     d = dsub.add_parser("open", parents=[common])
-    d.add_argument("--degree", type=int, default=6)
+    d.add_argument("--degree", type=_nonneg_int, default=6)
     d.set_defaults(func=cmd_descendents_open)
     d = dsub.add_parser("table", parents=[common])
     d.add_argument("--ks", type=_parse_int_list, required=True)
     d.set_defaults(func=cmd_descendents_table)
 
     p = sub.add_parser("fz", parents=[common])
-    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--g", type=_nonneg_int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--sigma", type=_parse_int_list, default=())
+    p.add_argument("--sigma", type=_partition, default=())
     p.set_defaults(func=cmd_fz)
 
     p = sub.add_parser("strata", parents=[common])
@@ -747,15 +782,40 @@ def build_parser():
         default="r-matrix",
     )
     p.add_argument("--model", choices=("3spin", "cp1"), default="3spin")
-    p.add_argument("--order", type=int, default=6)
+    p.add_argument("--order", type=_nonneg_int, default=6)
     p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_nonneg_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+# The smallest --order each computation runs at: the verify suites by
+# name, and the frobenius actions by action and model.
+_MIN_ORDER = {
+    "series": 2,
+    "descendents": 8,
+    "open": 1,
+    "frobenius": 1,
+    "flatness": 2,
+    "r-matrix 3spin": 1,
+}
+
+
+def _order_floor(args):
+    """The computation that --order sizes, and the least order it takes."""
+    if args.command == "verify":
+        name = args.suite
+    elif args.command == "frobenius":
+        name = args.action
+        if args.action == "r-matrix":
+            name += " " + args.model
+    else:
+        return None, 0
+    return name, _MIN_ORDER.get(name, 0)
 
 
 def dispatch(argv):
@@ -767,6 +827,12 @@ def dispatch(argv):
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    name, low = _order_floor(args)
+    if getattr(args, "order", None) is not None and args.order < low:
+        parser.error(
+            "argument --order: %s needs an integer >= %d, got %d"
+            % (name, low, args.order)
+        )
     try:
         report = args.func(args)
         code = 0

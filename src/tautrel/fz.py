@@ -172,59 +172,6 @@ class KappaPolynomial:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        if not isinstance(other, KappaPolynomial):
-            other = KappaPolynomial({(): Fraction(other)})
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return KappaPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __mul__(self, other):
-        if not isinstance(other, KappaPolynomial):
-            c = Fraction(other)
-            return KappaPolynomial({e: x * c for e, x in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                m = max(len(e1), len(e2))
-                a = e1 + (0,) * (m - len(e1))
-                b = e2 + (0,) * (m - len(e2))
-                key = tuple(x + y for x, y in zip(a, b))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return KappaPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def truncate(self, degree_max):
-        return KappaPolynomial(
-            {e: c for e, c in self.terms.items() if self.term_degree(e) <= degree_max}
-        )
-
-    def exp(self, degree_max):
-        """exp of a polynomial with zero constant term, graded-truncated.
-
-        >>> p = KappaPolynomial({(1,): Fraction(1)})
-        >>> sorted(p.exp(2).terms.items())
-        [((), Fraction(1, 1)), ((1,), Fraction(1, 1)), ((2,), Fraction(1, 2))]
-        """
-        if () in self.terms:
-            raise ValueError("exp requires zero constant term")
-        body = self.truncate(degree_max)
-        acc = KappaPolynomial({(): Fraction(1)})
-        power = KappaPolynomial({(): Fraction(1)})
-        fact = 1
-        for m in range(1, degree_max + 1):
-            power = (power * body).truncate(degree_max)
-            if power.is_zero():
-                break
-            fact *= m
-            acc = acc + power * Fraction(1, fact)
-        return acc
-
     def coefficient(self, e):
         e = tuple(e)
         while e and e[-1] == 0:

@@ -15,16 +15,24 @@ of prod_v zeta_v^{h(v)-1} in the product of
 weighted by 1/2^{h1(Gamma)}.  The parity algebra is the group algebra
 of (Z/2)^V: monomials are vertex subsets multiplying by symmetric
 difference.
+
+In the vertex factor the zeta-parity of a kappa-monomial is its
+weighted degree mod 2 (kappa_a has degree a), so the factor is the
+kappa class of T - T H0(T) split into its even- and odd-degree parts.
 """
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from .fz import KappaPolynomial
 from .named_series import series_H0, series_H1
-from .series import BiPoly, divide_exact
-from .strata import Decoration, StrataElement, enumerate_stable_graphs
+from .series import BiPoly, PowerSeries, divide_exact
+from .strata import (
+    Decoration,
+    StrataElement,
+    enumerate_stable_graphs,
+    kappa_of_f,
+)
 
 __all__ = [
     "NotInPixtonSetError",
@@ -45,47 +53,24 @@ class ZetaPolynomial:
     """Element of the group algebra of (Z/2)^V over an arbitrary ring.
 
     Terms map frozensets of vertex ids (the support of a square-free
-    zeta-monomial) to coefficients; products combine supports by
-    symmetric difference.
+    zeta-monomial) to coefficients.
 
     >>> x = ZetaPolynomial({frozenset([0]): Fraction(2)})
-    >>> (x * x).terms
-    {frozenset(): Fraction(4, 1)}
+    >>> x.coefficient([0]), x.coefficient([])
+    (Fraction(2, 1), None)
     """
 
     def __init__(self, terms):
-        self.terms = {frozenset(s): c for s, c in terms.items() if not _is_zero(c)}
+        self.terms = {frozenset(s): c for s, c in terms.items()}
 
     def coefficient(self, subset):
         return self.terms.get(frozenset(subset), None)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out[s] + c if s in out else c
-        return ZetaPolynomial(out)
-
-    def __mul__(self, other):
-        out = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = s1 ^ s2
-                c = c1 * c2
-                out[s] = out[s] + c if s in out else c
-        return ZetaPolynomial(out)
 
     def __eq__(self, other):
         return isinstance(other, ZetaPolynomial) and self.terms == other.terms
 
     def __repr__(self):
         return "ZetaPolynomial(%r)" % (self.terms,)
-
-
-def _is_zero(c):
-    try:
-        return c == 0
-    except TypeError:
-        return False
 
 
 @lru_cache(maxsize=None)
@@ -97,45 +82,27 @@ def _h_coeffs(which, order):
 def vertex_factor(v, truncation):
     """kappa(T - T H0(zeta_v T)) as a ZetaPolynomial over kappa-polynomials.
 
-    The T^k coefficient of f = T - T H0(zeta T) is -h0_{k-1} zeta^{k-1},
-    so each kappa index carries a parity.  Uses the cycle formula for
-    the multi-point forgetful push-forward (see strata.kappa_of_f).
+    The T^{b+1} coefficient of f = T - T H0(zeta T) carries zeta^b, so
+    kappa_a carries zeta^a and each kappa-monomial carries zeta to its
+    weighted degree: the factor is strata.kappa_of_f(T - T H0(T)) with
+    its even-degree part on the empty subset and its odd-degree part
+    on {v}.
 
     >>> out = vertex_factor(0, 1)
     >>> out.coefficient(frozenset([0])).terms
     {(1,): Fraction(60, 1)}
     """
-    h0 = _h_coeffs(0, truncation + 1)
-    # c[b] = coefficient of T^{b+1} in f, with parity b (b >= 1)
-    coeffs = {b: -h0[b] for b in range(1, truncation + 1) if h0[b]}
-    body = [{}, {}]  # parity -> kappa-exponent dict
-    for length in range(1, truncation + 1):
-        for bs in itertools.product(sorted(coeffs), repeat=length):
-            a = sum(bs)
-            if a > truncation:
-                continue
-            c = Fraction(1, length)
-            for b in bs:
-                c *= coeffs[b]
-            parity = a % 2  # each c_b carries parity b
-            e = (0,) * (a - 1) + (1,)
-            body[parity][e] = body[parity].get(e, Fraction(0)) + c
-    even = KappaPolynomial(body[0])
-    odd = KappaPolynomial(body[1])
-    # exp(even + zeta*odd) computed in the parity algebra
-    acc = [KappaPolynomial({(): Fraction(1)}), KappaPolynomial({})]
-    power = [KappaPolynomial({(): Fraction(1)}), KappaPolynomial({})]
-    fact = 1
-    for m in range(1, truncation + 1):
-        power = [
-            (power[0] * even + power[1] * odd).truncate(truncation),
-            (power[0] * odd + power[1] * even).truncate(truncation),
-        ]
-        if power[0].is_zero() and power[1].is_zero():
-            break
-        fact *= m
-        acc = [acc[p] + power[p] * Fraction(1, fact) for p in (0, 1)]
-    return ZetaPolynomial({frozenset(): acc[0], frozenset([v]): acc[1]})
+    T = PowerSeries.identity(truncation + 1)
+    kappa = kappa_of_f(T - T * series_H0(truncation + 1), truncation)
+    parts = ({}, {})
+    for e, c in kappa.terms.items():
+        parts[KappaPolynomial.term_degree(e) % 2][e] = c
+    return ZetaPolynomial(
+        {
+            frozenset(): KappaPolynomial(parts[0]),
+            frozenset([v]): KappaPolynomial(parts[1]),
+        }
+    )
 
 
 def leg_factor(v, a_l, truncation):

@@ -22,6 +22,7 @@ from math import factorial
 
 from .descendents import bracket
 from .fz import KappaPolynomial
+from .series import Grading, MultiSeries, PowerSeries
 
 __all__ = [
     "StableGraph",
@@ -296,27 +297,29 @@ def kappa_of_f(f, degree_max):
     Implements sum_m (1/m!) p_m*(f(psi) ... f(psi)) using the cycle
     formula for the multi-point forgetful push-forward: the result is
     exp( sum_l (1/l) sum_{b_1..b_l >= 1} prod f_{b_j + 1} kappa_{b_1+..+b_l} ).
+    With C(T) = sum_{b >= 1} f_{b+1} T^b the inner sum is
+    sum_l C(T)^l / l = -log(1 - C(T)), so kappa_a has coefficient
+    [T^a] -log(1 - C(T)); the exponential is taken in kappa_1..kappa_D
+    with kappa_a of weight a.
 
-    >>> from .series import PowerSeries
     >>> f = PowerSeries([0, 0, Fraction(1)], 2)  # T^2
     >>> sorted(kappa_of_f(f, 2).terms.items())
     [((), Fraction(1, 1)), ((0, 1), Fraction(1, 2)), ((1,), Fraction(1, 1)), ((2,), Fraction(1, 2))]
     """
     if f.order >= 1 and (f[0] != 0 or f[1] != 0):
         raise ValueError("f must have vanishing constant and linear terms")
-    coeffs = {b: f[b + 1] for b in range(1, min(f.order, degree_max + 1)) if f[b + 1]}
-    body = {}
-    for length in range(1, degree_max + 1):
-        for bs in itertools.product(sorted(coeffs), repeat=length):
-            a = sum(bs)
-            if a > degree_max:
-                continue
-            c = Fraction(1, length)
-            for b in bs:
-                c *= coeffs[b]
-            e = (0,) * (a - 1) + (1,)
-            body[e] = body.get(e, Fraction(0)) + c
-    return KappaPolynomial(body).exp(degree_max)
+    D = degree_max
+    C = PowerSeries(
+        [0] + [f[b + 1] if b < f.order else 0 for b in range(1, D + 1)], D
+    )
+    cycles = -(1 - C).log()
+    kappas = range(1, D + 1)
+    grading = Grading(["k%d" % a for a in kappas], list(kappas))
+    body = {
+        (0,) * (a - 1) + (1,) + (0,) * (D - a): cycles[a]
+        for a in kappas
+    }
+    return KappaPolynomial(MultiSeries(grading, body, D).exp().terms)
 
 
 @lru_cache(maxsize=None)
@@ -408,14 +411,15 @@ def _canonical_pair(graph, dec):
         for v, pv in enumerate(p):
             inv[pv] = v
         vk = tuple(dec.vertex_kappas[inv[v]] for v in range(nv))
-        # re-sort edges together with their psi pairs
+        # Re-sort the edges together with their psi pairs, by vertices
+        # first, so that each psi pair stays on its own edge.
         items = []
         for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
-            a, b = (p[v], kv), (p[w], kw)
-            items.append(tuple(sorted((a, b))))
+            (pv, a), (pw, b) = sorted(((p[v], kv), (p[w], kw)))
+            items.append((pv, pw, a, b))
         items.sort()
-        edges = tuple(sorted((a[0], b[0]) for a, b in items))
-        psis = tuple((a[1], b[1]) for a, b in items)
+        edges = tuple(item[:2] for item in items)
+        psis = tuple(item[2:] for item in items)
         legs = tuple([p[v] for v in graph.legs])
         cand = ((genera, legs, edges), vk, dec.leg_psis, psis)
         if best is None or cand < best:

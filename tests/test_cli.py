@@ -50,6 +50,42 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["series", "--order", "-1"], "--order: expected a non-negative"),
+            (["frobenius", "r-matrix", "--order", "0"], "r-matrix 3spin needs"),
+            (["frobenius", "flatness", "--order", "1"], "flatness needs"),
+            (["verify", "flatness", "--order", "1"], "flatness needs"),
+            (["verify", "descendents", "--order", "3"], "descendents needs"),
+            (["verify", "series", "--order", "1"], "series needs"),
+            (["airy", "--x", "-1"], "--x: expected a finite positive"),
+            (["airy", "--x", "nan"], "--x: expected a finite positive"),
+            (["airy", "--precision-bits", "10"], "expected an integer >= 64"),
+            (["airy", "--k", "-1"], "--k: expected a non-negative"),
+            (["fz", "--g", "3", "--r", "2", "--sigma", "2"], "not 2 mod 3"),
+            (["fz", "--g", "-1", "--r", "2"], "--g: expected a non-negative"),
+            (["descendents", "closed", "--degree", "-3"], "--degree: expected"),
+        ],
+    )
+    def test_out_of_range_argument_is_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobenius", "r-matrix", "--model", "cp1", "--order", "0"],
+            ["verify", "descendents", "--order", "8"],
+            ["verify", "flatness", "--order", "2"],
+        ],
+    )
+    def test_smallest_order_runs(self, argv):
+        code, _ = dispatch(argv)
+        assert code == 0
+
 
 class TestReports:
     def test_series_json(self):
@@ -181,7 +217,11 @@ class TestVerify:
         code, out = dispatch(["verify", "pixton", "--format", "json"])
         data = json.loads(out)
         assert code == 0 and data["ok"]
-        assert any(c["name"].startswith("pairings_") for c in data["checks"])
+        pairings = {c["name"]: c["class_terms"] for c in data["checks"]
+                    if c["name"].startswith("pairings_")}
+        assert pairings["pairings_1_1_1_1"] == 3
+        # The (2,1,(1),1) class is zero: its pairings vanish vacuously.
+        assert pairings["pairings_2_1_1_1"] == 0
 
     def test_all_runs_in_dependency_order(self):
         code, out = dispatch(["verify", "all", "--format", "json"])

@@ -2,9 +2,13 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tautrel import pixton, strata
-from tautrel.series import DivisibilityError
+from tautrel import cli, pixton, strata
+from tautrel.fz import KappaPolynomial
+from tautrel.named_series import series_H0
+from tautrel.series import DivisibilityError, PowerSeries
 
 
 def kappa_monomials(deg):
@@ -34,19 +38,130 @@ def all_pairings(element):
             yield psis, ke, strata.integrate(element, psi_exps=psis, kappa_exps=ke)
 
 
-class TestZetaPolynomial:
-    def test_square_to_one(self):
-        x = pixton.ZetaPolynomial({frozenset([3]): Q(2)})
-        assert (x * x).terms == {frozenset(): Q(4)}
+def ref_kappa_mul(p, q, degree_max):
+    """Product of two {kappa-exponent tuple: coeff} maps, truncated."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            m = max(len(e1), len(e2))
+            a = e1 + (0,) * (m - len(e1))
+            b = e2 + (0,) * (m - len(e2))
+            e = tuple(x + y for x, y in zip(a, b))
+            if KappaPolynomial.term_degree(e) <= degree_max:
+                out[e] = out.get(e, Q(0)) + c1 * c2
+    return out
 
-    def test_symmetric_difference(self):
-        a = pixton.ZetaPolynomial({frozenset([0]): Q(1)})
-        b = pixton.ZetaPolynomial({frozenset([0, 1]): Q(1)})
-        assert (a * b).terms == {frozenset([1]): Q(1)}
 
-    def test_add(self):
-        a = pixton.ZetaPolynomial({frozenset([0]): Q(1)})
-        assert (a + a).terms == {frozenset([0]): Q(2)}
+def ref_kappa_add(p, q, c=1):
+    out = dict(p)
+    for e, x in q.items():
+        out[e] = out.get(e, Q(0)) + c * x
+    return out
+
+
+def ref_cycle_body(coeffs, degree_max):
+    """The former cycle-formula loop, split by the parity of the kappa
+    index: sum over l and b_1..b_l of (1/l) prod coeffs[b_j] kappa_{sum b}."""
+    body = [{}, {}]
+    for length in range(1, degree_max + 1):
+        for bs in itertools.product(sorted(coeffs), repeat=length):
+            a = sum(bs)
+            if a > degree_max:
+                continue
+            c = Q(1, length)
+            for b in bs:
+                c *= coeffs[b]
+            e = (0,) * (a - 1) + (1,)
+            body[a % 2][e] = body[a % 2].get(e, Q(0)) + c
+    return body
+
+
+def ref_kappa_of_f(f, degree_max):
+    """The former strata.kappa_of_f: the cycle-formula loop and the
+    power-series exp of the former KappaPolynomial.exp."""
+    coeffs = {
+        b: f[b + 1] for b in range(1, min(f.order, degree_max + 1)) if f[b + 1]
+    }
+    even, odd = ref_cycle_body(coeffs, degree_max)
+    body = ref_kappa_add(even, odd)
+    acc, power, fact = {(): Q(1)}, {(): Q(1)}, 1
+    for m in range(1, degree_max + 1):
+        power = ref_kappa_mul(power, body, degree_max)
+        fact *= m
+        acc = ref_kappa_add(acc, power, Q(1, fact))
+    return KappaPolynomial(acc)
+
+
+def ref_vertex_factor(truncation):
+    """The former pixton.vertex_factor: the cycle-formula loop on the
+    T^{b+1} coefficients -h0_b zeta^b, then exp(even + zeta odd) in the
+    two-slot parity algebra.  Returns (even part, odd part)."""
+    h0 = series_H0(truncation + 1)
+    coeffs = {b: -h0[b] for b in range(1, truncation + 1) if h0[b]}
+    even, odd = ref_cycle_body(coeffs, truncation)
+    acc = [{(): Q(1)}, {}]
+    power = [{(): Q(1)}, {}]
+    fact = 1
+    for m in range(1, truncation + 1):
+        power = [
+            ref_kappa_add(
+                ref_kappa_mul(power[0], even, truncation),
+                ref_kappa_mul(power[1], odd, truncation),
+            ),
+            ref_kappa_add(
+                ref_kappa_mul(power[0], odd, truncation),
+                ref_kappa_mul(power[1], even, truncation),
+            ),
+        ]
+        fact *= m
+        acc = [ref_kappa_add(acc[p], power[p], Q(1, fact)) for p in (0, 1)]
+    return KappaPolynomial(acc[0]), KappaPolynomial(acc[1])
+
+
+def vertex_series(truncation):
+    """f = T - T H0(T), truncated at T^{truncation + 1}."""
+    T = PowerSeries.identity(truncation + 1)
+    return T - T * series_H0(truncation + 1)
+
+
+COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+class TestKappaOracles:
+    @pytest.mark.parametrize("t", range(7))
+    def test_kappa_of_f_vertex_series(self, t):
+        f = vertex_series(t)
+        assert strata.kappa_of_f(f, t) == ref_kappa_of_f(f, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(COEFFS, min_size=0, max_size=7),
+        st.integers(0, 6),
+    )
+    def test_kappa_of_f_random(self, tail, t):
+        f = PowerSeries([0, 0] + tail, len(tail) + 1)
+        assert strata.kappa_of_f(f, t) == ref_kappa_of_f(f, t)
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_vertex_factor(self, t):
+        out = pixton.vertex_factor(3, t)
+        even, odd = ref_vertex_factor(t)
+        assert out.coefficient(frozenset()) == even
+        assert out.coefficient(frozenset([3])) == odd
+        assert set(out.terms) == {frozenset(), frozenset([3])}
+
+    @pytest.mark.parametrize("t", range(7))
+    def test_parity_halves_sum_to_kappa_of_f(self, t):
+        out = pixton.vertex_factor(0, t)
+        even = out.coefficient(frozenset()).terms
+        odd = out.coefficient(frozenset([0])).terms
+        assert not set(even) & set(odd)
+        whole = strata.kappa_of_f(vertex_series(t), t)
+        assert KappaPolynomial({**even, **odd}) == whole
+        for e in even:
+            assert KappaPolynomial.term_degree(e) % 2 == 0
+        for e in odd:
+            assert KappaPolynomial.term_degree(e) % 2 == 1
 
 
 class TestVertexFactor:
@@ -163,6 +278,25 @@ class TestPixtonClass:
         assert not el.is_zero()
         for psis, ke, value in all_pairings(el):
             assert value == 0, (psis, ke, value)
+
+
+class TestCodimensionFourAndUp:
+    # Every pairing of these classes was nonzero while _canonical_pair
+    # attached psi pairs to the wrong edges.
+    @pytest.mark.parametrize(
+        "g,n,A,d",
+        [
+            (3, 0, (), 4),
+            (3, 0, (), 6),
+            (1, 4, (0, 0, 0, 0), 4),
+            (2, 2, (1, 0), 4),
+            (3, 1, (0,), 4),
+        ],
+    )
+    def test_all_pairings_vanish(self, g, n, A, d):
+        terms, count, bad = cli._pixton_pairings(g, n, A, d)
+        assert terms > 0 and count > 0
+        assert bad == []
 
 
 class TestFZRestriction:

@@ -41,7 +41,8 @@ def ref_enumerate(g, n):
 
 def ref_canonical_pair(graph, dec):
     """The former strata._canonical_pair: all nv! permutations, each
-    candidate graph validated."""
+    candidate graph validated.  Edges and their psi pairs are sorted
+    together, by vertices first, so each psi pair stays on its edge."""
     nv = len(graph.genera)
     best = None
     for p in permutations(range(nv)):
@@ -54,7 +55,7 @@ def ref_canonical_pair(graph, dec):
         for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
             a, b = (p[v], kv), (p[w], kw)
             items.append(tuple(sorted((a, b))))
-        items.sort()
+        items.sort(key=lambda ab: (ab[0][0], ab[1][0], ab[0][1], ab[1][1]))
         edges = [(a[0], b[0]) for a, b in items]
         psis = [(a[1], b[1]) for a, b in items]
         cand_graph = StableGraph(rg.genera, rg.legs, edges)
