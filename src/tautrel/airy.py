@@ -142,28 +142,40 @@ def airy_prime_ode(x, precision_bits: int = 128):
     return _ode_pair(x, precision_bits)[1]
 
 
+class OracleDisagreement(ArithmeticError):
+    """The quadrature and ODE oracles disagree at x beyond the tolerance."""
+
+    def __init__(self, x, quadrature, ode):
+        super().__init__(f"oracle disagreement at x={x}: {quadrature} vs {ode}")
+        self.quadrature = quadrature
+        self.ode = ode
+
+
+def _cross_checked(x, q, o, precision_bits):
+    """The ODE value o, if the quadrature value q agrees with it."""
+    tol = mpf(2) ** (-(precision_bits // 2))
+    if abs(q - o) > tol * abs(o):
+        raise OracleDisagreement(x, q, o)
+    return o
+
+
 def airy_numeric(x, precision_bits: int = 128):
     """Ai(x), cross-checked between the quadrature and ODE oracles.
 
-    Raises ArithmeticError if the two methods disagree beyond the certified
-    tolerance 2^{-(precision_bits/2)} relative.
+    Raises OracleDisagreement (an ArithmeticError) if the two methods
+    disagree beyond the certified tolerance 2^{-(precision_bits/2)}
+    relative.
     """
     q = airy_quadrature(x, precision_bits)
-    o = airy_ode(x, precision_bits)
-    tol = mpf(2) ** (-(precision_bits // 2))
-    if abs(q - o) > tol * abs(o):
-        raise ArithmeticError(f"oracle disagreement at x={x}: {q} vs {o}")
-    return o
+    return _cross_checked(x, q, airy_ode(x, precision_bits), precision_bits)
 
 
 def airy_prime_numeric(x, precision_bits: int = 128):
     """Ai'(x), cross-checked between the quadrature and ODE oracles."""
     q = airy_prime_quadrature(x, precision_bits)
-    o = airy_prime_ode(x, precision_bits)
-    tol = mpf(2) ** (-(precision_bits // 2))
-    if abs(q - o) > tol * abs(o):
-        raise ArithmeticError(f"oracle disagreement at x={x}: {q} vs {o}")
-    return o
+    return _cross_checked(
+        x, q, airy_prime_ode(x, precision_bits), precision_bits
+    )
 
 
 def _asym_sum(coeff, x, k, precision_bits):

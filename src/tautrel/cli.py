@@ -26,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -96,14 +95,22 @@ def _int_at_least(low):
 _nonneg_int = _int_at_least(0)
 
 
-def _positive_float(text):
+# The Airy ODE oracle works at about 1.9 x^1.5 extra bits and sums more
+# than 3x Taylor terms, so its cost grows faster than x^3: on one Xeon
+# core x = 400 takes about 70 s, and x = 1e6 did not end within minutes.
+AIRY_MAX_X = 500.0
+
+
+def _airy_x(text):
+    """A point x with 0 < x <= AIRY_MAX_X."""
     try:
         value = float(text)
     except ValueError:
         value = None
-    if value is None or not 0 < value < math.inf:
+    if value is None or not 0 < value <= AIRY_MAX_X:
         raise argparse.ArgumentTypeError(
-            "expected a finite positive number, got %r" % text
+            "expected a finite positive number <= %g, got %r"
+            % (AIRY_MAX_X, text)
         )
     return value
 
@@ -149,9 +156,21 @@ def cmd_series(args):
 
 
 def cmd_airy(args):
-    rep = airy.asymptotic_report(
-        args.x, args.k, prime=args.prime, precision_bits=args.precision_bits
-    )
+    try:
+        rep = airy.asymptotic_report(
+            args.x, args.k, prime=args.prime,
+            precision_bits=args.precision_bits,
+        )
+    except airy.OracleDisagreement as exc:
+        raise CheckFailure(
+            {
+                "message": "the quadrature and ODE oracles disagree",
+                "location": {"x": args.x, "prime": args.prime},
+                "quadrature": str(exc.quadrature),
+                "ode": str(exc.ode),
+                "precision_bits": args.precision_bits,
+            }
+        )
     out = rep.to_json()
     out["precision_bits"] = args.precision_bits
     if not rep.envelope_ok:
@@ -660,7 +679,9 @@ _SUITES = {
     "flatness": _suite_flatness,
 }
 
-_ALL_ORDER = ["series", "descendents", "open", "strata", "pixton", "frobenius"]
+_ALL_ORDER = [
+    "series", "descendents", "open", "strata", "pixton", "frobenius", "flatness",
+]
 
 
 def cmd_verify(args):
@@ -740,7 +761,10 @@ def build_parser():
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("airy", parents=[common])
-    p.add_argument("--x", type=_positive_float, default=10.0)
+    p.add_argument(
+        "--x", type=_airy_x, default=10.0,
+        help="the point, 0 < x <= %g (default 10)" % AIRY_MAX_X,
+    )
     p.add_argument("--k", type=_nonneg_int, default=3)
     p.add_argument("--prime", action="store_true")
     p.add_argument("--precision-bits", type=_int_at_least(64), default=128)
@@ -787,11 +811,19 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
-    p.add_argument("--order", type=_nonneg_int, default=None)
+    p.add_argument(
+        "--order", type=_nonneg_int, default=None,
+        help="the order to run at; not taken by %s"
+        % ", ".join(sorted(_NO_ORDER)),
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser
 
+
+# The verify suites that take no --order: they run fixed cases, and
+# "all" runs every suite at its default order.
+_NO_ORDER = {"strata", "pixton", "all"}
 
 # The smallest --order each computation runs at: the verify suites by
 # name, and the frobenius actions by action and model.
@@ -827,6 +859,10 @@ def dispatch(argv):
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.suite in _NO_ORDER and (
+        args.order is not None
+    ):
+        parser.error("argument --order: verify %s takes no order" % args.suite)
     name, low = _order_floor(args)
     if getattr(args, "order", None) is not None and args.order < low:
         parser.error(

@@ -7,7 +7,8 @@ structure has potential t0^2 t1 / 2 + lam t0 t1^2 / 2 + lam^2 t1^3 / 6
 + e^{t1} and metric [[0, 1], [1, lam]]; writing q = e^{t1} and
 phi = q + lam^2 / 4, the product is e1 * e1 = q e0 + lam e1.  (The
 cubic coefficient +lam^2/6 is forced: eta(e1 * e1, e1) = q + lam^2
-must equal the third t1-derivative of the potential.)
+must equal the third t1-derivative of the potential.)  Potentials and
+product tables are ``MultiSeries`` in (t0, t1, q).
 
 For the polynomial structure everything is exact in the formal square
 root rho = sqrt(phi) with d rho / d t1 = 1 / (6 rho).  The R-matrix is
@@ -21,13 +22,15 @@ hypergeometric matrix
     [[ -B^even(w),        -rho   B^odd(w) ],
      [  rho^{-1} A^odd(w),  A^even(w)     ]],     w = z / (6 rho^3),
 
-built from the A and B series of ``named_series``.
+built from the A and B series of ``named_series``.  Each entry is
+rho^m f(z / rho^3) for a power series f, so its z^k coefficient is the
+single rho-monomial f_k rho^(m - 3k) (:class:`RhoSeries`).
 
 Example::
 
     >>> R = solve_R(spin3_structure(), 2)
-    >>> R.entry(1, 0)[1]
-    RhoPoly(5/144 rho^-4)
+    >>> R.entry(1, 0).to_json()[1]
+    {'rho^-4': '5/144'}
 """
 
 import itertools
@@ -42,16 +45,16 @@ from .named_series import (
     series_B,
     series_Phi,
 )
-from .series import PowerSeries
+from .series import Grading, MultiSeries, PowerSeries
 
 __all__ = [
-    "CoordPolynomial",
+    "COORDS",
+    "t_derivative",
     "FrobeniusData2D",
     "spin3_structure",
     "cp1_structure",
     "canonical_data",
-    "RhoPoly",
-    "ZRhoSeries",
+    "RhoSeries",
     "MatrixSeries",
     "solve_R",
     "hypergeometric_r_matrix",
@@ -66,78 +69,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # coordinate polynomials
 
+#: The flat coordinates t0, t1 and q = e^{t1}.  A structure's series are
+#: truncated at its potential's total degree, which no product of its
+#: checks exceeds.
+COORDS = Grading(("t0", "t1", "q"), (1, 1, 1))
 
-class CoordPolynomial:
-    """Polynomial in t0, t1 and q, where q differentiates to itself in t1.
 
-    Terms map exponent triples (i, j, k) for t0^i t1^j q^k to rationals.
+def t_derivative(p, i):
+    """The t_i-derivative of p for i = 0, 1; as q = e^{t1}, the
+    t1-derivative is the partial in t1 plus q times the partial in q.
 
-    >>> p = CoordPolynomial({(0, 0, 1): Fraction(1)})
-    >>> p.derivative(1) == p
+    >>> q = MultiSeries.variable(COORDS, "q", 1)
+    >>> t_derivative(q, 1) == q
     True
     """
-
-    def __init__(self, terms):
-        self.terms = {}
-        for e, c in terms.items():
-            c = Fraction(c)
-            if c:
-                self.terms[tuple(e)] = self.terms.get(tuple(e), Fraction(0)) + c
-        self.terms = {e: c for e, c in self.terms.items() if c}
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(0, 0, 0): Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CoordPolynomial(out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, CoordPolynomial):
-            c = Fraction(other)
-            return CoordPolynomial({e: x * c for e, x in self.terms.items()})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return CoordPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self, var):
-        """Partial derivative; var 0 is t0, var 1 is t1 (with dq/dt1 = q)."""
-        if var not in (0, 1):
-            raise ValueError("var must be 0 or 1")
-        out = {}
-        for (i, j, k), c in self.terms.items():
-            if var == 0:
-                if i:
-                    e = (i - 1, j, k)
-                    out[e] = out.get(e, Fraction(0)) + c * i
-            else:
-                if j:
-                    e = (i, j - 1, k)
-                    out[e] = out.get(e, Fraction(0)) + c * j
-                if k:
-                    e = (i, j, k)
-                    out[e] = out.get(e, Fraction(0)) + c * k
-        return CoordPolynomial(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, CoordPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        return "CoordPolynomial(%r)" % (self.terms,)
+    d = p.derivative(("t0", "t1")[i])
+    if i == 1:
+        d = d + MultiSeries.variable(COORDS, "q", p.max_degree) * p.derivative("q")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +97,9 @@ class FrobeniusData2D:
     """Metric and quantum product of a 2-dimensional Frobenius structure.
 
     ``eta`` is a symmetric 2x2 rational matrix, ``potential`` a
-    CoordPolynomial, and ``c1`` the 2x2 matrix (of CoordPolynomial
-    entries) of multiplication by e1 in the basis (e0, e1); e0 is the
-    unit, so multiplication by e0 is the identity.
+    ``MultiSeries`` over :data:`COORDS`, and ``c1`` the 2x2 matrix (of
+    such series) of multiplication by e1 in the basis (e0, e1); e0 is
+    the unit, so multiplication by e0 is the identity.
     """
 
     def __init__(self, name, eta, potential, c1, lam=None):
@@ -169,26 +118,29 @@ class FrobeniusData2D:
         det = a * d - b * b
         return ((d / det, -b / det), (-b / det, a / det))
 
+    def _identity(self):
+        n = self.potential.max_degree
+        one = MultiSeries.constant(COORDS, 1, n)
+        zero = MultiSeries.zero(COORDS, n)
+        return ((one, zero), (zero, one))
+
     def product_matrix_from_potential(self, a):
         """Multiplication by e_a derived from third potential derivatives.
 
         Returns the 2x2 matrix with entries c^nu_b = eta^{nu c} Phi_{a b c}
-        as CoordPolynomials.
+        as ``MultiSeries``.
         """
         third = {}
         for b, c in itertools.product((0, 1), repeat=2):
-            third[(b, c)] = (
-                self.potential.derivative(a).derivative(b).derivative(c)
+            third[(b, c)] = t_derivative(
+                t_derivative(t_derivative(self.potential, a), b), c
             )
         inv = self.eta_inverse()
-        out = [[None, None], [None, None]]
-        for nu in (0, 1):
-            for b in (0, 1):
-                acc = CoordPolynomial({})
-                for c in (0, 1):
-                    acc = acc + third[(b, c)] * inv[nu][c]
-                out[nu][b] = acc
-        return tuple(tuple(row) for row in out)
+        return tuple(
+            tuple(third[(b, 0)] * inv[nu][0] + third[(b, 1)] * inv[nu][1]
+                  for b in (0, 1))
+            for nu in (0, 1)
+        )
 
     def product_consistency(self):
         """True iff the stored c1 table matches the potential and e0 is
@@ -196,20 +148,16 @@ class FrobeniusData2D:
         derived = self.product_matrix_from_potential(1)
         if derived != self.c1:
             return False
-        ident = self.product_matrix_from_potential(0)
-        one = CoordPolynomial.constant(1)
-        zero = CoordPolynomial({})
-        return ident == ((one, zero), (zero, one))
+        return self.product_matrix_from_potential(0) == self._identity()
 
     def associativity_check(self):
         """(e1*e1)*e1 == e1*(e1*e1), checked on the c1 matrix."""
         # e1*e1 = alpha e0 + beta e1 reads off the second column of c1.
         alpha, beta = self.c1[0][1], self.c1[1][1]
         lhs = _mat_mul(self.c1, self.c1)
-        one = CoordPolynomial.constant(1)
-        zero = CoordPolynomial({})
-        ident = ((one, zero), (zero, one))
-        rhs = _mat_add(_mat_scale(ident, alpha), _mat_scale(self.c1, beta))
+        rhs = _mat_add(
+            _mat_scale(self._identity(), alpha), _mat_scale(self.c1, beta)
+        )
         return lhs == rhs
 
 
@@ -236,12 +184,12 @@ def spin3_structure():
     >>> spin3_structure().product_consistency()
     True
     """
-    potential = CoordPolynomial(
-        {(2, 1, 0): Fraction(1, 2), (0, 4, 0): Fraction(1, 72)}
+    potential = MultiSeries(
+        COORDS, {(2, 1, 0): Fraction(1, 2), (0, 4, 0): Fraction(1, 72)}, 4
     )
-    phi = CoordPolynomial({(0, 1, 0): Fraction(1, 3)})
-    zero = CoordPolynomial({})
-    one = CoordPolynomial.constant(1)
+    phi = MultiSeries(COORDS, {(0, 1, 0): Fraction(1, 3)}, 4)
+    zero = MultiSeries.zero(COORDS, 4)
+    one = MultiSeries.constant(COORDS, 1, 4)
     c1 = ((zero, phi), (one, zero))
     return FrobeniusData2D("3spin", ((0, 1), (1, 0)), potential, c1)
 
@@ -256,18 +204,20 @@ def cp1_structure(lam):
     True
     """
     lam = Fraction(lam)
-    potential = CoordPolynomial(
+    potential = MultiSeries(
+        COORDS,
         {
             (2, 1, 0): Fraction(1, 2),
             (1, 2, 0): lam / 2,
             (0, 3, 0): lam * lam / 6,
             (0, 0, 1): Fraction(1),
-        }
+        },
+        3,
     )
-    q = CoordPolynomial({(0, 0, 1): Fraction(1)})
-    zero = CoordPolynomial({})
-    one = CoordPolynomial.constant(1)
-    c1 = ((zero, q), (one, CoordPolynomial.constant(lam)))
+    q = MultiSeries.variable(COORDS, "q", 3)
+    zero = MultiSeries.zero(COORDS, 3)
+    one = MultiSeries.constant(COORDS, 1, 3)
+    c1 = ((zero, q), (one, one * lam))
     return FrobeniusData2D("cp1", ((0, 1), (1, lam)), potential, c1, lam=lam)
 
 
@@ -329,25 +279,24 @@ def canonical_data(data, q=None):
     """Canonical-coordinate data at a semisimple point.
 
     For the polynomial structure the computation is symbolic in
-    rho = sqrt(phi); for the exponential structure a rational value of
-    q = e^{t1} must be supplied and sqrt(phi) is a formal quadratic
-    irrationality.  Returns a dict with the eigenvalues of
-    multiplication by e1 (the t1-derivatives of the canonical
-    coordinates), the normalizations Delta of the idempotent
-    directions, and the Gram matrix of the normalized idempotents
-    (always the identity).
+    rho = sqrt(phi), with values in :class:`RhoSeries` of order 0; for
+    the exponential structure a rational value of q = e^{t1} must be
+    supplied and sqrt(phi) is a formal quadratic irrationality.  Returns
+    a dict with the eigenvalues of multiplication by e1 (the
+    t1-derivatives of the canonical coordinates), the normalizations
+    Delta of the idempotent directions, and the Gram matrix of the
+    normalized idempotents (always the identity).
 
-    >>> canonical_data(spin3_structure())["delta"][0]
-    RhoPoly(-2 rho)
+    >>> canonical_data(spin3_structure())["delta"][0].to_json()
+    [{'rho^1': '-2'}]
     """
     if data.name == "3spin":
         # Eigenvectors of [[0, phi], [1, 0]] for eigenvalues -rho, +rho:
         # v_pm = (mp rho, 1).
-        vs = [
-            (RhoPoly({1: Fraction(-1)}), RhoPoly({0: Fraction(1)})),
-            (RhoPoly({1: Fraction(1)}), RhoPoly({0: Fraction(1)})),
-        ]
-        eigen = (RhoPoly({1: Fraction(-1)}), RhoPoly({1: Fraction(1)}))
+        one = RhoSeries(0, PowerSeries([1], 0, "w"))
+        rho = one.shift(1)
+        vs = [(rho * -1, one), (rho, one)]
+        eigen = (rho * -1, rho)
 
         def pair(v, w):
             # eta = [[0, 1], [1, 0]]
@@ -399,182 +348,103 @@ def canonical_data(data, q=None):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in rho and series in z
+# rho-homogeneous series in z
 
 
-class RhoPoly:
-    """Laurent polynomial in rho = sqrt(phi) with d rho/d t1 = 1/(6 rho).
+class RhoSeries:
+    """rho^offset * f(w) with w = z / rho^3, for a ``PowerSeries`` f.
 
-    Terms map integer rho-exponents (possibly negative) to rationals.
+    The z^k coefficient is the single rho-monomial f_k rho^(offset - 3k),
+    and d rho / d t1 = 1 / (6 rho).  Sums need equal offsets, so every
+    value stays rho-homogeneous.
 
-    >>> RhoPoly({1: Fraction(1)}).t1_derivative()
-    RhoPoly(1/6 rho^-1)
+    >>> s = RhoSeries(1, PowerSeries([1, Fraction(1, 6)], var="w"))
+    >>> s.to_json()
+    [{'rho^1': '1'}, {'rho^-2': '1/6'}]
+    >>> s[1], s.z_shift().to_json()
+    (Fraction(1, 6), [{}, {'rho^1': '1'}])
     """
 
-    def __init__(self, terms):
-        self.terms = {}
-        for m, c in terms.items():
-            c = Fraction(c)
-            if c:
-                self.terms[int(m)] = self.terms.get(int(m), Fraction(0)) + c
-        self.terms = {m: c for m, c in self.terms.items() if c}
+    __slots__ = ("offset", "series")
 
-    @classmethod
-    def constant(cls, c):
-        return cls({0: Fraction(c)})
-
-    def coefficient(self, m):
-        return self.terms.get(m, Fraction(0))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return RhoPoly(out)
-
-    def __sub__(self, other):
-        return self + other * Fraction(-1)
-
-    def __mul__(self, other):
-        if not isinstance(other, RhoPoly):
-            c = Fraction(other)
-            return RhoPoly({m: x * c for m, x in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out[m1 + m2] = out.get(m1 + m2, Fraction(0)) + c1 * c2
-        return RhoPoly(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, m):
-        """Multiply by rho^m."""
-        return RhoPoly({k + m: c for k, c in self.terms.items()})
-
-    def t1_derivative(self):
-        # d(rho^m)/dt1 = (m/6) rho^{m-2}
-        return RhoPoly(
-            {m - 2: c * Fraction(m, 6) for m, c in self.terms.items()}
-        )
-
-    def t1_antiderivative(self):
-        """The rho-homogeneous antiderivative: rho^m -> 6 rho^{m+2}/(m+2).
-
-        >>> RhoPoly({-5: Fraction(1)}).t1_antiderivative()
-        RhoPoly(-2 rho^-3)
-        """
-        out = {}
-        for m, c in self.terms.items():
-            if m == -2:
-                raise ValueError("rho^-2 has no homogeneous antiderivative")
-            out[m + 2] = c * Fraction(6, m + 2)
-        return RhoPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, RhoPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "RhoPoly(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            if m == 0:
-                bits.append(str(c))
-            elif m == 1:
-                bits.append("%s rho" % c)
-            else:
-                bits.append("%s rho^%d" % (c, m))
-        return "RhoPoly(%s)" % " + ".join(bits)
-
-    def to_json(self):
-        return {"rho^%d" % m: str(c) for m, c in sorted(self.terms.items())}
-
-
-class ZRhoSeries:
-    """Truncated series in z with RhoPoly coefficients.
-
-    >>> s = ZRhoSeries([RhoPoly.constant(1), RhoPoly({-3: Fraction(1, 6)})], 1)
-    >>> s[1]
-    RhoPoly(1/6 rho^-3)
-    """
-
-    def __init__(self, coeffs, order):
-        coeffs = list(coeffs)
-        if len(coeffs) < order + 1:
-            coeffs += [RhoPoly({})] * (order + 1 - len(coeffs))
-        self.coeffs = coeffs[: order + 1]
-        self.order = order
-
-    @classmethod
-    def zero(cls, order):
-        return cls([], order)
+    def __init__(self, offset, series):
+        self.offset = offset
+        self.series = series
 
     def __getitem__(self, k):
-        if 0 <= k <= self.order:
-            return self.coeffs[k]
-        return RhoPoly({})
+        """The rational coefficient of z^k, at rho^(offset - 3k)."""
+        return self.series[k]
+
+    def _same_offset(self, other):
+        if self.offset != other.offset:
+            raise ValueError(
+                "rho offsets differ: %d and %d" % (self.offset, other.offset)
+            )
 
     def __add__(self, other):
-        order = min(self.order, other.order)
-        return ZRhoSeries(
-            [self[k] + other[k] for k in range(order + 1)], order
-        )
+        self._same_offset(other)
+        return RhoSeries(self.offset, self.series + other.series)
 
     def __sub__(self, other):
-        order = min(self.order, other.order)
-        return ZRhoSeries(
-            [self[k] - other[k] for k in range(order + 1)], order
-        )
+        self._same_offset(other)
+        return RhoSeries(self.offset, self.series - other.series)
 
-    def scale(self, rho_poly):
-        """Multiply every coefficient by a RhoPoly (or rational)."""
-        if not isinstance(rho_poly, RhoPoly):
-            rho_poly = RhoPoly.constant(rho_poly)
-        return ZRhoSeries([c * rho_poly for c in self.coeffs], self.order)
+    def __mul__(self, other):
+        """Product with a RhoSeries (offsets add) or a rational."""
+        if isinstance(other, RhoSeries):
+            return RhoSeries(self.offset + other.offset, self.series * other.series)
+        return RhoSeries(self.offset, self.series * other)
+
+    def shift(self, j):
+        """Multiply by rho^j."""
+        return RhoSeries(self.offset + j, self.series)
 
     def z_shift(self):
-        """Multiply by z (truncating at the order)."""
-        return ZRhoSeries([RhoPoly({})] + self.coeffs, self.order)
+        """Multiply by z = w rho^3, truncating at the order."""
+        f = self.series
+        return RhoSeries(self.offset + 3, PowerSeries((0,) + f.coeffs, f.order, f.var))
 
     def t1_derivative(self):
-        return ZRhoSeries([c.t1_derivative() for c in self.coeffs], self.order)
+        """d/dt1 termwise: rho^p -> (p/6) rho^(p-2).
 
-    def truncate(self, order):
-        return ZRhoSeries(self.coeffs, min(order, self.order))
+        >>> RhoSeries(1, PowerSeries([1, 1], var="w")).t1_derivative().to_json()
+        [{'rho^-1': '1/6'}, {'rho^-4': '-1/3'}]
+        """
+        m, f = self.offset, self.series
+        coeffs = [c * Fraction(m - 3 * k, 6) for k, c in enumerate(f.coeffs)]
+        return RhoSeries(m - 2, PowerSeries(coeffs, f.order, f.var))
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return self.series.is_zero()
 
     def __eq__(self, other):
         return (
-            isinstance(other, ZRhoSeries)
-            and self.order == other.order
-            and all(self[k] == other[k] for k in range(self.order + 1))
+            isinstance(other, RhoSeries)
+            and self.series.order == other.series.order
+            and self.series.coeffs == other.series.coeffs
+            and (self.offset == other.offset or self.is_zero())
         )
 
     def __repr__(self):
-        return "ZRhoSeries(%r, order=%d)" % (self.coeffs, self.order)
+        return "RhoSeries(rho^%d * %r)" % (self.offset, self.series)
 
     def to_json(self):
-        return [c.to_json() for c in self.coeffs]
+        return [
+            {"rho^%d" % (self.offset - 3 * k): str(c)} if c else {}
+            for k, c in enumerate(self.series.coeffs)
+        ]
 
 
 class MatrixSeries:
-    """A 2x2 matrix of ZRhoSeries with identity constant term."""
+    """A 2x2 matrix of RhoSeries with identity constant term."""
 
     def __init__(self, entries, order):
         self.entries = tuple(tuple(row) for row in entries)
         self.order = order
-        ident = (
-            (RhoPoly.constant(1), RhoPoly({})),
-            (RhoPoly({}), RhoPoly.constant(1)),
-        )
         for i in (0, 1):
             for j in (0, 1):
-                if self.entries[i][j][0] != ident[i][j]:
+                s = self.entries[i][j]
+                if s[0] != (1 if i == j else 0) or (s[0] and s.offset):
                     raise ValueError("constant term must be the identity")
 
     def entry(self, i, j):
@@ -605,30 +475,24 @@ class MatrixSeries:
 def _canonical_components(order):
     """Components (a, beta, gamma, d) of R in the canonical frame.
 
-    R_k = [[a_k, i beta_k], [i gamma_k, d_k]] with real RhoPoly entries;
-    the off-diagonal parts are determined by the commutator with
-    diag(-rho, rho) and the diagonal parts by integration:
+    R_k = [[a_k, i beta_k], [i gamma_k, d_k]] rho^(-3k) with rational
+    a_k, beta_k, gamma_k, d_k.  The commutator with diag(-rho, rho)
+    fixes the off-diagonal parts and integration in t1 the diagonal
+    ones, with integration constants killed by rho-homogeneity:
 
-        beta_{k+1}  = (d_k / (12 rho^2) - beta_k') / (2 rho)
-        gamma_{k+1} = (a_k / (12 rho^2) + gamma_k') / (2 rho)
-        a_{k+1}' = -gamma_{k+1} / (12 rho^2),
-        d_{k+1}' = +beta_{k+1} / (12 rho^2),
-
-    with integration constants killed by rho-homogeneity.
+        beta_{k+1}  = d_k / 24 + k beta_k / 4
+        gamma_{k+1} = a_k / 24 - k gamma_k / 4
+        a_{k+1}     = gamma_{k+1} / (6 (k + 1))
+        d_{k+1}     = -beta_{k+1} / (6 (k + 1))
     """
-    twelfth = RhoPoly({-2: Fraction(1, 12)})
-    half_inv_rho = RhoPoly({-1: Fraction(1, 2)})
-    a = [RhoPoly.constant(1)]
-    beta = [RhoPoly({})]
-    gamma = [RhoPoly({})]
-    d = [RhoPoly.constant(1)]
+    a, beta, gamma, d = [Fraction(1)], [Fraction(0)], [Fraction(0)], [Fraction(1)]
     for k in range(order):
-        b_next = (d[k] * twelfth - beta[k].t1_derivative()) * half_inv_rho
-        g_next = (a[k] * twelfth + gamma[k].t1_derivative()) * half_inv_rho
+        b_next = d[k] / 24 + k * beta[k] / 4
+        g_next = a[k] / 24 - k * gamma[k] / 4
         beta.append(b_next)
         gamma.append(g_next)
-        a.append((g_next * twelfth * Fraction(-1)).t1_antiderivative())
-        d.append((b_next * twelfth).t1_antiderivative())
+        a.append(g_next / (6 * (k + 1)))
+        d.append(-b_next / (6 * (k + 1)))
     return a, beta, gamma, d
 
 
@@ -639,8 +503,8 @@ def solve_R(data, order):
     is covered only by its leading-order limit, ``cp1_leading_limit``).
 
     >>> R = solve_R(spin3_structure(), 1)
-    >>> R.entry(0, 1)[1]
-    RhoPoly(-7/144 rho^-2)
+    >>> R.entry(0, 1).to_json()
+    [{}, {'rho^-2': '-7/144'}]
     """
     if data.name != "3spin":
         raise ValueError(
@@ -650,21 +514,32 @@ def solve_R(data, order):
     if order < 1:
         raise ValueError("order must be at least 1")
     a, beta, gamma, d = _canonical_components(order)
-    half = Fraction(1, 2)
-    e00, e01, e10, e11 = [], [], [], []
-    for k in range(order + 1):
-        s, diff = a[k] + d[k], d[k] - a[k]
-        cross = beta[k] + gamma[k]
-        e00.append((s + (gamma[k] - beta[k])) * half)
-        e01.append(((diff - cross) * half).shift(1))
-        e10.append(((diff + cross) * half).shift(-1))
-        e11.append((s + (beta[k] - gamma[k])) * half)
+
+    def entry(offset, coeffs):
+        return RhoSeries(offset, PowerSeries(coeffs, order, "w"))
+
+    ks = range(order + 1)
     return MatrixSeries(
         (
-            (ZRhoSeries(e00, order), ZRhoSeries(e01, order)),
-            (ZRhoSeries(e10, order), ZRhoSeries(e11, order)),
+            (
+                entry(0, [(a[k] + d[k] + gamma[k] - beta[k]) / 2 for k in ks]),
+                entry(1, [(d[k] - a[k] - beta[k] - gamma[k]) / 2 for k in ks]),
+            ),
+            (
+                entry(-1, [(d[k] - a[k] + beta[k] + gamma[k]) / 2 for k in ks]),
+                entry(0, [(a[k] + d[k] + beta[k] - gamma[k]) / 2 for k in ks]),
+            ),
         ),
         order,
+    )
+
+
+def _parity_part(f, parity):
+    """The terms of f whose exponent has the given parity, in w."""
+    return PowerSeries(
+        [c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)],
+        f.order,
+        "w",
     )
 
 
@@ -678,25 +553,12 @@ def hypergeometric_r_matrix(order):
 
     ``solve_R`` reproduces this matrix exactly.
     """
-    A = series_A(order)
-    B = series_B(order)
-    e00, e01, e10, e11 = [], [], [], []
-    for k in range(order + 1):
-        scale = Fraction(1, 6**k)
-        if k % 2 == 0:
-            e00.append(RhoPoly({-3 * k: -B[k] * scale}))
-            e11.append(RhoPoly({-3 * k: A[k] * scale}))
-            e01.append(RhoPoly({}))
-            e10.append(RhoPoly({}))
-        else:
-            e01.append(RhoPoly({1 - 3 * k: -B[k] * scale}))
-            e10.append(RhoPoly({-1 - 3 * k: A[k] * scale}))
-            e00.append(RhoPoly({}))
-            e11.append(RhoPoly({}))
+    A = series_A(order).scale_argument(Fraction(1, 6))
+    B = series_B(order).scale_argument(Fraction(1, 6))
     return MatrixSeries(
         (
-            (ZRhoSeries(e00, order), ZRhoSeries(e01, order)),
-            (ZRhoSeries(e10, order), ZRhoSeries(e11, order)),
+            (RhoSeries(0, -_parity_part(B, 0)), RhoSeries(1, -_parity_part(B, 1))),
+            (RhoSeries(-1, _parity_part(A, 1)), RhoSeries(0, _parity_part(A, 0))),
         ),
         order,
     )
@@ -706,10 +568,9 @@ def _reduced_operator(g, branch, include_exponential):
     """z(g' - g/(12 rho^2)) - branch*rho*g, the flatness operator on the
     reduced solution columns (the last term records the e^{u/z} factor;
     dropping it is the negative control)."""
-    twelfth = RhoPoly({-2: Fraction(1, 12)})
-    out = (g.t1_derivative() - g.scale(twelfth)).z_shift()
+    out = (g.t1_derivative() - g.shift(-2) * Fraction(1, 12)).z_shift()
     if include_exponential:
-        out = out - g.scale(RhoPoly({1: Fraction(branch)}))
+        out = out - g.shift(1) * branch
     return out
 
 
@@ -718,7 +579,7 @@ def airy_flatness_check(order, branch=1, include_exponential=True):
 
     The solution column for the given branch (+1 or -1) reduces, after
     stripping 1/sqrt(Delta) and e^{u/z}, to G = R_flat . (-branch*rho, 1).
-    Returned residuals (all ZRhoSeries, identically zero when
+    Returned residuals (all RhoSeries, identically zero when
     ``include_exponential`` is true):
 
     - "t0_0", "t0_1": z dS/dt0 - S for each component,
@@ -732,24 +593,21 @@ def airy_flatness_check(order, branch=1, include_exponential=True):
     if order < 2:
         raise ValueError("order must be at least 2")
     R = solve_R(spin3_structure(), order)
-    minus_rho = RhoPoly({1: Fraction(-branch)})
-    one = RhoPoly.constant(1)
-    g0 = R.entry(0, 0).scale(minus_rho) + R.entry(0, 1).scale(one)
-    g1 = R.entry(1, 0).scale(minus_rho) + R.entry(1, 1).scale(one)
-    rho_sq = RhoPoly({2: Fraction(1)})
+    g0 = R.entry(0, 0).shift(1) * -branch + R.entry(0, 1)
+    g1 = R.entry(1, 0).shift(1) * -branch + R.entry(1, 1)
 
     def op(g):
         return _reduced_operator(g, branch, include_exponential)
 
     # z dS/dt0 = S reduces to (du/dt0) G = G with the exponential factor
     # present, and to 0 = G without it.
-    t0_factor = Fraction(0) if include_exponential else Fraction(-1)
+    t0_factor = 0 if include_exponential else -1
     return {
-        "t0_0": g0.scale(t0_factor),
-        "t0_1": g1.scale(t0_factor),
+        "t0_0": g0 * t0_factor,
+        "t0_1": g1 * t0_factor,
         "t1_1": op(g1) - g0,
-        "t1_0": op(g0) - g1.scale(rho_sq),
-        "second_order": op(op(g1)) - g1.scale(rho_sq),
+        "t1_0": op(g0) - g1.shift(2),
+        "second_order": op(op(g1)) - g1.shift(2),
     }
 
 

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tautrel import cli, named_series
+from tautrel import airy, cli, named_series
 from tautrel.cli import dispatch
 
 
@@ -66,6 +68,13 @@ class TestExitCodes:
             (["fz", "--g", "3", "--r", "2", "--sigma", "2"], "not 2 mod 3"),
             (["fz", "--g", "-1", "--r", "2"], "--g: expected a non-negative"),
             (["descendents", "closed", "--degree", "-3"], "--degree: expected"),
+            (["airy", "--x", "1e20"], "--x: expected a finite positive number <= 500"),
+            (["airy", "--x", "1e6"], "<= 500"),
+            (["airy", "--x", "inf"], "<= 500"),
+            (["verify", "strata", "--order", "1"], "verify strata takes no order"),
+            (["verify", "pixton", "--order", "99"], "verify pixton takes no order"),
+            (["verify", "all", "--order", "1"], "verify all takes no order"),
+            (["verify", "all", "--order", "0"], "verify all takes no order"),
         ],
     )
     def test_out_of_range_argument_is_exit_2(self, argv, message, capsys):
@@ -85,6 +94,100 @@ class TestExitCodes:
     def test_smallest_order_runs(self, argv):
         code, _ = dispatch(argv)
         assert code == 0
+
+    def test_oracle_disagreement_is_exit_1(self, monkeypatch):
+        def wrong_quadrature(x, precision_bits=128):
+            return airy.airy_ode(x, precision_bits) * 2
+
+        monkeypatch.setattr(airy, "airy_quadrature", wrong_quadrature)
+        code, out = dispatch(["airy", "--x", "3", "--format", "json"])
+        assert code == 1
+        data = json.loads(out)
+        assert data["location"] == {"x": 3.0, "prime": False}
+        assert data["message"] == "the quadrature and ODE oracles disagree"
+        ode = float(data["ode"])
+        assert float(data["quadrature"]) == pytest.approx(2 * ode)
+        assert ode == pytest.approx(float(airy.airy_ode(3)))
+
+
+# Tokens argparse or the computations must turn away cleanly.
+JUNK = ("", "x", "1.5", "nan", "-1")
+
+
+@st.composite
+def _value(draw, low, high):
+    """An integer in [low, high], or one time in four a junk token."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(JUNK))
+    return str(draw(st.integers(low, high)))
+
+
+_LISTS = st.sampled_from(("", "0", "1", "0,0", "1,0", "2", "3", "1,x", "x"))
+
+# Each subcommand's leading words and its flags with their value
+# strategies (None for a switch).  Sizes stay small so that a case
+# takes well under a second: g, n <= 2 for strata and pixton, and only
+# values of airy --x that argparse rejects.
+_FUZZ = {
+    ("series",): {"--which": st.sampled_from(("A", "B", "H0", "Q")),
+                  "--order": _value(0, 8)},
+    ("airy",): {"--x": st.sampled_from(
+                    JUNK + ("0", "-0.5", "inf", "1e20", "1e6", "500.5")),
+                "--k": _value(0, 5), "--prime": None,
+                "--precision-bits": _value(60, 200)},
+    ("descendents", "closed"): {"--degree": _value(0, 6)},
+    ("descendents", "open"): {"--degree": _value(0, 6)},
+    ("descendents", "table"): {"--ks": _LISTS},
+    ("fz",): {"--g": _value(0, 5), "--r": _value(-1, 3),
+              "--sigma": _LISTS},
+    ("strata",): {"--g": _value(0, 2), "--n": _value(0, 2)},
+    ("pixton",): {"--g": _value(0, 2), "--n": _value(0, 2),
+                  "--a": _LISTS, "--d": _value(-1, 3)},
+    ("frobenius",): {"--model": st.sampled_from(("3spin", "cp1", "x")),
+                     "--order": _value(0, 6)},
+    ("frobenius", "r-matrix"): {"--model": st.sampled_from(("3spin", "cp1")),
+                                "--order": _value(0, 6)},
+    ("frobenius", "flatness"): {"--order": _value(0, 6)},
+}
+_FUZZ.update(
+    {("verify", suite): {"--order": _value(0, 6)}
+     for suite in sorted(cli._SUITES) + ["all"]}
+)
+# Flags every case passes: argparse requires some, some verify suites
+# run for seconds at their default orders, and airy without --x runs
+# its oracles at x = 10.
+_REQUIRED = {
+    "verify": {"--order"}, "airy": {"--x"}, "descendents": {"--ks"},
+    "fz": {"--g", "--r"}, "strata": {"--g", "--n"},
+    "pixton": {"--g", "--n", "--d"},
+}
+_COMMON = {"--format": st.sampled_from(("json", "csv", "text", "x")),
+           "--seed": _value(0, 9)}
+
+
+@st.composite
+def _argv(draw):
+    words = draw(st.sampled_from(sorted(_FUZZ)))
+    flags = dict(_FUZZ[words], **_COMMON)
+    argv = list(words)
+    for flag in sorted(flags):
+        if flag in _REQUIRED.get(words[0], ()) or draw(st.booleans()):
+            argv.append(flag)
+            if flags[flag] is not None:
+                argv.append(draw(flags[flag]))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_exit_code_is_0_1_or_usage(self, argv):
+        try:
+            code, _ = dispatch(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1), argv
 
 
 class TestReports:
@@ -229,6 +332,7 @@ class TestVerify:
         data = json.loads(out)
         assert [s["suite"] for s in data["suites"]] == [
             "series", "descendents", "open", "strata", "pixton", "frobenius",
+            "flatness",
         ]
 
     def test_thread_env_respected(self, monkeypatch):

@@ -5,24 +5,36 @@ import pytest
 
 from tautrel import frobenius as fr
 from tautrel.named_series import SpecializationError, series_A, series_B, stirling_series
-from tautrel.series import PowerSeries
+from tautrel.series import MultiSeries, PowerSeries
 
 
 def poly_eval(p, t0, t1, q):
     return sum(c * t0**i * t1**j * q**k for (i, j, k), c in p.terms.items())
 
 
+def coord(terms, degree=4):
+    return MultiSeries(fr.COORDS, terms, degree)
+
+
+def rho_series(offset, coeffs, order=None):
+    return fr.RhoSeries(offset, PowerSeries(coeffs, order, var="w"))
+
+
 class TestCoordPolynomial:
+    """Polynomials in the coordinates (t0, t1, q = e^{t1})."""
+
     def test_exponential_variable(self):
-        q = fr.CoordPolynomial({(0, 0, 1): Q(1)})
-        assert q.derivative(1) == q
-        assert q.derivative(0).is_zero()
+        q = coord({(0, 0, 1): Q(1)})
+        assert fr.t_derivative(q, 1) == q
+        assert fr.t_derivative(q, 0).is_zero()
 
     def test_mixed_derivative(self):
-        # d/dt1 (t1^2 q) = 2 t1 q + t1^2 q
-        p = fr.CoordPolynomial({(0, 2, 1): Q(1)})
-        expected = fr.CoordPolynomial({(0, 1, 1): Q(2), (0, 2, 1): Q(1)})
-        assert p.derivative(1) == expected
+        # d/dt1 (t1^2 q) = 2 t1 q + t1^2 q, and d/dt0 (t0^2 t1 q) = 2 t0 t1 q
+        p = coord({(0, 2, 1): Q(1)})
+        expected = coord({(0, 1, 1): Q(2), (0, 2, 1): Q(1)})
+        assert fr.t_derivative(p, 1) == expected
+        p = coord({(2, 1, 1): Q(1)})
+        assert fr.t_derivative(p, 0) == coord({(1, 1, 1): Q(2)})
 
 
 class TestStructures:
@@ -32,8 +44,8 @@ class TestStructures:
     def test_spin3_third_derivative_oracle(self):
         # eta(e1*e1, e1) = d^3/dt1^3 (t1^4/72) = t1/3
         data = fr.spin3_structure()
-        d3 = data.potential.derivative(1).derivative(1).derivative(1)
-        assert d3 == fr.CoordPolynomial({(0, 1, 0): Q(1, 3)})
+        d = lambda p: fr.t_derivative(p, 1)
+        assert d(d(d(data.potential))) == coord({(0, 1, 0): Q(1, 3)})
 
     def test_spin3_product_at_t1_3(self):
         # phi = t1/3 = 1 at t1 = 3, so e1*e1 = e0 there.
@@ -53,8 +65,8 @@ class TestStructures:
         # between the product table and the potential.
         lam = Q(2)
         good = fr.cp1_structure(lam)
-        bad_potential = good.potential + fr.CoordPolynomial(
-            {(0, 3, 0): -lam * lam / 3}
+        bad_potential = good.potential + coord(
+            {(0, 3, 0): -lam * lam / 3}, good.potential.max_degree
         )
         bad = fr.FrobeniusData2D(
             "cp1", good.eta, bad_potential, good.c1, lam=lam
@@ -69,13 +81,10 @@ class TestStructures:
 class TestCanonicalData:
     def test_spin3(self):
         out = fr.canonical_data(fr.spin3_structure())
-        assert out["delta"] == (
-            fr.RhoPoly({1: Q(-2)}),
-            fr.RhoPoly({1: Q(2)}),
-        )
+        assert out["delta"] == (rho_series(1, [-2]), rho_series(1, [2]))
         # eigenvalues square to phi = rho^2
         for mu in out["eigenvalues"]:
-            assert mu * mu == fr.RhoPoly({2: Q(1)})
+            assert mu * mu == rho_series(2, [1])
         assert out["gram"] == ((1, 0), (0, 1))
 
     def test_cp1_eigenvalues_satisfy_char_poly(self):
@@ -99,18 +108,36 @@ class TestCanonicalData:
             fr.canonical_data(fr.cp1_structure(Q(2)))
 
 
-class TestRhoPoly:
+class TestRhoSeries:
     def test_derivative(self):
-        # d rho / dt1 = 1/(6 rho)
-        assert fr.RhoPoly({1: Q(1)}).t1_derivative() == fr.RhoPoly({-1: Q(1, 6)})
+        # d rho / dt1 = 1/(6 rho), and z/rho^3 -> -z/(2 rho^5)
+        rho = rho_series(1, [1])
+        assert rho.t1_derivative() == rho_series(-1, [Q(1, 6)])
+        w = rho_series(0, [0, 1])
+        assert w.t1_derivative() == rho_series(-2, [0, Q(-1, 2)])
 
-    def test_antiderivative_roundtrip(self):
-        p = fr.RhoPoly({-5: Q(3), 4: Q(1, 7)})
-        assert p.t1_antiderivative().t1_derivative() == p
+    def test_arithmetic(self):
+        s = rho_series(1, [1, 2])
+        t = rho_series(-1, [3, 4])
+        assert (s * t).to_json() == [{"rho^0": "3"}, {"rho^-3": "10"}]
+        assert (s * Q(1, 2) + s.shift(2).shift(-2)).to_json() == (
+            (s * Q(3, 2)).to_json()
+        )
+        assert (s - s).is_zero() and (s - s).to_json() == [{}, {}]
+        assert s.z_shift().to_json() == [{}, {"rho^1": "1"}]
 
-    def test_antiderivative_pole(self):
+    def test_unequal_offsets_rejected(self):
+        s = rho_series(1, [1, 2])
         with pytest.raises(ValueError):
-            fr.RhoPoly({-2: Q(1)}).t1_antiderivative()
+            s + s.shift(1)
+        with pytest.raises(ValueError):
+            s - s.z_shift()
+
+    def test_equality(self):
+        assert rho_series(0, [1, 2]) != rho_series(1, [1, 2])
+        assert rho_series(0, [1, 2]) != rho_series(0, [1, 2, 0])
+        # A zero series is zero at every offset.
+        assert rho_series(0, [0, 0]) == rho_series(3, [0, 0])
 
 
 def a_coeff(j):
@@ -123,10 +150,10 @@ class TestSolveR:
         # and integration gives a_1 = -d_1 = 1/(144 rho^3); converting to
         # the flat basis yields the values below.
         R = fr.solve_R(fr.spin3_structure(), 1)
-        assert R.entry(0, 0)[1].is_zero()
-        assert R.entry(1, 1)[1].is_zero()
-        assert R.entry(0, 1)[1] == fr.RhoPoly({-2: Q(-7, 144)})
-        assert R.entry(1, 0)[1] == fr.RhoPoly({-4: Q(5, 144)})
+        assert R.entry(0, 0)[1] == 0
+        assert R.entry(1, 1)[1] == 0
+        assert R.entry(0, 1).to_json()[1] == {"rho^-2": "-7/144"}
+        assert R.entry(1, 0).to_json()[1] == {"rho^-4": "5/144"}
 
     def test_second_order_diagonal_factorial_oracle(self):
         # Diagonal z^2 coefficients are -B_2/36 and A_2/36 with
@@ -134,8 +161,10 @@ class TestSolveR:
         R = fr.solve_R(fr.spin3_structure(), 2)
         A2 = a_coeff(2)
         assert A2 == Q(385, 1152)
-        assert R.entry(1, 1)[2] == fr.RhoPoly({-6: A2 / 36})
-        assert R.entry(0, 0)[2] == fr.RhoPoly({-6: -A2 * Q(13, 11) / 36})
+        assert R.entry(1, 1).to_json()[2] == {"rho^-6": str(A2 / 36)}
+        assert R.entry(0, 0).to_json()[2] == {
+            "rho^-6": str(-A2 * Q(13, 11) / 36)
+        }
 
     def test_matches_hypergeometric_form_z6(self):
         R = fr.solve_R(fr.spin3_structure(), 6)
@@ -147,22 +176,37 @@ class TestSolveR:
         # the (0,1) entry: flipping it breaks the identity at z^2.
         order = 6
         R = fr.solve_R(fr.spin3_structure(), order)
-        for k in range(order + 1):
-            for i in (0, 1):
-                for j in (0, 1):
-                    acc = fr.RhoPoly({})
-                    for l in (0, 1):
-                        for m in range(k + 1):
-                            sgn = Q(-1) ** (k - m)
-                            acc = acc + R.entry(i, l)[m] * (
-                                R.entry(1 - j, 1 - l)[k - m] * sgn
-                            )
-                    expect = (
-                        fr.RhoPoly.constant(1)
-                        if (i == j and k == 0)
-                        else fr.RhoPoly({})
-                    )
-                    assert acc == expect, (i, j, k)
+
+        def at_minus_z(s):
+            return fr.RhoSeries(s.offset, s.series.scale_argument(-1))
+
+        for i in (0, 1):
+            for j in (0, 1):
+                acc = R.entry(i, 0) * at_minus_z(R.entry(1 - j, 1))
+                acc = acc + R.entry(i, 1) * at_minus_z(R.entry(1 - j, 0))
+                expect = rho_series(i - j, [1 if i == j else 0], order)
+                assert acc == expect, (i, j)
+
+    def test_canonical_recursion_solves_flatness(self):
+        # The rational recursion against the equations it solves, with
+        # X = sum_k X_k z^k rho^{-3k} for each component X:
+        # 2 rho beta = z (d / (12 rho^2) - beta'),
+        # 2 rho gamma = z (a / (12 rho^2) + gamma'),
+        # a' = -gamma / (12 rho^2) and d' = beta / (12 rho^2).
+        order = 12
+        a, beta, gamma, d = (
+            rho_series(0, c) for c in fr._canonical_components(order)
+        )
+        twelfth = Q(1, 12)
+        assert beta.shift(1) * 2 == (
+            d.shift(-2) * twelfth - beta.t1_derivative()
+        ).z_shift()
+        assert gamma.shift(1) * 2 == (
+            a.shift(-2) * twelfth + gamma.t1_derivative()
+        ).z_shift()
+        assert a.t1_derivative() == gamma.shift(-2) * -twelfth
+        assert d.t1_derivative() == beta.shift(-2) * twelfth
+        assert not a.t1_derivative().is_zero()
 
     def test_homogeneity(self):
         # Every z^k coefficient is concentrated in a single rho-weight
@@ -171,8 +215,8 @@ class TestSolveR:
         shifts = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}
         for (i, j), s in shifts.items():
             for k in range(6):
-                for m in R.entry(i, j)[k].terms:
-                    assert m == -3 * k + s
+                for m in R.entry(i, j).to_json()[k]:
+                    assert m == "rho^%d" % (-3 * k + s)
 
     def test_rejects_other_models_and_bad_order(self):
         with pytest.raises(ValueError):
@@ -181,9 +225,13 @@ class TestSolveR:
             fr.solve_R(fr.spin3_structure(), 0)
 
     def test_identity_constant_term_enforced(self):
-        z = fr.ZRhoSeries.zero(1)
+        z = rho_series(0, [], 1)
         with pytest.raises(ValueError):
             fr.MatrixSeries(((z, z), (z, z)), 1)
+        one = rho_series(0, [1], 1)
+        fr.MatrixSeries(((one, z.shift(1)), (z.shift(-1), one)), 1)
+        with pytest.raises(ValueError):
+            fr.MatrixSeries(((one.shift(1), z), (z, one)), 1)
 
     def test_json(self):
         R = fr.solve_R(fr.spin3_structure(), 1)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tautrel import cli, pixton, strata
 from tautrel.fz import KappaPolynomial
-from tautrel.named_series import series_H0
-from tautrel.series import DivisibilityError, PowerSeries
+from tautrel.named_series import series_H0, series_H1
+from tautrel.series import BiPoly, DivisibilityError, PowerSeries, divide_exact
 
 
 def kappa_monomials(deg):
@@ -297,6 +297,106 @@ class TestCodimensionFourAndUp:
         terms, count, bad = cli._pixton_pairings(g, n, A, d)
         assert terms > 0 and count > 0
         assert bad == []
+
+
+def zeta_edge(z1, z2, budget):
+    """Delta_e at zeta' = z1, zeta'' = z2, as a BiPoly in (psi', psi'')."""
+    t = budget + 1
+    h0, h1 = series_H0(t), series_H1(t)
+    num = {(0, 0): Q(z1 + z2)}
+    for i in range(t + 1):
+        for j in range(t + 1 - i):
+            c = -z2 * h0[i] * h1[j] - z1 * h1[i] * h0[j]
+            num[(i, j)] = num.get((i, j), Q(0)) + c * z1**i * z2**j
+    return divide_exact(BiPoly(num, t), (1, 1))
+
+
+def expand(factors, budget):
+    """Products of one term per factor, of total degree ``budget``.
+
+    Each factor is a list of (degree, pick, coeff); returns
+    {tuple of picks: coeff}."""
+    states = {((), 0): Q(1)}
+    for options in factors:
+        new = {}
+        for (picks, deg), c in states.items():
+            for d2, pick, c2 in options:
+                if deg + d2 <= budget:
+                    key = (picks + (pick,), deg + d2)
+                    new[key] = new.get(key, Q(0)) + c * c2
+        states = new
+    return {picks: c for (picks, deg), c in states.items() if deg == budget}
+
+
+def zeta_average_summand(graph, A, d):
+    """One graph's decorated terms, with the parity coefficient taken as
+    [prod zeta_v^{e_v}] F = 2^{-|V|} sum_zeta prod zeta_v^{e_v} F(zeta)
+    over zeta in {+1, -1}^V, where e_v = g_v - 1 mod 2 and F(zeta) is the
+    product of the vertex, leg and edge factors evaluated at zeta."""
+    nv, nl = len(graph.genera), len(graph.legs)
+    budget = d - len(graph.edges)
+    if budget < 0:
+        return {}
+    T = PowerSeries.identity(budget + 1)
+    H = (series_H0(budget), series_H1(budget))
+    out = {}
+    for zeta in itertools.product((1, -1), repeat=nv):
+        sign = 1
+        for z, gv in zip(zeta, graph.genera):
+            sign *= z ** ((gv - 1) % 2)
+        factors = []
+        for z in zeta:
+            f = T - T * series_H0(budget + 1).scale_argument(z)
+            kappa = strata.kappa_of_f(f, budget)
+            factors.append(
+                [(KappaPolynomial.term_degree(e), e, c)
+                 for e, c in kappa.terms.items()]
+            )
+        for v, a in zip(graph.legs, A):
+            h = H[a].scale_argument(zeta[v]) * zeta[v] ** a
+            factors.append([(k, k, h[k]) for k in range(budget + 1) if h[k]])
+        for v, w in graph.edges:
+            edge = zeta_edge(zeta[v], zeta[w], budget)
+            factors.append([(i + j, (i, j), c)
+                            for (i, j), c in edge.terms.items()])
+        for picks, c in expand(factors, budget).items():
+            dec = strata.Decoration(
+                picks[:nv], picks[nv:nv + nl], picks[nv + nl:]
+            )
+            out[dec] = out.get(dec, Q(0)) + sign * c / 2**nv
+    return {dec: c for dec, c in out.items() if c}
+
+
+class TestZetaAveragingOracle:
+    """A second assembly of the relation classes: parity coefficients by
+    averaging over zeta, pairings term by term without StrataElement or
+    _canonical_pair."""
+
+    @pytest.mark.parametrize(
+        "g,n,A,d",
+        [(1, 1, (1,), 1), (2, 0, (), 1), (3, 0, (), 4), (2, 2, (1, 0), 4)],
+    )
+    def test_matches_assembly_and_pairings_vanish(self, g, n, A, d):
+        graphs = strata.enumerate_stable_graphs(g, n)
+        summands = [zeta_average_summand(gr, A, d) for gr in graphs]
+        for graph, terms in zip(graphs, summands):
+            assert terms == pixton._graph_summand(graph, A, d), graph
+        assert any(summands)
+        element = pixton.pixton_class(g, n, A, d)
+        extra = 3 * g - 3 + n - d
+        count = 0
+        for psis in cli._compositions(extra, n):
+            for ke in kappa_monomials(extra - sum(psis)):
+                value = sum(
+                    c / 2**graph.h1
+                    * strata._integrate_term(graph, dec, psis, ke)
+                    for graph, terms in zip(graphs, summands)
+                    for dec, c in terms.items()
+                )
+                want = strata.integrate(element, psi_exps=psis, kappa_exps=ke)
+                assert value == want == 0, (psis, ke, value, want)
+                count += 1
+        assert count > 0
 
 
 class TestFZRestriction:
