@@ -171,6 +171,15 @@ def cmd_airy(args):
                 "precision_bits": args.precision_bits,
             }
         )
+    except airy.QuadratureBudgetExceeded as exc:
+        raise CheckFailure(
+            {
+                "message": "the quadrature oracle did not converge",
+                "location": {"x": args.x, "prime": args.prime},
+                "evaluations": exc.evaluations,
+                "precision_bits": args.precision_bits,
+            }
+        )
     out = rep.to_json()
     out["precision_bits"] = args.precision_bits
     if not rep.envelope_ok:

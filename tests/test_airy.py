@@ -9,12 +9,57 @@ def sig_agree(a, b, digits):
     return abs(a - b) <= abs(b) * mpf(10) ** (-digits)
 
 
+# Points where the oracles must agree to all but the last 8 bits.
+ORACLE_X = [1, 5, 9.5, 10, 10.5, 20]
+
+
+def bits_agree(a, b, bits):
+    return abs(a - b) <= abs(b) * mpf(2) ** -(bits - 8)
+
+
 class TestOracles:
-    @pytest.mark.parametrize("x", [1, 5, 10, 20])
+    @pytest.mark.parametrize("x", ORACLE_X)
     def test_dual_oracles_agree(self, x):
-        q = airy.airy_quadrature(x)
-        o = airy.airy_ode(x)
-        assert sig_agree(q, o, 10)
+        for bits in (128, 384):
+            q = airy.airy_quadrature(x, bits)
+            assert bits_agree(q, airy.airy_ode(x, bits), bits), bits
+
+    def test_prime_oracles_agree(self):
+        for x in ORACLE_X:
+            for bits in (128, 384):
+                q = airy.airy_prime_quadrature(x, bits)
+                o = airy.airy_prime_ode(x, bits)
+                assert bits_agree(q, o, bits), (x, bits)
+
+    @pytest.mark.parametrize("x", ORACLE_X)
+    def test_quadrature_matches_mpmath_airyai(self, x):
+        with mpmath.mp.workprec(128):
+            for derivative, quadrature in (
+                (0, airy.airy_quadrature), (1, airy.airy_prime_quadrature)
+            ):
+                ref = mpmath.pi * mpmath.airyai(x, derivative)
+                assert bits_agree(quadrature(x, 128), ref, 128), derivative
+
+    def test_small_x(self):
+        # cos(x^{-3/4} t^3 / (6 sqrt 2)) oscillates fast here; the step
+        # halving must resolve it.
+        q = airy.airy_quadrature(mpf("0.001"), 64)
+        assert bits_agree(q, airy.airy_ode(mpf("0.001"), 64), 64)
+        with mpmath.mp.workprec(64):
+            ref = mpmath.pi * mpmath.airyai(mpf("0.001"))
+        assert bits_agree(q, ref, 64)
+
+    def test_small_x_prime(self):
+        q = airy.airy_prime_quadrature(mpf("0.01"), 64)
+        assert bits_agree(q, airy.airy_prime_ode(mpf("0.01"), 64), 64)
+
+    def test_evaluation_budget(self, monkeypatch):
+        monkeypatch.setattr(airy, "MAX_EVALUATIONS", 50)
+        for quadrature in (airy.airy_quadrature, airy.airy_prime_quadrature):
+            with pytest.raises(airy.QuadratureBudgetExceeded) as exc:
+                quadrature(1, 128)
+            assert isinstance(exc.value, ArithmeticError)
+            assert 0 < exc.value.evaluations <= 50
 
     def test_known_magnitudes(self):
         # These are pi times the standard Airy values.

@@ -109,6 +109,24 @@ class TestExitCodes:
         assert float(data["quadrature"]) == pytest.approx(2 * ode)
         assert ode == pytest.approx(float(airy.airy_ode(3)))
 
+    def test_quadrature_budget_is_exit_1(self, monkeypatch):
+        monkeypatch.setattr(airy, "MAX_EVALUATIONS", 50)
+        code, out = dispatch(
+            ["airy", "--x", "1e-12", "--prime", "--format", "json"]
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["location"] == {"x": 1e-12, "prime": True}
+        assert data["message"] == "the quadrature oracle did not converge"
+        assert 0 < data["evaluations"] <= 50
+        assert data["precision_bits"] == 128
+
+    def test_small_x_report(self):
+        code, _ = dispatch(
+            ["airy", "--x", "0.001", "--k", "3", "--precision-bits", "64"]
+        )
+        assert code == 0
+
 
 # Tokens argparse or the computations must turn away cleanly.
 JUNK = ("", "x", "1.5", "nan", "-1")
@@ -126,13 +144,15 @@ _LISTS = st.sampled_from(("", "0", "1", "0,0", "1,0", "2", "3", "1,x", "x"))
 
 # Each subcommand's leading words and its flags with their value
 # strategies (None for a switch).  Sizes stay small so that a case
-# takes well under a second: g, n <= 2 for strata and pixton, and only
-# values of airy --x that argparse rejects.
+# takes well under a second: g, n <= 2 for strata and pixton, and airy
+# --x either rejected by argparse or in [0.5, 20], where a run takes a
+# few tenths of a second at most.
 _FUZZ = {
     ("series",): {"--which": st.sampled_from(("A", "B", "H0", "Q")),
                   "--order": _value(0, 8)},
     ("airy",): {"--x": st.sampled_from(
-                    JUNK + ("0", "-0.5", "inf", "1e20", "1e6", "500.5")),
+                    JUNK + ("0", "-0.5", "inf", "1e20", "1e6", "500.5")
+                    + ("0.5", "1", "10", "20")),
                 "--k": _value(0, 5), "--prime": None,
                 "--precision-bits": _value(60, 200)},
     ("descendents", "closed"): {"--degree": _value(0, 6)},
