@@ -20,16 +20,15 @@ Two independent numeric oracles are provided for x > 0:
 - ``airy_ode``: Taylor-series continuation of y'' = x y from 0, with working
   precision padded to absorb the exponential cancellation.
 
-This is the only module in the package that uses floating point.
+This is the only module in the package that uses floating point.  Its
+functions import mpmath when they run, so mpmath is loaded only when an
+Airy value is computed, not whenever the package or its CLI is imported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import mpmath
-from mpmath import mp, mpf
+from typing import NamedTuple
 
 from .named_series import a_j, b_j
 
@@ -62,6 +61,8 @@ def _trapezoid(f, half_width, precision_bits):
     odd nodes, until two successive sums agree to 2^{-(precision_bits+8)}
     relative in every component.
     """
+    from mpmath import mpf
+
     tol = mpf(2) ** -(precision_bits + 8)
     total = [v / 2 for v in f(mpf(0))]  # sum of f over the nodes, f(0) halved
     evaluations = 1
@@ -84,6 +85,9 @@ def _trapezoid(f, half_width, precision_bits):
 
 def airy_quadrature(x, precision_bits: int = 128):
     """Ai(x) by quadrature of the deformed-Gaussian integral (x > 0)."""
+    import mpmath
+    from mpmath import mp, mpf
+
     _require_positive(x)
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -112,6 +116,9 @@ def airy_prime_quadrature(x, precision_bits: int = 128):
     the integral in the pre-scaling variable u, where
     Ai(x) = e^{-(2/3)x^{3/2}} int_0^oo e^{-sqrt(x) u^2} cos(u^3/3) du
     has a clean x-derivative."""
+    import mpmath
+    from mpmath import mp, mpf
+
     _require_positive(x)
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
@@ -142,6 +149,9 @@ def _ode_pair(x, precision_bits: int):
     the e^{-(2/3)x^{3/2}} answer, so the working precision is padded by the
     corresponding number of bits.
     """
+    import mpmath
+    from mpmath import mp, mpf
+
     _require_positive(x)
     cancel_bits = int(mpf(4) / 3 * mpf(x) ** mpf("1.5") / math.log(2)) + 32
     with mp.workprec(precision_bits + cancel_bits + 32):
@@ -194,6 +204,8 @@ class OracleDisagreement(ArithmeticError):
 
 def _cross_checked(x, q, o, precision_bits):
     """The ODE value o, if the quadrature value q agrees with it."""
+    from mpmath import mpf
+
     tol = mpf(2) ** (-(precision_bits // 2))
     if abs(q - o) > tol * abs(o):
         raise OracleDisagreement(x, q, o)
@@ -222,6 +234,9 @@ def airy_prime_numeric(x, precision_bits: int = 128):
 def _asym_sum(coeff, x, k, precision_bits):
     """sum_{j<=k} coeff(j) * (2^{-1/3} x^{-1/2})^{3j} and the first omitted
     term, as mpf values."""
+    import mpmath
+    from mpmath import mp, mpf
+
     with mp.workprec(precision_bits):
         x = mpf(x)
         arg3 = 1 / (2 * x ** mpf("1.5"))  # (2^{-1/3} x^{-1/2})^3
@@ -237,6 +252,9 @@ def _asym_sum(coeff, x, k, precision_bits):
 def airy_asymptotic(x, k, precision_bits: int = 128):
     """Truncated asymptotic (sqrt(pi)/2) x^{-1/4} e^{-(2/3)x^{3/2}}
     * calA(2^{-1/3} x^{-1/2}) kept through the x^{-3k/2} term."""
+    import mpmath
+    from mpmath import mp, mpf
+
     _require_positive(x)
     with mp.workprec(precision_bits):
         x = mpf(x)
@@ -253,6 +271,9 @@ def airy_asymptotic(x, k, precision_bits: int = 128):
 def airy_prime_asymptotic(x, k, precision_bits: int = 128):
     """Truncated asymptotic (sqrt(pi)/2) x^{1/4} e^{-(2/3)x^{3/2}}
     * (-calB)(2^{-1/3} x^{-1/2}); the leading term is negative, as Ai' is."""
+    import mpmath
+    from mpmath import mp, mpf
+
     _require_positive(x)
     with mp.workprec(precision_bits):
         x = mpf(x)
@@ -266,8 +287,7 @@ def airy_prime_asymptotic(x, k, precision_bits: int = 128):
         return +(pref * s)
 
 
-@dataclass
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     x: float
     terms: int
     numeric: str
@@ -294,6 +314,9 @@ class AsymptoticReport:
 
 def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> AsymptoticReport:
     """Compare numeric and truncated-asymptotic values at x with k terms."""
+    import mpmath
+    from mpmath import mp, mpf
+
     with mp.workprec(precision_bits):
         x = mpf(x)
         if prime:

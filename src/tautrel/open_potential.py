@@ -6,8 +6,11 @@ variable s (weight 2).  The three routes:
 - :func:`solve_open_kdv`: the open KdV system
   (2n+1)/2 F_{t_n} = F_s F_{t_{n-1}} + F_{s t_{n-1}}
   + 1/2 F_{t_0} Fc_{t_0 t_{n-1}} - 1/4 Fc_{t_0 t_0 t_{n-1}},  n >= 1,
-  solved coefficient-by-coefficient from the initial slice
-  F|_{t_{i>=1}=0} = s^3/6 + t_0 s.
+  (Pandharipande-Solomon-Tessler) solved from the initial slice
+  F|_{t_{i>=1}=0} = s^3/6 + t_0 s one weighted degree at a time.  The
+  products on the right side only involve lower degrees, so each is
+  formed as one degree bucket on the graded core of
+  :mod:`tautrel.series`.
 - :func:`open_virasoro_residual`: the modified Virasoro constraints
   applied to exp(F^o + F^c) (verification only).
 - :func:`buryak_formula`: the z^0-pairing closed formula
@@ -22,12 +25,20 @@ Both z-graded exponentials of the formula go through
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iter_product
 from math import comb
 
 from .descendents import build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
-from .series import Grading, MultiSeries, Q, graded_exp
+from .series import (
+    Grading,
+    MultiSeries,
+    Q,
+    _derivative_part,
+    _mul_into,
+    graded_exp,
+)
 
 
 def open_grading(degree_max: int) -> Grading:
@@ -55,128 +66,119 @@ def lift_to_open(Fc: MultiSeries, grading: Grading) -> MultiSeries:
     return MultiSeries(grading, terms, Fc.max_degree)
 
 
-class _Coeffs:
-    """Coefficient store with derivative-aware lookups."""
+def _kdv_monomials(weights, degree: int) -> list:
+    """The open monomials of weighted degree ``degree`` with a t_{>=1}
+    factor, as (descending t-indices, exponents), sorted.
 
-    def __init__(self, nvars):
-        self.F = {}
-        self.nvars = nvars
+    ``weights`` are those of t_0, t_1, ... followed by s.
+    """
+    nt = len(weights) - 1
+    out = []
 
-    def get(self, exps):
-        return self.F.get(tuple(exps), Q(0))
+    def rec(i, left, exps):
+        if i == 0:
+            if any(exps):
+                for e0 in range(left % 2, left + 1, 2):
+                    M = (e0,) + tuple(exps[1:]) + ((left - e0) // 2,)
+                    idx = tuple(
+                        j for j in range(nt - 1, -1, -1) for _ in range(M[j])
+                    )
+                    out.append((idx, M))
+            return
+        for cnt in range(left // weights[i] + 1):
+            exps[i] = cnt
+            rec(i - 1, left - cnt * weights[i], exps)
+        exps[i] = 0
 
-    def d(self, exps, var_index, times=1):
-        """Coefficient of prod x^exps in (d/dx_var)^times F."""
-        e = list(exps)
-        mult = 1
-        for j in range(times):
-            mult *= e[var_index] + 1
-            e[var_index] += 1
-        return self.get(e) * mult
-
-
-def _splits(exps):
-    """All ways to write the exponent vector as an ordered sum A + B."""
-    ranges = [range(e + 1) for e in exps]
-    for a in iter_product(*ranges):
-        b = tuple(e - x for e, x in zip(exps, a))
-        yield a, b
+    rec(nt - 1, degree, [0] * nt)
+    out.sort()
+    return out
 
 
 def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     """The unique open KdV solution with the standard initial slice.
 
     ``Fc`` must be truncated to weighted degree >= D_max.
+
+    F is solved one weighted degree d at a time and kept as degree
+    buckets.  A monomial M of degree d, with n its largest t-index and
+    Mp = M / t_n, takes its coefficient from equation n at Mp, which has
+    degree e = d - 2n - 1.  Every product on the right side draws its
+    factors from F below degree d, which is solved, so the degree-e
+    bucket of F_s F_{t_{n-1}} + 1/2 F_{t_0} Fc_{t_0 t_{n-1}}
+    - 1/4 Fc_{t_0 t_0 t_{n-1}} is formed once per (n, d), over the nonzero
+    derivative buckets only.  The one same-degree term, F_{s t_{n-1}} at
+    Mp, is the coefficient of M s t_{n-1} / t_n.  Replacing t_n by t_{n-1}
+    lowers the descending multiset of t-indices, and the monomials of a
+    degree are solved in that order, so it is known when M is reached.
     """
     if Fc.max_degree < D_max:
         raise IndexError("Fc truncated below the requested degree")
     g = open_grading(D_max)
-    nt = len(g) - 1  # t-variables; index nt is s
-    s_i = nt
-    fc = {}
-    for exps, c in Fc.terms.items():
-        if any(exps[nt:]):
-            continue
-        fc[tuple(exps[:nt]) + (0,) * (nt - len(exps))] = c
-
-    def fc_d(exps_t, *vars_counts):
-        """Coefficient lookup in a multi-derivative of Fc (t-variables)."""
-        e = list(exps_t)
-        mult = 1
-        for vi, times in vars_counts:
-            for _ in range(times):
-                mult *= e[vi] + 1
-                e[vi] += 1
-        return fc.get(tuple(e), Q(0)) * mult
-
-    store = _Coeffs(len(g))
+    weights = g.weights
+    s_i = len(g) - 1
+    fc = lift_to_open(Fc.truncate(D_max), g).buckets()
     # Initial slice: all pure (t0, s) monomials.
-    e = [0] * len(g)
-    e[s_i] = 3
-    store.F[tuple(e)] = Q(1, 6)
-    e = [0] * len(g)
-    e[0] = 1
-    e[s_i] = 1
-    store.F[tuple(e)] = Q(1)
+    initial = {
+        3: {(1,) + (0,) * (s_i - 1) + (1,): Q(1)},  # t_0 s
+        6: {(0,) * s_i + (3,): Q(1, 6)},  # s^3 / 6
+    }
+    F = {d: part for d, part in initial.items() if d <= D_max}
 
-    # Enumerate monomials with a t_{>=1} factor, by degree then by the
-    # descending multiset of t-indices: replacing one t_n by t_{n-1} (and s)
-    # strictly lowers the sort key, so the right side is always known.
-    monos = []
+    # Derivative buckets, each read only once its source degree is solved.
+    def derivative(buckets, vars_, degree):
+        part = buckets.get(degree + sum(weights[i] for i in vars_), {})
+        for i in vars_:
+            part = _derivative_part(part, i)
+        return part
 
-    def rec2(i, d_left, exps):
-        if d_left == 0:
-            if any(exps[1:nt]):
-                monos.append(tuple(exps))
-            return
-        if i < 0:
-            return
-        rec2(i - 1, d_left, exps)
-        for cnt in range(1, d_left // g.weights[i] + 1):
-            exps2 = list(exps)
-            exps2[i] = cnt
-            rec2(i - 1, d_left - cnt * g.weights[i], exps2)
+    @cache
+    def dF(vars_, degree):
+        return derivative(F, vars_, degree)
+
+    @cache
+    def dFc(vars_, degree):
+        return derivative(fc, vars_, degree)
+
+    def product(dA, vars_a, dB, vars_b, e):
+        """The degree-e bucket of (d_{vars_a} A)(d_{vars_b} B)."""
+        out: dict = {}
+        for a in range(e + 1):
+            A = dA(vars_a, a)
+            if A:
+                B = dB(vars_b, e - a)
+                if B:
+                    _mul_into(out, A, B)
+        return out
 
     for d in range(1, D_max + 1):
-        rec2(len(g) - 1, d, [0] * len(g))
-
-    def sort_key(exps):
-        t_indices = tuple(
-            sorted((i for i in range(nt) for _ in range(exps[i])), reverse=True)
-        )
-        return (g.degree(exps), t_indices)
-
-    monos.sort(key=sort_key)
-
-    for M in monos:
-        n = max(i for i in range(1, nt) if M[i])
-        Mp = list(M)
-        Mp[n] -= 1
-        Mp = tuple(Mp)
-        rhs = Q(0)
-        # F_{s t_{n-1}} at Mp
-        e = list(Mp)
-        mult = (e[s_i] + 1)
-        e[s_i] += 1
-        mult *= e[n - 1] + 1
-        e[n - 1] += 1
-        rhs += store.get(e) * mult
-        # -1/4 Fc_{t0 t0 t_{n-1}} at Mp (zero if Mp has s-dependence)
-        if Mp[s_i] == 0:
-            rhs -= Q(1, 4) * fc_d(Mp[:nt], (0, 2), (n - 1, 1))
-        # products
-        for A, B in _splits(Mp):
-            fa = store.d(A, s_i)
-            if fa:
-                rhs += fa * store.d(B, n - 1)
-            if B[s_i] == 0:
-                fb = fc_d(B[:nt], (0, 1), (n - 1, 1))
-                if fb:
-                    rhs += Q(1, 2) * store.d(A, 0) * fb
-        val = rhs * Q(2, 2 * n + 1) / (Mp[n] + 1)
-        if val:
-            store.F[M] = val
-    return MultiSeries(g, store.F, D_max)
+        part = F.setdefault(d, {})
+        rhs_of: dict = {}
+        for idx, M in _kdv_monomials(weights, d):
+            n = idx[0]
+            rhs = rhs_of.get(n)
+            if rhs is None:
+                e = d - 2 * n - 1
+                rhs = product(dF, (s_i,), dF, (n - 1,), e)
+                for Mp, c in product(dF, (0,), dFc, (0, n - 1), e).items():
+                    rhs[Mp] = rhs.get(Mp, 0) + c / 2
+                for Mp, c in dFc((0, 0, n - 1), e).items():
+                    rhs[Mp] = rhs.get(Mp, 0) - c / 4
+                rhs_of[n] = rhs
+            Mp = M[:n] + (M[n] - 1,) + M[n + 1 :]
+            val = rhs.get(Mp, 0)
+            # F_{s t_{n-1}} at Mp.
+            e = list(Mp)
+            e[s_i] += 1
+            e[n - 1] += 1
+            c = part.get(tuple(e))
+            if c:
+                val += c * e[s_i] * e[n - 1]
+            if val:
+                part[M] = val * Q(2, 2 * n + 1) / M[n]
+        if not part:
+            del F[d]
+    return MultiSeries.from_buckets(g, F, D_max)
 
 
 def open_kdv_residual(Fo: MultiSeries, Fc: MultiSeries, n: int) -> MultiSeries:

@@ -34,7 +34,7 @@ this module.  Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -44,6 +44,12 @@ Q = Fraction
 
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list, int]:
+    """Integers c_k and a common denominator m with coeffs[k] = c_k / m."""
+    m = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (m // c.denominator) for c in coeffs], m
 
 
 class PowerSeries:
@@ -120,16 +126,22 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             c = _q(other)
             return PowerSeries([c * a for a in self.coeffs], self.order, self.var)
+        # Convolve integers: each operand scaled by the lcm of its
+        # denominators, one Fraction built per output coefficient.
         n = min(self.order, other.order)
-        out = [Q(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, n, self.var)
+        a, den_a = _integer_coeffs(self.coeffs[: n + 1])
+        b, den_b = _integer_coeffs(other.coeffs[: n + 1])
+        b = [(j, y) for j, y in enumerate(b) if y]
+        out = [0] * (n + 1)
+        for i, x in enumerate(a):
+            if x:
+                room = n - i
+                for j, y in b:
+                    if j > room:
+                        break
+                    out[i + j] += x * y
+        den = den_a * den_b
+        return PowerSeries([Fraction(c, den) for c in out], n, self.var)
 
     __rmul__ = __mul__
 
@@ -303,6 +315,16 @@ def _mul_buckets(a: Mapping, b: Mapping, limit, out: dict | None = None) -> dict
     return out
 
 
+def _derivative_part(part: Mapping, i: int) -> dict:
+    """d/dx_i of a term map ``{exps: coeff}`` without zero coefficients."""
+    out = {}
+    for e, c in part.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+    return out
+
+
 def _scale(buckets: Mapping, c=1) -> dict:
     """``c`` times a degree-bucketed term map, zero terms and buckets dropped."""
     out = {}
@@ -355,7 +377,10 @@ class MultiSeries:
     Monomials are exponent tuples over a fixed :class:`Grading`; only
     monomials of weighted degree <= ``max_degree`` are stored, and explicit
     zeros are dropped.  The terms grouped by weighted degree are built on
-    first use and kept (see :meth:`buckets`).
+    first use and kept (see :meth:`buckets`).  Only the public constructor
+    computes weighted degrees: sums, negation, scalar products, products,
+    derivatives and truncations build their results from the operands'
+    buckets, and may share unchanged buckets with them.
     """
 
     __slots__ = ("grading", "terms", "max_degree", "_buckets")
@@ -376,7 +401,9 @@ class MultiSeries:
     @classmethod
     def from_buckets(cls, grading: Grading, buckets: dict, max_degree: int) -> "MultiSeries":
         """Series from degree buckets holding only nonzero terms of weighted
-        degree <= ``max_degree``; takes ownership of ``buckets``."""
+        degree <= ``max_degree``; takes ownership of ``buckets``, whose
+        bucket dicts may be shared with other series but are never
+        modified."""
         self = cls.__new__(cls)
         self.grading = grading
         self.max_degree = max_degree
@@ -422,7 +449,9 @@ class MultiSeries:
         return self.terms.get((0,) * len(self.grading), Q(0))
 
     def truncate(self, max_degree: int) -> "MultiSeries":
-        return MultiSeries(self.grading, self.terms, min(max_degree, self.max_degree))
+        n = min(max_degree, self.max_degree)
+        kept = {d: part for d, part in self.buckets().items() if d <= n}
+        return MultiSeries.from_buckets(self.grading, kept, n)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -437,16 +466,31 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             other = MultiSeries.constant(self.grading, other, self.max_degree)
         n = min(self.max_degree, other.max_degree)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Q(0)) + c
-        return MultiSeries(self.grading, out, n)
+        out = {d: part for d, part in self.buckets().items() if d <= n}
+        for d, part in other.buckets().items():
+            if d > n:
+                continue
+            if d in out:
+                merged = dict(out[d])
+                for e, c in part.items():
+                    if e in merged:
+                        c += merged[e]
+                        if not c:
+                            del merged[e]
+                            continue
+                    merged[e] = c
+                part = merged
+            if part:
+                out[d] = part
+            else:
+                del out[d]
+        return MultiSeries.from_buckets(self.grading, out, n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries(
-            self.grading, {e: -c for e, c in self.terms.items()}, self.max_degree
+        return MultiSeries.from_buckets(
+            self.grading, _scale(self.buckets(), -1), self.max_degree
         )
 
     def __sub__(self, other) -> "MultiSeries":
@@ -460,9 +504,8 @@ class MultiSeries:
     def __mul__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
             c = _q(other)
-            return MultiSeries(
-                self.grading, {e: c * v for e, v in self.terms.items()}, self.max_degree
-            )
+            buckets = _scale(self.buckets(), c) if c else {}
+            return MultiSeries.from_buckets(self.grading, buckets, self.max_degree)
         n = min(self.max_degree, other.max_degree)
         out = _mul_buckets(self.buckets(), other.buckets(), n)
         return MultiSeries.from_buckets(self.grading, _scale(out), n)
@@ -471,15 +514,15 @@ class MultiSeries:
 
     def derivative(self, name: str) -> "MultiSeries":
         i = self.grading.index[name]
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[e2] = out.get(e2, Q(0)) + c * e[i]
+        w = self.grading.weights[i]
+        out = {}
+        for d, part in self.buckets().items():
+            part = _derivative_part(part, i)
+            if part:
+                out[d - w] = part
         # Differentiation lowers weighted degree uniformly by the weight of
         # the variable, so the truncation window stays valid as-is.
-        return MultiSeries(self.grading, out, self.max_degree)
+        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
 
     def exp(self) -> "MultiSeries":
         """exp of a series with zero constant term.

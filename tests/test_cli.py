@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -130,14 +134,21 @@ class TestExitCodes:
 
 # Tokens argparse or the computations must turn away cleanly.
 JUNK = ("", "x", "1.5", "nan", "-1")
+# One draw in JUNK_ODDS is junk, so that most cases reach a computation.
+JUNK_ODDS = 12
 
 
 @st.composite
-def _value(draw, low, high):
-    """An integer in [low, high], or one time in four a junk token."""
-    if draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(JUNK))
-    return str(draw(st.integers(low, high)))
+def _mostly(draw, valid, junk=JUNK):
+    """A draw from ``valid``, or one time in JUNK_ODDS a junk token."""
+    if draw(st.integers(0, JUNK_ODDS - 1)) == 0:
+        return draw(st.sampled_from(junk))
+    return draw(valid)
+
+
+def _value(low, high):
+    """An integer in [low, high] as a token, now and then junk."""
+    return _mostly(st.integers(low, high).map(str))
 
 
 _LISTS = st.sampled_from(("", "0", "1", "0,0", "1,0", "2", "3", "1,x", "x"))
@@ -145,20 +156,22 @@ _LISTS = st.sampled_from(("", "0", "1", "0,0", "1,0", "2", "3", "1,x", "x"))
 # Each subcommand's leading words and its flags with their value
 # strategies (None for a switch).  Sizes stay small so that a case
 # takes well under a second: g, n <= 2 for strata and pixton, and airy
-# --x either rejected by argparse or in [0.5, 20], where a run takes a
-# few tenths of a second at most.
+# --x either rejected by argparse or in [1, 20] at <= 128 bits, where a
+# run takes a few tenths of a second at most.
 _FUZZ = {
     ("series",): {"--which": st.sampled_from(("A", "B", "H0", "Q")),
                   "--order": _value(0, 8)},
-    ("airy",): {"--x": st.sampled_from(
-                    JUNK + ("0", "-0.5", "inf", "1e20", "1e6", "500.5")
-                    + ("0.5", "1", "10", "20")),
+    ("airy",): {"--x": _mostly(
+                    st.integers(1, 20).map(str)
+                    | st.floats(1, 20, allow_nan=False).map(repr),
+                    JUNK + ("0", "-0.5", "inf", "1e20", "1e6", "500.5")),
                 "--k": _value(0, 5), "--prime": None,
-                "--precision-bits": _value(60, 200)},
+                "--precision-bits": _mostly(st.integers(64, 128).map(str),
+                                            JUNK + ("10", "63"))},
     ("descendents", "closed"): {"--degree": _value(0, 6)},
     ("descendents", "open"): {"--degree": _value(0, 6)},
     ("descendents", "table"): {"--ks": _LISTS},
-    ("fz",): {"--g": _value(0, 5), "--r": _value(-1, 3),
+    ("fz",): {"--g": _value(0, 5), "--r": _value(0, 4),
               "--sigma": _LISTS},
     ("strata",): {"--g": _value(0, 2), "--n": _value(0, 2)},
     ("pixton",): {"--g": _value(0, 2), "--n": _value(0, 2),
@@ -181,13 +194,18 @@ _REQUIRED = {
     "fz": {"--g", "--r"}, "strata": {"--g", "--n"},
     "pixton": {"--g", "--n", "--d"},
 }
-_COMMON = {"--format": st.sampled_from(("json", "csv", "text", "x")),
+_COMMON = {"--format": _mostly(st.sampled_from(("json", "csv", "text")),
+                               ("x",)),
            "--seed": _value(0, 9)}
+# Half of the cases pick one of the subcommands that compute the
+# paper's series and relations, the other half any subcommand.
+_WORDS = st.sampled_from(sorted(_FUZZ)) | st.sampled_from(
+    [("airy",), ("series",), ("fz",)])
 
 
 @st.composite
 def _argv(draw):
-    words = draw(st.sampled_from(sorted(_FUZZ)))
+    words = draw(_WORDS)
     flags = dict(_FUZZ[words], **_COMMON)
     argv = list(words)
     for flag in sorted(flags):
@@ -196,6 +214,35 @@ def _argv(draw):
             if flags[flag] is not None:
                 argv.append(draw(flags[flag]))
     return argv
+
+
+# Imports every module, as a benchmark job does, reports which of the
+# heavy imports are loaded, then runs one Airy report.
+_COLD_START = """
+import json, sys
+from tautrel import (airy, cli, descendents, frobenius, fz, named_series,
+                     open_potential, pixton, series, strata)
+loaded = sorted({"mpmath", "dataclasses"} & set(sys.modules))
+code, out = cli.dispatch(["airy", "--x", "10", "--k", "3", "--format", "json"])
+print(json.dumps({"loaded": loaded, "code": code, "report": json.loads(out)}))
+"""
+
+
+class TestColdStart:
+    def test_import_skips_mpmath_until_airy_runs(self):
+        import tautrel
+
+        src = str(Path(tautrel.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        data = json.loads(done.stdout)
+        assert data["loaded"] == []
+        assert data["code"] == 0
+        assert data["report"]["envelope_ok"] is True
 
 
 class TestFuzz:

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import product
 from math import factorial
 
 import pytest
@@ -23,6 +24,65 @@ def Fo_buryak(Fc17):
     return op.buryak_formula(Fc17, 14)
 
 
+def splits_walk(Fc, D_max):
+    """The open KdV solve as a walk over monomials, kept as an oracle.
+
+    Each monomial M (largest t-index n, Mp = M / t_n) sums every product
+    term of equation n at Mp over all ways to split the exponent vector
+    of Mp as A + B, looking up each factor coefficient by coefficient.
+    """
+    g = op.open_grading(D_max)
+    nt = len(g) - 1
+    s_i = nt
+    fc = {}
+    for e, c in Fc.terms.items():
+        if not any(e[nt:]):
+            fc[tuple(e[:nt]) + (0,) * (nt - len(e))] = c
+    F = {(0,) * nt + (3,): Q(1, 6), (1,) + (0,) * (nt - 1) + (1,): Q(1)}
+
+    def d(store, e, *vars_):
+        """Coefficient of x^e in the derivative of store in vars_."""
+        e = list(e)
+        mult = 1
+        for v in vars_:
+            e[v] += 1
+            mult *= e[v]
+        return store.get(tuple(e), 0) * mult
+
+    def fc_d(e, *vars_):
+        return d(fc, e[:nt], *vars_) if e[s_i] == 0 else 0
+
+    monos = []
+
+    def rec(degree, i, left, e):
+        """Monomials of the degree in the variables 0..i, times e."""
+        if i < 0:
+            if left == 0 and any(e[1:nt]):
+                idx = sorted((j for j in range(nt) for _ in range(e[j])),
+                             reverse=True)
+                monos.append(((degree, idx), tuple(e)))
+            return
+        for k in range(left // g.weights[i] + 1):
+            e[i] = k
+            rec(degree, i - 1, left - k * g.weights[i], e)
+        e[i] = 0
+
+    for degree in range(1, D_max + 1):
+        rec(degree, len(g) - 1, degree, [0] * len(g))
+    monos.sort()
+    for _, M in monos:
+        n = max(i for i in range(1, nt) if M[i])
+        Mp = M[:n] + (M[n] - 1,) + M[n + 1:]
+        rhs = d(F, Mp, s_i, n - 1) - Q(1, 4) * fc_d(Mp, 0, 0, n - 1)
+        for A in product(*(range(x + 1) for x in Mp)):
+            B = tuple(x - a for x, a in zip(Mp, A))
+            rhs += d(F, A, s_i) * d(F, B, n - 1)
+            rhs += Q(1, 2) * d(F, A, 0) * fc_d(B, 0, n - 1)
+        if rhs:
+            F[M] = rhs * Q(2, 2 * n + 1) / M[n]
+    return MultiSeries(g, F, D_max)
+
+
 def exps(grading, **kwargs):
     e = [0] * len(grading)
     for name, v in kwargs.items():
@@ -42,7 +102,32 @@ def named_terms(ms, max_degree):
     return out
 
 
+@pytest.fixture(scope="module")
+def Fc24():
+    return build_Fc(24)
+
+
+@pytest.fixture(scope="module")
+def Fo_kdv24(Fc24):
+    return op.solve_open_kdv(Fc24, 24)
+
+
 class TestSolveOpenKdv:
+    def test_equals_splits_walk(self, Fc24, Fo_kdv24):
+        # Below degree 24 each solve is compared through the degree-24
+        # walk: lower degrees never depend on higher ones.
+        walk = splits_walk(Fc24, 24)
+        assert Fo_kdv24.terms == walk.terms
+        assert len(walk.terms) == 494
+        for D in range(1, 24):
+            Fo = op.solve_open_kdv(Fc24, D)
+            assert named_terms(Fo, D) == named_terms(walk, D), D
+
+    @pytest.mark.parametrize("D", [3, 6, 9])
+    def test_small_degrees_equal_splits_walk(self, D):
+        Fc = build_Fc(D)
+        assert op.solve_open_kdv(Fc, D).terms == splits_walk(Fc, D).terms
+
     def test_initial_coefficients(self, Fo_kdv):
         g = Fo_kdv.grading
         assert Fo_kdv.coefficient(exps(g, s=3)) == Q(1, 6)
@@ -59,6 +144,12 @@ class TestSolveOpenKdv:
     def test_open_kdv_equations_hold(self, n, Fo_kdv, Fc17):
         # Equations hold for every reachable n, not just those used to solve.
         res = op.open_kdv_residual(Fo_kdv, Fc17, n)
+        assert res.is_zero(), sorted(res.terms)[:3]
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_open_kdv_equations_hold_at_24(self, n, Fo_kdv24, Fc24):
+        res = op.open_kdv_residual(Fo_kdv24, Fc24, n)
+        assert res.max_degree == 24 - (2 * n + 1)
         assert res.is_zero(), sorted(res.terms)[:3]
 
 

@@ -314,6 +314,101 @@ class TestGradedKernelProperties:
         assert same(f.log().exp(), f)
 
 
+def ref_add(a, b):
+    n = min(a.max_degree, b.max_degree)
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Q(0)) + c
+    return MultiSeries(a.grading, out, n)
+
+
+def ref_derivative(f, i):
+    out = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return MultiSeries(f.grading, out, f.max_degree)
+
+
+def well_bucketed(f):
+    """The kept buckets are those the constructor would compute, with no
+    zero coefficient and no empty bucket."""
+    fresh = MultiSeries(f.grading, f.terms, f.max_degree)
+    return (
+        f.buckets() == fresh.buckets()
+        and fresh.terms == f.terms
+        and all(f.buckets().values())
+    )
+
+
+class TestBucketConstructors:
+    """+, -, scalar *, derivative and truncate build their results from the
+    operands' degree buckets instead of recomputing degrees."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_results_match_constructor(self, data):
+        w = data.draw(WEIGHTS)
+        a = data.draw(sparse_series(w))
+        b = data.draw(sparse_series(w))
+        c = data.draw(COEFFS)
+        i = data.draw(st.integers(0, len(w) - 1))
+        k = data.draw(st.integers(0, 9))
+        n = min(a.max_degree, b.max_degree)
+        neg_b = MultiSeries(b.grading, {e: -v for e, v in b.terms.items()},
+                            b.max_degree)
+        cases = [
+            (a + b, ref_add(a, b)),
+            (a - b, ref_add(a, neg_b)),
+            (-b, neg_b),
+            (a - a, MultiSeries.zero(a.grading, a.max_degree)),
+            (a * c, MultiSeries(a.grading, {e: c * v for e, v in a.terms.items()},
+                                a.max_degree)),
+            (a.derivative(a.grading.names[i]), ref_derivative(a, i)),
+            (a.truncate(k), MultiSeries(a.grading, a.terms, min(k, a.max_degree))),
+            (a + 3, ref_add(a, MultiSeries.constant(a.grading, 3, a.max_degree))),
+        ]
+        assert (a + b).max_degree == n
+        for got, want in cases:
+            assert same(got, want) and well_bucketed(got)
+
+
+def ref_power_mul(a, b):
+    """Schoolbook product of the coefficient lists, in Fractions."""
+    n = min(a.order, b.order)
+    out = [Q(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+# Mixed denominators, explicit zeros and negative entries.
+POWER_COEFFS = st.one_of(
+    st.just(Q(0)),
+    st.integers(-(10**30), 10**30).map(Q),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+
+
+class TestPowerSeriesIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(POWER_COEFFS, min_size=1, max_size=14),
+        st.lists(POWER_COEFFS, min_size=1, max_size=14),
+    )
+    def test_mul_matches_schoolbook(self, a, b):
+        A, B = PowerSeries(a), PowerSeries(b)
+        p = A * B
+        assert p.order == min(A.order, B.order)
+        assert list(p.coeffs) == ref_power_mul(A, B)
+        assert all(type(c) is Q for c in p.coeffs)
+
+    def test_mul_of_zero_series(self):
+        z = PowerSeries.zero(4)
+        assert (z * exp_series(6)).coeffs == (Q(0),) * 5
+
+
 class TestDivideExact:
     def test_difference_of_squares(self):
         num = BiPoly({(2, 0): Q(1), (0, 2): Q(-1)}, 4)
