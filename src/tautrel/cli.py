@@ -326,17 +326,51 @@ def _finish_suite(suite, order, seed, checks, started):
     return report
 
 
+def _times_power(series, k):
+    """series * var^k through the order of ``series``, by shifting its
+    coefficients.  A product with the series var^k would truncate to
+    the smaller of the two orders and build a Fraction per coefficient.
+
+    >>> _times_power(PowerSeries([1, 2, 3], 2), 1).coeffs
+    (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
+    """
+    return PowerSeries(
+        [0] * k + list(series.coeffs[: series.order + 1 - k]),
+        series.order,
+        series.var,
+    )
+
+
+def _reflection_holds(H0, H1, order):
+    """H0(T)H1(-T) + H0(-T)H1(T) == 2 through T^order, from half-size
+    products.
+
+    Write H = E(u) + T O(u) with u = T^2.  The left side is then
+    2 (E0 E1 - u O0 O1), whose odd part vanishes identically, so the
+    identity says E0 E1 - u O0 O1 == 1 through u^(order // 2), with
+    u O0 O1 formed by _times_power.
+    """
+    m = order // 2
+    E0, E1 = (PowerSeries(H.coeffs[::2], m, "u") for H in (H0, H1))
+    O0, O1 = (PowerSeries(H.coeffs[1::2], m, "u") for H in (H0, H1))
+    return E0 * E1 - _times_power(O0 * O1, 1) == PowerSeries.one(m, "u")
+
+
 def _suite_series(order, seed):
+    """The ODEs of A and B, the reflection identity of H0 and H1 (from
+    half-size products, see _reflection_holds), the printed leading
+    coefficients and the ODE of D, through the given order.  Products
+    with powers of z are coefficient shifts (_times_power)."""
     started = time.monotonic()
     order = order or 30
     checks = []
     A = named_series.series_A(order + 2)
     B = named_series.series_B(order + 2)
-    z = PowerSeries.identity(order, var="z")
-    half = Fraction(1, 2)
+    At = A.truncate(order)
     ode1 = (
-        z * z * A.truncate(order).derivative() * 3
-        + (z * half - PowerSeries.one(order)) * A.truncate(order)
+        _times_power(At.derivative(), 2) * 3
+        + _times_power(At, 1) * Fraction(1, 2)
+        - At
         - B.truncate(order)
     )
     checks.append(
@@ -349,9 +383,10 @@ def _suite_series(order, seed):
     )
     Ap = A.truncate(order + 1).derivative()
     ode2 = (
-        z * z * Ap.truncate(order).derivative() * 3
-        + (z * 6 - PowerSeries.one(order) * 2) * Ap.truncate(order)
-        + A.truncate(order) * Fraction(5, 12)
+        _times_power(Ap.derivative(), 2) * 3
+        + _times_power(Ap, 1) * 6
+        - Ap * 2
+        + At * Fraction(5, 12)
     )
     checks.append(
         _check(
@@ -362,13 +397,11 @@ def _suite_series(order, seed):
     )
     H0 = named_series.series_H0(order)
     H1 = named_series.series_H1(order)
-    refl = H0 * H1.scale_argument(-1) + H0.scale_argument(-1) * H1
-    two = PowerSeries.one(order) * 2
     checks.append(
         _check(
             "reflection",
             "H0(T)H1(-T) + H0(-T)H1(T) == 2 through T^%d" % order,
-            refl == two,
+            _reflection_holds(H0, H1, order),
         )
     )
     printed = {

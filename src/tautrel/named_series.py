@@ -41,13 +41,29 @@ def _a_coeff(i: int) -> Fraction:
     return Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i) * 288**i)
 
 
+@lru_cache(maxsize=None)
+def _a_coeffs(order: int) -> tuple:
+    """(a_0, ..., a_order) with a_i = (6i)!/((3i)!(2i)! 288^i), each from
+    a_{i-1} by the ratio (6i-1)(6i-3)(6i-5)/(72 i (2i-1)).
+
+    >>> _a_coeffs(2)
+    (Fraction(1, 1), Fraction(5, 24), Fraction(385, 1152))
+    """
+    out = [Q(1)]
+    for i in range(1, order + 1):
+        out.append(
+            out[-1] * Q((6 * i - 1) * (6 * i - 3) * (6 * i - 5), 72 * i * (2 * i - 1))
+        )
+    return tuple(out)
+
+
 def series_A(order: int) -> PowerSeries:
     """A(z) = sum_i (6i)!/((3i)!(2i)!) (z/288)^i.
 
     >>> series_A(2).coeffs
     (Fraction(1, 1), Fraction(5, 24), Fraction(385, 1152))
     """
-    return PowerSeries([_a_coeff(i) for i in range(order + 1)], order)
+    return PowerSeries(list(_a_coeffs(order)), order)
 
 
 def series_B(order: int) -> PowerSeries:
@@ -57,7 +73,7 @@ def series_B(order: int) -> PowerSeries:
     (Fraction(-1, 1), Fraction(7, 24))
     """
     return PowerSeries(
-        [_a_coeff(i) * Q(6 * i + 1, 6 * i - 1) for i in range(order + 1)], order
+        [a * Q(6 * i + 1, 6 * i - 1) for i, a in enumerate(_a_coeffs(order))], order
     )
 
 
@@ -91,14 +107,17 @@ def series_calB(order: int) -> PowerSeries:
 def series_H0(order: int) -> PowerSeries:
     """H0(T) = A(-288 T) = 1 - 60T + 27720T^2 - ..."""
     return PowerSeries(
-        [_a_coeff(i) * (-288) ** i for i in range(order + 1)], order, var="T"
+        [a * (-288) ** i for i, a in enumerate(_a_coeffs(order))], order, var="T"
     )
 
 
 def series_H1(order: int) -> PowerSeries:
     """H1(T) = -B(-288 T) = 1 + 84T - 32760T^2 + ..."""
     return PowerSeries(
-        [-_a_coeff(i) * Q(6 * i + 1, 6 * i - 1) * (-288) ** i for i in range(order + 1)],
+        [
+            -a * Q(6 * i + 1, 6 * i - 1) * (-288) ** i
+            for i, a in enumerate(_a_coeffs(order))
+        ],
         order,
         var="T",
     )

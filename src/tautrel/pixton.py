@@ -247,7 +247,9 @@ def pixton_class(g, n, A, d):
             % (3 * d, g - 1 + sum(A))
         )
     element = StrataElement(g, n, d)
-    for graph in enumerate_stable_graphs(g, n):
+    # A graph with more than d edges leaves a negative decoration
+    # budget and contributes nothing.
+    for graph in enumerate_stable_graphs(g, n, max_edges=d):
         terms = _graph_summand(graph, A, d)
         # strata.integrate divides by |Aut|, matching the formula's
         # 1/|Aut(Gamma)|; only 1/2^{h1} is applied here.

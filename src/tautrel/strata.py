@@ -115,27 +115,37 @@ class StableGraph:
         for v, pv in enumerate(perm):
             inv[pv] = v
         genera = tuple(self.genera[inv[v]] for v in range(len(perm)))
-        return StableGraph._unchecked(genera, *self._moved(perm))
-
-    def _moved(self, perm):
-        """Legs and sorted edges of the relabelling by ``perm``."""
         legs = tuple([perm[v] for v in self.legs])
+        return StableGraph._unchecked(genera, legs, self._moved_edges(perm))
+
+    def _moved_edges(self, perm):
+        """Sorted edges of the relabelling by ``perm``."""
         edges = []
         for v, w in self.edges:
             pv, pw = perm[v], perm[w]
             edges.append((pv, pw) if pv <= pw else (pw, pv))
         edges.sort()
-        return legs, tuple(edges)
+        return tuple(edges)
 
     def key(self):
         return (self.genera, self.legs, self.edges)
 
     def canonical(self):
-        """The relabelling with the lexicographically least key()."""
-        legs, edges = min(
-            self._moved(p) for p in _genus_sorting_perms(self.genera)
+        """The relabelling with the lexicographically least key().
+
+        key() compares sorted genera, then legs, then edges.  The least
+        legs tuple gives each leg-carrying vertex, in order of its first
+        leg, the lowest free slot of its genus; only the vertices
+        without legs are left to permute.
+        """
+        target = tuple(sorted(self.genera))
+        slots = _leg_first_slots(self.genera, self.legs)
+        edges = min(
+            self._moved_edges(p)
+            for p in _genus_perms(self.genera, target, slots)
         )
-        return StableGraph._unchecked(sorted(self.genera), legs, edges)
+        legs = tuple([slots[v] for v in self.legs])
+        return StableGraph._unchecked(target, legs, edges)
 
     def __eq__(self, other):
         return isinstance(other, StableGraph) and self.key() == other.key()
@@ -154,53 +164,71 @@ class StableGraph:
         }
 
 
-def _genus_perms(genera, target):
-    """Vertex permutations p with target[p[v]] == genera[v] for every v.
+def _genus_perms(genera, target, fixed):
+    """Vertex permutations p with target[p[v]] == genera[v] for every v,
+    and p[v] == fixed[v] for every vertex in the dict ``fixed``.
 
     ``target`` is a rearrangement of ``genera``.  Only these can carry
     a graph to one with genera ``target``: with target = genera they
     hold every automorphism, and with target = sorted(genera) every
     relabelling that can reach the least key, whose genera are sorted.
+    ``fixed`` pins vertices whose slot is already known (leg carriers);
+    the rest are permuted within their genus over the free slots.
 
-    >>> list(_genus_perms((1, 0, 0), (0, 0, 1)))
+    >>> list(_genus_perms((1, 0, 0), (0, 0, 1), {}))
     [[2, 0, 1], [2, 1, 0]]
+    >>> list(_genus_perms((1, 0, 0), (0, 0, 1), {2: 0}))
+    [[2, 1, 0]]
     """
     nv = len(genera)
+    taken = set(fixed.values())
     blocks = [
         (
-            [v for v in range(nv) if genera[v] == h],
-            [s for s in range(nv) if target[s] == h],
+            [v for v in range(nv) if genera[v] == h and v not in fixed],
+            [s for s in range(nv) if target[s] == h and s not in taken],
         )
         for h in sorted(set(genera))
     ]
+    base = [fixed.get(v, 0) for v in range(nv)]
     for images in itertools.product(
         *(itertools.permutations(slots) for _, slots in blocks)
     ):
-        p = [0] * nv
+        p = list(base)
         for (verts, _), img in zip(blocks, images):
             for v, pv in zip(verts, img):
                 p[v] = pv
         yield p
 
 
-def _genus_sorting_perms(genera):
-    return _genus_perms(genera, tuple(sorted(genera)))
+def _leg_first_slots(genera, legs):
+    """Slot of each leg carrier in the least key(): in order of first
+    leg, the lowest slot of its genus in sorted(genera) not yet taken.
 
-
-def _subsets(items):
-    for picks in itertools.product((False, True), repeat=len(items)):
-        yield list(itertools.compress(items, picks))
+    >>> _leg_first_slots((1, 0, 0), (2, 0, 2))
+    {2: 0, 0: 2}
+    """
+    target = sorted(genera)
+    free = {h: target.index(h) for h in set(genera)}
+    slots = {}
+    for v in legs:
+        if v not in slots:
+            slots[v] = free[genera[v]]
+            free[genera[v]] += 1
+    return slots
 
 
 def _degenerations(graph):
-    """(genera, legs, edges) of the graphs with one more edge that
-    contract back to ``graph``; they are not validated.
+    """(genera, legs, edges) of graphs with one more edge that contract
+    back to ``graph``: every isomorphism class among them at least once.
 
     Either a loop is added at a vertex v of positive genus, lowering
     its genus by one, or v is split into v and a new vertex u joined
-    to it by an edge: u takes part of v's genus, a subset of its legs
-    and a subset of its half-edges (both halves of a loop counted
-    separately).
+    to it by an edge: u takes genus hu of v's genus h, a subset of its
+    legs and a subset of its half-edges (both halves of a loop counted
+    separately).  A split is yielded only when both sides are stable,
+    2 hu + #legs + #halves >= 2 for u and likewise for v, and only when
+    (hu, leg picks, half picks) is at most its mirror, the complement
+    that exchanges u and v and gives an isomorphic graph.
     """
     genera, legs, edges = graph.genera, graph.legs, graph.edges
     u = len(genera)
@@ -215,53 +243,75 @@ def _degenerations(graph):
         half_slots = [
             (i, j) for i, e in enumerate(edges) for j in (0, 1) if e[j] == v
         ]
+        leg_picks = _picks(len(leg_slots))
+        half_picks = _picks(len(half_slots))
+        m, k = len(leg_slots), len(half_slots)
         for hu in range(h + 1):
             split_genera = genera[:v] + (h - hu,) + genera[v + 1:] + (hu,)
-            for moved_legs in _subsets(leg_slots):
-                split_legs = list(legs)
-                for i in moved_legs:
-                    split_legs[i] = u
-                for moved_halves in _subsets(half_slots):
+            for lp, lp_mirror, mu in leg_picks:
+                for hp, hp_mirror, ku in half_picks:
+                    if (
+                        2 * hu + mu + ku < 2
+                        or 2 * (h - hu) + (m - mu) + (k - ku) < 2
+                        or (hu, lp, hp) > (h - hu, lp_mirror, hp_mirror)
+                    ):
+                        continue
+                    split_legs = list(legs)
+                    for i in itertools.compress(leg_slots, lp):
+                        split_legs[i] = u
                     split_edges = [list(e) for e in edges]
-                    for i, j in moved_halves:
+                    for i, j in itertools.compress(half_slots, hp):
                         split_edges[i][j] = u
                     split_edges.append((v, u))
                     yield split_genera, split_legs, split_edges
 
 
-def enumerate_stable_graphs(g, n):
-    """One representative per isomorphism class of stable graphs.
+def _picks(size):
+    """(picks, complement, count picked) for every subset of range(size)."""
+    return [
+        (picks, tuple(not x for x in picks), sum(picks))
+        for picks in itertools.product((False, True), repeat=size)
+    ]
 
-    Graphs are generated by degeneration, one edge count at a time,
-    from the smooth graph.  Contracting any edge of a stable graph
-    gives a stable graph with one edge fewer, so every class is
-    reached.  The representative is the least relabelling
-    (StableGraph.canonical), and the list is sorted by key().
+
+def enumerate_stable_graphs(g, n, max_edges=None):
+    """One representative per isomorphism class of stable graphs, with
+    at most ``max_edges`` edges when that is given.
+
+    Graphs are generated by stable, mirror-free degeneration
+    (_degenerations), one edge count at a time, from the smooth graph.
+    Contracting any edge of a stable graph gives a stable graph with
+    one edge fewer, so every class is reached.  Each candidate is
+    validated by the StableGraph constructor.  The representative is
+    the least relabelling (StableGraph.canonical), and the list is
+    sorted by key().
 
     >>> len(enumerate_stable_graphs(0, 3))
     1
     >>> len(enumerate_stable_graphs(1, 1))
     2
+    >>> len(enumerate_stable_graphs(2, 0, max_edges=1))
+    3
     """
     if g < 0 or n < 0:
         raise ValueError("negative (g, n) = (%d, %d)" % (g, n))
     if 2 * g - 2 + n <= 0:
         raise ValueError("unstable (g, n) = (%d, %d)" % (g, n))
+    if max_edges is not None and max_edges < 0:
+        raise ValueError("negative max_edges = %d" % max_edges)
     smooth = StableGraph((g,), (0,) * n, ())
     found = {smooth.key(): smooth}
     level = [smooth]
-    while level:
+    n_edges = 0
+    while level and (max_edges is None or n_edges < max_edges):
         next_level = {}
         for graph in level:
             for genera, legs, edges in _degenerations(graph):
-                try:
-                    candidate = StableGraph(genera, legs, edges)
-                except ValueError:
-                    continue
-                canon = candidate.canonical()
+                canon = StableGraph(genera, legs, edges).canonical()
                 next_level.setdefault(canon.key(), canon)
         found.update(next_level)
         level = list(next_level.values())
+        n_edges += 1
     return sorted(found.values(), key=StableGraph.key)
 
 
@@ -275,11 +325,12 @@ def automorphism_order(graph):
     >>> automorphism_order(StableGraph((0, 0), (), [(0, 1)] * 3))
     12
     """
-    fixed = (graph.legs, graph.edges)
     order = sum(
         1
-        for p in _genus_perms(graph.genera, graph.genera)
-        if graph._moved(p) == fixed
+        for p in _genus_perms(
+            graph.genera, graph.genera, {v: v for v in graph.legs}
+        )
+        if graph._moved_edges(p) == graph.edges
     )
     mult = {}
     for e in graph.edges:
@@ -400,13 +451,15 @@ class Decoration:
 def _canonical_pair(graph, dec):
     """Minimal representative of a decorated graph under vertex perms.
 
-    The least candidate has sorted genera, so only genus-sorting
-    permutations are tried.
+    The least candidate has sorted genera and, as in
+    StableGraph.canonical, its leg carriers in their leg-first slots,
+    so only the remaining genus-preserving permutations are tried.
     """
     nv = len(graph.genera)
     genera = tuple(sorted(graph.genera))
     best = None
-    for p in _genus_sorting_perms(graph.genera):
+    fixed = _leg_first_slots(graph.genera, graph.legs)
+    for p in _genus_perms(graph.genera, genera, fixed):
         inv = [0] * nv
         for v, pv in enumerate(p):
             inv[pv] = v

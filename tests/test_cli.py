@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tautrel import airy, cli, named_series
 from tautrel.cli import dispatch
+from tautrel.series import PowerSeries
 
 
 class TestExitCodes:
@@ -359,6 +361,80 @@ class TestVerify:
         assert {"seed", "wall_time_s", "threads"} <= set(data)
         names = [c["name"] for c in data["checks"]]
         assert "first_ode" in names and "reflection" in names
+
+    # index = order (even order), the highest index the identity
+    # constrains at an odd order, and odd indices.
+    @pytest.mark.parametrize(
+        "order,index", [(20, 20), (21, 20), (20, 7), (21, 19), (300, 300)]
+    )
+    def test_series_suite_catches_h1_perturbation(self, monkeypatch, order, index):
+        real = named_series.series_H1
+
+        def perturbed(n):
+            coeffs = list(real(n).coeffs)
+            coeffs[index] += 1
+            return PowerSeries(coeffs, n, "T")
+
+        monkeypatch.setattr(named_series, "series_H1", perturbed)
+        code, out = dispatch(
+            ["verify", "series", "--order", str(order), "--format", "json"]
+        )
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["failures"]]
+        assert failed == ["reflection"]
+
+    @pytest.mark.parametrize(
+        "name,index,failed",
+        [("series_B", 11, ["first_ode"]),
+         ("series_A", 7, ["first_ode", "second_ode"])],
+    )
+    def test_series_suite_catches_ode_perturbation(
+        self, monkeypatch, name, index, failed
+    ):
+        real = getattr(named_series, name)
+
+        def perturbed(n):
+            coeffs = list(real(n).coeffs)
+            coeffs[index] += 1
+            return PowerSeries(coeffs, n)
+
+        monkeypatch.setattr(named_series, name, perturbed)
+        code, out = dispatch(
+            ["verify", "series", "--order", "20", "--format", "json"]
+        )
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["failures"]] == failed
+
+    def test_times_power_is_product_with_monomial(self):
+        s = PowerSeries([Fraction(k + 1, k + 2) for k in range(9)], 8, "u")
+        for k in range(10):
+            monomial = PowerSeries([0] * k + [1], 8, "u")
+            got = cli._times_power(s, k)
+            assert (got.coeffs, got.order, got.var) == (
+                (monomial * s).coeffs, 8, "u")
+
+    @pytest.mark.parametrize("order", [8, 9])
+    def test_reflection_check_matches_two_product_oracle(self, order):
+        # Perturb one coefficient of H0 or H1 at every index: the
+        # half-size check agrees with the literal identity, including at
+        # odd index = order, where both sides of the identity ignore it.
+        def literal(H0, H1):
+            lhs = H0 * H1.scale_argument(-1) + H0.scale_argument(-1) * H1
+            return lhs == PowerSeries.one(order) * 2
+
+        H = (named_series.series_H0(order), named_series.series_H1(order))
+        verdicts = set()
+        for which in (0, 1):
+            for index in range(order + 1):
+                coeffs = list(H[which].coeffs)
+                coeffs[index] += 1
+                pair = list(H)
+                pair[which] = PowerSeries(coeffs, order, "T")
+                got = cli._reflection_holds(pair[0], pair[1], order)
+                assert got == literal(*pair), (which, index)
+                verdicts.add(got)
+        assert cli._reflection_holds(H[0], H[1], order)
+        assert verdicts == ({False, True} if order % 2 else {False})
 
     def test_flatness_suite(self):
         code, out = dispatch(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -8,6 +9,12 @@ from tautrel.series import PowerSeries
 
 
 class TestAB:
+    def test_a_coeffs_closed_form(self):
+        assert ns._a_coeffs(400) == tuple(
+            Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i) * 288**i)
+            for i in range(401)
+        )
+
     def test_first_coefficients(self):
         A = ns.series_A(2)
         assert A[0] == 1

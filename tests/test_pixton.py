@@ -262,6 +262,19 @@ class TestPixtonClass:
         assert pixton.pixton_class(2, 0, (), 2).is_zero()
 
     @pytest.mark.parametrize(
+        "g,n,A,d", [(3, 0, (), 4), (2, 2, (1, 0), 4), (1, 1, (1,), 1)]
+    )
+    def test_edge_cap_keeps_terms(self, monkeypatch, g, n, A, d):
+        # Graphs with more than d edges contribute nothing, so the class
+        # built from the full census has the same terms.
+        capped = pixton.pixton_class(g, n, A, d)
+        full = strata.enumerate_stable_graphs
+        monkeypatch.setattr(
+            pixton, "enumerate_stable_graphs", lambda g, n, max_edges: full(g, n)
+        )
+        assert capped.terms and pixton.pixton_class(g, n, A, d).terms == capped.terms
+
+    @pytest.mark.parametrize(
         "g,n,A,d",
         [(1, 1, (1,), 1), (2, 0, (), 1), (2, 1, (1,), 1), (2, 0, (), 2)],
     )

@@ -2,6 +2,8 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautrel import pixton, strata
 from tautrel.descendents import bracket
@@ -15,6 +17,14 @@ def ref_canonical(graph):
     nv = len(graph.genera)
     return min((graph.relabel(p) for p in permutations(range(nv))),
                key=StableGraph.key)
+
+
+# Graphs with legs on some vertices only, and leg-less ones whose
+# genus classes hold up to four vertices.
+CANONICAL_CASES = [
+    gr for g, n in [(1, 3), (2, 2), (3, 0)]
+    for gr in strata.enumerate_stable_graphs(g, n)
+]
 
 
 def ref_enumerate(g, n):
@@ -134,16 +144,55 @@ class TestEnumeration:
     def test_closed_counts(self, g, want):
         assert len(strata.enumerate_stable_graphs(g, 0)) == want
 
-    @pytest.mark.parametrize("g,n", [(0, 4), (1, 1), (1, 2), (2, 0), (2, 1)])
+    @pytest.mark.parametrize(
+        "g,n",
+        [(0, 4), (1, 1), (1, 2), (2, 0), (2, 1), (1, 4), (2, 2), (3, 0),
+         (3, 1)],
+    )
     def test_emitted_invariants(self, g, n):
         graphs = strata.enumerate_stable_graphs(g, n)
         assert len(set(gr.key() for gr in graphs)) == len(graphs)
         for gr in graphs:
+            assert StableGraph(gr.genera, gr.legs, gr.edges) == gr  # valid
             assert gr.genus == g and gr.n_legs == n
             assert sum(gr.genera) + gr.h1 == g
             for v in range(len(gr.genera)):
                 assert 2 * gr.genera[v] - 2 + gr.valence(v) > 0
             assert gr.canonical() == gr  # canonical idempotence
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_canonical_of_relabelling(self, data):
+        gr = data.draw(st.sampled_from(CANONICAL_CASES))
+        p = data.draw(st.permutations(range(len(gr.genera))))
+        assert gr.relabel(p).canonical() == ref_canonical(gr)
+
+    def test_candidate_count(self, monkeypatch):
+        # Each split is built once, and only when both sides are stable;
+        # without the two filters this enumeration builds 5093 graphs.
+        built = []
+        init = StableGraph.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(StableGraph, "__init__", counting_init)
+        strata.enumerate_stable_graphs(1, 4)
+        assert len(built) == 495
+
+    @pytest.mark.parametrize(
+        "g,n,cap", [(2, 2, 0), (2, 2, 2), (1, 4, 1), (3, 0, 3), (2, 0, 9)]
+    )
+    def test_edge_cap(self, g, n, cap):
+        full = strata.enumerate_stable_graphs(g, n)
+        assert strata.enumerate_stable_graphs(g, n, max_edges=cap) == [
+            gr for gr in full if len(gr.edges) <= cap
+        ]
+
+    def test_negative_edge_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_edges"):
+            strata.enumerate_stable_graphs(1, 1, max_edges=-1)
 
     def test_invalid_graphs_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +220,7 @@ class TestAutomorphisms:
         assert strata.automorphism_order(gr) == 2
 
     @pytest.mark.parametrize(
-        "g,n", [(1, 1), (1, 2), (2, 0), (2, 1), (1, 3), (0, 5)]
+        "g,n", [(1, 1), (1, 2), (2, 0), (2, 1), (1, 3), (0, 5), (2, 2), (3, 0)]
     )
     def test_against_half_edge_brute_force(self, g, n):
         for gr in strata.enumerate_stable_graphs(g, n):
@@ -331,6 +380,12 @@ class TestIntegrate:
         got = pixton.pixton_class(3, 0, (), 4).to_json()
         monkeypatch.setattr(strata, "_canonical_pair", ref_canonical_pair)
         assert got == pixton.pixton_class(3, 0, (), 4).to_json()
+
+    def test_canonical_pair_with_legs_matches_reference(self, monkeypatch):
+        # The leg carriers take fixed slots; the other vertices permute.
+        got = pixton.pixton_class(2, 2, (1, 0), 4).to_json()
+        monkeypatch.setattr(strata, "_canonical_pair", ref_canonical_pair)
+        assert got == pixton.pixton_class(2, 2, (1, 0), 4).to_json()
 
     def test_json_round_structure(self):
         gr = StableGraph((0,), (0,), [(0, 0)])
