@@ -17,16 +17,13 @@ suites with machine-readable output:
 Exit codes: 0 on success, 1 on a failed check or invalid input data
 (with a structured diff naming the location), 2 on usage errors, which
 include an argument below the smallest value its computation runs at.
-Rationals serialize as "p/q" strings.  The environment variable
-TAUTREL_THREADS is validated and echoed as each suite's ``threads``
-field; the computations themselves run in one thread.
+Rationals serialize as "p/q" strings.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -46,20 +43,6 @@ class CheckFailure(Exception):
     def __init__(self, report):
         super().__init__(report.get("message", "check failed"))
         self.report = report
-
-
-def thread_count():
-    """TAUTREL_THREADS as reported by the suites (default: cpu count)."""
-    raw = os.environ.get("TAUTREL_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError:
-            raise CheckFailure(
-                {"message": "TAUTREL_THREADS must be an integer", "got": raw}
-            )
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
 
 
 def _parse_int_list(text):
@@ -309,7 +292,6 @@ def _finish_suite(suite, order, seed, checks, started):
         "suite": suite,
         "order": order,
         "seed": seed,
-        "threads": thread_count(),
         "wall_time_s": round(time.monotonic() - started, 3),
         "checks": checks,
         "ok": all(c["ok"] for c in checks),
@@ -609,7 +591,7 @@ def _kappa_monomials(deg):
 def _suite_pixton(order, seed):
     started = time.monotonic()
     checks = []
-    sec = pixton.edge_factor(0, 1, 1)
+    sec = pixton.edge_factor(1)
     edge_values = {
         "constant_parity11": (sec[(1, 1)].coefficient(0, 0), Fraction(60)),
         "constant_parity00": (sec[(0, 0)].coefficient(0, 0), Fraction(-84)),
@@ -711,6 +693,7 @@ def _suite_flatness(order, seed):
     return _finish_suite("flatness", order, seed, checks, started)
 
 
+# In dependency order, the order ``verify all`` runs them in.
 _SUITES = {
     "series": _suite_series,
     "descendents": _suite_descendents,
@@ -721,19 +704,14 @@ _SUITES = {
     "flatness": _suite_flatness,
 }
 
-_ALL_ORDER = [
-    "series", "descendents", "open", "strata", "pixton", "frobenius", "flatness",
-]
-
-
 def cmd_verify(args):
     if args.suite == "all":
         started = time.monotonic()
         reports = []
-        for name in _ALL_ORDER:
+        for suite in _SUITES.values():
             # CheckFailure propagates, short-circuiting on the first
             # structural failure.
-            reports.append(_SUITES[name](None, args.seed))
+            reports.append(suite(None, args.seed))
         return {
             "suite": "all",
             "seed": args.seed,

@@ -13,12 +13,12 @@ of prod_v zeta_v^{h(v)-1} in the product of
   - zeta' H1(zeta' psi') H0(zeta'' psi'') by psi' + psi'',
 
 weighted by 1/2^{h1(Gamma)}.  The parity algebra is the group algebra
-of (Z/2)^V: monomials are vertex subsets multiplying by symmetric
-difference.
+of (Z/2)^V: a zeta-monomial is a bit set over the vertices, and
+monomials multiply by exclusive or.
 
-In the vertex factor the zeta-parity of a kappa-monomial is its
-weighted degree mod 2 (kappa_a has degree a), so the factor is the
-kappa class of T - T H0(T) split into its even- and odd-degree parts.
+Each factor is a label-free table of its even and odd zeta-parity
+parts, computed once per decoration budget; vertex labels enter only
+when _graph_summand turns the parities into bits.
 """
 
 from fractions import Fraction
@@ -36,7 +36,6 @@ from .strata import (
 
 __all__ = [
     "NotInPixtonSetError",
-    "ZetaPolynomial",
     "vertex_factor",
     "leg_factor",
     "edge_factor",
@@ -49,47 +48,24 @@ class NotInPixtonSetError(ValueError):
     """Raised when (g, n, A, d) violates an admissibility condition."""
 
 
-class ZetaPolynomial:
-    """Element of the group algebra of (Z/2)^V over an arbitrary ring.
-
-    Terms map frozensets of vertex ids (the support of a square-free
-    zeta-monomial) to coefficients.
-
-    >>> x = ZetaPolynomial({frozenset([0]): Fraction(2)})
-    >>> x.coefficient([0]), x.coefficient([])
-    (Fraction(2, 1), None)
-    """
-
-    def __init__(self, terms):
-        self.terms = {frozenset(s): c for s, c in terms.items()}
-
-    def coefficient(self, subset):
-        return self.terms.get(frozenset(subset), None)
-
-    def __eq__(self, other):
-        return isinstance(other, ZetaPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        return "ZetaPolynomial(%r)" % (self.terms,)
-
-
 @lru_cache(maxsize=None)
 def _h_coeffs(which, order):
     series = series_H0(order) if which == 0 else series_H1(order)
     return tuple(series[k] for k in range(order + 1))
 
 
-def vertex_factor(v, truncation):
-    """kappa(T - T H0(zeta_v T)) as a ZetaPolynomial over kappa-polynomials.
+@lru_cache(maxsize=None)
+def vertex_factor(truncation):
+    """kappa(T - T H0(zeta T)) as its (even, odd) zeta-parity parts.
 
     The T^{b+1} coefficient of f = T - T H0(zeta T) carries zeta^b, so
     kappa_a carries zeta^a and each kappa-monomial carries zeta to its
-    weighted degree: the factor is strata.kappa_of_f(T - T H0(T)) with
-    its even-degree part on the empty subset and its odd-degree part
-    on {v}.
+    weighted degree: the factor is strata.kappa_of_f(T - T H0(T)) split
+    into its even- and odd-degree KappaPolynomials.  Cached per
+    truncation; callers must not mutate the returned polynomials.
 
-    >>> out = vertex_factor(0, 1)
-    >>> out.coefficient(frozenset([0])).terms
+    >>> even, odd = vertex_factor(1)
+    >>> odd.terms
     {(1,): Fraction(60, 1)}
     """
     T = PowerSeries.identity(truncation + 1)
@@ -97,38 +73,38 @@ def vertex_factor(v, truncation):
     parts = ({}, {})
     for e, c in kappa.terms.items():
         parts[KappaPolynomial.term_degree(e) % 2][e] = c
-    return ZetaPolynomial(
-        {
-            frozenset(): KappaPolynomial(parts[0]),
-            frozenset([v]): KappaPolynomial(parts[1]),
-        }
-    )
+    return KappaPolynomial(parts[0]), KappaPolynomial(parts[1])
 
 
-def leg_factor(v, a_l, truncation):
-    """zeta^{a_l} H_{a_l}(zeta psi) as {subset: {psi_exp: coeff}}.
+@lru_cache(maxsize=None)
+def leg_factor(a_l, truncation):
+    """zeta^{a_l} H_{a_l}(zeta psi) as its (even, odd) zeta-parity parts,
+    each a map {psi_exp: coeff}.  Cached per (a_l, truncation); callers
+    must not mutate the returned maps.
 
-    >>> out = leg_factor(0, 1, 1)
-    >>> out.coefficient(frozenset([0]))
-    {0: Fraction(1, 1)}
+    >>> leg_factor(1, 1)
+    ({1: Fraction(84, 1)}, {0: Fraction(1, 1)})
     """
     if a_l not in (0, 1):
         raise ValueError("leg marking must be 0 or 1")
     h = _h_coeffs(a_l, truncation)
-    parts = [{}, {}]
+    parts = ({}, {})
     for k in range(truncation + 1):
         if h[k]:
             parts[(k + a_l) % 2][k] = h[k]
-    return ZetaPolynomial({frozenset(): parts[0], frozenset([v]): parts[1]})
+    return parts
 
 
-def edge_factor(v, w, truncation):
+@lru_cache(maxsize=None)
+def edge_factor(truncation):
     """Delta_e by sector of (zeta', zeta'') parity, as BiPoly quotients.
 
     Returns a dict {(p', p''): BiPoly in (psi', psi'')}.  For a loop
-    (v == w) use the dict as-is and fold parities when assembling.
+    the two parities fall on one vertex and cancel when both are odd.
+    Cached per truncation; callers must not mutate the returned dict or
+    its BiPolys.
 
-    >>> sec = edge_factor(0, 1, 0)
+    >>> sec = edge_factor(0)
     >>> sec[(1, 1)].coefficient(0, 0), sec[(0, 0)].coefficient(0, 0)
     (Fraction(60, 1), Fraction(-84, 1))
     """
@@ -159,75 +135,65 @@ def edge_factor(v, w, truncation):
 
 
 def _graph_summand(graph, A, d):
-    """Decorated terms (Decoration -> coeff) for one graph at codim d."""
-    nv = len(graph.genera)
+    """Decorated terms (Decoration -> coeff) for one graph at codim d.
+
+    Every vertex, leg and edge offers a list of options (parity bits,
+    degree, pick, coeff), where bit v of the parity bits is the
+    exponent of zeta_v.  The products of one option per factor are
+    folded left to right, dropping any whose degree passes the budget;
+    a product is kept when its bits are the target prod_v
+    zeta_v^{h(v)-1} and its degree is the budget.
+    """
+    nv, n = len(graph.genera), len(graph.legs)
     budget = d - len(graph.edges)
     if budget < 0:
         return {}
-    target = frozenset(v for v in range(nv) if (graph.genera[v] - 1) % 2)
-
-    # states: (zeta-subset, degree, vkappas, leg_psis, edge_psis) -> coeff
-    states = {(frozenset(), 0, (), (), ()): Fraction(1)}
-
-    def advance(options):
-        # options: list of (subset, degree, payload, coeff)
-        nonlocal states
-        new = {}
-        for (s, deg, vk, lp, ep), c in states.items():
-            for s2, d2, payload, c2 in options:
-                nd = deg + d2
-                if nd > budget:
-                    continue
-                key = _extend(s ^ s2, nd, vk, lp, ep, payload)
-                val = c * c2
-                new[key] = new.get(key, Fraction(0)) + val
-        states = new
-
-    for v in range(nv):
-        zp = vertex_factor(v, budget)
-        options = []
-        for s, kp in zp.terms.items():
-            for e, c in kp.terms.items():
-                options.append((s, KappaPolynomial.term_degree(e), ("v", e), c))
-        advance(options)
-    for leg_v, a_l in zip(graph.legs, A):
-        zp = leg_factor(leg_v, a_l, budget)
-        options = []
-        for s, ser in zp.terms.items():
-            for k, c in ser.items():
-                options.append((s, k, ("l", k), c))
-        advance(options)
+    factors = [
+        [
+            (p << v, KappaPolynomial.term_degree(e), e, c)
+            for p, part in enumerate(vertex_factor(budget))
+            for e, c in part.terms.items()
+        ]
+        for v in range(nv)
+    ]
+    for v, a_l in zip(graph.legs, A):
+        factors.append(
+            [
+                (p << v, k, k, c)
+                for p, part in enumerate(leg_factor(a_l, budget))
+                for k, c in part.items()
+            ]
+        )
+    sectors = edge_factor(budget)
     for v, w in graph.edges:
-        sectors = edge_factor(v, w, budget)
-        options = []
-        for (p1, p2), bp in sectors.items():
-            s = frozenset()
-            if p1:
-                s ^= frozenset([v])
-            if p2:
-                s ^= frozenset([w])
-            for (i, j), c in bp.terms.items():
-                options.append((s, i + j, ("e", (i, j)), c))
-        advance(options)
+        factors.append(
+            [
+                ((p1 << v) ^ (p2 << w), i + j, (i, j), c)
+                for (p1, p2), bp in sectors.items()
+                for (i, j), c in bp.terms.items()
+            ]
+        )
 
+    # partial products: (bits, degree, picks) -> coeff.  A loop's pick
+    # (i, j) occurs in two parity sectors with the same bits, so the
+    # products are summed, never assigned.
+    terms = {(0, 0, ()): Fraction(1)}
+    for options in factors:
+        folded = {}
+        for (bits, deg, picks), c in terms.items():
+            for bits2, deg2, pick, c2 in options:
+                if deg + deg2 <= budget:
+                    key = (bits ^ bits2, deg + deg2, picks + (pick,))
+                    folded[key] = folded.get(key, 0) + c * c2
+        terms = folded
+
+    target = sum(((h - 1) % 2) << v for v, h in enumerate(graph.genera))
     out = {}
-    for (s, deg, vk, lp, ep), c in states.items():
-        if s != target or deg != budget:
-            continue
-        dec = Decoration(vk, lp, ep)
-        out[dec] = out.get(dec, Fraction(0)) + c
+    for (bits, deg, picks), c in terms.items():
+        if bits == target and deg == budget:
+            dec = Decoration(picks[:nv], picks[nv:nv + n], picks[nv + n:])
+            out[dec] = out.get(dec, 0) + c
     return out
-
-
-def _extend(subset, deg, vk, lp, ep, payload):
-    kind, data = payload
-    if kind == "v":
-        vk = vk + (data,)
-    elif kind == "l":
-        lp = lp + (data,)
-    else:
-        ep = ep + (data,)
-    return (subset, deg, vk, lp, ep)
 
 
 def pixton_class(g, n, A, d):
@@ -260,12 +226,12 @@ def pixton_class(g, n, A, d):
 
 
 def fz_restriction_report(g, d):
-    """Diagnostic: the smooth-graph part of the n=0 class vs fz_relation.
+    """The smooth-graph part of the n=0 class against fz_relation.
 
-    The normalization between the two conventions is not pinned down a
-    priori, so this reports a proportionality search instead of
-    asserting equality: if the smooth part is a constant multiple of
-    the kappa-relation from fz_relation, the scale is reported.
+    The smooth part must equal (-1)^d fz_relation(g, d, ()) exactly;
+    ``match`` says whether it does, and both term maps are reported.
+    Data failing the parity condition of the kappa relation are not
+    comparable, and their smooth part vanishes by zeta-parity.
     """
     from .fz import NotARelationError, fz_relation
 
@@ -275,21 +241,12 @@ def fz_restriction_report(g, d):
         if not graph.edges:
             smooth[dec.vertex_kappas[0]] = c
     try:
-        rel = dict(fz_relation(g, d, ()).terms)
+        rel = fz_relation(g, d, ())
     except NotARelationError as exc:
         return {"comparable": False, "reason": str(exc), "smooth": smooth}
-    scales = set()
-    for e in set(smooth) | set(rel):
-        a, b = smooth.get(e, Fraction(0)), rel.get(e, Fraction(0))
-        if (a == 0) != (b == 0):
-            scales.add(None)
-        elif b != 0:
-            scales.add(a / b)
-    match = len(scales) == 1 and None not in scales
     return {
         "comparable": True,
-        "match": match,
-        "scale": str(scales.pop()) if match else None,
+        "match": smooth == {e: (-1) ** d * c for e, c in rel.terms.items()},
         "smooth": {e: str(c) for e, c in smooth.items()},
-        "fz": {e: str(c) for e, c in rel.items()},
+        "fz": {e: str(c) for e, c in rel.terms.items()},
     }

@@ -97,8 +97,9 @@ class PowerSeries:
         n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
+    # Equality compares through the smaller order, which no hash of one
+    # operand can follow, so series are unhashable.
+    __hash__ = None
 
     def truncate(self, order: int) -> "PowerSeries":
         return PowerSeries(self.coeffs[: order + 1], min(order, self.order), self.var)

@@ -131,21 +131,8 @@ class StableGraph:
         return (self.genera, self.legs, self.edges)
 
     def canonical(self):
-        """The relabelling with the lexicographically least key().
-
-        key() compares sorted genera, then legs, then edges.  The least
-        legs tuple gives each leg-carrying vertex, in order of its first
-        leg, the lowest free slot of its genus; only the vertices
-        without legs are left to permute.
-        """
-        target = tuple(sorted(self.genera))
-        slots = _leg_first_slots(self.genera, self.legs)
-        edges = min(
-            self._moved_edges(p)
-            for p in _genus_perms(self.genera, target, slots)
-        )
-        legs = tuple([slots[v] for v in self.legs])
-        return StableGraph._unchecked(target, legs, edges)
+        """The relabelling with the lexicographically least key()."""
+        return _canonical_form(self)[0]
 
     def __eq__(self, other):
         return isinstance(other, StableGraph) and self.key() == other.key()
@@ -164,23 +151,45 @@ class StableGraph:
         }
 
 
-def _genus_perms(genera, target, fixed):
-    """Vertex permutations p with target[p[v]] == genera[v] for every v,
-    and p[v] == fixed[v] for every vertex in the dict ``fixed``.
+def _canonical_form(graph):
+    """The least relabelling of ``graph`` and every permutation reaching it.
 
-    ``target`` is a rearrangement of ``genera``.  Only these can carry
-    a graph to one with genera ``target``: with target = genera they
-    hold every automorphism, and with target = sorted(genera) every
-    relabelling that can reach the least key, whose genera are sorted.
+    key() compares sorted genera, then legs, then edges.  The least
+    legs tuple gives each leg-carrying vertex, in order of its first
+    leg, the lowest free slot of its genus; only the vertices without
+    legs are left to permute.  The permutations returned form one coset
+    of the vertex automorphisms that fix the legs.
+
+    >>> _canonical_form(StableGraph((1, 0), (), [(0, 1), (1, 1)]))
+    (StableGraph((0, 1), (), ((0, 0), (0, 1))), [[1, 0]])
+    """
+    slots = _leg_first_slots(graph.genera, graph.legs)
+    best, perms = None, []
+    for p in _genus_perms(graph.genera, slots):
+        edges = graph._moved_edges(p)
+        if best is None or edges < best:
+            best, perms = edges, [p]
+        elif edges == best:
+            perms.append(p)
+    legs = tuple([slots[v] for v in graph.legs])
+    canon = StableGraph._unchecked(sorted(graph.genera), legs, best)
+    return canon, perms
+
+
+def _genus_perms(genera, fixed):
+    """Vertex permutations p with sorted(genera)[p[v]] == genera[v] for
+    every v, and p[v] == fixed[v] for every vertex in the dict ``fixed``.
+
     ``fixed`` pins vertices whose slot is already known (leg carriers);
     the rest are permuted within their genus over the free slots.
 
-    >>> list(_genus_perms((1, 0, 0), (0, 0, 1), {}))
+    >>> list(_genus_perms((1, 0, 0), {}))
     [[2, 0, 1], [2, 1, 0]]
-    >>> list(_genus_perms((1, 0, 0), (0, 0, 1), {2: 0}))
+    >>> list(_genus_perms((1, 0, 0), {2: 0}))
     [[2, 1, 0]]
     """
     nv = len(genera)
+    target = sorted(genera)
     taken = set(fixed.values())
     blocks = [
         (
@@ -318,20 +327,15 @@ def enumerate_stable_graphs(g, n, max_edges=None):
 def automorphism_order(graph):
     """Order of the automorphism group on (vertices, half-edges).
 
-    Legs are fixed pointwise.  Beyond vertex permutations, parallel
-    edges between a fixed pair may be permuted and the two half-edges
-    of each loop may be swapped.
+    Legs are fixed pointwise.  The vertex automorphisms are counted as
+    the permutations reaching the canonical form, one coset of them.
+    Beyond vertex permutations, parallel edges between a fixed pair may
+    be permuted and the two half-edges of each loop may be swapped.
 
     >>> automorphism_order(StableGraph((0, 0), (), [(0, 1)] * 3))
     12
     """
-    order = sum(
-        1
-        for p in _genus_perms(
-            graph.genera, graph.genera, {v: v for v in graph.legs}
-        )
-        if graph._moved_edges(p) == graph.edges
-    )
+    order = len(_canonical_form(graph)[1])
     mult = {}
     for e in graph.edges:
         mult[e] = mult.get(e, 0) + 1
@@ -451,15 +455,14 @@ class Decoration:
 def _canonical_pair(graph, dec):
     """Minimal representative of a decorated graph under vertex perms.
 
-    The least candidate has sorted genera and, as in
-    StableGraph.canonical, its leg carriers in their leg-first slots,
-    so only the remaining genus-preserving permutations are tried.
+    Only the permutations reaching the canonical graph are tried, so
+    every candidate carries that graph and candidates compare by their
+    vertex kappas, then their edge psis.
     """
+    canon, perms = _canonical_form(graph)
     nv = len(graph.genera)
-    genera = tuple(sorted(graph.genera))
     best = None
-    fixed = _leg_first_slots(graph.genera, graph.legs)
-    for p in _genus_perms(graph.genera, genera, fixed):
+    for p in perms:
         inv = [0] * nv
         for v, pv in enumerate(p):
             inv[pv] = v
@@ -471,14 +474,10 @@ def _canonical_pair(graph, dec):
             (pv, a), (pw, b) = sorted(((p[v], kv), (p[w], kw)))
             items.append((pv, pw, a, b))
         items.sort()
-        edges = tuple(item[:2] for item in items)
-        psis = tuple(item[2:] for item in items)
-        legs = tuple([p[v] for v in graph.legs])
-        cand = ((genera, legs, edges), vk, dec.leg_psis, psis)
+        cand = (vk, tuple(item[2:] for item in items))
         if best is None or cand < best:
             best = cand
-    key, vk, leg_psis, psis = best
-    return StableGraph._unchecked(*key), Decoration(vk, leg_psis, psis)
+    return canon, Decoration(best[0], dec.leg_psis, best[1])
 
 
 class StrataElement:

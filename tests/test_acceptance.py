@@ -348,7 +348,7 @@ class TestCriterion10PixtonZeroPairings:
         assert time.monotonic() - started < 300
 
     def test_edge_factor_coefficients(self):
-        sec = pixton.edge_factor(0, 1, 1)
+        sec = pixton.edge_factor(1)
         # degree 0: 60 z'z'' - 84
         assert sec[(1, 1)].coefficient(0, 0) == 60
         assert sec[(0, 0)].coefficient(0, 0) == -84

@@ -358,7 +358,7 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] and data["order"] == 20
-        assert {"seed", "wall_time_s", "threads"} <= set(data)
+        assert {"seed", "wall_time_s"} <= set(data)
         names = [c["name"] for c in data["checks"]]
         assert "first_ode" in names and "reflection" in names
 
@@ -477,17 +477,6 @@ class TestVerify:
             "series", "descendents", "open", "strata", "pixton", "frobenius",
             "flatness",
         ]
-
-    def test_thread_env_respected(self, monkeypatch):
-        monkeypatch.setenv("TAUTREL_THREADS", "2")
-        code, out = dispatch(["verify", "strata", "--format", "json"])
-        assert json.loads(out)["threads"] == 2
-
-    def test_thread_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("TAUTREL_THREADS", "many")
-        code, out = dispatch(["verify", "strata", "--format", "json"])
-        assert code == 1
-        assert "TAUTREL_THREADS" in out
 
 
 class TestMain:

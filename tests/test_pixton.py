@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import cli, pixton, strata
+from tautrel import cli, fz, pixton, strata
 from tautrel.fz import KappaPolynomial
 from tautrel.named_series import series_H0, series_H1
 from tautrel.series import BiPoly, DivisibilityError, PowerSeries, divide_exact
@@ -144,17 +144,11 @@ class TestKappaOracles:
 
     @pytest.mark.parametrize("t", range(7))
     def test_vertex_factor(self, t):
-        out = pixton.vertex_factor(3, t)
-        even, odd = ref_vertex_factor(t)
-        assert out.coefficient(frozenset()) == even
-        assert out.coefficient(frozenset([3])) == odd
-        assert set(out.terms) == {frozenset(), frozenset([3])}
+        assert pixton.vertex_factor(t) == ref_vertex_factor(t)
 
     @pytest.mark.parametrize("t", range(7))
     def test_parity_halves_sum_to_kappa_of_f(self, t):
-        out = pixton.vertex_factor(0, t)
-        even = out.coefficient(frozenset()).terms
-        odd = out.coefficient(frozenset([0])).terms
+        even, odd = (part.terms for part in pixton.vertex_factor(t))
         assert not set(even) & set(odd)
         whole = strata.kappa_of_f(vertex_series(t), t)
         assert KappaPolynomial({**even, **odd}) == whole
@@ -166,49 +160,44 @@ class TestKappaOracles:
 
 class TestVertexFactor:
     def test_degree0(self):
-        out = pixton.vertex_factor(0, 0)
-        assert out.coefficient(frozenset()).terms == {(): Q(1)}
+        even, odd = pixton.vertex_factor(0)
+        assert even.terms == {(): Q(1)} and odd.is_zero()
 
     def test_degree1(self):
-        out = pixton.vertex_factor(0, 1)
-        assert out.coefficient(frozenset([0])).terms == {(1,): Q(60)}
-        assert out.coefficient(frozenset()).terms == {(): Q(1)}
+        even, odd = pixton.vertex_factor(1)
+        assert odd.terms == {(1,): Q(60)}
+        assert even.terms == {(): Q(1)}
 
     def test_degree2_even_part(self):
         # even-parity degree-2 terms come from the T^3 coefficient
         # -27720 (kappa_2) and the two-point term (60 zeta)^2/2 ->
         # (1800)(k1^2 + k2) with parity 0.
-        out = pixton.vertex_factor(0, 2)
-        even = out.coefficient(frozenset())
+        even, _ = pixton.vertex_factor(2)
         assert even.coefficient((0, 1)) == Q(-27720 + 1800)
         assert even.coefficient((2,)) == Q(1800)
 
 
 class TestLegFactor:
     def test_a0(self):
-        out = pixton.leg_factor(0, 0, 1)
-        assert out.coefficient(frozenset()) == {0: Q(1)}
-        assert out.coefficient(frozenset([0])) == {1: Q(-60)}
+        assert pixton.leg_factor(0, 1) == ({0: Q(1)}, {1: Q(-60)})
 
     def test_a1(self):
-        out = pixton.leg_factor(0, 1, 1)
-        assert out.coefficient(frozenset([0])) == {0: Q(1)}
-        assert out.coefficient(frozenset()) == {1: Q(84)}
+        assert pixton.leg_factor(1, 1) == ({1: Q(84)}, {0: Q(1)})
 
     def test_bad_marking(self):
         with pytest.raises(ValueError):
-            pixton.leg_factor(0, 2, 1)
+            pixton.leg_factor(2, 1)
 
 
 class TestEdgeFactor:
     def test_degree0(self):
-        sec = pixton.edge_factor(0, 1, 0)
+        sec = pixton.edge_factor(0)
         assert sec[(1, 1)].coefficient(0, 0) == Q(60)
         assert sec[(0, 0)].coefficient(0, 0) == Q(-84)
         assert sec[(1, 0)].is_zero() and sec[(0, 1)].is_zero()
 
     def test_degree1(self):
-        sec = pixton.edge_factor(0, 1, 1)
+        sec = pixton.edge_factor(1)
         # 32760 (z'psi' + z''psi'') - 27720 (z'psi'' + z''psi')
         assert sec[(1, 0)].coefficient(1, 0) == Q(32760)
         assert sec[(0, 1)].coefficient(0, 1) == Q(32760)
@@ -218,12 +207,13 @@ class TestEdgeFactor:
     @pytest.mark.parametrize("trunc", [0, 1, 2, 4, 8, 12])
     def test_divisibility_exact(self, trunc):
         # divide_exact raises DivisibilityError on any remainder, so
-        # construction succeeding is the assertion.
-        pixton.edge_factor(0, 1, trunc)
+        # construction succeeding is the assertion.  __wrapped__
+        # bypasses the cache, so the quotient is formed here.
+        pixton.edge_factor.__wrapped__(trunc)
 
     @pytest.mark.parametrize("trunc", [0, 1, 3, 6])
     def test_half_edge_symmetry(self, trunc):
-        sec = pixton.edge_factor(0, 1, trunc)
+        sec = pixton.edge_factor(trunc)
         for (p1, p2), bp in sec.items():
             assert bp.swap() == sec[(p2, p1)]
 
@@ -412,14 +402,46 @@ class TestZetaAveragingOracle:
         assert count > 0
 
 
+FZ_MATCH_CASES = [(2, 1), (2, 3), (3, 2), (4, 3), (6, 3)]
+
+
 class TestFZRestriction:
     def test_report_matches_up_to_sign(self):
-        rep = pixton.fz_restriction_report(2, 3)
-        assert rep["comparable"] and rep["match"]
-        assert rep["scale"] == "-1"
+        # The smooth part is exactly (-1)^d fz_relation(g, d, ()).
+        for g, d in FZ_MATCH_CASES:
+            rep = pixton.fz_restriction_report(g, d)
+            assert rep["comparable"] and rep["match"] and rep["smooth"]
+            assert rep["smooth"] == {
+                e: str((-1) ** d * Q(c)) for e, c in rep["fz"].items()
+            }
+
+    @pytest.mark.parametrize("g,d", FZ_MATCH_CASES)
+    def test_doubled_constants_fail(self, monkeypatch, g, d):
+        # A proportionality search accepted doubled constants at (2, 1)
+        # with scale -1/2; the exact check must not.
+        constants = fz.fz_constants
+        monkeypatch.setattr(
+            fz, "fz_constants", lambda r, sigma: 2 * constants(r, sigma)
+        )
+        rep = pixton.fz_restriction_report(g, d)
+        assert rep["comparable"] and rep["match"] is False
+        assert rep["smooth"] and rep["fz"]
 
     def test_report_not_comparable(self):
-        # (3, 1) is admissible for the graph sum but fails the parity
-        # condition of the kappa-relation extraction.
-        rep = pixton.fz_restriction_report(3, 1)
-        assert rep["comparable"] is False
+        # (3, 1) and (4, 2) are admissible for the graph sum but fail
+        # the parity condition of the kappa-relation extraction; the
+        # zeta-parity kills their smooth part identically.
+        for g, d in [(3, 1), (4, 2)]:
+            rep = pixton.fz_restriction_report(g, d)
+            assert rep["comparable"] is False
+            assert "validity" in rep["reason"] and rep["smooth"] == {}
+
+
+class TestFactorCache:
+    def test_one_table_per_budget(self):
+        d = 4
+        pixton.vertex_factor.cache_clear()
+        pixton.edge_factor.cache_clear()
+        assert pixton.pixton_class(3, 1, (0,), d).terms
+        assert pixton.vertex_factor.cache_info().misses <= d + 1
+        assert pixton.edge_factor.cache_info().misses <= d + 1

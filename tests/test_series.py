@@ -47,6 +47,13 @@ class TestPowerSeries:
     def test_log_exp_inverse_pair(self):
         assert exp_series(15).log() == PowerSeries.identity(15)
 
+    def test_unhashable(self):
+        # Equal through the smaller order, so no hash can agree with ==.
+        a, b = PowerSeries([1], 0), PowerSeries([1, 5], 1)
+        assert a == b
+        with pytest.raises(TypeError):
+            {a, b}
+
     def test_exp_log_roundtrip_random(self):
         rng = random.Random(7)
         for _ in range(5):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations, product
 
@@ -225,6 +226,68 @@ class TestAutomorphisms:
     def test_against_half_edge_brute_force(self, g, n):
         for gr in strata.enumerate_stable_graphs(g, n):
             assert strata.automorphism_order(gr) == aut_brute(gr), gr
+
+
+def relabel_pair(graph, dec, p, rng):
+    """The decorated graph with vertex v renamed p[v].  Parallel edges
+    are shuffled along with their psi pairs, and each loop's two halves
+    are swapped at random."""
+    nv = len(p)
+    inv = [0] * nv
+    for v, pv in enumerate(p):
+        inv[pv] = v
+    items = []
+    for (v, w), (a, b) in zip(graph.edges, dec.edge_psis):
+        pv, pw = p[v], p[w]
+        if pv > pw or (pv == pw and rng.random() < 0.5):
+            pv, pw, a, b = pw, pv, b, a
+        items.append(((pv, pw), (a, b)))
+    rng.shuffle(items)
+    items.sort(key=lambda item: item[0])
+    relabelled = StableGraph(
+        [graph.genera[inv[v]] for v in range(nv)],
+        [p[v] for v in graph.legs],
+        [e for e, _ in items],
+    )
+    vk = [dec.vertex_kappas[inv[v]] for v in range(nv)]
+    return relabelled, Decoration(vk, dec.leg_psis, [ab for _, ab in items])
+
+
+class TestCanonicalForm:
+    """strata._canonical_form is the one walk over relabellings behind
+    canonical(), automorphism_order() and _canonical_pair()."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perms_reach_reference_key(self, seed):
+        rng = random.Random(seed)
+        for gr in CANONICAL_CASES:
+            nv = len(gr.genera)
+            p = list(range(nv))
+            rng.shuffle(p)
+            moved = gr.relabel(p)
+            want = ref_canonical(gr).key()
+            canon, perms = strata._canonical_form(moved)
+            assert canon.key() == want
+            for q in perms:
+                assert moved.relabel(q).key() == want
+            assert len(perms) == sum(
+                1 for q in permutations(range(nv))
+                if moved.relabel(q).key() == moved.key()
+            )
+
+    @pytest.mark.parametrize("g,n,A,d", [(3, 0, (), 4), (2, 2, (1, 0), 4)])
+    def test_canonical_pair_of_relabelled_terms(self, g, n, A, d):
+        rng = random.Random(g * 10 + n)
+        element = pixton.pixton_class(g, n, A, d)
+        moved_some = False
+        for graph, dec in element.terms:
+            p = list(range(len(graph.genera)))
+            rng.shuffle(p)
+            moved = relabel_pair(graph, dec, p, rng)
+            moved_some |= moved != (graph, dec)
+            got = strata._canonical_pair(*moved)
+            assert got == ref_canonical_pair(*moved) == (graph, dec), moved
+        assert moved_some
 
 
 class TestKappaOfF:
