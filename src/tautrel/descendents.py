@@ -2,15 +2,28 @@ r"""Closed descendent integrals, the potential F^c, and its consistency checks.
 
 The brackets <tau_{k_1} ... tau_{k_n}>_g are determined by the Virasoro
 constraints L_n exp(F^c) = 0 alone.  Extracting the coefficient of a
-monomial from the constraint with n = k_max - 1 yields a recursion that
-strictly lowers (sum k, multiset) and bottoms out at the inhomogeneous
-terms t_0^2/2 (string, forcing <tau_0^3>_0 = 1) and 1/16 (dilaton, forcing
-<tau_1>_1 = 1/24).  The genus of a bracket is implied by the dimension
-constraint 3g - 3 + n = sum k_i, so brackets are keyed by the exponent
-multiset only.
+monomial from the constraint with n = k_max - 1 yields the DVV recursion
+(Dijkgraaf-Verlinde-Verlinde), which strictly lowers (sum k, multiset) and
+bottoms out at the inhomogeneous terms t_0^2/2 (string, forcing
+<tau_0^3>_0 = 1) and 1/16 (dilaton, forcing <tau_1>_1 = 1/24).  The genus
+of a bracket is implied by the dimension constraint 3g - 3 + n = sum k_i,
+so brackets are keyed by the exponent multiset only.
+
+The recursion runs on integers: with chi = 2g - 2 + n, the scaled bracket
+M(ks) = 2^(2 chi + 1) prod (2k_i + 1)!! <tau_ks>_g (Liu-Xu's normalisation,
+math/0701319, times a power of 2) satisfies M(0, 0, 0) = 8, M(1) = 1 and
+
+    M(0, S) = 4 sum_j (2k_j + 1) M(S with k_j -> k_j - 1),
+    M(1, S) = 12 (2g - 2 + |S|) M(S),
+    M(n + 1, S) = 4 sum_j (2k_j + 1) M(S with k_j -> k_j + n)
+        + sum_{a+b=n-1} [2 M(S + {a, b}) + sum_{I+J=S} M(I + {a}) M(J + {b})]
+
+for n >= 1 and max S <= n + 1.  Only :func:`bracket` builds a Fraction.
 
 Weighted degree of t_i is 2i + 1 throughout; a genus-g, n-point bracket
-contributes a monomial of weighted degree 6g - 6 + 3n.
+contributes a monomial of weighted degree 6g - 6 + 3n = 3 chi, and
+:func:`build_Fc` lists for each (g, n) only the multisets with
+sum k = 3g - 3 + n.
 """
 
 from __future__ import annotations
@@ -50,47 +63,60 @@ def bracket(ks: tuple) -> Fraction:
     Fraction(1, 1152)
     """
     ks = tuple(sorted(ks))
-    if not ks or _genus_of(ks) is None:
+    g = _genus_of(ks)
+    if g is None:
         return Q(0)
+    den = 2 ** (4 * g - 3 + 2 * len(ks))
+    for k in ks:
+        den *= double_factorial(2 * k + 1)
+    return Fraction(_scaled_bracket(ks), den)
+
+
+@lru_cache(maxsize=None)
+def _scaled_bracket(ks: tuple) -> int:
+    """The integer M(ks) of the module docstring for sorted ``ks``; 0 if
+    no genus fits."""
+    g = _genus_of(ks)
+    if g is None:
+        return 0
     if ks[0] == 0:
         # String equation from L_{-1}: F_{t_0} = sum_i t_i F_{t_{i-1}} + t_0^2/2.
         if ks == (0, 0, 0):
-            return Q(1)
+            return 8
         rest = ks[1:]
-        total = Q(0)
+        total = 0
         for k, m in Counter(rest).items():
-            if k >= 1:
+            if k:
                 j = rest.index(k)
-                total += m * bracket(rest[:j] + (k - 1,) + rest[j + 1 :])
-        return total
+                lower = rest[:j] + (k - 1,) + rest[j + 1 :]
+                total += m * (2 * k + 1) * _scaled_bracket(lower)
+        return 4 * total
     if ks[-1] == 1:
         # Dilaton from L_0: (3/2) F_{t_1} = sum_i ((2i+1)/2) t_i F_{t_i} + 1/16.
         if ks == (1,):
-            return Q(2, 3) * Q(1, 16)
-        rest = ks[:-1]
-        return Q(2, 3) * (sum(rest) + Q(len(rest), 2)) * bracket(rest)
-    # DVV recursion from L_n with n = k_max - 1 >= 1.  Equal exponents give
-    # equal sub-brackets, so each sum runs over distinct values weighted by
-    # multiplicity, and over sub-multisets weighted by prod comb(m_v, t_v)
-    # for the splits.  Sub-bracket keys are built sorted, so the cache holds
-    # each multiset once.
+            return 1
+        return 12 * (2 * g - 3 + len(ks)) * _scaled_bracket(ks[:-1])
+    # DVV with n = k_max - 1 >= 1.  Equal exponents give equal terms, so
+    # each sum runs over distinct values weighted by multiplicity, and over
+    # sub-multisets weighted by prod comb(m_v, t_v) for the splits.  Keys
+    # are built sorted, so the cache holds each multiset once.
     n = ks[-1] - 1
     rest = ks[:-1]
-    total = Q(0)
+    total = 0
     for k, m in Counter(rest).items():
-        c = Q(double_factorial(2 * k + 2 * n + 1), double_factorial(2 * k - 1))
         j = rest.index(k)
-        total += m * c * bracket(rest[:j] + rest[j + 1 :] + (k + n,))
+        raised = rest[:j] + rest[j + 1 :] + (k + n,)
+        total += m * (2 * k + 1) * _scaled_bracket(raised)
+    total *= 4
     splits = _multiset_splits(rest)
-    for i in range(n):
-        c = Q(double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2)
-        acc = bracket(_insert(_insert(rest, i), n - 1 - i))
+    for a in range(n):
+        b = n - 1 - a
+        total += 2 * _scaled_bracket(_insert(_insert(rest, a), b))
         for weight, inside, outside in splits:
-            left = bracket(_insert(inside, i))
+            left = _scaled_bracket(_insert(inside, a))
             if left:
-                acc += weight * left * bracket(_insert(outside, n - 1 - i))
-        total += c * acc
-    return total / double_factorial(2 * n + 3)
+                total += weight * left * _scaled_bracket(_insert(outside, b))
+    return total
 
 
 def _insert(ks: tuple, k: int) -> tuple:
@@ -138,32 +164,22 @@ def t_grading(degree_max: int) -> Grading:
     )
 
 
-def _monomials_by_degree(num_vars: int, weights, degree_max: int):
-    """All exponent tuples with weighted degree <= degree_max."""
-    out = [[tuple([0] * num_vars)]]
-    for d in range(1, degree_max + 1):
-        row = []
-        # build monomials of degree d whose smallest used variable index is i
-        def rec(i, d_left, exps):
-            if d_left == 0:
-                row.append(tuple(exps))
-                return
-            if i >= num_vars or weights[i] > d_left:
-                return
-            rec(i + 1, d_left, exps)
-            exps[i] += 1
-            rec(i, d_left - weights[i], exps)
-            exps[i] -= 1
-
-        rec(0, d, [0] * num_vars)
-        out.append(row)
-    return out
+def _multisets(s: int, n: int, top: int):
+    """Non-increasing n-tuples of integers in [0, top] summing to s."""
+    if s == 0:
+        yield (0,) * n
+        return
+    for k in range(min(top, s), 0, -1):
+        if s <= k * n:
+            for rest in _multisets(s - k, n - 1, k):
+                yield (k,) + rest
 
 
 def build_Fc(degree_max: int, grading: Grading | None = None) -> MultiSeries:
     """F^c as a MultiSeries to the given weighted degree.
 
-    The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!.
+    The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, one
+    Fraction M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)) each.
 
     >>> g = t_grading(5)
     >>> build_Fc(5, g).coefficient((3, 0, 0))
@@ -174,23 +190,20 @@ def build_Fc(degree_max: int, grading: Grading | None = None) -> MultiSeries:
     if grading is None:
         grading = t_grading(degree_max)
     nv = len(grading)
+    dfact = [double_factorial(2 * k + 1) for k in range(nv)]
     terms = {}
-    for row in _monomials_by_degree(nv, grading.weights, degree_max):
-        for exps in row:
-            n = sum(exps)
-            if n == 0:
-                continue
-            ks = tuple(
-                k for k, e in enumerate(exps) for _ in range(e)
-            )
-            if _genus_of(ks) is None:
-                continue
-            val = bracket(ks)
-            if val:
-                sym = 1
-                for e in exps:
-                    sym *= factorial(e)
-                terms[exps] = val / sym
+    for chi in range(1, degree_max // 3 + 1):
+        for g in range((chi + 1) // 2 + 1):
+            n = chi + 2 - 2 * g
+            for ks in _multisets(3 * g - 3 + n, n, nv - 1):
+                exps = [0] * nv
+                for k in ks:
+                    exps[k] += 1
+                den = 2 ** (2 * chi + 1)
+                for k, e in enumerate(exps):
+                    if e:
+                        den *= dfact[k] ** e * factorial(e)
+                terms[tuple(exps)] = Fraction(_scaled_bracket(ks[::-1]), den)
     return MultiSeries(grading, terms, degree_max)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
-from math import comb
+from math import comb, prod
 
 from .descendents import build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
@@ -240,19 +240,15 @@ def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
         for i, e in enumerate(exps):
             k = double_factorial(2 * i - 1)
             choices.append(
-                [(r, comb(e, r) * Q(-k) ** r, (2 * i + 1) * r) for r in range(e + 1)]
+                [(r, comb(e, r) * (-k) ** r, (2 * i + 1) * r) for r in range(e + 1)]
             )
         for combo in iter_product(*choices):
             j = sum(t[2] for t in combo)
             if j == 0:
                 continue
-            coeff = c
-            mono = []
-            for (r, w, _), e in zip(combo, exps):
-                coeff *= w
-                mono.append(e - r)
+            coeff = c * prod(t[1] for t in combo)
+            key = tuple(e - t[0] for t, e in zip(combo, exps))
             part = P.setdefault(j, {}).setdefault(d - j, {})
-            key = tuple(mono)
             part[key] = part.get(key, Q(0)) + coeff
     # exp(P): P has only j >= 1 terms, hence nilpotent below D_max.
     ratio = graded_exp(P, D_max, (0,) * len(g), budget=D_max)

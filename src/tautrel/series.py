@@ -27,14 +27,18 @@ algorithms for manipulating formal power series" (JACM 1978).
 the factors; besides :meth:`MultiSeries.exp` it serves exponentials graded
 by a power of an auxiliary variable z.
 
-All coefficients are :class:`fractions.Fraction`; no floating point enters
-this module.  Values are immutable after construction and safe to share.
+All stored coefficients are :class:`fractions.Fraction`; no floating point
+enters this module.  Products and :func:`graded_exp` run on integers: each
+bucket becomes integer numerators over the lcm of its denominators, each
+output degree accumulates over one common denominator, and one Fraction is
+built per output term.  Values are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import add, mul
 from typing import Mapping, Sequence
 
@@ -300,20 +304,49 @@ def _mul_into(out: dict, a: Mapping, b: Mapping) -> None:
                 out[e] = c
 
 
-def _mul_buckets(a: Mapping, b: Mapping, limit, out: dict | None = None) -> dict:
-    """Product of two degree-bucketed term maps ``{d: {exps: coeff}}``.
-
-    Only bucket pairs with d1 + d2 <= ``limit`` are multiplied.  The result
-    is added into ``out`` (a new map by default) and may hold zeros.
-    """
-    if out is None:
-        out = {}
-    for d1, t1 in a.items():
-        room = limit - d1
-        for d2, t2 in b.items():
-            if d2 <= room:
-                _mul_into(out.setdefault(d1 + d2, {}), t1, t2)
+def _int_buckets(buckets: Mapping) -> dict:
+    """Degree buckets ``{d: {exps: coeff}}`` as ``{d: (m, {exps: c})}`` with
+    integers c = coeff * m, m the lcm of the bucket's denominators."""
+    out = {}
+    for d, part in buckets.items():
+        ints, m = _integer_coeffs(part.values())
+        out[d] = (m, dict(zip(part, ints)))
     return out
+
+
+def _mul_sum(pairs, limit, den: int = 1) -> dict:
+    """sum s * A * B / ``den`` over (s, A, B) in ``pairs``, integer buckets.
+
+    Only bucket pairs with d1 + d2 <= ``limit`` are multiplied.  Each output
+    degree accumulates over the lcm of its pairs' denominators and is
+    returned reduced, without zero terms or empty buckets.
+    """
+    by_degree: dict = {}
+    for s, a, b in pairs:
+        for d1, p1 in a.items():
+            room = limit - d1
+            for d2, p2 in b.items():
+                if d2 <= room:
+                    by_degree.setdefault(d1 + d2, []).append((s, p1, p2))
+    out = {}
+    for d, items in by_degree.items():
+        m = lcm(*(m1 * m2 for _, (m1, _), (m2, _) in items))
+        acc: dict = {}
+        for s, (m1, t1), (m2, t2) in items:
+            s *= m // (m1 * m2)
+            _mul_into(acc, {e: s * c for e, c in t1.items()} if s != 1 else t1, t2)
+        m *= den
+        g = gcd(m, *acc.values())
+        acc = {e: c // g for e, c in acc.items() if c}
+        if acc:
+            out[d] = (m // g, acc)
+    return out
+
+
+def _fraction_buckets(buckets: Mapping) -> dict:
+    """Integer buckets ``{d: (m, {exps: c})}`` back as ``{d: {exps: c / m}}``."""
+    return {d: {e: Fraction(c, m) for e, c in t.items()}
+            for d, (m, t) in buckets.items()}
 
 
 def _derivative_part(part: Mapping, i: int) -> dict:
@@ -326,14 +359,11 @@ def _derivative_part(part: Mapping, i: int) -> dict:
     return out
 
 
-def _scale(buckets: Mapping, c=1) -> dict:
+def _scale(buckets: Mapping, c) -> dict:
     """``c`` times a degree-bucketed term map, zero terms and buckets dropped."""
     out = {}
     for d, part in buckets.items():
-        if c == 1:
-            part = {e: v for e, v in part.items() if v}
-        else:
-            part = {e: c * v for e, v in part.items() if v}
+        part = {e: c * v for e, v in part.items() if v}
         if part:
             out[d] = part
     return out
@@ -355,21 +385,15 @@ def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None)
     >>> [e[d][d][(d,)] for d in range(4)]
     [Fraction(1, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 6)]
     """
-    scaled = [(k, _scale(parts[k], k)) for k in sorted(parts) if 0 < k <= top]
-    out = {0: {0: {unit: Q(1)}}}
+    scaled = [(k, _int_buckets(parts[k])) for k in sorted(parts) if 0 < k <= top]
+    out = {0: {0: (1, {unit: 1})}}
     for d in range(1, top + 1):
         limit = inf if budget is None else budget - d
-        acc: dict = {}
-        for k, kf in scaled:
-            if k > d:
-                break
-            prev = out.get(d - k)
-            if prev:
-                _mul_buckets(kf, prev, limit, acc)
-        acc = _scale(acc, Q(1, d))
+        pairs = [(k, kf, out[d - k]) for k, kf in scaled if d - k in out]
+        acc = _mul_sum(pairs, limit, d)
         if acc:
             out[d] = acc
-    return out
+    return {d: _fraction_buckets(part) for d, part in out.items()}
 
 
 class MultiSeries:
@@ -508,8 +532,9 @@ class MultiSeries:
             buckets = _scale(self.buckets(), c) if c else {}
             return MultiSeries.from_buckets(self.grading, buckets, self.max_degree)
         n = min(self.max_degree, other.max_degree)
-        out = _mul_buckets(self.buckets(), other.buckets(), n)
-        return MultiSeries.from_buckets(self.grading, _scale(out), n)
+        pairs = [(1, _int_buckets(self.buckets()), _int_buckets(other.buckets()))]
+        out = _fraction_buckets(_mul_sum(pairs, n))
+        return MultiSeries.from_buckets(self.grading, out, n)
 
     __rmul__ = __mul__
 

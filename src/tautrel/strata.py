@@ -18,7 +18,7 @@ closed descendent brackets.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .descendents import bracket
 from .fz import KappaPolynomial
@@ -543,18 +543,16 @@ class StrataElement:
         return {"g": self.g, "n": self.n, "d": self.d, "terms": out}
 
 
-def _prod_fact(xs):
-    p = 1
-    for x in xs:
-        p *= factorial(x)
-    return p
-
-
 def _multinomial_distributions(total, buckets):
-    """(composition, multinomial coefficient) pairs."""
-    for comp in itertools.product(range(total + 1), repeat=buckets):
-        if sum(comp) == total:
-            yield comp, factorial(total) // _prod_fact(comp)
+    """(composition, multinomial coefficient) pairs over the compositions
+    of ``total`` into ``buckets`` parts, in lexicographic order."""
+    if buckets <= 1:
+        if buckets == 1 or total == 0:
+            yield (total,) * buckets, 1
+        return
+    for first in range(total + 1):
+        for rest, mult in _multinomial_distributions(total - first, buckets - 1):
+            yield (first,) + rest, comb(total, first) * mult
 
 
 def integrate(element, psi_exps=(), kappa_exps=()):
@@ -575,12 +573,17 @@ def integrate(element, psi_exps=(), kappa_exps=()):
             % (element.d, extra_deg, 3 * g - 3 + n)
         )
     total = Fraction(0)
+    auts = {}
     for (graph, dec), coeff in element.terms.items():
-        total += coeff * _integrate_term(graph, dec, psi_exps, kappa_exps)
+        if graph not in auts:
+            auts[graph] = automorphism_order(graph)
+        total += coeff * _integrate_term(graph, dec, psi_exps, kappa_exps, auts[graph])
     return total
 
 
-def _integrate_term(graph, dec, psi_exps, kappa_exps):
+def _integrate_term(graph, dec, psi_exps, kappa_exps, aut=None):
+    """One decorated graph against the ambient monomial; ``aut`` is
+    automorphism_order(graph), computed here if not given."""
     nv = len(graph.genera)
     # Per-vertex psi lists: legs first, then half-edges.
     base_psis = [[] for _ in range(nv)]
@@ -614,4 +617,4 @@ def _integrate_term(graph, dec, psi_exps, kappa_exps):
             if prod == 0:
                 break
         total += prod
-    return total / automorphism_order(graph)
+    return total / (aut or automorphism_order(graph))

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -9,6 +11,79 @@ from tautrel import descendents as dsc
 from tautrel.named_series import a_j, series_calA
 from tautrel.named_series import double_factorial
 from tautrel.series import BiPoly, Grading, MultiSeries
+
+
+@lru_cache(maxsize=None)
+def ref_bracket(ks):
+    """The Fraction recursion: string, dilaton and DVV on <tau_ks> itself,
+    dividing by (2 k_max + 1)!! at every DVV step."""
+    ks = tuple(sorted(ks))
+    if not ks or dsc._genus_of(ks) is None:
+        return Q(0)
+    if ks[0] == 0:
+        if ks == (0, 0, 0):
+            return Q(1)
+        rest = ks[1:]
+        total = Q(0)
+        for k, m in Counter(rest).items():
+            if k >= 1:
+                j = rest.index(k)
+                total += m * ref_bracket(rest[:j] + (k - 1,) + rest[j + 1 :])
+        return total
+    if ks[-1] == 1:
+        if ks == (1,):
+            return Q(2, 3) * Q(1, 16)
+        rest = ks[:-1]
+        return Q(2, 3) * (sum(rest) + Q(len(rest), 2)) * ref_bracket(rest)
+    n = ks[-1] - 1
+    rest = ks[:-1]
+    total = Q(0)
+    for k, m in Counter(rest).items():
+        c = Q(double_factorial(2 * k + 2 * n + 1), double_factorial(2 * k - 1))
+        j = rest.index(k)
+        total += m * c * ref_bracket(rest[:j] + rest[j + 1 :] + (k + n,))
+    splits = dsc._multiset_splits(rest)
+    for i in range(n):
+        c = Q(double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2)
+        acc = ref_bracket(dsc._insert(dsc._insert(rest, i), n - 1 - i))
+        for weight, inside, outside in splits:
+            left = ref_bracket(dsc._insert(inside, i))
+            if left:
+                acc += weight * left * ref_bracket(dsc._insert(outside, n - 1 - i))
+        total += c * acc
+    return total / double_factorial(2 * n + 3)
+
+
+def multisets_up_to(degree_max):
+    """Every nonempty multiset of exponents, as a sorted tuple, of weighted
+    degree sum (2k + 1) <= degree_max."""
+    out = []
+
+    def extend(ks, least, room):
+        if ks:
+            out.append(tuple(ks))
+        for k in range(least, (room - 1) // 2 + 1):
+            extend(ks + [k], k, room - 2 * k - 1)
+
+    extend([], 0, degree_max)
+    return out
+
+
+def ref_build_Fc(degree_max):
+    """F^c from every monomial of weighted degree <= degree_max, each
+    coefficient ref_bracket(ks) / prod m_a!."""
+    g = dsc.t_grading(degree_max)
+    terms = {}
+    for ks in multisets_up_to(degree_max):
+        val = ref_bracket(ks)
+        if val:
+            exps = [0] * len(g)
+            for k in ks:
+                exps[k] += 1
+            for m in exps:
+                val /= factorial(m)
+            terms[tuple(exps)] = val
+    return MultiSeries(g, terms, degree_max)
 
 
 def ref_dvv(ks):
@@ -96,6 +171,43 @@ class TestBracket:
     def test_dvv_deep_value(self):
         assert dsc.bracket((8, 8, 8)) == Q(104256173, 343068062515200)
 
+    def test_scaled_integers_match_fraction_recursion(self):
+        kss = multisets_up_to(30)
+        assert len(kss) > 1000
+        for ks in kss:
+            assert dsc.bracket(ks) == ref_bracket(ks), ks
+            assert dsc.bracket(ks[::-1]) == ref_bracket(ks), ks
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_one_point(self, g):
+        # <tau_{3g-2}>_g = 1 / (24^g g!).
+        assert dsc.bracket((3 * g - 2,)) == Q(1, 24**g * factorial(g))
+
+    def test_dijkgraaf_two_point(self):
+        # (x + y) sum <tau_k tau_l>_g x^k y^l is the degree-3g part of
+        # exp((x^3 + y^3)/24) sum_n n!/(2n+1)! (xy(x + y)/2)^n.
+        top = 24
+        cube = BiPoly({(3, 0): Q(1, 24), (0, 3): Q(1, 24)}, top)
+        half = BiPoly({(2, 1): Q(1, 2), (1, 2): Q(1, 2)}, top)
+        one = BiPoly({(0, 0): Q(1)}, top)
+        e, s, p, q = one, one, one, one
+        for n in range(1, top // 3 + 1):
+            p = p * cube * Q(1, n)
+            q = q * half
+            e = e + p
+            s = s + q * Q(factorial(n), factorial(2 * n + 1))
+        rhs = e * s
+        x_plus_y = BiPoly({(1, 0): Q(1), (0, 1): Q(1)}, top)
+        for g in range(1, top // 3 + 1):
+            F2 = BiPoly(
+                {(k, 3 * g - 1 - k): dsc.bracket((k, 3 * g - 1 - k))
+                 for k in range(3 * g)},
+                top,
+            )
+            lhs = x_plus_y * F2
+            want = {m: c for m, c in rhs.terms.items() if sum(m) == 3 * g}
+            assert lhs.terms == want, g
+
 
 class TestBuildFc:
     def test_low_coefficients(self):
@@ -105,6 +217,12 @@ class TestBuildFc:
         e = [0] * len(g)
         e[1] = 1
         assert Fc.coefficient(tuple(e)) == Q(1, 24)
+
+    def test_matches_every_monomial(self):
+        got = dsc.build_Fc(30)
+        want = ref_build_Fc(30)
+        assert got.grading == want.grading
+        assert got.terms == want.terms
 
     def test_degree_structure(self):
         Fc = dsc.build_Fc(9)

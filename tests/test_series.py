@@ -320,6 +320,51 @@ class TestGradedKernelProperties:
         assert same(f.log(), ref_log(f))
         assert same(f.log().exp(), f)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_graded_exp_matches_power_loop(self, data):
+        w = data.draw(WEIGHTS)
+        g = Grading(["x%d" % i for i in range(len(w))], w)
+        top = data.draw(st.integers(1, 6))
+        budget = data.draw(st.none() | st.integers(0, 14))
+        exps = st.tuples(*(st.integers(0, 3) for _ in w))
+        parts = {}
+        for k, e, c in data.draw(st.lists(
+                st.tuples(st.integers(1, top + 1), exps, COEFFS), max_size=8)):
+            parts.setdefault(k, {}).setdefault(g.degree(e), {})[e] = c
+        unit = (0,) * len(w)
+        assert graded_exp(parts, top, unit, budget) == ref_graded_exp(
+            parts, top, unit, budget
+        )
+
+
+def ref_graded_exp(parts, top, unit, budget):
+    """sum_m F^m / m! over (grade, weighted degree, exps) triples, one full
+    product per power; a term is kept while its grade is at most ``top``
+    and, with ``budget``, its grade plus degree at most ``budget``."""
+    def keep(d, w):
+        return d <= top and (budget is None or d + w <= budget)
+
+    F = {(k, w, e): c for k, ws in parts.items() for w, ts in ws.items()
+         for e, c in ts.items() if k >= 1 and keep(k, w)}
+    acc = {(0, 0, unit): Q(1)}
+    term = dict(acc)
+    for m in range(1, top + 1):
+        nxt = {}
+        for (d1, w1, e1), c1 in term.items():
+            for (d2, w2, e2), c2 in F.items():
+                if keep(d1 + d2, w1 + w2):
+                    key = (d1 + d2, w1 + w2, tuple(x + y for x, y in zip(e1, e2)))
+                    nxt[key] = nxt.get(key, Q(0)) + c1 * c2 / m
+        term = nxt
+        for key, c in term.items():
+            acc[key] = acc.get(key, Q(0)) + c
+    out = {}
+    for (d, w, e), c in acc.items():
+        if c:
+            out.setdefault(d, {}).setdefault(w, {})[e] = c
+    return out
+
 
 def ref_add(a, b):
     n = min(a.max_degree, b.max_degree)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,18 @@ def smooth_element(g, n):
 
 
 class TestIntegrate:
+    def test_multinomial_distributions(self):
+        # Every tuple filtered to the right sum, in product order.
+        for total in range(5):
+            for buckets in range(5):
+                want = [
+                    (comp, factorial(total) // prod(map(factorial, comp)))
+                    for comp in product(range(total + 1), repeat=buckets)
+                    if sum(comp) == total
+                ]
+                got = list(strata._multinomial_distributions(total, buckets))
+                assert got == want, (total, buckets)
+
     def test_fundamental_psi(self):
         assert strata.integrate(smooth_element(1, 1), psi_exps=(1,)) == Q(1, 24)
 
