@@ -175,20 +175,18 @@ def _multisets(s: int, n: int, top: int):
                 yield (k,) + rest
 
 
-def build_Fc(degree_max: int, grading: Grading | None = None) -> MultiSeries:
-    """F^c as a MultiSeries to the given weighted degree.
+def build_Fc(degree_max: int) -> MultiSeries:
+    """F^c as a MultiSeries over t_grading(degree_max) to that degree.
 
     The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, one
     Fraction M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)) each.
 
-    >>> g = t_grading(5)
-    >>> build_Fc(5, g).coefficient((3, 0, 0))
+    >>> build_Fc(5).coefficient((3, 0, 0))
     Fraction(1, 6)
-    >>> build_Fc(5, g).coefficient((0, 1, 0))
+    >>> build_Fc(5).coefficient((0, 1, 0))
     Fraction(1, 24)
     """
-    if grading is None:
-        grading = t_grading(degree_max)
+    grading = t_grading(degree_max)
     nv = len(grading)
     dfact = [double_factorial(2 * k + 1) for k in range(nv)]
     terms = {}

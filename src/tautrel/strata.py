@@ -581,9 +581,9 @@ def integrate(element, psi_exps=(), kappa_exps=()):
     return total
 
 
-def _integrate_term(graph, dec, psi_exps, kappa_exps, aut=None):
+def _integrate_term(graph, dec, psi_exps, kappa_exps, aut):
     """One decorated graph against the ambient monomial; ``aut`` is
-    automorphism_order(graph), computed here if not given."""
+    automorphism_order(graph)."""
     nv = len(graph.genera)
     # Per-vertex psi lists: legs first, then half-edges.
     base_psis = [[] for _ in range(nv)]
@@ -617,4 +617,4 @@ def _integrate_term(graph, dec, psi_exps, kappa_exps, aut=None):
             if prod == 0:
                 break
         total += prod
-    return total / (aut or automorphism_order(graph))
+    return total / aut

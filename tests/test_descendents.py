@@ -211,8 +211,8 @@ class TestBracket:
 
 class TestBuildFc:
     def test_low_coefficients(self):
-        g = dsc.t_grading(8)
-        Fc = dsc.build_Fc(8, g)
+        Fc = dsc.build_Fc(8)
+        g = Fc.grading
         assert Fc.coefficient((3,) + (0,) * (len(g) - 1)) == Q(1, 6)
         e = [0] * len(g)
         e[1] = 1

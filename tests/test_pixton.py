@@ -392,7 +392,9 @@ class TestZetaAveragingOracle:
             for ke in kappa_monomials(extra - sum(psis)):
                 value = sum(
                     c / 2**graph.h1
-                    * strata._integrate_term(graph, dec, psis, ke)
+                    * strata._integrate_term(
+                        graph, dec, psis, ke, strata.automorphism_order(graph)
+                    )
                     for graph, terms in zip(graphs, summands)
                     for dec, c in terms.items()
                 )
