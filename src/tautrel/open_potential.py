@@ -8,9 +8,10 @@ variable s (weight 2).  The three routes:
   + 1/2 F_{t_0} Fc_{t_0 t_{n-1}} - 1/4 Fc_{t_0 t_0 t_{n-1}},  n >= 1,
   (Pandharipande-Solomon-Tessler) solved from the initial slice
   F|_{t_{i>=1}=0} = s^3/6 + t_0 s one weighted degree at a time.  The
-  products on the right side only involve lower degrees, so each is
-  formed as one degree bucket on the graded core of
-  :mod:`tautrel.series`.
+  products on the right side only involve lower degrees, so 4 times the
+  right side is formed as one degree bucket, by one call of the integer
+  product kernel of :mod:`tautrel.series` on integer derivative buckets
+  with weights 4, 2 and -1, over the denominator 4.
 - :func:`open_virasoro_residual`: the modified Virasoro constraints
   applied to exp(F^o + F^c) (verification only).
 - :func:`buryak_formula`: the z^0-pairing closed formula
@@ -19,7 +20,8 @@ variable s (weight 2).  The three routes:
 The shift operator G_z of the closed formula acts on the t_i with shifts
 (2i-1)!!/z^{2i+1} (not on KP times, which share its traditional name).
 Both z-graded exponentials of the formula go through
-:func:`tautrel.series.graded_exp`.
+:func:`tautrel.series.graded_exp`, and its final log through
+:func:`tautrel.series.graded_log`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .series import (
     MultiSeries,
     Q,
     _derivative_part,
-    _mul_into,
+    _int_buckets,
+    _mul_sum,
     graded_exp,
 )
 
@@ -125,12 +128,13 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     }
     F = {d: part for d, part in initial.items() if d <= D_max}
 
-    # Derivative buckets, each read only once its source degree is solved.
+    # Derivative buckets as integer buckets {degree: (m, {exps: c})}, each
+    # read only once its source degree is solved.
     def derivative(buckets, vars_, degree):
         part = buckets.get(degree + sum(weights[i] for i in vars_), {})
         for i in vars_:
             part = _derivative_part(part, i)
-        return part
+        return _int_buckets({degree: part}) if part else {}
 
     @cache
     def dF(vars_, degree):
@@ -140,33 +144,27 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     def dFc(vars_, degree):
         return derivative(fc, vars_, degree)
 
-    def product(dA, vars_a, dB, vars_b, e):
-        """The degree-e bucket of (d_{vars_a} A)(d_{vars_b} B)."""
-        out: dict = {}
+    one = {0: (1, {(0,) * len(g): 1})}
+
+    def rhs_bucket(n, e):
+        """The degree-e bucket of 4 F_s F_{t_{n-1}} + 2 F_{t_0} Fc_{t_0 t_{n-1}}
+        - Fc_{t_0 t_0 t_{n-1}}, over 4, as (m, {exps: c})."""
+        pairs = [(-1, dFc((0, 0, n - 1), e), one)]
         for a in range(e + 1):
-            A = dA(vars_a, a)
-            if A:
-                B = dB(vars_b, e - a)
-                if B:
-                    _mul_into(out, A, B)
-        return out
+            pairs.append((4, dF((s_i,), a), dF((n - 1,), e - a)))
+            pairs.append((2, dF((0,), a), dFc((0, n - 1), e - a)))
+        return _mul_sum(pairs, e, 4).get(e, (1, {}))
 
     for d in range(1, D_max + 1):
         part = F.setdefault(d, {})
         rhs_of: dict = {}
         for idx, M in _kdv_monomials(weights, d):
             n = idx[0]
-            rhs = rhs_of.get(n)
-            if rhs is None:
-                e = d - 2 * n - 1
-                rhs = product(dF, (s_i,), dF, (n - 1,), e)
-                for Mp, c in product(dF, (0,), dFc, (0, n - 1), e).items():
-                    rhs[Mp] = rhs.get(Mp, 0) + c / 2
-                for Mp, c in dFc((0, 0, n - 1), e).items():
-                    rhs[Mp] = rhs.get(Mp, 0) - c / 4
-                rhs_of[n] = rhs
+            if n not in rhs_of:
+                rhs_of[n] = rhs_bucket(n, d - 2 * n - 1)
+            m, rhs = rhs_of[n]
             Mp = M[:n] + (M[n] - 1,) + M[n + 1 :]
-            val = rhs.get(Mp, 0)
+            val = Q(rhs.get(Mp, 0), m)
             # F_{s t_{n-1}} at Mp.
             e = list(Mp)
             e[s_i] += 1

