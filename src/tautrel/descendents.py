@@ -37,6 +37,7 @@ from math import comb, factorial
 
 from .named_series import double_factorial, series_calA
 from .series import BiPoly, Grading, MultiSeries, PowerSeries, Q, divide_exact
+from .series import _lcm_bucket
 
 
 def _genus_of(ks: tuple) -> int | None:
@@ -178,8 +179,10 @@ def _multisets(s: int, n: int, top: int):
 def build_Fc(degree_max: int) -> MultiSeries:
     """F^c as a MultiSeries over t_grading(degree_max) to that degree.
 
-    The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, one
-    Fraction M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)) each.
+    The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, that is
+    M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)); the terms of one
+    chi form the bucket of weighted degree 3 chi, over the lcm of these
+    denominators.
 
     >>> build_Fc(5).coefficient((3, 0, 0))
     Fraction(1, 6)
@@ -189,8 +192,9 @@ def build_Fc(degree_max: int) -> MultiSeries:
     grading = t_grading(degree_max)
     nv = len(grading)
     dfact = [double_factorial(2 * k + 1) for k in range(nv)]
-    terms = {}
+    buckets = {}
     for chi in range(1, degree_max // 3 + 1):
+        terms = {}
         for g in range((chi + 1) // 2 + 1):
             n = chi + 2 - 2 * g
             for ks in _multisets(3 * g - 3 + n, n, nv - 1):
@@ -201,8 +205,9 @@ def build_Fc(degree_max: int) -> MultiSeries:
                 for k, e in enumerate(exps):
                     if e:
                         den *= dfact[k] ** e * factorial(e)
-                terms[tuple(exps)] = Fraction(_scaled_bracket(ks[::-1]), den)
-    return MultiSeries(grading, terms, degree_max)
+                terms[tuple(exps)] = (_scaled_bracket(ks[::-1]), den)
+        buckets[3 * chi] = _lcm_bucket(terms)
+    return MultiSeries.from_buckets(grading, buckets, degree_max)
 
 
 def apply_L(n: int, series: MultiSeries, s_var: bool = False) -> MultiSeries:

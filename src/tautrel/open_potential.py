@@ -26,7 +26,6 @@ Both z-graded exponentials of the formula go through
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
 from math import comb, prod
@@ -37,8 +36,9 @@ from .series import (
     Grading,
     MultiSeries,
     Q,
-    _derivative_part,
-    _int_buckets,
+    _bucket_derivative,
+    _lcm_bucket,
+    _lowest,
     _mul_sum,
     graded_exp,
 )
@@ -57,16 +57,17 @@ def lift_to_open(Fc: MultiSeries, grading: Grading) -> MultiSeries:
     """Re-key a t-variable series into the t+s grading (s-exponent 0).
 
     Monomials using t-variables beyond the target alphabet necessarily
-    exceed its truncation degree and are dropped.
+    exceed its truncation degree and are dropped.  Re-keying keeps each
+    monomial's weighted degree, so the integer buckets carry over.
     """
     nt = len(grading) - 1
-    terms = {}
-    for exps, c in Fc.terms.items():
-        if any(exps[nt:]):
-            continue
-        e = list(exps[:nt]) + [0] * (nt - len(exps)) + [0]
-        terms[tuple(e)] = c
-    return MultiSeries(grading, terms, Fc.max_degree)
+    pad = (0,) * (nt - len(Fc.grading)) + (0,)
+    out = {}
+    for d, (m, t) in Fc.buckets().items():
+        part = _lowest(m, {e[:nt] + pad: c for e, c in t.items() if not any(e[nt:])})
+        if part:
+            out[d] = part
+    return MultiSeries.from_buckets(grading, out, Fc.max_degree)
 
 
 def _kdv_monomials(weights, degree: int) -> list:
@@ -121,20 +122,20 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     weights = g.weights
     s_i = len(g) - 1
     fc = lift_to_open(Fc.truncate(D_max), g).buckets()
-    # Initial slice: all pure (t0, s) monomials.
+    # Initial slice: all pure (t0, s) monomials, as (numerator, denominator).
     initial = {
-        3: {(1,) + (0,) * (s_i - 1) + (1,): Q(1)},  # t_0 s
-        6: {(0,) * s_i + (3,): Q(1, 6)},  # s^3 / 6
+        3: {(1,) + (0,) * (s_i - 1) + (1,): (1, 1)},  # t_0 s
+        6: {(0,) * s_i + (3,): (1, 6)},  # s^3 / 6
     }
-    F = {d: part for d, part in initial.items() if d <= D_max}
+    F: dict = {}
 
     # Derivative buckets as integer buckets {degree: (m, {exps: c})}, each
     # read only once its source degree is solved.
     def derivative(buckets, vars_, degree):
-        part = buckets.get(degree + sum(weights[i] for i in vars_), {})
+        b = buckets.get(degree + sum(weights[i] for i in vars_))
         for i in vars_:
-            part = _derivative_part(part, i)
-        return _int_buckets({degree: part}) if part else {}
+            b = b and _bucket_derivative(b, i)
+        return {degree: b} if b else {}
 
     @cache
     def dF(vars_, degree):
@@ -155,27 +156,29 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
             pairs.append((2, dF((0,), a), dFc((0, n - 1), e - a)))
         return _mul_sum(pairs, e, 4).get(e, (1, {}))
 
+    # Each degree is solved as unreduced (numerator, denominator) pairs and
+    # stored as one integer bucket once complete.
     for d in range(1, D_max + 1):
-        part = F.setdefault(d, {})
+        part = initial.get(d, {})
         rhs_of: dict = {}
         for idx, M in _kdv_monomials(weights, d):
             n = idx[0]
             if n not in rhs_of:
                 rhs_of[n] = rhs_bucket(n, d - 2 * n - 1)
-            m, rhs = rhs_of[n]
+            den, rhs = rhs_of[n]
             Mp = M[:n] + (M[n] - 1,) + M[n + 1 :]
-            val = Q(rhs.get(Mp, 0), m)
+            num = rhs.get(Mp, 0)
             # F_{s t_{n-1}} at Mp.
             e = list(Mp)
             e[s_i] += 1
             e[n - 1] += 1
             c = part.get(tuple(e))
             if c:
-                val += c * e[s_i] * e[n - 1]
-            if val:
-                part[M] = val * Q(2, 2 * n + 1) / M[n]
-        if not part:
-            del F[d]
+                num, den = num * c[1] + c[0] * e[s_i] * e[n - 1] * den, den * c[1]
+            if num:
+                part[M] = (2 * num, den * (2 * n + 1) * M[n])
+        if part:
+            F[d] = _lcm_bucket(part)
     return MultiSeries.from_buckets(g, F, D_max)
 
 
@@ -226,28 +229,34 @@ def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
     exactly j degrees, so deeper terms cannot contribute.
     """
     g = Fc.grading
-    # P = G_z Fc - Fc as {j: {weighted degree: {exps: coeff}}}, j the z^{-1}
+    # P = G_z Fc - Fc as {j: {weighted degree: (m, {exps: c})}}, j the z^{-1}
     # power.  Shifting r factors t_i moves weight (2i+1) r from the monomial
-    # to j, so a monomial of degree d lands at weighted degree d - j.
+    # to j, so a monomial of degree d lands at weighted degree d - j: the
+    # bucket (j, d - j) is fed by the degree-d bucket alone, over its m.
     P: dict[int, dict] = {}
-    for exps, c in Fc.terms.items():
-        d = g.degree(exps)
+    for d, (m, terms) in Fc.buckets().items():
         if d > D_max:
             continue
-        choices = []
-        for i, e in enumerate(exps):
-            k = double_factorial(2 * i - 1)
-            choices.append(
-                [(r, comb(e, r) * (-k) ** r, (2 * i + 1) * r) for r in range(e + 1)]
-            )
-        for combo in iter_product(*choices):
-            j = sum(t[2] for t in combo)
-            if j == 0:
-                continue
-            coeff = c * prod(t[1] for t in combo)
-            key = tuple(e - t[0] for t, e in zip(combo, exps))
-            part = P.setdefault(j, {}).setdefault(d - j, {})
-            part[key] = part.get(key, Q(0)) + coeff
+        acc: dict = {}
+        for exps, c in terms.items():
+            choices = []
+            for i, e in enumerate(exps):
+                k = double_factorial(2 * i - 1)
+                choices.append(
+                    [(r, comb(e, r) * (-k) ** r, (2 * i + 1) * r) for r in range(e + 1)]
+                )
+            for combo in iter_product(*choices):
+                j = sum(t[2] for t in combo)
+                if j == 0:
+                    continue
+                coeff = c * prod(t[1] for t in combo)
+                key = tuple(e - t[0] for t, e in zip(combo, exps))
+                part = acc.setdefault(j, {})
+                part[key] = part.get(key, 0) + coeff
+        for j, part in acc.items():
+            part = _lowest(m, part)
+            if part:
+                P.setdefault(j, {})[d - j] = part
     # exp(P): P has only j >= 1 terms, hence nilpotent below D_max.
     ratio = graded_exp(P, D_max, (0,) * len(g), budget=D_max)
     return {j: MultiSeries.from_buckets(g, m, D_max - j) for j, m in ratio.items()}
@@ -263,8 +272,9 @@ def exp_xi(grading: Grading, D_max: int) -> dict:
     xi: dict[int, dict] = {}
     for i, (name, j) in enumerate(zip(grading.names, grading.weights)):
         exps = tuple(1 if k == i else 0 for k in range(len(grading)))
-        c = Q(1, 2) if name == "s" else Q(1, double_factorial(j))
-        xi.setdefault(j, {}).setdefault(j, {})[exps] = c
+        den = 2 if name == "s" else double_factorial(j)
+        xi.setdefault(j, {})[exps] = (1, den)
+    xi = {j: {j: _lcm_bucket(part)} for j, part in xi.items()}
     out = graded_exp(xi, D_max, (0,) * len(grading))
     return {j: MultiSeries.from_buckets(grading, m, D_max) for j, m in out.items()}
 
@@ -291,7 +301,7 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
         if j in pos:
             # pos[j] is homogeneous of weighted degree j and m is valid to
             # degree D_max - j, so the product is valid to D_max in full.
-            prod = MultiSeries(g, m.terms, D_max) * pos[j]
+            prod = MultiSeries.from_buckets(g, m.buckets(), D_max) * pos[j]
             acc = acc + prod
     return acc.log()
 

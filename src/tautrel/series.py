@@ -7,13 +7,12 @@ Two containers cover everything the higher-level modules need:
 - :class:`MultiSeries` -- sparse multivariate series truncated by a weighted
   total degree; each variable carries a positive integer weight.
 
-:class:`MultiSeries` arithmetic runs on terms grouped by weighted degree,
-``{d: {exps: coeff}}``.  A product multiplies only the pairs of groups whose
-degrees sum to at most the truncation degree, so no pair of terms is formed
-and then discarded.  Every exp and log works grade by grade with the Euler
-operator theta, which multiplies the part of grade d by d.  As theta is a
-derivation, theta(exp F) = theta(F) exp F, whose grade-d part reads, with
-E = exp F,
+:class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
+A product multiplies only the pairs of groups whose degrees sum to at most
+the truncation degree, so no pair of terms is formed and then discarded.
+Every exp and log works grade by grade with the Euler operator theta,
+which multiplies the part of grade d by d.  As theta is a derivation,
+theta(exp F) = theta(F) exp F, whose grade-d part reads, with E = exp F,
 
     d * E_d = sum_{k=1..d} k * F_k * E_{d-k},
 
@@ -29,13 +28,16 @@ weighted degree, :meth:`PowerSeries.exp` and :meth:`PowerSeries.log` by the
 power of x, and :meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0;
 other callers grade by a power of an auxiliary variable z.
 
-All stored coefficients are :class:`fractions.Fraction`; no floating point
-enters this module.  Products, :func:`graded_exp` and :func:`graded_log` run
-on integers: each bucket becomes integer numerators over the lcm of its
-denominators, and one sparse kernel, ``_mul_sum``, accumulates each output
-degree over one common denominator and builds one Fraction per output term.
-:class:`PowerSeries` products convolve the dense integer numerators
-directly.  Values are immutable after construction and safe to share.
+No floating point enters this module.  A :class:`MultiSeries` stores each
+weighted degree as integer numerators over one common denominator, in
+lowest terms, ``{d: (m, {exps: c})}``; :func:`graded_exp` and
+:func:`graded_log` take and return such buckets.  Sums, scalar products
+and derivatives make one gcd per bucket, and one sparse kernel,
+``_mul_sum``, accumulates each output degree of a product over one common
+denominator.  Fractions are built only where coefficients leave the
+series.  :class:`PowerSeries` stores Fractions and convolves their dense
+integer numerators.  Values are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -175,10 +177,12 @@ class PowerSeries:
 
     def _graded(self, recurrence) -> "PowerSeries":
         """``recurrence`` (graded_exp or graded_log) with x^k as grade k."""
-        parts = {k: {k: {(k,): c}} for k, c in enumerate(self.coeffs) if k and c}
+        parts = {k: {k: (c.denominator, {(k,): c.numerator})}
+                 for k, c in enumerate(self.coeffs) if k and c}
         coeffs = [Q(0)] * (self.order + 1)
         for k, part in recurrence(parts, self.order, (0,)).items():
-            coeffs[k] = part[k][(k,)]
+            m, t = part[k]
+            coeffs[k] = Fraction(t[(k,)], m)
         return PowerSeries(coeffs, self.order, self.var)
 
     def log(self) -> "PowerSeries":
@@ -252,14 +256,31 @@ class Grading:
         return len(self.names)
 
 
-def _int_buckets(buckets: Mapping) -> dict:
-    """Degree buckets ``{d: {exps: coeff}}`` as ``{d: (m, {exps: c})}`` with
-    integers c = coeff * m, m the lcm of the bucket's denominators."""
-    out = {}
-    for d, part in buckets.items():
-        ints, m = _integer_coeffs(part.values())
-        out[d] = (m, dict(zip(part, ints)))
-    return out
+def _lowest(m: int, acc: dict):
+    """The bucket ``(m, acc)`` divided by gcd(m, *acc), without zero terms;
+    None when no term is left."""
+    g = gcd(m, *acc.values())
+    if g != 1 or 0 in acc.values():
+        acc = {e: c // g for e, c in acc.items() if c}
+    return (m // g, acc) if acc else None
+
+
+def _lcm_bucket(pairs: Mapping):
+    """``{exps: (numerator, denominator)}`` as one integer bucket over the
+    lcm of the denominators, in lowest terms; None if every numerator is 0."""
+    m = lcm(*(den for _, den in pairs.values()))
+    return _lowest(m, {e: num * (m // den) for e, (num, den) in pairs.items()})
+
+
+def _bucket_derivative(bucket: tuple, i: int):
+    """d/dx_i of an integer bucket ``(m, {exps: c})``; None if it vanishes."""
+    m, t = bucket
+    acc = {}
+    for e, c in t.items():
+        k = e[i]
+        if k:
+            acc[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+    return _lowest(m, acc)
 
 
 def _mul_sum(pairs, limit, den: int = 1) -> dict:
@@ -291,35 +312,7 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
                         acc[e] += c1 * c2
                     else:
                         acc[e] = c1 * c2
-        m *= den
-        g = gcd(m, *acc.values())
-        acc = {e: c // g for e, c in acc.items() if c}
-        if acc:
-            out[d] = (m // g, acc)
-    return out
-
-
-def _fraction_buckets(buckets: Mapping) -> dict:
-    """Integer buckets ``{d: (m, {exps: c})}`` back as ``{d: {exps: c / m}}``."""
-    return {d: {e: Fraction(c, m) for e, c in t.items()}
-            for d, (m, t) in buckets.items()}
-
-
-def _derivative_part(part: Mapping, i: int) -> dict:
-    """d/dx_i of a term map ``{exps: coeff}`` without zero coefficients."""
-    out = {}
-    for e, c in part.items():
-        k = e[i]
-        if k:
-            out[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
-    return out
-
-
-def _scale(buckets: Mapping, c) -> dict:
-    """``c`` times a degree-bucketed term map, zero terms and buckets dropped."""
-    out = {}
-    for d, part in buckets.items():
-        part = {e: c * v for e, v in part.items() if v}
+        part = _lowest(m * den, acc)
         if part:
             out[d] = part
     return out
@@ -329,19 +322,21 @@ def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None)
     """exp(F) for F = sum_{k>=1} F_k, grade by grade, through grade ``top``.
 
     Uses d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, which follows from
-    E' = F' E for the derivative counting the grade.  Each F_k and E_d is a
-    term map bucketed by weighted degree, ``{w: {exps: coeff}}``, and
-    ``unit`` is the exponent tuple of the constant 1.  Parts of grade 0 or
-    above ``top`` are ignored.  With ``budget``, a grade-d term of weighted
-    degree w is kept only when w + d <= budget.
+    E' = F' E for the derivative counting the grade.  Each F_k and E_d is
+    bucketed by weighted degree as integers over one denominator per
+    bucket, ``{w: (m, {exps: c})}``, and ``unit`` is the exponent tuple of
+    the constant 1.  Parts of grade 0 or above ``top`` are ignored.  With
+    ``budget``, a grade-d term of weighted degree w is kept only when
+    w + d <= budget.
 
-    Returns ``{d: E_d}`` for the nonzero E_d, 0 <= d <= top.
+    Returns ``{d: E_d}`` for the nonzero E_d, 0 <= d <= top, each bucket in
+    lowest terms.
 
-    >>> e = graded_exp({1: {1: {(1,): Fraction(1)}}}, 3, (0,))
-    >>> [e[d][d][(d,)] for d in range(4)]
-    [Fraction(1, 1), Fraction(1, 1), Fraction(1, 2), Fraction(1, 6)]
+    >>> e = graded_exp({1: {1: (1, {(1,): 1})}}, 3, (0,))
+    >>> [e[d][d] for d in range(4)]
+    [(1, {(0,): 1}), (1, {(1,): 1}), (2, {(2,): 1}), (6, {(3,): 1})]
     """
-    scaled = [(k, _int_buckets(parts[k])) for k in sorted(parts) if 0 < k <= top]
+    scaled = [(k, parts[k]) for k in sorted(parts) if 0 < k <= top]
     out = {0: {0: (1, {unit: 1})}}
     for d in range(1, top + 1):
         limit = inf if budget is None else budget - d
@@ -349,7 +344,7 @@ def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None)
         acc = _mul_sum(pairs, limit, d)
         if acc:
             out[d] = acc
-    return {d: _fraction_buckets(part) for d, part in out.items()}
+    return out
 
 
 def graded_log(parts: Mapping, top: int, unit: tuple) -> dict:
@@ -357,16 +352,16 @@ def graded_log(parts: Mapping, top: int, unit: tuple) -> dict:
 
     Uses d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k}, which follows
     from G L' = G' for the derivative counting the grade.  The parts are
-    bucketed as in :func:`graded_exp`; the constant 1 is implied, and parts
-    of grade 0 or above ``top`` are ignored.
+    integer buckets as in :func:`graded_exp`; the constant 1 is implied,
+    and parts of grade 0 or above ``top`` are ignored.
 
     Returns ``{d: L_d}`` for the nonzero L_d, 1 <= d <= top.
 
-    >>> l = graded_log({1: {1: {(1,): Fraction(1)}}}, 3, (0,))
-    >>> [l[d][d][(d,)] for d in range(1, 4)]
-    [Fraction(1, 1), Fraction(-1, 2), Fraction(1, 3)]
+    >>> l = graded_log({1: {1: (1, {(1,): 1})}}, 3, (0,))
+    >>> [l[d][d] for d in range(1, 4)]
+    [(1, {(1,): 1}), (2, {(2,): -1}), (3, {(3,): 1})]
     """
-    G = {k: _int_buckets(parts[k]) for k in sorted(parts) if 0 < k <= top}
+    G = {k: parts[k] for k in sorted(parts) if 0 < k <= top}
     one = {0: (1, {unit: 1})}
     out: dict = {}
     for d in range(1, top + 1):
@@ -375,61 +370,67 @@ def graded_log(parts: Mapping, top: int, unit: tuple) -> dict:
         acc = _mul_sum(pairs, inf, d)
         if acc:
             out[d] = acc
-    return {d: _fraction_buckets(part) for d, part in out.items()}
+    return out
 
 
 class MultiSeries:
     """Sparse multivariate series truncated by weighted total degree.
 
     Monomials are exponent tuples over a fixed :class:`Grading`; only
-    monomials of weighted degree <= ``max_degree`` are stored, and explicit
-    zeros are dropped.  The terms grouped by weighted degree are built on
-    first use and kept (see :meth:`buckets`).  Only the public constructor
-    computes weighted degrees: sums, negation, scalar products, products,
-    derivatives and truncations build their results from the operands'
-    buckets, and may share unchanged buckets with them.
+    monomials of weighted degree <= ``max_degree`` are kept.  The series is
+    stored as integer buckets, one per weighted degree d,
+    ``{d: (m, {exps: c})}``: the coefficient of exps is c / m, with m > 0,
+    gcd(m, *c) = 1, no c zero and no bucket empty.  This form is canonical.
+    Only the public constructor computes weighted degrees: sums, negation,
+    scalar products, products, derivatives and truncations build their
+    results from the operands' buckets, and may share unchanged buckets
+    with them.  Fractions are built only for :attr:`terms` and the
+    accessors on top of it.
     """
 
-    __slots__ = ("grading", "terms", "max_degree", "_buckets")
+    __slots__ = ("grading", "max_degree", "_buckets", "_terms")
 
     def __init__(self, grading: Grading, terms: Mapping[tuple, Fraction], max_degree: int):
         self.grading = grading
         self.max_degree = max_degree
-        clean = {}
+        n = len(grading)
+        parts: dict = {}
         for exps, c in terms.items():
+            if len(exps) != n:
+                raise ValueError(f"exponents {tuple(exps)} do not match the grading")
             c = _q(c)
-            if c == 0:
-                continue
-            if grading.degree(exps) <= max_degree:
-                clean[tuple(exps)] = c
-        self.terms = clean
-        self._buckets = None
+            if c:
+                d = grading.degree(exps)
+                if d <= max_degree:
+                    parts.setdefault(d, {})[tuple(exps)] = (c.numerator, c.denominator)
+        self._buckets = {d: _lcm_bucket(part) for d, part in parts.items()}
+        self._terms = None
 
     @classmethod
     def from_buckets(cls, grading: Grading, buckets: dict, max_degree: int) -> "MultiSeries":
-        """Series from degree buckets holding only nonzero terms of weighted
-        degree <= ``max_degree``; takes ownership of ``buckets``, whose
-        bucket dicts may be shared with other series but are never
-        modified."""
+        """Series from integer buckets ``{d: (m, {exps: c})}`` in the
+        canonical form of the class, all of degree <= ``max_degree``; takes
+        ownership of ``buckets``, whose buckets may be shared with other
+        series but are never modified."""
         self = cls.__new__(cls)
         self.grading = grading
         self.max_degree = max_degree
-        self.terms = {e: c for part in buckets.values() for e, c in part.items()}
         self._buckets = buckets
+        self._terms = None
         return self
 
     def buckets(self) -> dict:
-        """The terms grouped by weighted degree, ``{d: {exps: coeff}}``.
-
-        Computed once and shared with the series: callers must not modify it.
-        """
-        if self._buckets is None:
-            deg = self.grading.degree
-            out: dict = {}
-            for e, c in self.terms.items():
-                out.setdefault(deg(e), {})[e] = c
-            self._buckets = out
+        """The integer buckets ``{d: (m, {exps: c})}`` the series is stored
+        as; shared with the series, so callers must not modify them."""
         return self._buckets
+
+    @property
+    def terms(self) -> dict:
+        """The terms ``{exps: coeff}`` as Fractions, built on first use."""
+        if self._terms is None:
+            self._terms = {e: Fraction(c, m) for m, t in self._buckets.values()
+                           for e, c in t.items()}
+        return self._terms
 
     @classmethod
     def zero(cls, grading: Grading, max_degree: int) -> "MultiSeries":
@@ -448,6 +449,8 @@ class MultiSeries:
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
+        if len(exps) != len(self.grading):
+            raise ValueError(f"exponents {exps} do not match the grading")
         if self.grading.degree(exps) > self.max_degree:
             raise IndexError("monomial beyond weighted truncation degree")
         return self.terms.get(exps, Q(0))
@@ -457,36 +460,37 @@ class MultiSeries:
 
     def truncate(self, max_degree: int) -> "MultiSeries":
         n = min(max_degree, self.max_degree)
-        kept = {d: part for d, part in self.buckets().items() if d <= n}
+        kept = {d: b for d, b in self._buckets.items() if d <= n}
         return MultiSeries.from_buckets(self.grading, kept, n)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._buckets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         n = min(self.max_degree, other.max_degree)
-        return self.truncate(n).terms == other.truncate(n).terms
+        return self.truncate(n)._buckets == other.truncate(n)._buckets
 
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
             other = MultiSeries.constant(self.grading, other, self.max_degree)
         n = min(self.max_degree, other.max_degree)
-        out = {d: part for d, part in self.buckets().items() if d <= n}
-        for d, part in other.buckets().items():
+        out = {d: b for d, b in self._buckets.items() if d <= n}
+        for d, (m2, t2) in other._buckets.items():
             if d > n:
                 continue
-            if d in out:
-                merged = dict(out[d])
-                for e, c in part.items():
-                    if e in merged:
-                        c += merged[e]
-                        if not c:
-                            del merged[e]
-                            continue
-                    merged[e] = c
-                part = merged
+            if d not in out:
+                out[d] = (m2, t2)
+                continue
+            # Both over lcm(m1, m2), then one gcd for the bucket.
+            m1, t1 = out[d]
+            m = lcm(m1, m2)
+            s1, s2 = m // m1, m // m2
+            acc = {e: c * s1 for e, c in t1.items()} if s1 != 1 else dict(t1)
+            for e, c in t2.items():
+                acc[e] = acc.get(e, 0) + c * s2
+            part = _lowest(m, acc)
             if part:
                 out[d] = part
             else:
@@ -496,9 +500,9 @@ class MultiSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiSeries":
-        return MultiSeries.from_buckets(
-            self.grading, _scale(self.buckets(), -1), self.max_degree
-        )
+        out = {d: (m, {e: -c for e, c in t.items()})
+               for d, (m, t) in self._buckets.items()}
+        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
 
     def __sub__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
@@ -509,14 +513,22 @@ class MultiSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiSeries":
-        if not isinstance(other, MultiSeries):
-            c = _q(other)
-            buckets = _scale(self.buckets(), c) if c else {}
-            return MultiSeries.from_buckets(self.grading, buckets, self.max_degree)
-        n = min(self.max_degree, other.max_degree)
-        pairs = [(1, _int_buckets(self.buckets()), _int_buckets(other.buckets()))]
-        out = _fraction_buckets(_mul_sum(pairs, n))
-        return MultiSeries.from_buckets(self.grading, out, n)
+        if isinstance(other, MultiSeries):
+            n = min(self.max_degree, other.max_degree)
+            out = _mul_sum([(1, self._buckets, other._buckets)], n)
+            return MultiSeries.from_buckets(self.grading, out, n)
+        # p/q times c/m is (c / h)(p / g) over (m / g)(q / h), with
+        # g = gcd(p, m) and h = gcd(q, *c): already in lowest terms.
+        c = _q(other)
+        p, q = c.numerator, c.denominator
+        if not p:
+            return MultiSeries.zero(self.grading, self.max_degree)
+        out = {}
+        for d, (m, t) in self._buckets.items():
+            g, h = gcd(p, m), gcd(q, *t.values())
+            pg = p // g
+            out[d] = (m // g * (q // h), {e: c // h * pg for e, c in t.items()})
+        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
 
     __rmul__ = __mul__
 
@@ -524,10 +536,10 @@ class MultiSeries:
         i = self.grading.index[name]
         w = self.grading.weights[i]
         out = {}
-        for d, part in self.buckets().items():
-            part = _derivative_part(part, i)
-            if part:
-                out[d - w] = part
+        for d, b in self._buckets.items():
+            b = _bucket_derivative(b, i)
+            if b:
+                out[d - w] = b
         # Differentiation lowers weighted degree uniformly by the weight of
         # the variable, so the truncation window stays valid as-is.
         return MultiSeries.from_buckets(self.grading, out, self.max_degree)
@@ -535,7 +547,7 @@ class MultiSeries:
     def _graded(self, recurrence) -> "MultiSeries":
         """``recurrence`` (graded_exp or graded_log) with the weighted degree
         as the grade."""
-        parts = {d: {d: part} for d, part in self.buckets().items()}
+        parts = {d: {d: b} for d, b in self._buckets.items()}
         out = recurrence(parts, self.max_degree, (0,) * len(self.grading))
         return MultiSeries.from_buckets(
             self.grading, {d: part[d] for d, part in out.items()}, self.max_degree
@@ -543,13 +555,13 @@ class MultiSeries:
 
     def exp(self) -> "MultiSeries":
         """exp of a series with zero constant term."""
-        if self.constant_term() != 0:
+        if 0 in self._buckets:
             raise ValueError("exp requires zero constant term")
         return self._graded(graded_exp)
 
     def log(self) -> "MultiSeries":
         """log of a series with constant term 1."""
-        if self.constant_term() != 1:
+        if self._buckets.get(0) != (1, {(0,) * len(self.grading): 1}):
             raise ValueError("log requires constant term 1")
         return self._graded(graded_log)
 

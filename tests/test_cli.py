@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -477,6 +478,43 @@ class TestVerify:
             "series", "descendents", "open", "strata", "pixton", "frobenius",
             "flatness",
         ]
+
+
+
+def _without_times(x):
+    """The report with every ``*_time_s`` key removed, at any depth."""
+    if isinstance(x, dict):
+        return {k: _without_times(v) for k, v in x.items()
+                if not k.endswith("_time_s")}
+    if isinstance(x, list):
+        return [_without_times(v) for v in x]
+    return x
+
+
+# SHA-256 of the rendered JSON reports of the closed and open potential,
+# without their *_time_s keys: changes to the series arithmetic underneath
+# must leave these reports byte for byte as they are.
+GOLDEN_REPORTS = {
+    "verify descendents --order 12":
+        "ed51bcbb6a46c1e6f326a310f0f889dfdefe8c05cc401640bf21f95891151b5b",
+    "descendents closed --degree 12":
+        "627a644cf3739d08de63c64a804b899f860e58dd7de83b3345398531b5127d95",
+    "descendents table --ks 3,3,3":
+        "d06677d269a0179289c872e8cdda27dffb3507c224e14309e50f27bb352a306e",
+    "verify open --order 8":
+        "7a7873bb91a869d6f2628f4e891ed1a200456a8c7985b5b7f19bfb44e035b2b8",
+    "descendents open --degree 6":
+        "41ea6bf3e4e57f21c8c6e0db04198921b618d5bc483cd686b5a86da383a6e761",
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("command", list(GOLDEN_REPORTS))
+    def test_report_digest(self, command):
+        code, out = dispatch(command.split() + ["--format", "json"])
+        text = cli.render(_without_times(json.loads(out)), "json")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[command]
 
 
 class TestMain:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,18 @@ class TestMultiSeries:
         with pytest.raises(IndexError):
             f.coefficient((0, 0, 1))
 
+    def test_exponents_must_match_grading(self):
+        # Grading.degree zips exponents with weights, so a tuple of the
+        # wrong length would otherwise be accepted and truncated silently.
+        g = Grading(["x", "y"], [1, 2])
+        for exps in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                MultiSeries(g, {exps: 1}, 5)
+        x = MultiSeries.variable(g, "x", 5)
+        for exps in ((1,), (1, 0, 7)):
+            with pytest.raises(ValueError):
+                x.coefficient(exps)
+
 
 # Reference implementations: the pairwise product and the D-fold power
 # loops that the degree-graded kernel replaced.  The arithmetic is exact,
@@ -258,10 +271,10 @@ class TestGradedKernelOracles:
     def test_graded_exp_respects_budget(self):
         # exp(z x) with x of weight 1 and z-grade 1: grade d holds x^d/d!,
         # kept only while its degree d plus the grade d fits the budget.
-        parts = {1: {1: {(1,): Q(1)}}}
+        parts = {1: {1: (1, {(1,): 1})}}
         out = graded_exp(parts, 5, (0,), budget=7)
         assert sorted(out) == [0, 1, 2, 3]
-        assert out[3] == {3: {(3,): Q(1, 6)}}
+        assert out[3] == {3: (6, {(3,): 1})}
 
 
 WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
@@ -307,7 +320,7 @@ class TestGradedKernelProperties:
     def test_graded_exp_matches_power_loop(self, data):
         parts, top, unit = data.draw(graded_parts())
         budget = data.draw(st.none() | st.integers(0, 14))
-        assert graded_exp(parts, top, unit, budget) == ref_graded_exp(
+        assert on_fractions(graded_exp, parts, top, unit, budget) == ref_graded_exp(
             parts, top, unit, budget
         )
 
@@ -315,7 +328,8 @@ class TestGradedKernelProperties:
     @given(st.data())
     def test_graded_log_matches_power_loop(self, data):
         parts, top, unit = data.draw(graded_parts())
-        assert graded_log(parts, top, unit) == ref_graded_log(parts, top, unit)
+        assert on_fractions(graded_log, parts, top, unit) == ref_graded_log(
+            parts, top, unit)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -327,9 +341,23 @@ class TestGradedKernelProperties:
                 for e, c in ts.items():
                     if c and k <= top:
                         kept.setdefault(k, {}).setdefault(w, {})[e] = c
-        assert graded_log(graded_exp(parts, top, unit), top, unit) == kept
-        assert graded_exp(graded_log(parts, top, unit), top, unit) == {
+        exp = on_fractions(graded_exp, parts, top, unit)
+        log = on_fractions(graded_log, parts, top, unit)
+        assert on_fractions(graded_log, exp, top, unit) == kept
+        assert on_fractions(graded_exp, log, top, unit) == {
             0: {0: {unit: Q(1)}}, **kept}
+
+
+def on_fractions(recurrence, parts, *args):
+    """``recurrence`` (graded_exp or graded_log) on grades bucketed as
+    Fractions, ``{k: {w: {exps: coeff}}}``, in and out."""
+    ints = {}
+    for k, ws in parts.items():
+        for w, ts in ws.items():
+            m = lcm(*(Q(c).denominator for c in ts.values()))
+            ints.setdefault(k, {})[w] = (m, {e: int(c * m) for e, c in ts.items()})
+    return {k: {w: {e: Q(c, m) for e, c in ts.items()} for w, (m, ts) in ws.items()}
+            for k, ws in recurrence(ints, *args).items()}
 
 
 @st.composite
@@ -416,13 +444,16 @@ def ref_derivative(f, i):
 
 
 def well_bucketed(f):
-    """The kept buckets are those the constructor would compute, with no
-    zero coefficient and no empty bucket."""
+    """The storage is canonical: each degree d <= max_degree holds the
+    monomials of degree d as integers over one m > 0 with gcd(m, *c) = 1,
+    no numerator is 0 and no bucket is empty; and it is what the
+    constructor builds from the terms."""
+    deg = f.grading.degree
     fresh = MultiSeries(f.grading, f.terms, f.max_degree)
-    return (
-        f.buckets() == fresh.buckets()
-        and fresh.terms == f.terms
-        and all(f.buckets().values())
+    return f.buckets() == fresh.buckets() and all(
+        m > 0 and t and 0 not in t.values() and gcd(m, *t.values()) == 1
+        and d <= f.max_degree and all(deg(e) == d for e in t)
+        for d, (m, t) in f.buckets().items()
     )
 
 
@@ -456,6 +487,43 @@ class TestBucketConstructors:
         assert (a + b).max_degree == n
         for got, want in cases:
             assert same(got, want) and well_bucketed(got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_edge_cases_match_constructor(self, data):
+        w = data.draw(WEIGHTS)
+        a = data.draw(sparse_series(w))
+        b = data.draw(sparse_series(w))
+        g, D = a.grading, a.max_degree
+        big = data.draw(st.builds(Q, st.integers(-(10**30), 10**30),
+                                  st.integers(1, 10**40)))
+        neg = -data.draw(COEFFS.filter(lambda c: c > 0))
+        i = data.draw(st.integers(0, len(w) - 1))
+        k = data.draw(st.integers(0, 9))
+        zero = MultiSeries.zero(g, D)
+        # No term of `flat` contains x_i, so its x_i-derivative vanishes.
+        flat = MultiSeries(g, {e: c for e, c in a.terms.items() if not e[i]}, D)
+        low = a.truncate(k)
+        cases = [
+            (a * big, MultiSeries(g, {e: big * v for e, v in a.terms.items()}, D)),
+            (a * neg, MultiSeries(g, {e: neg * v for e, v in a.terms.items()}, D)),
+            (a * 0, zero),
+            (a + (-a), zero),
+            (low + b, ref_add(low, b)),
+            (b - low, ref_add(b, low * -1)),
+            (flat.derivative(g.names[i]), zero),
+        ]
+        for got, want in cases:
+            assert same(got, want) and well_bucketed(got)
+        # Equality compares through the smaller truncation degree only.
+        top = (0,) * i + (D // w[i] + 1,) + (0,) * (len(w) - i - 1)
+        high = MultiSeries(g, {**a.terms, top: 7}, D + w[i])
+        assert a == low and low == a and a == high and high == a
+        assert high != MultiSeries(g, a.terms, high.max_degree)
+        n = min(D, b.max_degree)
+        agree = {e: c for e, c in a.terms.items() if g.degree(e) <= n} == {
+            e: c for e, c in b.terms.items() if g.degree(e) <= n}
+        assert (a == b) == agree
 
 
 def ref_power_mul(a, b):
