@@ -108,13 +108,6 @@ def _partition(text):
     return sigma
 
 
-def _parse_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("malformed fraction %r" % text)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns a JSON-ready report dict)
 
@@ -217,7 +210,11 @@ def cmd_fz(args):
         "g": args.g,
         "r": args.r,
         "sigma": list(sigma),
-        "relation": rel.to_json(),
+        "relation": {
+            ("*".join("k%d^%d" % (a, x) for a, x in enumerate(e, start=1) if x)
+             or "1"): str(c)
+            for e, c in sorted(rel.items())
+        },
     }
 
 

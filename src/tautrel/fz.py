@@ -24,7 +24,7 @@ Example::
 
     >>> fz_constants(1, ())
     Fraction(60, 1)
-    >>> sorted(fz_relation(3, 2, ()).terms.items())
+    >>> sorted(fz_relation(3, 2, ()).items())
     [((0, 1), Fraction(-25920, 1)), ((2,), Fraction(1800, 1))]
 """
 
@@ -33,10 +33,10 @@ from functools import lru_cache
 from math import factorial
 
 from .series import Grading, MultiSeries
+from .strata import kappa_monomial
 
 __all__ = [
     "NotARelationError",
-    "KappaPolynomial",
     "normalize_partition",
     "build_psi",
     "fz_constants",
@@ -142,75 +142,17 @@ def fz_constants(r, sigma):
     return lp.coefficient(tuple(e))
 
 
-class KappaPolynomial:
-    """A sparse polynomial in kappa_1, kappa_2, ...
-
-    Terms map exponent tuples (e_1, e_2, ...) to rationals; the graded
-    degree of a term is sum a * e_a.  kappa_0 never appears: it is a
-    scalar and is absorbed into the coefficients.
-    """
-
-    def __init__(self, terms):
-        self.terms = {}
-        for e, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            e = tuple(e)
-            while e and e[-1] == 0:
-                e = e[:-1]
-            self.terms[e] = self.terms.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in self.terms.items() if c != 0}
-
-    @staticmethod
-    def term_degree(e):
-        return sum((a + 1) * x for a, x in enumerate(e))
-
-    def graded_degrees(self):
-        return sorted({self.term_degree(e) for e in self.terms})
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, e):
-        e = tuple(e)
-        while e and e[-1] == 0:
-            e = e[:-1]
-        return self.terms.get(e, Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, KappaPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "KappaPolynomial(0)"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                "k%d^%d" % (a + 1, x) if x > 1 else "k%d" % (a + 1)
-                for a, x in enumerate(e)
-                if x
-            )
-            bits.append("%s*%s" % (c, mono) if mono else str(c))
-        return "KappaPolynomial(%s)" % " + ".join(bits)
-
-    def to_json(self):
-        return {
-            "*".join("k%d^%d" % (a + 1, x) for a, x in enumerate(e) if x) or "1": str(c)
-            for e, c in sorted(self.terms.items())
-        }
-
-
 def fz_relation(g, r, sigma):
-    """The kappa-polynomial relation [exp(-gamma)]_{t^r p^sigma}.
+    """The kappa-polynomial relation [exp(-gamma)]_{t^r p^sigma}, as a
+    {kappa-exponent tuple: coeff} map whose keys have no trailing zero
+    (strata.kappa_monomial) and kappa-degree r.
 
     Admissibility requires g - 1 + |sigma| < 3r (strict) and
     g = r + |sigma| + 1 (mod 2); violations raise NotARelationError
     naming the failed condition.
 
-    >>> rel = fz_relation(3, 2, ())
-    >>> rel.graded_degrees()
-    [2]
+    >>> fz_relation(1, 1, (1,))
+    {(1,): Fraction(-144, 1)}
     """
     sigma = normalize_partition(sigma)
     weight = sum(sigma)
@@ -253,18 +195,15 @@ def fz_relation(g, r, sigma):
             key = tuple(e)
             gamma_terms[key] = gamma_terms.get(key, Fraction(0)) + c
     gamma = MultiSeries(grading, gamma_terms, cap)
-    E = (gamma * Fraction(-1)).exp()
-
+    # A kept term has kappa-degree r and p-part sigma, so it lies in the
+    # top weighted-degree bucket r + |sigma| of exp(-gamma).
+    m, top = (gamma * Fraction(-1)).exp().buckets().get(cap, (1, {}))
     target_p = tuple(sigma.count(j) for j in p_parts)
-    out = {}
-    for e, c in E.terms.items():
-        if tuple(e[r:]) != target_p:
-            continue
-        kexp = tuple(e[:r])
-        if KappaPolynomial.term_degree(kexp) != r:
-            continue
-        out[kexp] = c
-    return KappaPolynomial(out)
+    return {
+        kappa_monomial(e[:r]): Fraction(c, m)
+        for e, c in top.items()
+        if e[r:] == target_p
+    }
 
 
 def _sub_multisets(sigma):

@@ -24,13 +24,14 @@ when _graph_summand turns the parities into bits.
 from fractions import Fraction
 from functools import lru_cache
 
-from .fz import KappaPolynomial
+from .fz import NotARelationError, fz_relation
 from .named_series import series_H0, series_H1
 from .series import BiPoly, PowerSeries, divide_exact
 from .strata import (
     Decoration,
     StrataElement,
     enumerate_stable_graphs,
+    kappa_degree,
     kappa_of_f,
 )
 
@@ -61,19 +62,18 @@ def vertex_factor(truncation):
     The T^{b+1} coefficient of f = T - T H0(zeta T) carries zeta^b, so
     kappa_a carries zeta^a and each kappa-monomial carries zeta to its
     weighted degree: the factor is strata.kappa_of_f(T - T H0(T)) split
-    into its even- and odd-degree KappaPolynomials.  Cached per
-    truncation; callers must not mutate the returned polynomials.
+    into its even- and odd-degree kappa polynomials.  Cached per
+    truncation; callers must not mutate the returned maps.
 
-    >>> even, odd = vertex_factor(1)
-    >>> odd.terms
-    {(1,): Fraction(60, 1)}
+    >>> vertex_factor(1)
+    ({(): Fraction(1, 1)}, {(1,): Fraction(60, 1)})
     """
     T = PowerSeries.identity(truncation + 1)
     kappa = kappa_of_f(T - T * series_H0(truncation + 1), truncation)
     parts = ({}, {})
-    for e, c in kappa.terms.items():
-        parts[KappaPolynomial.term_degree(e) % 2][e] = c
-    return KappaPolynomial(parts[0]), KappaPolynomial(parts[1])
+    for e, c in kappa.items():
+        parts[kappa_degree(e) % 2][e] = c
+    return parts
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +150,9 @@ def _graph_summand(graph, A, d):
         return {}
     factors = [
         [
-            (p << v, KappaPolynomial.term_degree(e), e, c)
+            (p << v, kappa_degree(e), e, c)
             for p, part in enumerate(vertex_factor(budget))
-            for e, c in part.terms.items()
+            for e, c in part.items()
         ]
         for v in range(nv)
     ]
@@ -233,8 +233,6 @@ def fz_restriction_report(g, d):
     Data failing the parity condition of the kappa relation are not
     comparable, and their smooth part vanishes by zeta-parity.
     """
-    from .fz import NotARelationError, fz_relation
-
     element = pixton_class(g, 0, (), d)
     smooth = {}
     for (graph, dec), c in element.terms.items():
@@ -246,7 +244,7 @@ def fz_restriction_report(g, d):
         return {"comparable": False, "reason": str(exc), "smooth": smooth}
     return {
         "comparable": True,
-        "match": smooth == {e: (-1) ** d * c for e, c in rel.terms.items()},
+        "match": smooth == {e: (-1) ** d * c for e, c in rel.items()},
         "smooth": {e: str(c) for e, c in smooth.items()},
-        "fz": {e: str(c) for e, c in rel.terms.items()},
+        "fz": {e: str(c) for e, c in rel.items()},
     }

@@ -21,7 +21,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .descendents import bracket
-from .fz import KappaPolynomial
 from .series import Grading, MultiSeries, PowerSeries
 
 __all__ = [
@@ -30,6 +29,8 @@ __all__ = [
     "StrataElement",
     "enumerate_stable_graphs",
     "automorphism_order",
+    "kappa_degree",
+    "kappa_monomial",
     "kappa_of_f",
     "vertex_integral",
     "integrate",
@@ -346,6 +347,28 @@ def automorphism_order(graph):
     return order
 
 
+def kappa_degree(e):
+    """Weighted degree sum a * e_a of a kappa-exponent tuple (e_1, e_2, ...).
+
+    >>> kappa_degree((2, 0, 1))
+    5
+    """
+    return sum(a * x for a, x in enumerate(e, start=1))
+
+
+def kappa_monomial(e):
+    """The tuple e without trailing zeros: the key of kappa_1^e_1
+    kappa_2^e_2 ... in a kappa polynomial, a {exponent tuple: coeff}
+    map with no zero coefficient.
+
+    >>> kappa_monomial((1, 0, 0))
+    (1,)
+    """
+    while e and e[-1] == 0:
+        e = e[:-1]
+    return e
+
+
 def kappa_of_f(f, degree_max):
     """The kappa-class series of a power series f with f0 = f1 = 0.
 
@@ -355,10 +378,10 @@ def kappa_of_f(f, degree_max):
     With C(T) = sum_{b >= 1} f_{b+1} T^b the inner sum is
     sum_l C(T)^l / l = -log(1 - C(T)), so kappa_a has coefficient
     [T^a] -log(1 - C(T)); the exponential is taken in kappa_1..kappa_D
-    with kappa_a of weight a.
+    with kappa_a of weight a.  The result is a kappa polynomial.
 
     >>> f = PowerSeries([0, 0, Fraction(1)], 2)  # T^2
-    >>> sorted(kappa_of_f(f, 2).terms.items())
+    >>> sorted(kappa_of_f(f, 2).items())
     [((), Fraction(1, 1)), ((0, 1), Fraction(1, 2)), ((1,), Fraction(1, 1)), ((2,), Fraction(1, 2))]
     """
     if f[0] != 0 or (f.order >= 1 and f[1] != 0):
@@ -374,7 +397,8 @@ def kappa_of_f(f, degree_max):
         (0,) * (a - 1) + (1,) + (0,) * (D - a): cycles[a]
         for a in kappas
     }
-    return KappaPolynomial(MultiSeries(grading, body, D).exp().terms)
+    kappa = MultiSeries(grading, body, D).exp()
+    return {kappa_monomial(e): c for e, c in kappa.terms.items()}
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +460,7 @@ class Decoration:
         )
 
     def degree(self):
-        d = sum(KappaPolynomial.term_degree(k) for k in self.vertex_kappas)
+        d = sum(kappa_degree(k) for k in self.vertex_kappas)
         return d + sum(self.leg_psis) + sum(a + b for a, b in self.edge_psis)
 
     def key(self):
@@ -507,16 +531,6 @@ class StrataElement:
         else:
             self.terms[key] = c
 
-    def __add__(self, other):
-        if (self.g, self.n, self.d) != (other.g, other.n, other.d):
-            raise ValueError("mismatched ambient data")
-        out = StrataElement(self.g, self.n, self.d)
-        for (graph, dec), c in self.terms.items():
-            out.add_term(graph, dec, c)
-        for (graph, dec), c in other.terms.items():
-            out.add_term(graph, dec, c)
-        return out
-
     def __mul__(self, c):
         out = StrataElement(self.g, self.n, self.d)
         for (graph, dec), x in self.terms.items():
@@ -566,7 +580,7 @@ def integrate(element, psi_exps=(), kappa_exps=()):
     psi_exps = tuple(psi_exps) + (0,) * (n - len(psi_exps))
     if len(psi_exps) != n:
         raise ValueError("too many psi exponents")
-    extra_deg = sum(psi_exps) + KappaPolynomial.term_degree(tuple(kappa_exps))
+    extra_deg = sum(psi_exps) + kappa_degree(kappa_exps)
     if element.d + extra_deg != 3 * g - 3 + n:
         raise ValueError(
             "degree mismatch: codim %d + extra %d != %d"

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction as Q
 from math import factorial
 
 import pytest
 
-from tautrel import fz
+from tautrel import cli, fz, pixton, strata
+from tautrel.series import PowerSeries
 
 
 def row1(i):
@@ -90,12 +92,12 @@ class TestRelation:
     def test_codimension2_relation(self):
         # exp(-gamma) at t^2: gamma^2/2 - gamma = (60^2/2) k1^2 - C2 k2.
         rel = fz.fz_relation(3, 2, ())
-        assert rel.terms == {(2,): Q(1800), (0, 1): Q(-25920)}
+        assert rel == {(2,): Q(1800), (0, 1): Q(-25920)}
 
     def test_p1_relation_genus1(self):
         # At g=1 the kappa_0 scalar 2g-2 vanishes, leaving -C1(p1) k1.
         rel = fz.fz_relation(1, 1, (1,))
-        assert rel.terms == {(1,): Q(-144)}
+        assert rel == {(1,): Q(-144)}
 
     def test_p1_relation_genus2_hand_expansion(self):
         # [exp(-gamma)]_{t^2 p1} with kappa_0 = 2:
@@ -103,15 +105,14 @@ class TestRelation:
         #   +gamma^2/2:   60*144 k1^2 + C2 * C0(p1)*2 k2 = 8640 k1^2 - 51840 k2
         #   -gamma^3/6:   -3*60^2*(-2)/6 k1^2            = +3600 k1^2
         rel = fz.fz_relation(2, 2, (1,))
-        assert rel.terms == {(2,): Q(12240), (0, 1): Q(-103680)}
+        assert rel == {(2,): Q(12240), (0, 1): Q(-103680)}
 
     @pytest.mark.parametrize(
         "g,r,sigma", [(3, 2, ()), (1, 1, (1,)), (4, 3, (1, 3)), (3, 3, (1, 1, 1))]
     )
     def test_graded_degree_is_r(self, g, r, sigma):
         rel = fz.fz_relation(g, r, sigma)
-        assert not rel.is_zero()
-        assert rel.graded_degrees() == [r]
+        assert {strata.kappa_degree(e) for e in rel} == {r}
 
     def test_g_independence_for_empty_sigma(self):
         # For sigma = (), gamma has no kappa_0 term, so the polynomial
@@ -120,15 +121,32 @@ class TestRelation:
         assert fz.fz_relation(2, 3, ()) == fz.fz_relation(4, 3, ())
 
 
-class TestKappaPolynomial:
-    def test_normalization(self):
-        p = fz.KappaPolynomial({(1, 0, 0): Q(2), (1,): Q(-2), (0, 1): Q(3)})
-        assert p.terms == {(0, 1): Q(3)}
-        assert p.graded_degrees() == [2]
+def in_normal_form(poly):
+    """No key ends in a zero exponent and no coefficient is zero."""
+    return all(not e or e[-1] for e in poly) and all(poly.values())
 
-    def test_zero(self):
-        assert fz.KappaPolynomial({}).is_zero()
 
-    def test_json(self):
-        p = fz.KappaPolynomial({(2, 1): Q(5, 3)})
-        assert p.to_json() == {"k1^2*k2^1": "5/3"}
+class TestKappaMaps:
+    """Kappa polynomials are {exponent tuple: coeff} maps in one normal
+    form, whichever routine builds them."""
+
+    @pytest.mark.parametrize(
+        "g,r,sigma", [(3, 2, ()), (7, 4, ()), (5, 3, (1,)), (3, 3, (1, 1, 1))]
+    )
+    def test_fz_relation_normal_form(self, g, r, sigma):
+        rel = fz.fz_relation(g, r, sigma)
+        assert rel and in_normal_form(rel)
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_kappa_of_f_and_vertex_factor_normal_form(self, t):
+        # kappa_of_f works over kappa_1..kappa_t, so kappa_1 alone
+        # comes out of the exp as (1, 0, ..., 0) before it is trimmed.
+        f = PowerSeries([0, 0, 1, 0, 1], 4)
+        for poly in (strata.kappa_of_f(f, t), *pixton.vertex_factor(t)):
+            assert poly and in_normal_form(poly)
+
+    def test_relation_json_keys(self):
+        # Every exponent is written, also an exponent 1.
+        code, out = cli.dispatch(["fz", "--g", "3", "--r", "2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["relation"] == {"k1^2": "1800", "k2^1": "-25920"}
