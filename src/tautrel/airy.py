@@ -20,6 +20,11 @@ Two independent numeric oracles are provided for x > 0:
 - ``airy_ode``: Taylor-series continuation of y'' = x y from 0, with working
   precision padded to absorb the exponential cancellation.
 
+Both are compared with the truncated asymptotic expansions of Ai and Ai',
+whose series are A(-w) and B(-w) of ``named_series`` at w = 1/(2 x^{3/2}):
+one routine sums either one and returns the value with the magnitude of
+its first omitted term, which bounds the error (``asymptotic_report``).
+
 This is the only module in the package that uses floating point.  Its
 functions import mpmath when they run, so mpmath is loaded only when an
 Airy value is computed, not whenever the package or its CLI is imported.
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .named_series import a_j, b_j
+from .named_series import series_A, series_B
 
 
 def _require_positive(x):
@@ -231,60 +236,49 @@ def airy_prime_numeric(x, precision_bits: int = 128):
     )
 
 
-def _asym_sum(coeff, x, k, precision_bits):
-    """sum_{j<=k} coeff(j) * (2^{-1/3} x^{-1/2})^{3j} and the first omitted
-    term, as mpf values."""
+def _asymptotic(x, k, prime, precision_bits):
+    """The truncated asymptotic of Ai(x) (of Ai'(x) if ``prime``) and the
+    magnitude of its first omitted term, as mpf values.
+
+    The truncation is (sqrt(pi)/2) x^{-1/4} e^{-(2/3)x^{3/2}} * S, with
+    x^{1/4} for x^{-1/4} if ``prime``, where S sums A(-w) (B(-w) if
+    ``prime``) through w^k at w = 1/(2 x^{3/2}); these are calA and -calB
+    at 2^{-1/3} x^{-1/2}.
+    """
     import mpmath
     from mpmath import mp, mpf
 
+    _require_positive(x)
+    series = series_B if prime else series_A
+    *kept, omitted = series(k + 1).scale_argument(-1).coeffs
     with mp.workprec(precision_bits):
         x = mpf(x)
-        arg3 = 1 / (2 * x ** mpf("1.5"))  # (2^{-1/3} x^{-1/2})^3
+        w = 1 / (2 * x ** mpf("1.5"))
         total = mpmath.mpf(0)
         p = mpf(1)
-        for j in range(k + 1):
-            total += mpf(coeff(j).numerator) / coeff(j).denominator * p
-            p *= arg3
-        omitted = mpf(coeff(k + 1).numerator) / coeff(k + 1).denominator * p
-        return +total, +omitted
+        for c in kept:
+            total += mpf(c.numerator) / c.denominator * p
+            p *= w
+        omitted = mpf(omitted.numerator) / omitted.denominator * p
+        pref = (
+            mpmath.sqrt(mpmath.pi)
+            / 2
+            * x ** mpf("0.25" if prime else "-0.25")
+            * mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5"))
+        )
+        return +(pref * total), abs(pref * omitted)
 
 
 def airy_asymptotic(x, k, precision_bits: int = 128):
     """Truncated asymptotic (sqrt(pi)/2) x^{-1/4} e^{-(2/3)x^{3/2}}
     * calA(2^{-1/3} x^{-1/2}) kept through the x^{-3k/2} term."""
-    import mpmath
-    from mpmath import mp, mpf
-
-    _require_positive(x)
-    with mp.workprec(precision_bits):
-        x = mpf(x)
-        s, _ = _asym_sum(a_j, x, k, precision_bits)
-        pref = (
-            mpmath.sqrt(mpmath.pi)
-            / 2
-            * x ** mpf("-0.25")
-            * mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5"))
-        )
-        return +(pref * s)
+    return _asymptotic(x, k, False, precision_bits)[0]
 
 
 def airy_prime_asymptotic(x, k, precision_bits: int = 128):
     """Truncated asymptotic (sqrt(pi)/2) x^{1/4} e^{-(2/3)x^{3/2}}
     * (-calB)(2^{-1/3} x^{-1/2}); the leading term is negative, as Ai' is."""
-    import mpmath
-    from mpmath import mp, mpf
-
-    _require_positive(x)
-    with mp.workprec(precision_bits):
-        x = mpf(x)
-        s, _ = _asym_sum(lambda j: -b_j(j), x, k, precision_bits)
-        pref = (
-            mpmath.sqrt(mpmath.pi)
-            / 2
-            * x ** mpf("0.25")
-            * mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5"))
-        )
-        return +(pref * s)
+    return _asymptotic(x, k, True, precision_bits)[0]
 
 
 class AsymptoticReport(NamedTuple):
@@ -319,17 +313,8 @@ def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> A
 
     with mp.workprec(precision_bits):
         x = mpf(x)
-        if prime:
-            num = airy_prime_numeric(x, precision_bits)
-            asym = airy_prime_asymptotic(x, k, precision_bits)
-            _, omitted = _asym_sum(lambda j: -b_j(j), x, k, precision_bits)
-            pref = mpmath.sqrt(mpmath.pi) / 2 * x ** mpf("0.25")
-        else:
-            num = airy_numeric(x, precision_bits)
-            asym = airy_asymptotic(x, k, precision_bits)
-            _, omitted = _asym_sum(a_j, x, k, precision_bits)
-            pref = mpmath.sqrt(mpmath.pi) / 2 * x ** mpf("-0.25")
-        omitted_mag = abs(pref * mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5")) * omitted)
+        num = (airy_prime_numeric if prime else airy_numeric)(x, precision_bits)
+        asym, omitted_mag = _asymptotic(x, k, prime, precision_bits)
         err = abs(num - asym)
         return AsymptoticReport(
             x=float(x),

@@ -2,12 +2,13 @@
 
 The generating object is
 
-    Psi(t, p) = (1 + t p_3 + t^2 p_6 + ...) * sum_i (6i)!/((3i)!(2i)!) t^i
-              + (p_1 + t p_4 + t^2 p_7 + ...) * sum_i (6i)!/((3i)!(2i)!)
-                                                 * (6i+1)/(6i-1) t^i
+    Psi(t, p) = (1 + sum_{k>=1} t^k p_{3k}) * A(288 t)
+              + (sum_{k>=1} t^{k-1} p_{3k-2}) * B(288 t)
 
 in a variable t and variables p_j indexed by positive integers j not
-congruent to 2 mod 3.  Writing
+congruent to 2 mod 3, where A and B are ``named_series.series_A`` and
+``series_B``: A(288 t) = sum_i (6i)!/((3i)!(2i)!) t^i, and B(288 t) twists
+its coefficients by (6i+1)/(6i-1).  Writing
 
     log(Psi) = sum_{sigma, r} C_r(sigma) t^r p^sigma,
 
@@ -18,7 +19,9 @@ admissible triple (g, r, sigma), the kappa-polynomial relation
 
 valid when g - 1 + |sigma| < 3r and g = r + |sigma| + 1 (mod 2).  Here
 sigma is a partition avoiding parts congruent to 2 mod 3, and kappa_0
-is substituted by the scalar 2g - 2.
+is substituted by the scalar 2g - 2.  Every C_r'(sigma') that gamma needs
+(r' <= r, sigma' inside sigma) is a coefficient of the one log Psi
+truncated at t-degree r and p-weight |sigma|.
 
 Example::
 
@@ -30,8 +33,8 @@ Example::
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
+from .named_series import series_A, series_B
 from .series import Grading, MultiSeries
 from .strata import kappa_monomial
 
@@ -61,16 +64,11 @@ def normalize_partition(sigma):
     return parts
 
 
-def _row_coeff(i):
-    # (6i)! / ((3i)! (2i)!)
-    return Fraction(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
-
-
 def _p_indices(p_weight_max):
     return [j for j in range(1, p_weight_max + 1) if j % 3 != 2]
 
 
-def _psi_grading(t_order, p_weight_max):
+def _psi_grading(p_weight_max):
     names = ["t"] + ["p%d" % j for j in _p_indices(p_weight_max)]
     weights = [1] + _p_indices(p_weight_max)
     return Grading(names, weights)
@@ -92,28 +90,19 @@ def build_psi(t_order, p_weight_max):
     """
     if t_order < 0 or p_weight_max < 0:
         raise ValueError("orders must be nonnegative")
-    g = _psi_grading(t_order, p_weight_max)
-    nv = len(g)
+    g = _psi_grading(p_weight_max)
+    A = series_A(t_order).scale_argument(288).coeffs
+    B = series_B(t_order).scale_argument(288).coeffs
+    # The constant 1 multiplies A(288 t); p_j multiplies t^{j//3} A(288 t)
+    # when 3 divides j, and t^{j//3} B(288 t) when j = 1 (mod 3).
     terms = {}
-
-    def add(t_pow, p_name, coeff):
-        e = [0] * nv
-        e[0] = t_pow
-        if p_name is not None:
-            e[g.index[p_name]] = 1
-        key = tuple(e)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-
-    for i in range(t_order + 1):
-        row1 = _row_coeff(i)
-        row2 = row1 * Fraction(6 * i + 1, 6 * i - 1)
-        add(i, None, row1)
-        for k in range(1, (t_order - i) + 1):
-            if 3 * k <= p_weight_max:
-                add(i + k, "p%d" % (3 * k), row1)
-        for k in range(1, (t_order - i + 1) + 1):
-            if 3 * k - 2 <= p_weight_max:
-                add(i + k - 1, "p%d" % (3 * k - 2), row2)
+    for col, j in enumerate([0] + _p_indices(p_weight_max)):
+        for i, c in enumerate((B if j % 3 == 1 else A)[: t_order - j // 3 + 1]):
+            e = [0] * len(g)
+            e[0] = i + j // 3
+            if j:
+                e[col] = 1
+            terms[tuple(e)] = c
     return MultiSeries(g, terms, t_order + p_weight_max)
 
 
@@ -174,45 +163,37 @@ def fz_relation(g, r, sigma):
     p_names = ["p%d" % j for j in p_parts]
     p_weights = list(p_parts)
     grading = Grading(kappa_names + p_names, kappa_weights + p_weights)
-    nv = len(grading)
     cap = r + weight
 
+    # C_r'(sigma') for r' <= r and sigma' inside sigma, read off the one
+    # log Psi that covers them all.  gamma's terms go in by r', then by
+    # p-counts: the relation's row order follows theirs.
+    lp = _log_psi(r, weight)
+    p_cols = [lp.grading.index["p%d" % j] for j in p_parts]
+    target_p = tuple(sigma.count(j) for j in p_parts)
+    picked = {}
+    for e, c in lp.terms.items():
+        counts = tuple(e[i] for i in p_cols)
+        if (e[0] > r or sum(e[1:]) != sum(counts)
+                or any(n > m for n, m in zip(counts, target_p))):
+            continue
+        if e[0] == 0:
+            c *= 2 * g - 2  # kappa_0 is the scalar 2g-2
+        if c:
+            picked[e[0], counts] = c
     gamma_terms = {}
-    for rp in range(r + 1):
-        for sub in _sub_multisets(sigma):
-            if rp == 0 and not sub:
-                continue
-            c = fz_constants(rp, sub)
-            if rp == 0:
-                c *= 2 * g - 2  # kappa_0 is the scalar 2g-2
-            if c == 0:
-                continue
-            e = [0] * nv
-            if rp > 0:
-                e[grading.index["k%d" % rp]] = 1
-            for part in sub:
-                e[grading.index["p%d" % part]] += 1
-            key = tuple(e)
-            gamma_terms[key] = gamma_terms.get(key, Fraction(0)) + c
+    for (rp, counts), c in sorted(picked.items()):
+        kappa = [0] * r
+        if rp:
+            kappa[rp - 1] = 1
+        gamma_terms[tuple(kappa) + counts] = c
     gamma = MultiSeries(grading, gamma_terms, cap)
     # A kept term has kappa-degree r and p-part sigma, so it lies in the
     # top weighted-degree bucket r + |sigma| of exp(-gamma).
     m, top = (gamma * Fraction(-1)).exp().buckets().get(cap, (1, {}))
-    target_p = tuple(sigma.count(j) for j in p_parts)
     return {
         kappa_monomial(e[:r]): Fraction(c, m)
         for e, c in top.items()
         if e[r:] == target_p
     }
 
-
-def _sub_multisets(sigma):
-    """All sub-multisets of a sorted partition tuple, each sorted."""
-    if not sigma:
-        return [()]
-    parts = sorted(set(sigma))
-    out = [()]
-    for j in parts:
-        n = sigma.count(j)
-        out = [base + (j,) * k for base in out for k in range(n + 1)]
-    return [tuple(sorted(s)) for s in out]

@@ -4,12 +4,19 @@ Everything here is a :class:`~tautrel.series.PowerSeries` with exact rational
 coefficients:
 
 - ``series_A``, ``series_B`` -- the basic hypergeometric pair in z, with
-  coefficients (6i)!/((3i)!(2i)! 288^i) and the (6i+1)/(6i-1) twist.
-- ``series_calA``, ``series_calB`` -- the x-variants A(-x^3) and -B(-x^3)
-  (so calB's own sign matches b_j = -(6j+1)/(6j-1) a_j).
-- ``series_H0``, ``series_H1`` -- T-variants A(-288 T) and -B(-288 T).
-- ``series_D`` -- the correction series with d_n given by a closed sum, and
-  the first-order ODE it satisfies.
+  coefficients a_i = (6i)!/((3i)!(2i)! 288^i) and a_i (6i+1)/(6i-1).  They
+  are the only source of these coefficients; every variant below is an
+  argument change of one of them:
+
+  - ``series_calA``, ``series_calB`` -- A(-x^3) and -B(-x^3) in x
+    (``scale_argument(-1)``, then ``shift_exponents(3)``);
+  - ``series_H0``, ``series_H1`` -- A(-288 T) and -B(-288 T) in T;
+  - ``series_D`` -- the correction series, whose coefficients d_n are closed
+    sums over the a_i, cubed the same way, and the first-order ODE it
+    satisfies (``series_D_ode``, driven by calA(-x)).
+
+  The rows of the Faber-Zagier series (``fz``) are A(288 t) and B(288 t),
+  and the Airy asymptotics (``airy``) sum A(-w) and B(-w).
 - ``series_Phi`` -- the q-hypergeometric series at a rational (lambda, z)
   specialization.
 - ``bernoulli`` / ``stirling_series`` -- Bernoulli numbers and the Stirling
@@ -34,11 +41,6 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
-
-
-@lru_cache(maxsize=None)
-def _a_coeff(i: int) -> Fraction:
-    return Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i) * 288**i)
 
 
 @lru_cache(maxsize=None)
@@ -79,48 +81,32 @@ def series_B(order: int) -> PowerSeries:
 
 def a_j(j: int) -> Fraction:
     """Coefficient of x^{3j} in calA: (-1)^j (6j)!/(288^j (2j)! (3j)!)."""
-    return (-1) ** j * _a_coeff(j)
+    return (-1) ** j * _a_coeffs(j)[j]
 
 
-def b_j(j: int) -> Fraction:
-    """Coefficient of x^{3j} in calB: -(6j+1)/(6j-1) a_j."""
-    return -Q(6 * j + 1, 6 * j - 1) * a_j(j)
-
-
-def _cubed(coeff_fn, order: int) -> PowerSeries:
-    coeffs = [Q(0)] * (order + 1)
-    for j in range(order // 3 + 1):
-        coeffs[3 * j] = coeff_fn(j)
-    return PowerSeries(coeffs, order, var="x")
+def _cube(s: PowerSeries, order: int) -> PowerSeries:
+    """s(x^3) in the variable x through x^order."""
+    return PowerSeries(s.shift_exponents(3).coeffs, order, var="x")
 
 
 def series_calA(order: int) -> PowerSeries:
     """calA(x) = A(-x^3) = 1 - (5/24)x^3 + (385/1152)x^6 - ..."""
-    return _cubed(a_j, order)
+    return _cube(series_A(order // 3).scale_argument(-1), order)
 
 
 def series_calB(order: int) -> PowerSeries:
     """calB(x) = -B(-x^3); starts 1 + (7/24)x^3 + ..."""
-    return _cubed(b_j, order)
+    return _cube(-series_B(order // 3).scale_argument(-1), order)
 
 
 def series_H0(order: int) -> PowerSeries:
     """H0(T) = A(-288 T) = 1 - 60T + 27720T^2 - ..."""
-    return PowerSeries(
-        [a * (-288) ** i for i, a in enumerate(_a_coeffs(order))], order, var="T"
-    )
+    return PowerSeries(series_A(order).scale_argument(-288).coeffs, order, var="T")
 
 
 def series_H1(order: int) -> PowerSeries:
     """H1(T) = -B(-288 T) = 1 + 84T - 32760T^2 + ..."""
-    return PowerSeries(
-        [
-            -a * Q(6 * i + 1, 6 * i - 1) * (-288) ** i
-            for i, a in enumerate(_a_coeffs(order))
-        ],
-        order,
-        var="T",
-    )
+    return PowerSeries((-series_B(order).scale_argument(-288)).coeffs, order, var="T")
 
 
 def d_coeff(n: int) -> Fraction:
@@ -129,18 +115,19 @@ def d_coeff(n: int) -> Fraction:
     >>> d_coeff(1)
     Fraction(41, 24)
     """
+    a = _a_coeffs(n)
     total = Q(0)
     for i in range(n + 1):
         prod = Q(1)
         for k in range(1, i + 1):
             prod *= n + Q(1, 2) - k
-        total += 3**i * abs(a_j(n - i)) * prod
+        total += 3**i * a[n - i] * prod
     return total
 
 
 def series_D(order: int) -> PowerSeries:
     """D(x) = 1 + sum_{i>=1} d_i x^{3i}."""
-    return _cubed(d_coeff, order)
+    return _cube(PowerSeries([d_coeff(n) for n in range(order // 3 + 1)]), order)
 
 
 def series_D_ode(order: int) -> PowerSeries:

@@ -30,7 +30,7 @@ from functools import cache
 from itertools import product as iter_product
 from math import comb, prod
 
-from .descendents import build_Fc, t_grading
+from .descendents import apply_L, build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
 from .series import (
     Grading,
@@ -213,8 +213,6 @@ def open_virasoro_residual(
     ``E`` is :func:`open_exp` of the same pair, when the caller already has
     it: it does not depend on n.
     """
-    from .descendents import apply_L
-
     if E is None:
         E = open_exp(Fo, Fc)
     return apply_L(n, E, s_var=True)

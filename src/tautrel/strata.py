@@ -374,7 +374,7 @@ def kappa_of_f(f, degree_max):
 
     Implements sum_m (1/m!) p_m*(f(psi) ... f(psi)) using the cycle
     formula for the multi-point forgetful push-forward: the result is
-    exp( sum_l (1/l) sum_{b_1..b_l >= 1} prod f_{b_j + 1} kappa_{b_1+..+b_l} ).
+    exp( sum_l (1/l) sum_{b_1..b_l >= 1} prod_i f_{b_i + 1} kappa_{b_1+..+b_l} ).
     With C(T) = sum_{b >= 1} f_{b+1} T^b the inner sum is
     sum_l C(T)^l / l = -log(1 - C(T)), so kappa_a has coefficient
     [T^a] -log(1 - C(T)); the exponential is taken in kappa_1..kappa_D

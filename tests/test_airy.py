@@ -1,6 +1,9 @@
+from fractions import Fraction as Q
+from math import factorial
+
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from tautrel import airy
 
@@ -125,3 +128,50 @@ class TestAsymptotics:
         data = rep.to_json()
         assert data["terms"] == 3 and data["x"] == 10.0
         assert float(data["rel_error"]) >= 0
+
+
+def closed_a(j):
+    """Coefficient of w^j in A(-w) from factorials."""
+    return (-1) ** j * Q(factorial(6 * j), factorial(3 * j) * factorial(2 * j) * 288**j)
+
+
+def ref_asym_sum(coeff, x, k, precision_bits):
+    """sum_{j<=k} coeff(j) w^j at w = 1/(2 x^{3/2}), and the first omitted
+    term, summed term by term."""
+    with mp.workprec(precision_bits):
+        x = mpf(x)
+        w = 1 / (2 * x ** mpf("1.5"))
+        total = mpmath.mpf(0)
+        p = mpf(1)
+        for j in range(k + 1):
+            total += mpf(coeff(j).numerator) / coeff(j).denominator * p
+            p *= w
+        omitted = mpf(coeff(k + 1).numerator) / coeff(k + 1).denominator * p
+        return +total, +omitted
+
+
+def ref_asymptotic(x, k, prime, precision_bits):
+    """The truncated asymptotic and its first omitted magnitude, with the
+    prefactor built apart from the sum, as the report once did."""
+    def coeff(j):
+        return closed_a(j) * Q(6 * j + 1, 6 * j - 1) if prime else closed_a(j)
+
+    with mp.workprec(precision_bits):
+        x = mpf(x)
+        s, omitted = ref_asym_sum(coeff, x, k, precision_bits)
+        pref = mpmath.sqrt(mpmath.pi) / 2 * x ** mpf("0.25" if prime else "-0.25")
+        exp = mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5"))
+        return +(pref * exp * s), abs(pref * exp * omitted)
+
+
+class TestOneAsymptoticRoutine:
+    @pytest.mark.parametrize("prime", [False, True])
+    @pytest.mark.parametrize("x,k,bits", [
+        (10, 5, 128), (mpf("9.5"), 5, 384), (mpf("0.5"), 0, 128), (3, 3, 64),
+        (25, 7, 192), (mpf("10.5"), 1, 384),
+    ])
+    def test_equals_term_by_term_sum(self, x, k, bits, prime):
+        want = ref_asymptotic(x, k, prime, bits)
+        assert airy._asymptotic(x, k, prime, bits) == want
+        wrapper = airy.airy_prime_asymptotic if prime else airy.airy_asymptotic
+        assert wrapper(x, k, bits) == want[0]

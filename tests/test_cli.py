@@ -384,10 +384,16 @@ class TestVerify:
         failed = [c["name"] for c in json.loads(out)["failures"]]
         assert failed == ["reflection"]
 
+    # H0 = A(-288T), H1 = -B(-288T) and calA = A(-x^3) are built from A
+    # and B, so a perturbed A or B also breaks the reflection identity,
+    # and a perturbed A breaks D's ODE when its index enters calA through
+    # x^20 (index 5 does, index 7 does not).
     @pytest.mark.parametrize(
         "name,index,failed",
-        [("series_B", 11, ["first_ode"]),
-         ("series_A", 7, ["first_ode", "second_ode"])],
+        [("series_B", 11, ["first_ode", "reflection"]),
+         ("series_A", 7, ["first_ode", "second_ode", "reflection"]),
+         ("series_A", 5,
+          ["first_ode", "second_ode", "reflection", "d_series_ode"])],
     )
     def test_series_suite_catches_ode_perturbation(
         self, monkeypatch, name, index, failed
@@ -396,7 +402,8 @@ class TestVerify:
 
         def perturbed(n):
             coeffs = list(real(n).coeffs)
-            coeffs[index] += 1
+            if index <= n:
+                coeffs[index] += 1
             return PowerSeries(coeffs, n)
 
         monkeypatch.setattr(named_series, name, perturbed)
@@ -493,9 +500,10 @@ def _without_times(x):
 
 # SHA-256 of rendered reports: of the JSON without its *_time_s keys, or
 # of the text as printed when the command names its own --format.  They
-# cover the closed and open potentials and the kappa relations and graph
-# sums; changes to the arithmetic underneath must leave these reports
-# byte for byte as they are.  The text case pins the order of the
+# cover the closed and open potentials, the kappa relations and graph
+# sums, the argument changes of A and B and the Airy asymptotics; changes
+# to the arithmetic underneath must leave these reports byte for byte as
+# they are.  The text case pins the order of the
 # relation's rows, which the JSON's sorted keys do not show.
 GOLDEN_REPORTS = {
     "verify descendents --order 12":
@@ -522,6 +530,26 @@ GOLDEN_REPORTS = {
         "4a5521d4033abaf2dbd784e87acc9b6aff45946337a49e8db049f36f3c7b5daa",
     "fz --g 7 --r 4 --format text":
         "b776d011e12c334d2be8195b2b1534aadafef5b78f5878ba6823179072be77ad",
+    "series --which calA --order 60":
+        "66150731c00b6d748bda534a07e8c29ff52d125e05d95dc0bbf7054bb3c3d77b",
+    "series --which calB --order 60":
+        "6ed5bde67be823ccf3a68d7bc7df234c174e349169d6b16cdda3aa40f40ab962",
+    "series --which H0 --order 60":
+        "1b6f8ea3fd9f500503da7275e212bc18c56425f6c7a2ee6a7aebff41b5dcf255",
+    "series --which H1 --order 60":
+        "ee783b23beb0ba9df26900b855bad743667306e3c20b8592c35a4f1a573bcf23",
+    "series --which D --order 60":
+        "74b0f27ea52fc18bff7c83bff9520a64f80b38c1323ebf462af5133211bd912f",
+    "verify series --order 60":
+        "c0948f30b5c213caf082eb7cd2d3f3ff079639f121a7cd6b8a3c37b45f065920",
+    "airy --x 10 --k 5":
+        "7608664eb52bfc911ac5a0814cb21019ccfe3fbe8f2d99ce0a8155e4e945d7bc",
+    "airy --x 10 --k 5 --prime":
+        "0957ba68f430c03defc2ddbc8f16b3c61740e329152689d7ce32808d3cac1812",
+    "fz --g 7 --r 4 --sigma 1,3":
+        "3340d38cca0e4137101f63b8edcbe75bb7949bb955a85d05cb363f641fa2a998",
+    "fz --g 10 --r 6 --sigma 1,4":
+        "3dfffef6af60a856589e8e57909668388e06b20f21046090b16d02759b50f474",
 }
 
 

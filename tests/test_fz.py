@@ -5,11 +5,39 @@ from math import factorial
 import pytest
 
 from tautrel import cli, fz, pixton, strata
-from tautrel.series import PowerSeries
+from tautrel.series import Grading, MultiSeries, PowerSeries
 
 
 def row1(i):
     return Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
+
+
+def row2(i):
+    return row1(i) * Q(6 * i + 1, 6 * i - 1)
+
+
+def ref_psi_terms(t_order, p_weight_max):
+    """The terms of Psi written out from the factorial row coefficients:
+    t^i row1(i), t^{i+k} p_{3k} row1(i) and t^{i+k-1} p_{3k-2} row2(i)."""
+    column = {j: 1 + n for n, j in enumerate(fz._p_indices(p_weight_max))}
+    terms = {}
+
+    def add(t_pow, j, coeff):
+        e = [0] * (1 + len(column))
+        e[0] = t_pow
+        if j:
+            e[column[j]] = 1
+        terms[tuple(e)] = coeff
+
+    for i in range(t_order + 1):
+        add(i, None, row1(i))
+        for k in range(1, t_order - i + 1):
+            if 3 * k <= p_weight_max:
+                add(i + k, 3 * k, row1(i))
+        for k in range(1, t_order - i + 2):
+            if 3 * k - 2 <= p_weight_max:
+                add(i + k - 1, 3 * k - 2, row2(i))
+    return terms
 
 
 class TestBuildPsi:
@@ -48,6 +76,12 @@ class TestBuildPsi:
         assert psi.coefficient(tuple(e)) == -1
         e[0] = 2
         assert psi.coefficient(tuple(e)) == row1(1) * Q(7, 5)
+
+    @pytest.mark.parametrize("t_order,p_weight_max",
+                             [(0, 0), (1, 1), (2, 4), (5, 7), (200, 0), (200, 7)])
+    def test_rows_equal_factorial_closed_forms(self, t_order, p_weight_max):
+        psi = fz.build_psi(t_order, p_weight_max)
+        assert psi.terms == ref_psi_terms(t_order, p_weight_max)
 
     def test_log_round_trip(self):
         psi = fz.build_psi(3, 4)
@@ -119,6 +153,92 @@ class TestRelation:
         # depends on g only through validity.
         assert fz.fz_relation(3, 2, ()) == fz.fz_relation(5, 2, ())
         assert fz.fz_relation(2, 3, ()) == fz.fz_relation(4, 3, ())
+
+
+def sub_multisets(sigma):
+    """All sub-multisets of a sorted partition tuple, each sorted."""
+    out = [()]
+    for j in sorted(set(sigma)):
+        out = [base + (j,) * k for base in out for k in range(sigma.count(j) + 1)]
+    return out
+
+
+def ref_fz_relation(g, r, sigma):
+    """[exp(-gamma)]_{t^r p^sigma} with gamma assembled term by term: one
+    fz_constants(r', sigma') per r' <= r and sub-multiset sigma' of sigma,
+    each read off the log Psi of its own truncation (r', |sigma'|)."""
+    kappa_names = ["k%d" % a for a in range(1, r + 1)]
+    p_parts = sorted(set(sigma))
+    grading = Grading(kappa_names + ["p%d" % j for j in p_parts],
+                      list(range(1, r + 1)) + p_parts)
+    cap = r + sum(sigma)
+    gamma_terms = {}
+    for rp in range(r + 1):
+        for sub in sub_multisets(sigma):
+            if rp == 0 and not sub:
+                continue
+            c = fz.fz_constants(rp, sub)
+            if rp == 0:
+                c *= 2 * g - 2
+            if c == 0:
+                continue
+            e = [0] * len(grading)
+            if rp > 0:
+                e[grading.index["k%d" % rp]] = 1
+            for part in sub:
+                e[grading.index["p%d" % part]] += 1
+            gamma_terms[tuple(e)] = c
+    gamma = MultiSeries(grading, gamma_terms, cap)
+    m, top = (gamma * Q(-1)).exp().buckets().get(cap, (1, {}))
+    target_p = tuple(sigma.count(j) for j in p_parts)
+    return {
+        strata.kappa_monomial(e[:r]): Q(c, m)
+        for e, c in top.items()
+        if e[r:] == target_p
+    }
+
+
+def partitions(weight, largest):
+    """Partitions of weight into parts <= largest, none 2 mod 3."""
+    if weight == 0:
+        yield ()
+        return
+    for part in range(min(weight, largest), 0, -1):
+        if part % 3 != 2:
+            for rest in partitions(weight - part, part):
+                yield rest + (part,)
+
+
+# Every admissible (g, r, sigma) with g <= 11, r <= 7, |sigma| <= 7 and
+# at most three parts.
+FZ_CASES = [
+    (g, r, sigma)
+    for g in range(12) for r in range(8) for w in range(8)
+    for sigma in partitions(w, w)
+    if len(sigma) <= 3 and g - 1 + w < 3 * r and (g - r - w - 1) % 2 == 0
+]
+
+
+class TestOneLogPsi:
+    """fz_relation reads every constant off one log Psi; the term-by-term
+    assembly is the independent route."""
+
+    def test_matches_term_by_term_assembly(self):
+        # Equal as maps, and in the same row order, which the text
+        # report shows.
+        assert len(FZ_CASES) == 398
+        for g, r, sigma in FZ_CASES:
+            got = fz.fz_relation(g, r, sigma)
+            want = ref_fz_relation(g, r, sigma)
+            assert list(got.items()) == list(want.items()), (g, r, sigma)
+
+    @pytest.mark.parametrize(
+        "g,r,sigma", [(3, 2, ()), (7, 4, (1, 3)), (10, 6, (1, 4)), (3, 3, (1, 1, 1))]
+    )
+    def test_one_log_per_relation(self, g, r, sigma):
+        fz._log_psi.cache_clear()
+        fz.fz_relation(g, r, sigma)
+        assert fz._log_psi.cache_info().misses == 1
 
 
 def in_normal_form(poly):

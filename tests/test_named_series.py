@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -99,6 +100,67 @@ class TestD:
             + D.truncate(order)
         )
         assert lhs == ns.series_calA(order).scale_argument(-1)
+
+
+@lru_cache(maxsize=None)
+def closed_a(i):
+    """a_i = (6i)!/((3i)!(2i)! 288^i) from factorials."""
+    return Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i) * 288**i)
+
+
+def closed_b(i):
+    """B's coefficient a_i (6i+1)/(6i-1) from factorials."""
+    return closed_a(i) * Q(6 * i + 1, 6 * i - 1)
+
+
+def cubed(coeff, order):
+    """sum_j coeff(j) x^{3j} through x^order."""
+    return PowerSeries(
+        [coeff(k // 3) if k % 3 == 0 else 0 for k in range(order + 1)], order, "x"
+    )
+
+
+def closed_d(n):
+    """d_n = sum_i 3^i |a_{n-i}| prod_{k=1}^i (n + 1/2 - k), |a| from
+    factorials."""
+    total = Q(0)
+    for i in range(n + 1):
+        prod = Q(1)
+        for k in range(1, i + 1):
+            prod *= n + Q(1, 2) - k
+        total += 3**i * closed_a(n - i) * prod
+    return total
+
+
+class TestFactorialClosedForms:
+    """Every variant is an argument change of A or B; the factorial
+    closed forms of their coefficients are the independent route."""
+
+    ORDER = 200
+
+    def assert_same(self, got, want):
+        assert (got.coeffs, got.order, got.var) == (want.coeffs, want.order, want.var)
+
+    def test_calA_calB(self):
+        for order in (self.ORDER - 1, self.ORDER):
+            self.assert_same(ns.series_calA(order),
+                             cubed(lambda j: (-1) ** j * closed_a(j), order))
+            self.assert_same(ns.series_calB(order),
+                             cubed(lambda j: (-1) ** (j + 1) * closed_b(j), order))
+
+    def test_H0_H1(self):
+        n = self.ORDER
+        self.assert_same(ns.series_H0(n), PowerSeries(
+            [closed_a(i) * (-288) ** i for i in range(n + 1)], n, "T"))
+        self.assert_same(ns.series_H1(n), PowerSeries(
+            [-closed_b(i) * (-288) ** i for i in range(n + 1)], n, "T"))
+
+    def test_D(self):
+        self.assert_same(ns.series_D(self.ORDER), cubed(closed_d, self.ORDER))
+
+    def test_a_j(self):
+        assert [ns.a_j(j) for j in range(40)] == [
+            (-1) ** j * closed_a(j) for j in range(40)]
 
 
 class TestPhi:
