@@ -544,20 +544,11 @@ def _pixton_pairings(g, n, A, d):
     """(class terms, pairings made, the nonzero pairings) of a class."""
     el = pixton.pixton_class(g, n, A, d)
     extra = 3 * g - 3 + n - d
-    jobs = []
-    for psis in _compositions(extra, n):
-        rem = extra - sum(psis)
-        for ke in _kappa_monomials(rem):
-            jobs.append((psis, ke))
-    values = [
-        strata.integrate(el, psi_exps=psis, kappa_exps=ke) for psis, ke in jobs
-    ]
-    bad = [
-        {"psi": list(j[0]), "kappa": list(j[1]), "value": str(v)}
-        for j, v in zip(jobs, values)
-        if v != 0
-    ]
-    return len(el.terms), len(jobs), bad
+    values = [(psis, ke, v) for psis in _compositions(extra, n)
+              for ke, v in strata.pairings(el, psis).items()]
+    bad = [{"psi": list(psis), "kappa": list(ke), "value": str(v)}
+           for psis, ke, v in values if v != 0]
+    return len(el.terms), len(values), bad
 
 
 def _compositions(total, n):
@@ -567,22 +558,6 @@ def _compositions(total, n):
     for first in range(total + 1):
         for rest in _compositions(total - first, n - 1):
             yield (first,) + rest
-
-
-def _kappa_monomials(deg):
-    out = []
-
-    def rec(prefix, rem, idx):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        if idx > rem:
-            return
-        for e in range(rem // idx + 1):
-            rec(prefix + [e], rem - idx * e, idx + 1)
-
-    rec([], deg, 1)
-    return out
 
 
 def _suite_pixton(order, seed):

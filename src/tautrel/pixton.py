@@ -199,8 +199,8 @@ def _graph_summand(graph, A, d):
 def pixton_class(g, n, A, d):
     """The degree-d relation class for leg markings A, as a StrataElement.
 
-    Admissibility requires 2g-2+n > 0, each a_i in {0,1}, len(A) = n,
-    and d > (g - 1 + sum A)/3.
+    Admissibility requires 2g-2+n > 0, each a_i in {0,1}, len(A) = n, and
+    (g - 1 + sum A)/3 < d <= 3g - 3 + n, the dimension, above which all vanish.
     """
     A = tuple(A)
     if len(A) != n or any(a not in (0, 1) for a in A):
@@ -212,12 +212,14 @@ def pixton_class(g, n, A, d):
             "validity: d > (g-1+sum A)/3 fails (3d = %d <= %d)"
             % (3 * d, g - 1 + sum(A))
         )
+    if d > 3 * g - 3 + n:
+        raise NotInPixtonSetError("d = %d exceeds dim = 3g-3+n = %d" % (d, 3 * g - 3 + n))
     element = StrataElement(g, n, d)
     # A graph with more than d edges leaves a negative decoration
     # budget and contributes nothing.
     for graph in enumerate_stable_graphs(g, n, max_edges=d):
         terms = _graph_summand(graph, A, d)
-        # strata.integrate divides by |Aut|, matching the formula's
+        # strata.pairings divides by |Aut|, matching the formula's
         # 1/|Aut(Gamma)|; only 1/2^{h1} is applied here.
         pref = Fraction(1, 2**graph.h1)
         for dec, c in terms.items():

@@ -7,18 +7,20 @@ sum h(v) + h1 = g with h1 = #edges - #vertices + 1, and stability
 2 h(v) - 2 + valence(v) > 0 at every vertex.
 
 A decorated graph additionally carries a kappa-monomial at each vertex
-and a psi-exponent at each leg and half-edge.  Linear combinations of
-decorated graphs of a common codimension are integrated against an
-ambient kappa/psi monomial by pulling the ambient classes back to each
-stratum, splitting into per-vertex integrals, converting kappa classes
-to psi classes via an extra-marked-point recursion, and evaluating with
-closed descendent brackets.
+and a psi-exponent at each leg and half-edge.  A linear combination of
+decorated graphs of a common codimension is paired with every ambient
+kappa-monomial at once (pairings), through the formula of Kaufmann,
+Manin and Zagier (alg-geom/9505012) on each vertex:
+
+    int exp(sum_a s_a kappa_a) prod_i psi_i^{d_i}
+        = <prod_i tau_{d_i} exp(sum_j p_j tau_{j+1})>,
+    where sum_j p_j z^j = 1 - exp(-sum_a s_a z^a).
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial, prod
 
 from .descendents import bracket
 from .series import Grading, MultiSeries, PowerSeries
@@ -32,7 +34,9 @@ __all__ = [
     "kappa_degree",
     "kappa_monomial",
     "kappa_of_f",
+    "kappa_monomials",
     "vertex_integral",
+    "pairings",
     "integrate",
 ]
 
@@ -391,51 +395,82 @@ def kappa_of_f(f, degree_max):
         [0] + [f[b + 1] if b < f.order else 0 for b in range(1, D + 1)], D
     )
     cycles = -(1 - C).log()
-    kappas = range(1, D + 1)
-    grading = Grading(["k%d" % a for a in kappas], list(kappas))
-    body = {
-        (0,) * (a - 1) + (1,) + (0,) * (D - a): cycles[a]
-        for a in kappas
-    }
-    kappa = MultiSeries(grading, body, D).exp()
+    kappa = _weighted_linear(cycles, D).exp()
     return {kappa_monomial(e): c for e, c in kappa.terms.items()}
 
 
-@lru_cache(maxsize=None)
-def vertex_integral(h, kappas, psis):
-    """Integral of prod kappa_a * prod psi^k over the genus-h space.
+def _weighted_linear(coeffs, top):
+    """sum_a coeffs[a] x_a over x_1..x_top, with x_a of weight a."""
+    grading = Grading(["x%d" % a for a in range(1, top + 1)], range(1, top + 1))
+    return MultiSeries(grading, {
+        (0,) * (a - 1) + (1,) + (0,) * (top - a): coeffs[a]
+        for a in range(1, top + 1)
+    }, top)
 
-    ``kappas`` is a sorted tuple of kappa indices (with multiplicity),
-    ``psis`` a sorted tuple of psi exponents, one per marked point.
-    Kappa classes are removed one at a time: adding an extra marked
-    point trades kappa_a for psi^{a+1} at the cost of correction terms
-    merging it into the remaining kappa indices.
 
-    >>> vertex_integral(1, (1,), (0,))
-    Fraction(1, 24)
-    >>> vertex_integral(0, (1,), (0, 0, 0, 0))
-    Fraction(1, 1)
+def kappa_monomials(degree):
+    """Every kappa-monomial of weighted degree ``degree`` in kappa_monomial
+    form; read as multiplicities, the partitions of ``degree``.
+
+    >>> kappa_monomials(3)
+    [(0, 0, 1), (1, 1), (3,)]
     """
-    if not kappas:
-        dim = 3 * h - 3 + len(psis)
-        if dim < 0 or 2 * h - 2 + len(psis) <= 0:
-            raise ValueError("unstable vertex (h=%d, n=%d)" % (h, len(psis)))
-        if sum(psis) != dim:
-            return Fraction(0)
-        # bracket infers the genus from the dimension constraint, which
-        # sum(psis) == 3h - 3 + n pins to exactly h.
-        return bracket(tuple(sorted(psis)))
-    a = kappas[0]
-    rest = kappas[1:]
-    total = Fraction(0)
-    for picks in itertools.product((0, 1), repeat=len(rest)):
-        kept = tuple(sorted(b for b, used in zip(rest, picks) if not used))
-        merged = a + sum(b for b, used in zip(rest, picks) if used)
-        sign = (-1) ** sum(picks)
-        total += sign * vertex_integral(
-            h, kept, tuple(sorted(psis + (merged + 1,)))
-        )
+    def extend(left, index):
+        if left == 0:
+            return [()]
+        if index > left:
+            return []
+        return [(e,) + rest for e in range(left // index + 1)
+                for rest in extend(left - index * e, index + 1)]
+
+    return extend(degree, 1)
+
+
+@lru_cache(maxsize=None)
+def _kmz_shift(top):
+    """1 - exp(-(s_1 + ... + s_top)); its weight-j part is p_j."""
+    return 1 - (-_weighted_linear((1,) * (top + 1), top)).exp()
+
+
+@lru_cache(maxsize=None)
+def vertex_integral(h, kappa, psis, top):
+    """The integral of kappa^kappa exp(sum_a s_a kappa_a) prod psi^psis
+    over the genus-h space, a series in s_1..s_top (s_a of weight a), for
+    a kappa-exponent tuple ``kappa`` and a sorted tuple ``psis``.  By KMZ,
+    the undecorated series is the sum over the partitions lambda of
+    f = 3h - 3 + n - sum(psis) of bracket(psis + (lambda + 1))
+    * prod p_{lambda_i} / aut(lambda); kappa^kappa is a derivative in s.
+
+    >>> vertex_integral(1, (), (0,), 1).terms
+    {(1,): Fraction(1, 24)}
+    >>> vertex_integral(0, (1,), (0, 0, 0, 0), 1).terms
+    {(0,): Fraction(1, 1)}
+    """
+    grading = _kmz_shift(top).grading
+    if kappa:
+        series = vertex_integral(h, (), psis, top)
+        for a in [a for a, e in enumerate(kappa) for _ in range(e)]:
+            series = series.derivative(grading.names[a])
+        return series
+    if 2 * h - 2 + len(psis) <= 0:
+        raise ValueError("unstable vertex (h=%d, n=%d)" % (h, len(psis)))
+    total = MultiSeries.zero(grading, top)
+    for mult in kappa_monomials(3 * h - 3 + len(psis) - sum(psis)):
+        parts = tuple(j + 1 for j, m in enumerate(mult, start=1) for _ in range(m))
+        total = total + _kmz_monomial(mult, top) * bracket(psis + parts)
     return total
+
+
+@lru_cache(maxsize=None)
+def _kmz_monomial(mult, top):
+    """prod_j p_j^{m_j} / m_j! for the partition with multiplicities
+    ``mult``, in kappa_monomial form."""
+    shift = _kmz_shift(top)
+    if not mult:
+        return MultiSeries.constant(shift.grading, 1, top)
+    j, lower = len(mult), kappa_monomial(mult[:-1] + (mult[-1] - 1,))
+    p_j = MultiSeries.from_buckets(shift.grading, {j: shift.buckets()[j]}, top)
+    return _kmz_monomial(lower, top) * p_j * Fraction(1, mult[-1])
 
 
 class Decoration:
@@ -557,78 +592,63 @@ class StrataElement:
         return {"g": self.g, "n": self.n, "d": self.d, "terms": out}
 
 
-def _multinomial_distributions(total, buckets):
-    """(composition, multinomial coefficient) pairs over the compositions
-    of ``total`` into ``buckets`` parts, in lexicographic order."""
-    if buckets <= 1:
-        if buckets == 1 or total == 0:
-            yield (total,) * buckets, 1
-        return
-    for first in range(total + 1):
-        for rest, mult in _multinomial_distributions(total - first, buckets - 1):
-            yield (first,) + rest, comb(total, first) * mult
+def pairings(element, psi_exps=()):
+    """The pairings of a strata element with psi^psi_exps kappa^e for every
+    kappa^e of the complementary degree r, as ``{kappa_monomial(e):
+    value}`` in the order of kappa_monomials(r), zeros included.
 
+    By Kaufmann-Manin-Zagier (alg-geom/9505012), a vertex gives
+    int exp(sum_a s_a kappa_a) prod psi_i^{d_i} =
+    <prod tau_{d_i} exp(sum_j p_j tau_{j+1})> with sum_j p_j z^j =
+    1 - exp(-sum_a s_a z^a) (vertex_integral).  A term adds coeff / |Aut|
+    times the product of its vertex series, and the pairing with kappa^e
+    is prod e_a! times the coefficient of s^e in the sum.
+
+    >>> gr = StableGraph((1, 0), (1, 1), [(0, 1)])
+    >>> pairings(StrataElement(1, 2, 1, {(gr, Decoration.trivial(gr)): 1}))
+    {(1,): Fraction(1, 24)}
+    """
+    g, n = element.g, element.n
+    if len(psi_exps) > n:
+        raise ValueError("too many psi exponents")
+    psi_exps = tuple(psi_exps) + (0,) * (n - len(psi_exps))
+    top = 3 * g - 3 + n
+    r = top - element.d - sum(psi_exps)
+    if r < 0:
+        raise ValueError("degree mismatch: codim %d + psi degree %d > %d"
+                         % (element.d, sum(psi_exps), top))
+    total = MultiSeries.zero(_kmz_shift(top).grading, top)
+    auts = {}
+    for (graph, dec), coeff in element.terms.items():
+        if graph not in auts:
+            auts[graph] = automorphism_order(graph)
+        # Per-vertex psi lists: legs first, then half-edges.
+        psis = [[] for _ in graph.genera]
+        for i, v in enumerate(graph.legs):
+            psis[v].append(dec.leg_psis[i] + psi_exps[i])
+        for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
+            psis[v].append(kv)
+            psis[w].append(kw)
+        vertices = zip(graph.genera, dec.vertex_kappas, psis)
+        term = prod(vertex_integral(h, kappa, tuple(sorted(ks)), top)
+                    for h, kappa, ks in vertices)
+        total = total + term * (coeff / auts[graph])
+    return {
+        e: total.coefficient(e + (0,) * (top - len(e))) * prod(map(factorial, e))
+        for e in kappa_monomials(r)
+    }
 
 def integrate(element, psi_exps=(), kappa_exps=()):
-    """Pair a strata element with an ambient kappa/psi monomial.
+    """Pair a strata element with an ambient kappa/psi monomial: one value
+    of pairings(element, psi_exps).
 
     ``psi_exps`` gives the ambient psi exponent per leg, ``kappa_exps``
     the ambient kappa exponents (kappa_1, kappa_2, ...).  Requires
     element codimension plus monomial degree to equal 3g - 3 + n.
     """
-    g, n = element.g, element.n
-    psi_exps = tuple(psi_exps) + (0,) * (n - len(psi_exps))
-    if len(psi_exps) != n:
-        raise ValueError("too many psi exponents")
     extra_deg = sum(psi_exps) + kappa_degree(kappa_exps)
-    if element.d + extra_deg != 3 * g - 3 + n:
-        raise ValueError(
-            "degree mismatch: codim %d + extra %d != %d"
-            % (element.d, extra_deg, 3 * g - 3 + n)
-        )
-    total = Fraction(0)
-    auts = {}
-    for (graph, dec), coeff in element.terms.items():
-        if graph not in auts:
-            auts[graph] = automorphism_order(graph)
-        total += coeff * _integrate_term(graph, dec, psi_exps, kappa_exps, auts[graph])
-    return total
-
-
-def _integrate_term(graph, dec, psi_exps, kappa_exps, aut):
-    """One decorated graph against the ambient monomial; ``aut`` is
-    automorphism_order(graph)."""
-    nv = len(graph.genera)
-    # Per-vertex psi lists: legs first, then half-edges.
-    base_psis = [[] for _ in range(nv)]
-    for i, v in enumerate(graph.legs):
-        base_psis[v].append(dec.leg_psis[i] + psi_exps[i])
-    for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
-        base_psis[v].append(kv)
-        base_psis[w].append(kw)
-    # Ambient kappa_a pulls back to the sum of the vertex kappa_a's:
-    # distribute each power multinomially over vertices.
-    choices = []
-    for a, e in enumerate(kappa_exps, start=1):
-        if e:
-            choices.append((a, list(_multinomial_distributions(e, nv))))
-    total = Fraction(0)
-    for combo in itertools.product(*(opts for _, opts in choices)):
-        weight = 1
-        extra_kappas = [[] for _ in range(nv)]
-        for (a, _), (comp, mult) in zip(choices, combo):
-            weight *= mult
-            for v, cnt in enumerate(comp):
-                extra_kappas[v].extend([a] * cnt)
-        prod = Fraction(weight)
-        for v in range(nv):
-            ks = list(extra_kappas[v])
-            for a, e in enumerate(dec.vertex_kappas[v], start=1):
-                ks.extend([a] * e)
-            prod *= vertex_integral(
-                graph.genera[v], tuple(sorted(ks)), tuple(sorted(base_psis[v]))
-            )
-            if prod == 0:
-                break
-        total += prod
-    return total / aut
+    dim = 3 * element.g - 3 + element.n
+    if element.d + extra_deg != dim:
+        raise ValueError("degree mismatch: codim %d + extra %d != %d"
+                         % (element.d, extra_deg, dim))
+    return pairings(element, psi_exps)[kappa_monomial(tuple(kappa_exps))]

@@ -39,6 +39,15 @@ class TestExitCodes:
         code, out = dispatch(["pixton", "--g", "2", "--n", "0", "--d", "0"])
         assert code == 1 and "validity" in out
 
+    def test_pixton_above_dimension_is_exit_1(self):
+        # Without the bound this builds kappa tables through degree 100.
+        code, out = dispatch(
+            ["pixton", "--g", "2", "--n", "0", "--d", "100", "--format", "json"]
+        )
+        report = json.loads(out)
+        assert code == 1 and "dim = 3g-3+n = 3" in report["message"]
+        assert report["location"] == {"g": 2, "n": 0, "a": [], "d": 100}
+
     def test_strata_unstable_is_exit_1(self):
         code, _ = dispatch(["strata", "--g", "0", "--n", "2"])
         assert code == 1

@@ -1,4 +1,6 @@
 import itertools
+import random
+import types
 from fractions import Fraction as Q
 
 import pytest
@@ -237,6 +239,10 @@ class TestPixtonClass:
             pixton.pixton_class(0, 2, (0, 0), 1)
         with pytest.raises(ValueError):
             pixton.pixton_class(1, 1, (2,), 1)
+        # Above dim = 3g - 3 + n every class is zero in cohomology.
+        assert pixton.pixton_class(2, 0, (), 3).terms
+        with pytest.raises(pixton.NotInPixtonSetError, match="dim = 3g-3\\+n = 3"):
+            pixton.pixton_class(2, 0, (), 4)
 
     def test_smallest_class_terms(self):
         # (g,n,A,d) = (1,1,(1),1): smooth graph carries 60 k1 + 84 psi1,
@@ -383,8 +389,7 @@ def zeta_average_summand(graph, A, d):
 
 class TestZetaAveragingOracle:
     """A second assembly of the relation classes: parity coefficients by
-    averaging over zeta, pairings term by term without StrataElement or
-    _canonical_pair."""
+    averaging over zeta, paired without StrataElement or _canonical_pair."""
 
     @pytest.mark.parametrize(
         "g,n,A,d",
@@ -397,22 +402,49 @@ class TestZetaAveragingOracle:
             assert terms == pixton._graph_summand(graph, A, d), graph
         assert any(summands)
         element = pixton.pixton_class(g, n, A, d)
+        # The summands as an element that never went through add_term.
+        assembled = types.SimpleNamespace(g=g, n=n, d=d, terms={
+            (graph, dec): c / 2**graph.h1
+            for graph, terms in zip(graphs, summands)
+            for dec, c in terms.items()
+        })
         extra = 3 * g - 3 + n - d
         count = 0
         for psis in cli._compositions(extra, n):
-            for ke in kappa_monomials(extra - sum(psis)):
-                value = sum(
-                    c / 2**graph.h1
-                    * strata._integrate_term(
-                        graph, dec, psis, ke, strata.automorphism_order(graph)
-                    )
-                    for graph, terms in zip(graphs, summands)
-                    for dec, c in terms.items()
-                )
-                want = strata.integrate(element, psi_exps=psis, kappa_exps=ke)
-                assert value == want == 0, (psis, ke, value, want)
-                count += 1
+            values = strata.pairings(assembled, psis)
+            assert values == strata.pairings(element, psis)
+            assert list(values) == kappa_monomials(extra - sum(psis))
+            assert all(v == 0 for v in values.values()), (psis, values)
+            count += len(values)
         assert count > 0
+
+
+class TestHigherGenusPairings:
+    """Relation classes of genus 4 to 6 with terms pair to 0 against every
+    psi/kappa monomial, while the same terms with random coefficients
+    pair to nonzero values."""
+
+    @pytest.mark.parametrize(
+        "g,n,A,d,count",
+        [(4, 0, (), 5, 5), (5, 0, (), 4, 22), (6, 0, (), 3, 77),
+         (4, 1, (1,), 4, 30)],
+    )
+    def test_all_pairings_vanish_non_vacuously(self, g, n, A, d, count):
+        element = pixton.pixton_class(g, n, A, d)
+        assert element.terms
+        rng = random.Random(g * 10 + d)
+        shuffled = strata.StrataElement(g, n, d, {
+            key: Q(rng.randint(1, 50), rng.randint(1, 9))
+            for key in element.terms
+        })
+        extra = 3 * g - 3 + n - d
+        values = [
+            (strata.pairings(element, psis), strata.pairings(shuffled, psis))
+            for psis in cli._compositions(extra, n)
+        ]
+        assert sum(len(zero) for zero, _ in values) == count
+        assert all(v == 0 for zero, _ in values for v in zero.values())
+        assert all(v != 0 for _, rand in values for v in rand.values())
 
 
 FZ_MATCH_CASES = [(2, 1), (2, 3), (3, 2), (4, 3), (6, 3)]

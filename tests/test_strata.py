@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import pixton, strata
+from tautrel import cli, pixton, strata
 from tautrel.descendents import bracket
 from tautrel.named_series import series_H0
 from tautrel.series import PowerSeries
@@ -329,32 +330,130 @@ class TestKappaOfF:
         }
 
 
+@lru_cache(maxsize=None)
+def ref_vertex_integral(h, kappas, psis):
+    """The former strata.vertex_integral: the integral of prod kappa_a
+    * prod psi^k over the genus-h space, for a sorted tuple of kappa
+    indices.  Kappa classes are removed one at a time: adding an extra
+    marked point trades kappa_a for psi^{a+1} at the cost of correction
+    terms merging it into the remaining kappa indices."""
+    if not kappas:
+        if sum(psis) != 3 * h - 3 + len(psis):
+            return Q(0)
+        return bracket(psis)
+    a, rest = kappas[0], kappas[1:]
+    total = Q(0)
+    for picks in product((0, 1), repeat=len(rest)):
+        kept = tuple(sorted(b for b, used in zip(rest, picks) if not used))
+        merged = a + sum(b for b, used in zip(rest, picks) if used)
+        total += (-1) ** sum(picks) * ref_vertex_integral(
+            h, kept, tuple(sorted(psis + (merged + 1,)))
+        )
+    return total
+
+
+def ref_multinomial_distributions(total, buckets):
+    """(composition, multinomial coefficient) over the compositions of
+    ``total`` into ``buckets`` parts."""
+    if buckets <= 1:
+        if buckets == 1 or total == 0:
+            yield (total,) * buckets, 1
+        return
+    for first in range(total + 1):
+        for rest, mult in ref_multinomial_distributions(total - first, buckets - 1):
+            yield (first,) + rest, comb(total, first) * mult
+
+
+def ref_integrate(element, psi_exps, kappa_exps):
+    """The former strata.integrate: one monomial at a time, each ambient
+    kappa power split multinomially over the vertices of every term."""
+    psi_exps = tuple(psi_exps) + (0,) * (element.n - len(psi_exps))
+    total = Q(0)
+    for (graph, dec), coeff in element.terms.items():
+        nv = len(graph.genera)
+        base_psis = [[] for _ in range(nv)]
+        for i, v in enumerate(graph.legs):
+            base_psis[v].append(dec.leg_psis[i] + psi_exps[i])
+        for (v, w), (kv, kw) in zip(graph.edges, dec.edge_psis):
+            base_psis[v].append(kv)
+            base_psis[w].append(kw)
+        choices = [
+            (a, list(ref_multinomial_distributions(e, nv)))
+            for a, e in enumerate(kappa_exps, start=1) if e
+        ]
+        term = Q(0)
+        for combo in product(*(opts for _, opts in choices)):
+            weight = 1
+            ks = [[] for _ in range(nv)]
+            for (a, _), (comp, mult) in zip(choices, combo):
+                weight *= mult
+                for v, cnt in enumerate(comp):
+                    ks[v].extend([a] * cnt)
+            for v in range(nv):
+                for a, e in enumerate(dec.vertex_kappas[v], start=1):
+                    ks[v].extend([a] * e)
+                weight *= ref_vertex_integral(
+                    graph.genera[v], tuple(sorted(ks[v])),
+                    tuple(sorted(base_psis[v])),
+                )
+            term += weight
+        total += coeff * term / strata.automorphism_order(graph)
+    return total
+
+
+def kmz_integral(h, e, psis):
+    """int kappa^e prod psi^k over the genus-h space, read two ways off
+    strata.vertex_integral: as prod e_a! times the s^e coefficient of the
+    undecorated series, and as the decorated series, a constant."""
+    top = 3 * h - 3 + len(psis)
+    series = strata.vertex_integral(h, (), psis, top)
+    exps = e + (0,) * (top - len(e))
+    by_coefficient = series.coefficient(exps) * prod(map(factorial, e))
+    by_derivative = strata.vertex_integral(h, e, psis, top).constant_term()
+    assert by_coefficient == by_derivative
+    return by_coefficient
+
+
 class TestVertexIntegral:
     def test_pure_psi(self):
-        assert strata.vertex_integral(0, (), (0, 0, 0)) == 1
-        assert strata.vertex_integral(1, (), (1,)) == Q(1, 24)
-        assert strata.vertex_integral(1, (), (0,)) == 0  # degree mismatch
+        assert kmz_integral(0, (), (0, 0, 0)) == 1
+        assert kmz_integral(1, (), (1,)) == Q(1, 24)
+        # degree mismatch: the series has no constant term
+        assert strata.vertex_integral(1, (), (0,), 1).constant_term() == 0
 
     def test_single_kappa(self):
-        assert strata.vertex_integral(1, (1,), (0,)) == Q(1, 24)
-        assert strata.vertex_integral(0, (1,), (0, 0, 0, 0)) == 1
-        assert strata.vertex_integral(2, (3,), ()) == bracket((4,))
+        assert kmz_integral(1, (1,), (0,)) == Q(1, 24)
+        assert kmz_integral(0, (1,), (0, 0, 0, 0)) == 1
+        assert kmz_integral(2, (0, 0, 1), ()) == bracket((4,))
 
     def test_two_kappas_against_pushforward_oracle(self):
         # p_2*(psi^2 psi^2) = k1 k1 + k2 on the two-extra-points space,
         # so int k1^2 = <tau2 tau2 tau0 tau0> - int k2 on Mbar_{1,2}.
         k2 = bracket((0, 0, 3))
         expected = bracket((0, 0, 2, 2)) - k2
-        assert strata.vertex_integral(1, (1, 1), (0, 0)) == expected
+        assert kmz_integral(1, (2,), (0, 0)) == expected
 
     def test_three_kappas_against_pushforward_oracle(self):
         # On Mbar_2: p_3*(psi^2 psi^2 psi^2) = k1^3 + 3 k1 k2 + 2 k3.
         k3 = bracket((4,))
         k1k2 = bracket((2, 3)) - k3
         k1cubed = bracket((2, 2, 2)) - 3 * k1k2 - 2 * k3
-        assert strata.vertex_integral(2, (3,), ()) == k3
-        assert strata.vertex_integral(2, (1, 2), ()) == k1k2
-        assert strata.vertex_integral(2, (1, 1, 1), ()) == k1cubed
+        assert kmz_integral(2, (0, 0, 1), ()) == k3
+        assert kmz_integral(2, (1, 1), ()) == k1k2
+        assert kmz_integral(2, (3,), ()) == k1cubed
+
+    @pytest.mark.parametrize("h,n", [(0, 5), (1, 2), (2, 0), (2, 2), (3, 0)])
+    def test_matches_kappa_removal_recursion(self, h, n):
+        dim = 3 * h - 3 + n
+        for k in range(dim + 1):
+            for e in strata.kappa_monomials(k):
+                for psis in combinations_with_replacement(range(dim - k + 1), n):
+                    if sum(psis) != dim - k:
+                        continue
+                    kappas = tuple(a for a, x in enumerate(e, 1) for _ in range(x))
+                    assert kmz_integral(h, e, psis) == ref_vertex_integral(
+                        h, kappas, psis
+                    ), (h, e, psis)
 
 
 def smooth_element(g, n):
@@ -363,18 +462,6 @@ def smooth_element(g, n):
 
 
 class TestIntegrate:
-    def test_multinomial_distributions(self):
-        # Every tuple filtered to the right sum, in product order.
-        for total in range(5):
-            for buckets in range(5):
-                want = [
-                    (comp, factorial(total) // prod(map(factorial, comp)))
-                    for comp in product(range(total + 1), repeat=buckets)
-                    if sum(comp) == total
-                ]
-                got = list(strata._multinomial_distributions(total, buckets))
-                assert got == want, (total, buckets)
-
     def test_fundamental_psi(self):
         assert strata.integrate(smooth_element(1, 1), psi_exps=(1,)) == Q(1, 24)
 
@@ -418,7 +505,7 @@ class TestIntegrate:
         gr = StableGraph((1,), (), [(0, 0)])
         dec = Decoration([()], [], [(1, 0)])
         el = StrataElement(2, 0, 2, {(gr, dec): Q(1)})
-        expected = strata.vertex_integral(1, (1,), (0, 1)) / 2
+        expected = ref_vertex_integral(1, (1,), (0, 1)) / 2
         assert strata.integrate(el, kappa_exps=(1,)) == expected
 
     def test_kappa_distribution_across_vertices(self):
@@ -426,9 +513,9 @@ class TestIntegrate:
         # the per-vertex kappa_1's.
         gr = StableGraph((1, 0), (1, 1), [(0, 1)])
         el = StrataElement(1, 2, 1, {(gr, Decoration.trivial(gr)): Q(1)})
-        expected = strata.vertex_integral(1, (1,), (0,)) * strata.vertex_integral(
+        expected = ref_vertex_integral(1, (1,), (0,)) * ref_vertex_integral(
             0, (), (0, 0, 0)
-        ) + strata.vertex_integral(1, (), (0,)) * strata.vertex_integral(
+        ) + ref_vertex_integral(1, (), (0,)) * ref_vertex_integral(
             0, (1,), (0, 0, 0)
         )
         assert strata.integrate(el, kappa_exps=(1,)) == expected
@@ -472,3 +559,54 @@ class TestIntegrate:
         el = StrataElement(1, 1, 1, {(gr, Decoration.trivial(gr)): Q(1, 2)})
         data = el.to_json()
         assert data["g"] == 1 and data["terms"][0]["coeff"] == "1/2"
+
+
+def random_copy(element, seed):
+    """The element's terms with random nonzero rational coefficients."""
+    rng = random.Random(seed)
+    return StrataElement(element.g, element.n, element.d, {
+        key: Q(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 9))
+        for key in element.terms
+    })
+
+
+class TestPairings:
+    @pytest.mark.parametrize(
+        "g,n,A,d",
+        [(3, 0, (), 4), (5, 0, (), 2), (3, 1, (0,), 4), (2, 2, (1, 0), 4),
+         (2, 2, (1, 0), 2)],
+    )
+    def test_matches_reference_integrate(self, g, n, A, d):
+        # Pixton classes pair to 0 by both routes; their copies with
+        # random coefficients make every pairing nonzero, so the two
+        # routes agree on values that say something.
+        element = pixton.pixton_class(g, n, A, d)
+        shuffled = random_copy(element, g * 100 + n * 10 + d)
+        extra = 3 * g - 3 + n - d
+        count = 0
+        for psis in cli._compositions(extra, n):
+            monomials = strata.kappa_monomials(extra - sum(psis))
+            zero = strata.pairings(element, psis)
+            rand = strata.pairings(shuffled, psis)
+            assert list(zero) == list(rand) == monomials
+            for e in monomials:
+                assert zero[e] == ref_integrate(element, psis, e) == 0, (psis, e)
+                assert rand[e] == ref_integrate(shuffled, psis, e) != 0, (psis, e)
+            count += len(monomials)
+        assert count > 0
+
+    def test_integrate_is_one_coefficient(self):
+        element = random_copy(pixton.pixton_class(2, 2, (1, 0), 2), 7)
+        for psis in cli._compositions(3, 2):
+            values = strata.pairings(element, psis)
+            for e, value in values.items():
+                padded = e + (0,) * 2
+                assert strata.integrate(element, psis, padded) == value
+
+    def test_rejects_bad_ambient_degree(self):
+        el = smooth_element(1, 1)
+        with pytest.raises(ValueError, match="too many psi"):
+            strata.pairings(el, (1, 0))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            strata.pairings(el, (2,))
+        assert strata.pairings(el, (1,)) == {(): Q(1, 24)}
