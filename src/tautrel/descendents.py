@@ -36,7 +36,7 @@ from itertools import product
 from math import comb, factorial
 
 from .named_series import double_factorial, series_calA
-from .series import BiPoly, Grading, MultiSeries, PowerSeries, Q, divide_exact
+from .series import Grading, MultiSeries, PowerSeries, Q
 from .series import _lcm_bucket
 
 
@@ -297,33 +297,30 @@ def kdv_residual(Fc: MultiSeries, which: int) -> MultiSeries:
     raise ValueError("which must be 1 or 2")
 
 
-def specialize_airy(Fc: MultiSeries, order: int) -> PowerSeries:
-    """exp(F^c) at t_i = -(2i-1)!! y^{2i+1} as a series in y = 1/lambda.
-
-    Each monomial lands at y-power equal to its weighted degree, so the
-    result is exact through the truncation degree of F^c.
-    """
+def _airy_shift(Fc: MultiSeries, order: int, xs: Grading) -> MultiSeries:
+    """exp(F^c) at t_i = -(2i-1)!! sum_x x^{2i+1}, x over the weight-1
+    variables ``xs``, over the t's (all at exponent 0) followed by ``xs``.
+    Each monomial lands at an x-degree equal to its weighted degree, so
+    the result is exact through ``order``."""
     if order > Fc.max_degree:
         raise IndexError("order exceeds the truncation of F^c")
-    deg = Fc.grading.degree
-    coeffs = [Q(0)] * (order + 1)
-    for exps, c in Fc.terms.items():
-        d = deg(exps)
-        if d > order:
-            continue
-        for i, e in enumerate(exps):
-            if e:
-                c *= (-double_factorial(2 * i - 1)) ** e
-        coeffs[d] += c
-    return PowerSeries(coeffs, order, var="y").exp()
+    t = Fc.grading
+    G = Grading(t.names + xs.names, t.weights + xs.weights)
+    images = {name: MultiSeries(G, {G.monomial(x, w): -double_factorial(w - 2)
+                                    for x in xs.names}, w)
+              for name, w in zip(t.names, t.weights)}
+    return Fc.truncate(order).substitute(G, images).exp()
+
+
+def specialize_airy(Fc: MultiSeries, order: int) -> PowerSeries:
+    """exp(F^c) at t_i = -(2i-1)!! y^{2i+1} as a series in y = 1/lambda,
+    exact through the truncation degree of F^c."""
+    E = _airy_shift(Fc, order, Grading(["y"], [1]))
+    coeffs = [E.coefficient(E.grading.monomial("y", k)) for k in range(order + 1)]
+    return PowerSeries(coeffs, order, var="y")
 
 
 _XY = Grading(["x1", "x2"], [1, 1])
-
-
-def _bipoly_exp(f: BiPoly) -> BiPoly:
-    """exp(f) of a bivariate polynomial, as a series graded by total degree."""
-    return BiPoly(MultiSeries(_XY, f.terms, f.max_degree).exp().terms, f.max_degree)
 
 
 def _apply_D(A: PowerSeries) -> PowerSeries:
@@ -343,8 +340,10 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
 
     N=1: exp(F^c)|_{t_i = -(2i-1)!! x^{2i+1}} must equal calA(x) through
     the given order.  N=2: with t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
-    exp(F^c) must equal [x1 A(x1) E(x2) - x2 A(x2) E(x1)] / (x1 - x2) where
-    E = x * (D-operator applied to calA); the division must be exact.
+    exp(F^c) times (x1 - x2) must equal x1 A(x1) E(x2) - x2 A(x2) E(x1)
+    through degree order + 1, where E = x * (D-operator applied to calA);
+    the residual terms are keyed by the (x1, x2) exponents.  Both N raise
+    IndexError when ``order`` exceeds the truncation of F^c.
     Returns {"ok": bool, "residual_terms": ...}.
     """
     if N == 1:
@@ -354,52 +353,25 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
         return {"ok": diff.is_zero(), "residual_terms": [str(c) for c in diff.coeffs]}
     if N != 2:
         raise ValueError("N must be 1 or 2")
-    # Left side as a bivariate polynomial of total degree <= order.
-    deg = Fc.grading.degree
-    f = BiPoly.zero(order)
-    binom_cache = {}
-    for exps, c in Fc.terms.items():
-        d = deg(exps)
-        if d > order:
-            continue
-        poly = BiPoly({(0, 0): c}, order)
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            w = 2 * i + 1
-            key = (w, e)
-            if key not in binom_cache:
-                base = BiPoly(
-                    {(w, 0): -double_factorial(2 * i - 1), (0, w): -double_factorial(2 * i - 1)},
-                    order,
-                )
-                p = BiPoly({(0, 0): Q(1)}, order)
-                for _ in range(e):
-                    p = p * base
-                binom_cache[key] = p
-            poly = poly * binom_cache[key]
-        f = f + poly
-    lhs = _bipoly_exp(f)
-    # Right side: antisymmetric numerator divided exactly by x1 - x2.
-    A = series_calA(order + 2)
+    lhs = _airy_shift(Fc, order, _XY)
+    G = lhs.grading
+    nt = len(Fc.grading)
+    top = order + 1
+    A = series_calA(top + 1)
+    xA = PowerSeries.identity(top + 1) * A
     E = _apply_D(A)
-    xA = PowerSeries.identity(order + 2) * A
 
-    def outer(a: PowerSeries, b: PowerSeries, max_degree: int) -> BiPoly:
-        terms = {}
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if cb and i + j <= max_degree:
-                    terms[(i, j)] = terms.get((i, j), Q(0)) + ca * cb
-        return BiPoly(terms, max_degree)
+    def of(x: str, f: PowerSeries) -> MultiSeries:
+        return MultiSeries(G, {G.monomial(x, k): c for k, c in enumerate(f.coeffs)}, top)
 
-    # num = x1 A(x1) E(x2) - x2 A(x2) E(x1), antisymmetric in (x1, x2).
-    num = outer(xA, E, order + 1) - outer(E, xA, order + 1)
-    rhs = divide_exact(num, (1, -1))
+    # lhs (x1 - x2) == x1 A(x1) E(x2) - x2 A(x2) E(x1) through degree top is
+    # exact division by x1 - x2, which is homogeneous of degree 1: the
+    # terms of lhs above degree order would land above top.
+    x1_x2 = MultiSeries.variable(G, "x1", top) - MultiSeries.variable(G, "x2", top)
+    lhs = MultiSeries.from_buckets(G, lhs.buckets(), top) * x1_x2
+    rhs = of("x1", xA) * of("x2", E) - of("x2", xA) * of("x1", E)
     diff = lhs - rhs
     return {
         "ok": diff.is_zero(),
-        "residual_terms": {str(e): str(c) for e, c in diff.terms.items()},
+        "residual_terms": {str(e[nt:]): str(c) for e, c in diff.terms.items()},
     }

@@ -19,18 +19,21 @@ variable s (weight 2).  The three routes:
 
 The shift operator G_z of the closed formula acts on the t_i with shifts
 (2i-1)!!/z^{2i+1} (not on KP times, which share its traditional name).
-Both z-graded exponentials of the formula go through
-:func:`tautrel.series.graded_exp`, and its final log through
-:func:`tautrel.series.graded_log`.
+The negative powers of z are those of a variable u = 1/z of weight 1, so
+G_z F^c - F^c is one :meth:`tautrel.series.MultiSeries.substitute`
+t_i -> t_i - (2i-1)!! u^{2i+1}, and the weighted truncation keeps exactly
+the terms whose degree plus power of 1/z the z^0 pairing can consume.  The
+ratio, D(1/z) and exp(xi) are plain MultiSeries; the bucket of weighted
+degree j of exp(xi) is its z^j coefficient.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product as iter_product
-from math import comb, prod
 
-from .descendents import apply_L, build_Fc, t_grading
+# build_Fc is unused here; it stays because the benchmark's tracer rebinds
+# open_potential.build_Fc and checks that the name exists.
+from .descendents import apply_L, build_Fc
 from .named_series import d_coeff, double_factorial
 from .series import (
     Grading,
@@ -40,7 +43,6 @@ from .series import (
     _lcm_bucket,
     _lowest,
     _mul_sum,
-    graded_exp,
 )
 
 
@@ -218,63 +220,33 @@ def open_virasoro_residual(
     return apply_L(n, E, s_var=True)
 
 
-def gz_shift_t_ratio(Fc: MultiSeries, D_max: int) -> dict:
-    """G_z(exp F^c)/exp F^c as {j >= 0: MultiSeries coefficient of z^{-j}},
-    where G_z shifts t_i by -(2i-1)!!/z^{2i+1}.
+def gz_shift_t_ratio(F: MultiSeries) -> MultiSeries:
+    """G_z(exp F)/exp F = exp(G_z F - F), G_z shifting t_i by -(2i-1)!! u^{2i+1}.
 
-    The ratio equals exp(G_z F^c - F^c).  Every z^{-j} coefficient keeps
-    only monomials m with deg(m) + j <= D_max: the later z-pairing consumes
-    exactly j degrees, so deeper terms cannot contribute.
+    The ratio lives over the grading of F followed by u = 1/z of weight 1,
+    at the truncation degree of F: its u^j part keeps deg(m) + j <= that
+    degree, because the later z-pairing consumes exactly j degrees.
     """
-    g = Fc.grading
-    # P = G_z Fc - Fc as {j: {weighted degree: (m, {exps: c})}}, j the z^{-1}
-    # power.  Shifting r factors t_i moves weight (2i+1) r from the monomial
-    # to j, so a monomial of degree d lands at weighted degree d - j: the
-    # bucket (j, d - j) is fed by the degree-d bucket alone, over its m.
-    P: dict[int, dict] = {}
-    for d, (m, terms) in Fc.buckets().items():
-        if d > D_max:
-            continue
-        acc: dict = {}
-        for exps, c in terms.items():
-            choices = []
-            for i, e in enumerate(exps):
-                k = double_factorial(2 * i - 1)
-                choices.append(
-                    [(r, comb(e, r) * (-k) ** r, (2 * i + 1) * r) for r in range(e + 1)]
-                )
-            for combo in iter_product(*choices):
-                j = sum(t[2] for t in combo)
-                if j == 0:
-                    continue
-                coeff = c * prod(t[1] for t in combo)
-                key = tuple(e - t[0] for t, e in zip(combo, exps))
-                part = acc.setdefault(j, {})
-                part[key] = part.get(key, 0) + coeff
-        for j, part in acc.items():
-            part = _lowest(m, part)
-            if part:
-                P.setdefault(j, {})[d - j] = part
-    # exp(P): P has only j >= 1 terms, hence nilpotent below D_max.
-    ratio = graded_exp(P, D_max, (0,) * len(g), budget=D_max)
-    return {j: MultiSeries.from_buckets(g, m, D_max - j) for j, m in ratio.items()}
+    g = F.grading
+    G = Grading(g.names + ("u",), g.weights + (1,))
+    images = {}
+    for name, w in zip(g.names, g.weights):
+        if name.startswith("t"):
+            shift = {G.monomial(name): 1, G.monomial("u", w): -double_factorial(w - 2)}
+            images[name] = MultiSeries(G, shift, w)
+    return (F.substitute(G, images) - F.substitute(G, {})).exp()
 
 
-def exp_xi(grading: Grading, D_max: int) -> dict:
-    """exp(xi) as {j >= 0: MultiSeries coefficient of z^j}, where
-    xi = sum_i t_i z^{2i+1}/(2i+1)!! + s z^2/2.
+def exp_xi(grading: Grading, D_max: int) -> MultiSeries:
+    """exp(xi) for xi = sum_i t_i z^{2i+1}/(2i+1)!! + s z^2/2, with z set
+    to 1.
 
     Every variable in xi carries the z-power of its own weight, so the
-    coefficient of z^j is homogeneous of weighted degree exactly j.
+    bucket of weighted degree j is the coefficient of z^j.
     """
-    xi: dict[int, dict] = {}
-    for i, (name, j) in enumerate(zip(grading.names, grading.weights)):
-        exps = tuple(1 if k == i else 0 for k in range(len(grading)))
-        den = 2 if name == "s" else double_factorial(j)
-        xi.setdefault(j, {})[exps] = (1, den)
-    xi = {j: {j: _lcm_bucket(part)} for j, part in xi.items()}
-    out = graded_exp(xi, D_max, (0,) * len(grading))
-    return {j: MultiSeries.from_buckets(grading, m, D_max) for j, m in out.items()}
+    xi = {grading.monomial(name): Q(1, 2 if name == "s" else double_factorial(w))
+          for name, w in zip(grading.names, grading.weights)}
+    return MultiSeries(grading, xi, D_max).exp()
 
 
 def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
@@ -282,26 +254,22 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
     if Fc.max_degree < D_max:
         raise IndexError("Fc truncated below the requested degree")
     g = open_grading(D_max)
-    ratio = gz_shift_t_ratio(lift_to_open(Fc.truncate(D_max), g), D_max)
-    # Multiply by D(z^{-1}) = 1 + sum d_i z^{-3i}.
-    neg: dict[int, MultiSeries] = {}
-    for i in range(D_max // 3 + 1):
-        di = d_coeff(i) if i else Q(1)
-        for j, m in ratio.items():
-            jj = j + 3 * i
-            if jj > D_max:
-                continue
-            t = (m * di).truncate(D_max - jj)
-            neg[jj] = neg.get(jj, MultiSeries.zero(g, D_max - jj)) + t
-    pos = exp_xi(g, D_max)
-    acc = MultiSeries.zero(g, D_max)
-    for j, m in neg.items():
-        if j in pos:
-            # pos[j] is homogeneous of weighted degree j and m is valid to
-            # degree D_max - j, so the product is valid to D_max in full.
-            prod = MultiSeries.from_buckets(g, m.buckets(), D_max) * pos[j]
-            acc = acc + prod
-    return acc.log()
+    ratio = gz_shift_t_ratio(lift_to_open(Fc.truncate(D_max), g))
+    # Multiply by D(z^{-1}) = 1 + sum d_i u^{3i}.
+    u = len(g)
+    D = {ratio.grading.monomial("u", 3 * i): d_coeff(i) if i else 1
+         for i in range(D_max // 3 + 1)}
+    neg = ratio * MultiSeries(ratio.grading, D, D_max)
+    # The z^0 pairing: the u^j part of neg, valid to degree D_max - j,
+    # times the z^j bucket of exp(xi), homogeneous of degree j.
+    pos = exp_xi(g, D_max).buckets()
+    parts: dict = {}
+    for d, (m, t) in neg.buckets().items():
+        for e, c in t.items():
+            j = e[u]
+            parts.setdefault(j, {}).setdefault(d - j, (m, {}))[1][e[:u]] = c
+    pairs = [(1, part, {j: pos[j]}) for j, part in parts.items()]
+    return MultiSeries.from_buckets(g, _mul_sum(pairs, D_max), D_max).log()
 
 
 def restriction_check(Fo: MultiSeries) -> bool:

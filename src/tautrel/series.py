@@ -25,8 +25,12 @@ algorithms for manipulating formal power series" (JACM 1978), each written
 once: :func:`graded_exp` and :func:`graded_log`, over any grading of the
 factors.  :meth:`MultiSeries.exp` and :meth:`MultiSeries.log` grade by
 weighted degree, :meth:`PowerSeries.exp` and :meth:`PowerSeries.log` by the
-power of x, and :meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0;
-other callers grade by a power of an auxiliary variable z.
+power of x, and :meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0.
+Neither takes a budget: a cut such as "weighted degree plus power of 1/z
+at most D" is the weighted truncation over one more variable, of weight 1.
+:meth:`MultiSeries.substitute` replaces variables by series homogeneous of
+their weights, such as the shift t_i -> t_i - (2i-1)!! x^{2i+1} of
+descendent theory, one variable at a time by one product call.
 
 No floating point enters this module.  A :class:`MultiSeries` stores each
 weighted degree as integer numerators over one common denominator, in
@@ -255,6 +259,11 @@ class Grading:
     def __len__(self):
         return len(self.names)
 
+    def monomial(self, name: str, k: int = 1) -> tuple:
+        """The exponents of the variable ``name`` to the power k."""
+        i = self.index[name]
+        return (0,) * i + (k,) + (0,) * (len(self.names) - i - 1)
+
 
 def _lowest(m: int, acc: dict):
     """The bucket ``(m, acc)`` divided by gcd(m, *acc), without zero terms;
@@ -318,16 +327,14 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
     return out
 
 
-def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None) -> dict:
+def graded_exp(parts: Mapping, top: int, unit: tuple) -> dict:
     """exp(F) for F = sum_{k>=1} F_k, grade by grade, through grade ``top``.
 
     Uses d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, which follows from
     E' = F' E for the derivative counting the grade.  Each F_k and E_d is
     bucketed by weighted degree as integers over one denominator per
     bucket, ``{w: (m, {exps: c})}``, and ``unit`` is the exponent tuple of
-    the constant 1.  Parts of grade 0 or above ``top`` are ignored.  With
-    ``budget``, a grade-d term of weighted degree w is kept only when
-    w + d <= budget.
+    the constant 1.  Parts of grade 0 or above ``top`` are ignored.
 
     Returns ``{d: E_d}`` for the nonzero E_d, 0 <= d <= top, each bucket in
     lowest terms.
@@ -339,9 +346,8 @@ def graded_exp(parts: Mapping, top: int, unit: tuple, budget: int | None = None)
     scaled = [(k, parts[k]) for k in sorted(parts) if 0 < k <= top]
     out = {0: {0: (1, {unit: 1})}}
     for d in range(1, top + 1):
-        limit = inf if budget is None else budget - d
         pairs = [(k, kf, out[d - k]) for k, kf in scaled if d - k in out]
-        acc = _mul_sum(pairs, limit, d)
+        acc = _mul_sum(pairs, inf, d)
         if acc:
             out[d] = acc
     return out
@@ -443,9 +449,7 @@ class MultiSeries:
 
     @classmethod
     def variable(cls, grading: Grading, name: str, max_degree: int) -> "MultiSeries":
-        i = grading.index[name]
-        exps = tuple(1 if j == i else 0 for j in range(len(grading)))
-        return cls(grading, {exps: Q(1)}, max_degree)
+        return cls(grading, {grading.monomial(name): Q(1)}, max_degree)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
@@ -544,6 +548,63 @@ class MultiSeries:
         # the variable, so the truncation window stays valid as-is.
         return MultiSeries.from_buckets(self.grading, out, self.max_degree)
 
+    def substitute(self, grading: Grading, images: Mapping[str, "MultiSeries"]) -> "MultiSeries":
+        """The series re-keyed by variable name into ``grading``, with each
+        variable named in ``images`` replaced by its image.
+
+        ``grading`` holds every variable of the series at its weight.  An
+        image is a series over ``grading``, homogeneous of its variable's
+        weight w and truncated no lower than w, so every term keeps its
+        weighted degree.  It may hold its own variable but no other replaced
+        one, so replacing one variable at a time, by one product call that
+        sums group_k * image^k over the terms grouped by the exponent k of
+        the variable, is the simultaneous substitution.
+
+        >>> xy = Grading(["x", "y"], [1, 1])
+        >>> f = MultiSeries(Grading(["x"], [1]), {(2,): 1}, 3)
+        >>> f.substitute(xy, {"x": MultiSeries(xy, {(1, 0): 1, (0, 1): 1}, 3)})
+        MultiSeries(1*y^2 + 2*x^1*y^1 + 1*x^2; deg<=3)
+        """
+        slots = [grading.index.get(name) for name in self.grading.names]
+        if any(j is None or grading.weights[j] != w for j, w in zip(slots, self.grading.weights)):
+            raise ValueError("the grading lacks a variable of the series at its weight")
+        replaced = {grading.index.get(name): image for name, image in images.items()}
+        if None in replaced:
+            raise ValueError("the grading lacks a replaced variable")
+        for i, image in replaced.items():
+            w = grading.weights[i]
+            if (image.grading != grading or image.max_degree < w
+                    or any(d != w for d in image._buckets)
+                    or any(e[j] for _, t in image._buckets.values() for e in t
+                           for j in replaced if j != i)):
+                raise ValueError("each image must be over the grading, homogeneous of "
+                                 "its variable's weight and free of other replaced variables")
+        n = len(grading)
+
+        def rekey(e):
+            key = [0] * n
+            for j, k in zip(slots, e):
+                key[j] = k
+            return tuple(key)
+
+        buckets = {d: (m, {rekey(e): c for e, c in t.items()}) for d, (m, t) in self._buckets.items()}
+        for i, image in replaced.items():
+            w = grading.weights[i]
+            groups: dict = {}
+            for d, (m, t) in buckets.items():
+                for e, c in t.items():
+                    # The terms of one (k, degree) group all come from bucket d.
+                    k = e[i]
+                    group = groups.setdefault(k, {}).setdefault(d - k * w, (m, {}))
+                    group[1][e[:i] + (0,) + e[i + 1 :]] = c
+            power, pairs = {0: (1, {(0,) * n: 1})}, []
+            for k in range(max(groups, default=0) + 1):
+                if k:
+                    power = _mul_sum([(1, power, image._buckets)], self.max_degree)
+                pairs.append((1, groups.get(k, {}), power))
+            buckets = _mul_sum(pairs, self.max_degree)
+        return MultiSeries.from_buckets(grading, buckets, self.max_degree)
+
     def _graded(self, recurrence) -> "MultiSeries":
         """``recurrence`` (graded_exp or graded_log) with the weighted degree
         as the grade."""
@@ -596,10 +657,6 @@ class BiPoly:
             for (i, j), c in terms.items()
             if c != 0 and i + j <= max_degree
         }
-
-    @classmethod
-    def zero(cls, max_degree: int) -> "BiPoly":
-        return cls({}, max_degree)
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
         n = min(self.max_degree, other.max_degree)

@@ -10,7 +10,7 @@ import pytest
 from tautrel import descendents as dsc
 from tautrel.named_series import a_j, series_calA
 from tautrel.named_series import double_factorial
-from tautrel.series import BiPoly, Grading, MultiSeries
+from tautrel.series import BiPoly, Grading, MultiSeries, PowerSeries, divide_exact
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +119,35 @@ def ref_bipoly_exp(f):
             break
         acc = acc + term
     return acc
+
+
+def ref_determinant_N2(Fc, order):
+    """Both sides of the two-variable determinantal formula as BiPolys
+    through total degree ``order``, kept as an oracle: the shift
+    t_i -> -(2i-1)!!(x1^{2i+1} + x2^{2i+1}) of each F^c monomial expanded
+    by BiPoly powers, exp by the power loop, and the right side
+    [x1 A(x1) E(x2) - x2 A(x2) E(x1)] / (x1 - x2) by exact division."""
+    deg = Fc.grading.degree
+    f = BiPoly({}, order)
+    for exps, c in Fc.terms.items():
+        if deg(exps) > order:
+            continue
+        poly = BiPoly({(0, 0): c}, order)
+        for i, e in enumerate(exps):
+            k = -double_factorial(2 * i - 1)
+            w = 2 * i + 1
+            for _ in range(e):
+                poly = poly * BiPoly({(w, 0): k, (0, w): k}, order)
+        f = f + poly
+    A = series_calA(order + 2)
+    E = dsc._apply_D(A)
+    xA = PowerSeries.identity(order + 2) * A
+
+    def outer(a, b):
+        return BiPoly({(i, j): ca * cb for i, ca in enumerate(a.coeffs)
+                       for j, cb in enumerate(b.coeffs)}, order + 1)
+
+    return ref_bipoly_exp(f), divide_exact(outer(xA, E) - outer(E, xA), (1, -1))
 
 
 class TestBracket:
@@ -319,6 +348,32 @@ class TestDeterminantFormula:
         rep = dsc.determinant_formula_check(Fc14, 2, 8)
         assert rep["ok"], rep
 
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_N2_agrees_with_bipoly_division(self, Fc14, order):
+        lhs, rhs = ref_determinant_N2(Fc14, order)
+        assert lhs == rhs and not lhs.is_zero()
+        rep = dsc.determinant_formula_check(Fc14, 2, order)
+        assert rep == {"ok": True, "residual_terms": {}}
+
+    def test_N2_catches_one_extra_term(self, Fc14, monkeypatch):
+        shift = dsc._airy_shift
+
+        def perturbed(Fc, order, xs):
+            lhs = shift(Fc, order, xs)
+            e = (0,) * (len(lhs.grading) - 2) + (3, 2)
+            return lhs + MultiSeries(lhs.grading, {e: Q(1, 7)}, lhs.max_degree)
+
+        monkeypatch.setattr(dsc, "_airy_shift", perturbed)
+        rep = dsc.determinant_formula_check(Fc14, 2, 8)
+        # (x1 - x2) x1^3 x2^2 / 7 is all that is left over.
+        assert not rep["ok"]
+        assert rep["residual_terms"] == {"(4, 2)": "1/7", "(3, 3)": "-1/7"}
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_order_beyond_Fc_rejected(self, N):
+        with pytest.raises(IndexError, match="order exceeds the truncation of F"):
+            dsc.determinant_formula_check(dsc.build_Fc(10), N, 14)
+
     def test_bipoly_exp_matches_power_loop(self):
         rng = random.Random(13)
         f = BiPoly(
@@ -326,5 +381,5 @@ class TestDeterminantFormula:
              for i in range(5) for j in range(5) if 0 < i + j},
             9,
         )
-        assert dsc._bipoly_exp(f) == ref_bipoly_exp(f)
-        assert dsc._bipoly_exp(f).terms == ref_bipoly_exp(f).terms
+        got = MultiSeries(dsc._XY, f.terms, f.max_degree).exp()
+        assert got.terms == ref_bipoly_exp(f).terms

@@ -1,6 +1,7 @@
+import hashlib
 from fractions import Fraction as Q
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -81,6 +82,40 @@ def splits_walk(Fc, D_max):
         if rhs:
             F[M] = rhs * Q(2, 2 * n + 1) / M[n]
     return MultiSeries(g, F, D_max)
+
+
+def ref_gz_shift_t_ratio(F, D_max):
+    """G_z(exp F)/exp F as {j: MultiSeries coefficient of z^{-j}}, each of
+    truncation degree D_max - j, kept as an oracle: the shift of each
+    monomial expanded binomially on its own, then exp(G_z F - F) grade by
+    grade in j, a term kept only while its weighted degree plus j is at
+    most D_max."""
+    g = F.grading
+    P = {}  # {j: {exps: coeff}}
+    for exps_, c in F.terms.items():
+        choices = []
+        for name, w, e in zip(g.names, g.weights, exps_):
+            k = op.double_factorial(w - 2) if name.startswith("t") else 0
+            choices.append([(r, comb(e, r) * (-k) ** r, w * r) for r in range(e + 1)])
+        for combo in product(*choices):
+            j = sum(t[2] for t in combo)
+            if j:
+                key = tuple(e - t[0] for t, e in zip(combo, exps_))
+                coeff = c * prod(t[1] for t in combo)
+                P.setdefault(j, {})[key] = P.get(j, {}).get(key, 0) + coeff
+    # d E_d = sum_k k P_k E_{d-k}.
+    E = {0: {(0,) * len(g): Q(1)}}
+    for d in range(1, D_max + 1):
+        acc = {}
+        for k, pk in P.items():
+            for e1, c1 in pk.items():
+                for e2, c2 in E.get(d - k, {}).items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    if g.degree(e) + d <= D_max:
+                        acc[e] = acc.get(e, 0) + k * c1 * c2 / d
+        E[d] = acc
+    return {j: MultiSeries(g, t, D_max - j) for j, t in E.items()
+            if any(t.values())}
 
 
 def exps(grading, **kwargs):
@@ -169,37 +204,64 @@ class TestBuryak:
         b = Fo_buryak.coefficient(exps(Fo_buryak.grading, t0=1, t1=1, s=1))
         assert a == b and a != 0
 
+    @pytest.mark.parametrize("D, digest", [
+        (8, "40f2a00c44e7c9e42265048e788101dfdbf0e81c12bae3fdf4395815b3c2cee3"),
+        (14, "9635f7a8ef7b21a900fcf39db95e7882e2583a30fda5c2dde4dcb272d2412537"),
+        (20, "9774aadc5d6ce1e57c29c3cd0ee177018646a8c40865c51bfb4a8931ee5eca54"),
+    ])
+    def test_buckets_equal_kdv_and_pinned(self, D, digest):
+        # Same grading and integer buckets as the KdV solve, and the same
+        # buckets as the binomial-expansion route computed before.
+        Fc = build_Fc(D + 3)
+        Fb = op.buryak_formula(Fc, D)
+        Fo = op.solve_open_kdv(Fc, D)
+        assert Fb.grading == Fo.grading and Fb.buckets() == Fo.buckets()
+        text = repr(sorted((d, m, sorted(t.items()))
+                           for d, (m, t) in Fb.buckets().items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_negative_powers_only(self, Fc17):
-        # the D(1/z) * G_z-ratio factor lives entirely in z^{-j}, j >= 0
+        # the G_z-ratio lives in u = 1/z alone: its u^0 part is 1, as
+        # G_z F - F has a factor u in every term
         g = op.open_grading(8)
-        ratio = op.gz_shift_t_ratio(op.lift_to_open(Fc17.truncate(8), g), 8)
-        assert all(j >= 0 for j in ratio)
-        # the z^{-j} coefficient keeps weighted degree <= 8 - j only
-        for j, m in ratio.items():
-            assert m.max_degree == 8 - j
-            assert all(g.degree(e) <= 8 - j for e in m.terms), j
+        ratio = op.gz_shift_t_ratio(op.lift_to_open(Fc17.truncate(8), g))
+        G = ratio.grading
+        assert G.names == g.names + ("u",) and G.weights == g.weights + (1,)
+        assert {e: c for e, c in ratio.terms.items() if not e[-1]} == {(0,) * len(G): 1}
+        # the u^j part keeps weighted degree <= 8 - j only
+        assert ratio.max_degree == 8
+        assert all(g.degree(e[:-1]) + e[-1] <= 8 for e in ratio.terms)
+
+    @pytest.mark.parametrize("D", [8, 14, 20])
+    def test_ratio_matches_binomial_expansion(self, D):
+        g = op.open_grading(D)
+        F = op.lift_to_open(build_Fc(D + 3).truncate(D), g)
+        want = ref_gz_shift_t_ratio(F, D)
+        got = {}
+        for e, c in op.gz_shift_t_ratio(F).terms.items():
+            got.setdefault(e[-1], {})[e[:-1]] = c
+        assert sorted(got) == sorted(want)
+        for j, m in want.items():
+            assert MultiSeries(g, got[j], D - j).buckets() == m.buckets(), j
 
     def test_exp_xi_grading(self):
         g = op.open_grading(10)
         x = op.exp_xi(g, 10)
-        # The z^j coefficient is homogeneous of weighted degree exactly j.
-        for j, m in x.items():
-            assert m.terms and {g.degree(e) for e in m.terms} == {j}, j
-        assert sorted(x) == list(range(11))
-        assert x[0].constant_term() == 1
+        # The bucket of weighted degree j is the z^j coefficient.
+        assert sorted(x.buckets()) == list(range(11))
+        assert x.constant_term() == 1
         # xi is a sum of single variables x_v with coefficients c_v, so the
         # coefficient of prod x_v^a_v in exp(xi) is prod c_v^a_v / a_v!.
         cv = [Q(1, 2) if name == "s" else Q(1, op.double_factorial(w))
               for name, w in zip(g.names, g.weights)]
-        for m in x.values():
-            for e, c in m.terms.items():
-                want = Q(1)
-                for ci, a in zip(cv, e):
-                    want *= ci**a / factorial(a)
-                assert c == want, e
-        assert x[2].coefficient(exps(g, s=1)) == Q(1, 2)
-        assert x[1].coefficient(exps(g, t0=1)) == 1
-        assert x[3].coefficient(exps(g, t1=1)) == Q(1, 3)
+        for e, c in x.terms.items():
+            want = Q(1)
+            for ci, a in zip(cv, e):
+                want *= ci**a / factorial(a)
+            assert c == want, e
+        assert x.coefficient(exps(g, s=1)) == Q(1, 2)
+        assert x.coefficient(exps(g, t0=1)) == 1
+        assert x.coefficient(exps(g, t1=1)) == Q(1, 3)
 
 
 class TestOpenVirasoro:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -268,13 +268,12 @@ class TestGradedKernelOracles:
             assert p.max_degree == 4
             assert same(p, ref_mul(a, b))
 
-    def test_graded_exp_respects_budget(self):
-        # exp(z x) with x of weight 1 and z-grade 1: grade d holds x^d/d!,
-        # kept only while its degree d plus the grade d fits the budget.
-        parts = {1: {1: (1, {(1,): 1})}}
-        out = graded_exp(parts, 5, (0,), budget=7)
-        assert sorted(out) == [0, 1, 2, 3]
-        assert out[3] == {3: (6, {(3,): 1})}
+    def test_weighted_truncation_replaces_budget(self):
+        # exp(u x), x and u of weight 1: the u^d part holds x^d/d!, kept
+        # while its degree d plus the power d of u fits the truncation.
+        g = Grading(["x", "u"], [1, 1])
+        out = MultiSeries(g, {(1, 1): 1}, 7).exp()
+        assert out.terms == {(d, d): Q(1, factorial(d)) for d in range(4)}
 
 
 WEIGHTS = st.lists(st.integers(1, 4), min_size=1, max_size=3)
@@ -319,10 +318,8 @@ class TestGradedKernelProperties:
     @given(st.data())
     def test_graded_exp_matches_power_loop(self, data):
         parts, top, unit = data.draw(graded_parts())
-        budget = data.draw(st.none() | st.integers(0, 14))
-        assert on_fractions(graded_exp, parts, top, unit, budget) == ref_graded_exp(
-            parts, top, unit, budget
-        )
+        assert on_fractions(graded_exp, parts, top, unit) == ref_graded_exp(
+            parts, top, unit)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -375,22 +372,18 @@ def graded_parts(draw):
     return parts, top, (0,) * len(w)
 
 
-def ref_graded_exp(parts, top, unit, budget):
+def ref_graded_exp(parts, top, unit):
     """sum_m F^m / m! over (grade, weighted degree, exps) triples, one full
-    product per power; a term is kept while its grade is at most ``top``
-    and, with ``budget``, its grade plus degree at most ``budget``."""
-    def keep(d, w):
-        return d <= top and (budget is None or d + w <= budget)
-
+    product per power; a term is kept while its grade is at most ``top``."""
     F = {(k, w, e): c for k, ws in parts.items() for w, ts in ws.items()
-         for e, c in ts.items() if k >= 1 and keep(k, w)}
+         for e, c in ts.items() if 1 <= k <= top}
     acc = {(0, 0, unit): Q(1)}
     term = dict(acc)
     for m in range(1, top + 1):
         nxt = {}
         for (d1, w1, e1), c1 in term.items():
             for (d2, w2, e2), c2 in F.items():
-                if keep(d1 + d2, w1 + w2):
+                if d1 + d2 <= top:
                     key = (d1 + d2, w1 + w2, tuple(x + y for x, y in zip(e1, e2)))
                     nxt[key] = nxt.get(key, Q(0)) + c1 * c2 / m
         term = nxt
@@ -524,6 +517,113 @@ class TestBucketConstructors:
         agree = {e: c for e, c in a.terms.items() if g.degree(e) <= n} == {
             e: c for e, c in b.terms.items() if g.degree(e) <= n}
         assert (a == b) == agree
+
+
+def monomials_of_degree(weights, d):
+    """Every exponent tuple of weighted degree exactly ``d``."""
+    if not weights:
+        return [()] if d == 0 else []
+    return [(k,) + rest for k in range(d // weights[0] + 1)
+            for rest in monomials_of_degree(weights[1:], d - k * weights[0])]
+
+
+def ref_substitute(f, grading, images):
+    """Each term of ``f`` expanded on its own: a variable with an image
+    contributes image^e by full products, any other variable its own
+    power in ``grading``.  A homogeneous image is a polynomial, so it is
+    taken at the truncation degree of ``f``."""
+    D = f.max_degree
+    acc = MultiSeries.zero(grading, D)
+    for e, c in f.terms.items():
+        term = MultiSeries.constant(grading, c, D)
+        for name, k in zip(f.grading.names, e):
+            x = MultiSeries(grading, images[name].terms, D) if name in images \
+                else MultiSeries.variable(grading, name, D)
+            for _ in range(k):
+                term = ref_mul(term, x)
+        acc = acc + term
+    return acc
+
+
+def random_substitution(rng):
+    """A random series, a target grading holding its variables shuffled
+    among new ones, and random homogeneous images of some variables."""
+    weights = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    names = ["x%d" % i for i in range(len(weights))]
+    D = rng.randint(0, 9)
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        e = tuple(rng.randint(0, 3) for _ in weights)
+        terms[e] = Q(rng.randint(-5, 5), rng.randint(1, 6))
+    f = MultiSeries(Grading(names, weights), terms, D)
+    pairs = list(zip(names, weights))
+    pairs += [("y%d" % i, rng.randint(1, 3)) for i in range(rng.randint(0, 2))]
+    rng.shuffle(pairs)
+    target = Grading([n for n, _ in pairs], [w for _, w in pairs])
+    replaced = [i for i in range(len(pairs)) if rng.random() < 0.6]
+    images = {}
+    for i in replaced:
+        name, w = pairs[i]
+        # The image holds its own variable, or none that is replaced.
+        monos = [e for e in monomials_of_degree(target.weights, w)
+                 if not any(e[j] for j in replaced if j != i)]
+        picked = rng.sample(monos, rng.randint(0, min(3, len(monos))))
+        images[name] = MultiSeries(
+            target, {e: Q(rng.randint(-4, 4), rng.randint(1, 3)) for e in picked},
+            rng.randint(w, 12))
+    return f, target, images
+
+
+class TestSubstitute:
+    def test_matches_per_monomial_expansion(self):
+        rng = random.Random(18)
+        for _ in range(150):
+            f, target, images = random_substitution(rng)
+            got = f.substitute(target, images)
+            assert got.grading == target
+            assert same(got, ref_substitute(f, target, images))
+            assert well_bucketed(got)
+
+    def test_rekey_only(self):
+        # No images: the terms move to their variables' new positions.
+        f = MultiSeries(Grading(["a", "b"], [1, 2]), {(1, 2): 3, (0, 1): 1}, 6)
+        g = Grading(["b", "c", "a"], [2, 5, 1])
+        got = f.substitute(g, {})
+        assert got.terms == {(2, 0, 1): 3, (1, 0, 0): 1}
+        assert got.max_degree == 6 and well_bucketed(got)
+
+    def test_shift_keeps_truncation(self):
+        # t -> t - u^3 over (t, u) of weights 3, 1: the binomial expansion,
+        # every term at the weighted degree of the monomial it came from.
+        g = Grading(["t", "u"], [3, 1])
+        f = MultiSeries(Grading(["t"], [3]), {(1,): 1, (2,): 1}, 7)
+        shift = MultiSeries(g, {(1, 0): 1, (0, 3): -1}, 7)
+        got = f.substitute(g, {"t": shift})
+        assert got.max_degree == 7
+        assert got.terms == {(1, 0): 1, (0, 3): -1, (2, 0): 1, (1, 3): -2, (0, 6): 1}
+        assert f.truncate(5).substitute(g, {"t": shift}).terms == {(1, 0): 1, (0, 3): -1}
+
+    def test_errors(self):
+        g = Grading(["x", "y"], [1, 2])
+        f = MultiSeries(Grading(["x"], [1]), {(2,): 1}, 4)
+        y = MultiSeries.variable(g, "y", 4)
+        x = MultiSeries.variable(g, "x", 4)
+        with pytest.raises(ValueError):  # x has weight 1, not 2
+            f.substitute(g, {"x": y})
+        with pytest.raises(ValueError):  # not homogeneous
+            f.substitute(g, {"x": x + y})
+        with pytest.raises(ValueError):  # no variable z in the grading
+            f.substitute(g, {"z": x})
+        with pytest.raises(ValueError):  # image cut below its weight
+            f.substitute(g, {"x": MultiSeries.variable(g, "x", 0)})
+        with pytest.raises(ValueError):  # x's image holds y, also replaced
+            f.substitute(g, {"x": x, "y": MultiSeries(g, {(2, 0): 1}, 4)})
+        with pytest.raises(ValueError):  # image over another grading
+            f.substitute(g, {"x": MultiSeries.variable(f.grading, "x", 4)})
+        with pytest.raises(ValueError):  # x is missing from the grading
+            f.substitute(Grading(["y"], [2]), {})
+        with pytest.raises(ValueError):  # x has another weight there
+            f.substitute(Grading(["x"], [2]), {})
 
 
 def ref_power_mul(a, b):
