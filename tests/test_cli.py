@@ -559,6 +559,20 @@ GOLDEN_REPORTS = {
         "3340d38cca0e4137101f63b8edcbe75bb7949bb955a85d05cb363f641fa2a998",
     "fz --g 10 --r 6 --sigma 1,4":
         "3dfffef6af60a856589e8e57909668388e06b20f21046090b16d02759b50f474",
+    "frobenius r-matrix --order 20":
+        "748640cd0a1e341bced8c9b2cd87dd66fb0522ecbc3e8da9e600a79b401240a7",
+    "frobenius flatness --order 20":
+        "dc63a43d72f8ab987061c90d00d31a8a34da15b3b7272b6e9e12814332e682da",
+    "verify frobenius":
+        "2d45e374ae54620efd95fa42bc49b162efd562b813a9c8d84f8c0bd4b38bc6ab",
+    "verify flatness":
+        "19a1d12d2bc01931ccc1ba7673923023d1870b613e83c0eb5701bcd16d2388a1",
+    "verify open --order 20":
+        "6384ab8a38bdc1a414d8d297428ea1586c1dac0a2826f57581489e3508ae3595",
+    "descendents open --degree 20":
+        "d2bbf24009c6b559782c05ed0dfd871c39212603ac66eefb18fd66d9062feabf",
+    "verify strata":
+        "cb5b9e921b2665e7d3521c12474e935284d69e691895cd06b6734b456fc41eb8",
 }
 
 
