@@ -32,7 +32,7 @@ from . import airy, descendents, frobenius, fz, named_series, open_potential
 from . import pixton, strata
 from .fz import NotARelationError
 from .pixton import NotInPixtonSetError
-from .series import PowerSeries
+from .series import Grading, PowerSeries
 
 __all__ = ["main", "dispatch"]
 
@@ -305,21 +305,6 @@ def _finish_suite(suite, order, seed, checks, started):
     return report
 
 
-def _times_power(series, k):
-    """series * var^k through the order of ``series``, by shifting its
-    coefficients.  A product with the series var^k would truncate to
-    the smaller of the two orders and build a Fraction per coefficient.
-
-    >>> _times_power(PowerSeries([1, 2, 3], 2), 1).coeffs
-    (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
-    """
-    return PowerSeries(
-        [0] * k + list(series.coeffs[: series.order + 1 - k]),
-        series.order,
-        series.var,
-    )
-
-
 def _reflection_holds(H0, H1, order):
     """H0(T)H1(-T) + H0(-T)H1(T) == 2 through T^order, from half-size
     products.
@@ -327,19 +312,19 @@ def _reflection_holds(H0, H1, order):
     Write H = E(u) + T O(u) with u = T^2.  The left side is then
     2 (E0 E1 - u O0 O1), whose odd part vanishes identically, so the
     identity says E0 E1 - u O0 O1 == 1 through u^(order // 2), with
-    u O0 O1 formed by _times_power.
+    u O0 O1 formed by a coefficient shift.
     """
     m = order // 2
-    E0, E1 = (PowerSeries(H.coeffs[::2], m, "u") for H in (H0, H1))
-    O0, O1 = (PowerSeries(H.coeffs[1::2], m, "u") for H in (H0, H1))
-    return E0 * E1 - _times_power(O0 * O1, 1) == PowerSeries.one(m, "u")
+    E0, E1 = (PowerSeries(H.coeffs[::2], m) for H in (H0, H1))
+    O0, O1 = (PowerSeries(H.coeffs[1::2], m) for H in (H0, H1))
+    return E0 * E1 - (O0 * O1).times_x_power(1) == PowerSeries.one(m)
 
 
 def _suite_series(order, seed):
     """The ODEs of A and B, the reflection identity of H0 and H1 (from
     half-size products, see _reflection_holds), the printed leading
     coefficients and the ODE of D, through the given order.  Products
-    with powers of z are coefficient shifts (_times_power)."""
+    with powers of z are coefficient shifts (PowerSeries.times_x_power)."""
     started = time.monotonic()
     order = order or 30
     checks = []
@@ -347,8 +332,8 @@ def _suite_series(order, seed):
     B = named_series.series_B(order + 2)
     At = A.truncate(order)
     ode1 = (
-        _times_power(At.derivative(), 2) * 3
-        + _times_power(At, 1) * Fraction(1, 2)
+        At.derivative().times_x_power(2) * 3
+        + At.times_x_power(1) * Fraction(1, 2)
         - At
         - B.truncate(order)
     )
@@ -362,8 +347,8 @@ def _suite_series(order, seed):
     )
     Ap = A.truncate(order + 1).derivative()
     ode2 = (
-        _times_power(Ap.derivative(), 2) * 3
-        + _times_power(Ap, 1) * 6
+        Ap.derivative().times_x_power(2) * 3
+        + Ap.times_x_power(1) * 6
         - Ap * 2
         + At * Fraction(5, 12)
     )
@@ -434,7 +419,9 @@ def _suite_descendents(order, seed):
                 res.truncate(degree - drop).is_zero(),
             )
         )
-    spec = descendents.specialize_airy(Fc, min(degree - 2, 12))
+    # One specialization of exp(F^c) serves both Airy checks.
+    det = descendents.determinant_formula_check(Fc, 1, min(degree - 2, 12))
+    spec = det["series"]
     target = [Fraction(1), Fraction(-5, 24), Fraction(385, 1152)]
     got = [spec[0], spec[3], spec[6]]
     checks.append(
@@ -446,7 +433,6 @@ def _suite_descendents(order, seed):
             computed=[str(c) for c in got],
         )
     )
-    det = descendents.determinant_formula_check(Fc, 1, min(degree - 2, 10))
     checks.append(
         _check(
             "determinantal_N1",
@@ -464,13 +450,12 @@ def _suite_open(order, seed):
     Fc = descendents.build_Fc(degree + 3)
     Fo = open_potential.solve_open_kdv(Fc, degree)
     Fb = open_potential.buryak_formula(Fc, degree)
-    same = _named_terms(Fo, degree) == _named_terms(Fb, degree)
     checks.append(
         _check(
             "open_three_way",
             "open KdV solution == closed-form construction, degree <= %d"
             % degree,
-            same,
+            Fo == Fb,
         )
     )
     E = open_potential.open_exp(Fo, Fc)
@@ -493,17 +478,6 @@ def _suite_open(order, seed):
         )
     )
     return _finish_suite("open", degree, seed, checks, started)
-
-
-def _named_terms(ms, max_degree):
-    out = {}
-    for e, c in ms.terms.items():
-        if ms.grading.degree(e) <= max_degree:
-            key = tuple(
-                (ms.grading.names[i], x) for i, x in enumerate(e) if x
-            )
-            out[key] = c
-    return out
 
 
 def _suite_strata(order, seed):
@@ -552,12 +526,15 @@ def _pixton_pairings(g, n, A, d):
 
 
 def _compositions(total, n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
+    """The psi exponents of n legs summing to at most ``total``, in
+    lexicographic order: the monomials of degree ``total`` in n + 1
+    variables of weight 1, the last one taking up the slack.
+
+    >>> _compositions(1, 2)
+    [(0, 0), (0, 1), (1, 0)]
+    """
+    slack = Grading(["psi%d" % i for i in range(n)] + ["slack"], [1] * (n + 1))
+    return [e[:-1] for e in slack.monomials(total)]
 
 
 def _suite_pixton(order, seed):

@@ -317,7 +317,7 @@ def specialize_airy(Fc: MultiSeries, order: int) -> PowerSeries:
     exact through the truncation degree of F^c."""
     E = _airy_shift(Fc, order, Grading(["y"], [1]))
     coeffs = [E.coefficient(E.grading.monomial("y", k)) for k in range(order + 1)]
-    return PowerSeries(coeffs, order, var="y")
+    return PowerSeries(coeffs, order)
 
 
 _XY = Grading(["x1", "x2"], [1, 1])
@@ -325,21 +325,16 @@ _XY = Grading(["x1", "x2"], [1, 1])
 
 def _apply_D(A: PowerSeries) -> PowerSeries:
     """x * D(A) where D = x^3 d/dx + 1/x + x^2/2 (multiplying by x clears the
-    pole; the constant term of A/x is handled by the caller's pairing)."""
-    order = A.order
-    x = PowerSeries.identity(order)
-    return (
-        (x * x * x * x) * A.derivative().truncate(order)
-        + A
-        + (x * x * x) * A * Q(1, 2)
-    )
+    pole; the constant term of A/x is handled by the caller's pairing),
+    through the order of A'."""
+    return A.derivative().times_x_power(4) + A + A.times_x_power(3) * Q(1, 2)
 
 
 def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
     """Check the determinant representation of the Airy specialization.
 
     N=1: exp(F^c)|_{t_i = -(2i-1)!! x^{2i+1}} must equal calA(x) through
-    the given order.  N=2: with t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
+    the given order; that series is returned as "series".  N=2: with t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
     exp(F^c) times (x1 - x2) must equal x1 A(x1) E(x2) - x2 A(x2) E(x1)
     through degree order + 1, where E = x * (D-operator applied to calA);
     the residual terms are keyed by the (x1, x2) exponents.  Both N raise
@@ -350,7 +345,8 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
         lhs = specialize_airy(Fc, order)
         rhs = series_calA(order)
         diff = lhs - rhs
-        return {"ok": diff.is_zero(), "residual_terms": [str(c) for c in diff.coeffs]}
+        return {"ok": diff.is_zero(), "residual_terms": [str(c) for c in diff.coeffs],
+                "series": lhs}
     if N != 2:
         raise ValueError("N must be 1 or 2")
     lhs = _airy_shift(Fc, order, _XY)
@@ -358,7 +354,7 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
     nt = len(Fc.grading)
     top = order + 1
     A = series_calA(top + 1)
-    xA = PowerSeries.identity(top + 1) * A
+    xA = A.times_x_power(1)
     E = _apply_D(A)
 
     def of(x: str, f: PowerSeries) -> MultiSeries:

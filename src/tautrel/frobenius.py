@@ -293,7 +293,7 @@ def canonical_data(data, q=None):
     if data.name == "3spin":
         # Eigenvectors of [[0, phi], [1, 0]] for eigenvalues -rho, +rho:
         # v_pm = (mp rho, 1).
-        one = RhoSeries(0, PowerSeries([1], 0, "w"))
+        one = RhoSeries(0, PowerSeries([1], 0))
         rho = one.shift(1)
         vs = [(rho * -1, one), (rho, one)]
         eigen = (rho * -1, rho)
@@ -358,7 +358,7 @@ class RhoSeries:
     and d rho / d t1 = 1 / (6 rho).  Sums need equal offsets, so every
     value stays rho-homogeneous.
 
-    >>> s = RhoSeries(1, PowerSeries([1, Fraction(1, 6)], var="w"))
+    >>> s = RhoSeries(1, PowerSeries([1, Fraction(1, 6)]))
     >>> s.to_json()
     [{'rho^1': '1'}, {'rho^-2': '1/6'}]
     >>> s[1], s.z_shift().to_json()
@@ -401,18 +401,17 @@ class RhoSeries:
 
     def z_shift(self):
         """Multiply by z = w rho^3, truncating at the order."""
-        f = self.series
-        return RhoSeries(self.offset + 3, PowerSeries((0,) + f.coeffs, f.order, f.var))
+        return RhoSeries(self.offset + 3, self.series.times_x_power(1))
 
     def t1_derivative(self):
         """d/dt1 termwise: rho^p -> (p/6) rho^(p-2).
 
-        >>> RhoSeries(1, PowerSeries([1, 1], var="w")).t1_derivative().to_json()
+        >>> RhoSeries(1, PowerSeries([1, 1])).t1_derivative().to_json()
         [{'rho^-1': '1/6'}, {'rho^-4': '-1/3'}]
         """
         m, f = self.offset, self.series
         coeffs = [c * Fraction(m - 3 * k, 6) for k, c in enumerate(f.coeffs)]
-        return RhoSeries(m - 2, PowerSeries(coeffs, f.order, f.var))
+        return RhoSeries(m - 2, PowerSeries(coeffs, f.order))
 
     def is_zero(self):
         return self.series.is_zero()
@@ -516,7 +515,7 @@ def solve_R(data, order):
     a, beta, gamma, d = _canonical_components(order)
 
     def entry(offset, coeffs):
-        return RhoSeries(offset, PowerSeries(coeffs, order, "w"))
+        return RhoSeries(offset, PowerSeries(coeffs, order))
 
     ks = range(order + 1)
     return MatrixSeries(
@@ -536,11 +535,7 @@ def solve_R(data, order):
 
 def _parity_part(f, parity):
     """The terms of f whose exponent has the given parity, in w."""
-    return PowerSeries(
-        [c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)],
-        f.order,
-        "w",
-    )
+    return PowerSeries([c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)], f.order)
 
 
 def hypergeometric_r_matrix(order):
@@ -633,7 +628,7 @@ def cp1_phi_ode_residual(order, lam, z):
         if dd >= 1:
             val -= phi[dd - 1]
         coeffs.append(val)
-    return PowerSeries(coeffs, order, var="q")
+    return PowerSeries(coeffs, order)
 
 
 def _sample_rational(rng):
@@ -734,4 +729,4 @@ def cp1_leading_limit(order):
         Fraction(double_factorial(6 * j - 1), 36**j * factorial(2 * j))
         for j in range(order + 1)
     ]
-    return PowerSeries(coeffs, order, var="y")
+    return PowerSeries(coeffs, order)

@@ -86,7 +86,7 @@ def a_j(j: int) -> Fraction:
 
 def _cube(s: PowerSeries, order: int) -> PowerSeries:
     """s(x^3) in the variable x through x^order."""
-    return PowerSeries(s.shift_exponents(3).coeffs, order, var="x")
+    return PowerSeries(s.shift_exponents(3).coeffs, order)
 
 
 def series_calA(order: int) -> PowerSeries:
@@ -101,12 +101,12 @@ def series_calB(order: int) -> PowerSeries:
 
 def series_H0(order: int) -> PowerSeries:
     """H0(T) = A(-288 T) = 1 - 60T + 27720T^2 - ..."""
-    return PowerSeries(series_A(order).scale_argument(-288).coeffs, order, var="T")
+    return series_A(order).scale_argument(-288)
 
 
 def series_H1(order: int) -> PowerSeries:
     """H1(T) = -B(-288 T) = 1 + 84T - 32760T^2 + ..."""
-    return PowerSeries((-series_B(order).scale_argument(-288)).coeffs, order, var="T")
+    return -series_B(order).scale_argument(-288)
 
 
 def d_coeff(n: int) -> Fraction:
@@ -144,7 +144,7 @@ def series_D_ode(order: int) -> PowerSeries:
         if m >= 3:
             # -x^4 d/dx sends x^{m-3} to -(m-3) x^m; -(3/2)x^3 shifts by 3.
             c[m] += (m - 3 + Q(3, 2)) * c[m - 3]
-    return PowerSeries(c, order, var="x")
+    return PowerSeries(c, order)
 
 
 class SpecializationError(ValueError):
@@ -165,7 +165,7 @@ def series_Phi(order_in_q: int, lam: Fraction, z: Fraction) -> PowerSeries:
             )
         acc /= den
         coeffs.append(acc)
-    return PowerSeries(coeffs, order_in_q, var="q")
+    return PowerSeries(coeffs, order_in_q)
 
 
 @lru_cache(maxsize=None)
@@ -193,4 +193,4 @@ def stirling_series(order: int) -> PowerSeries:
         if k > order:
             break
         coeffs[k] = bernoulli(2 * i) / (2 * i * (2 * i - 1))
-    return PowerSeries(coeffs, order, var="w")
+    return PowerSeries(coeffs, order)

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .fz import NotARelationError, fz_relation
 from .named_series import series_H0, series_H1
-from .series import BiPoly, PowerSeries, divide_exact
+from .series import BiPoly, divide_exact
 from .strata import (
     Decoration,
     StrataElement,
@@ -68,8 +68,8 @@ def vertex_factor(truncation):
     >>> vertex_factor(1)
     ({(): Fraction(1, 1)}, {(1,): Fraction(60, 1)})
     """
-    T = PowerSeries.identity(truncation + 1)
-    kappa = kappa_of_f(T - T * series_H0(truncation + 1), truncation)
+    f = (1 - series_H0(truncation + 1)).times_x_power(1)
+    kappa = kappa_of_f(f, truncation)
     parts = ({}, {})
     for e, c in kappa.items():
         parts[kappa_degree(e) % 2][e] = c

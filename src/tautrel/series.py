@@ -3,9 +3,12 @@ r"""Exact truncated series arithmetic over the rationals.
 Two containers cover everything the higher-level modules need:
 
 - :class:`PowerSeries` -- dense univariate series truncated at an explicit
-  order (inclusive).
+  order (inclusive), in an unnamed variable x; a product by x^k within
+  the order is a coefficient shift, :meth:`PowerSeries.times_x_power`.
 - :class:`MultiSeries` -- sparse multivariate series truncated by a weighted
-  total degree; each variable carries a positive integer weight.
+  total degree; each variable carries a positive integer weight, and
+  :meth:`Grading.monomials` lists the exponent tuples of one weighted
+  degree.
 
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
 A product multiplies only the pairs of groups whose degrees sum to at most
@@ -30,7 +33,8 @@ Neither takes a budget: a cut such as "weighted degree plus power of 1/z
 at most D" is the weighted truncation over one more variable, of weight 1.
 :meth:`MultiSeries.substitute` replaces variables by series homogeneous of
 their weights, such as the shift t_i -> t_i - (2i-1)!! x^{2i+1} of
-descendent theory, one variable at a time by one product call.
+descendent theory, one variable at a time by one product call; with no
+images it only re-keys a series by name into another grading.
 
 No floating point enters this module.  A :class:`MultiSeries` stores each
 weighted degree as integer numerators over one common denominator, in
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Mapping, Sequence
 
 
@@ -72,9 +76,9 @@ class PowerSeries:
     series truncates to the smaller order.
     """
 
-    __slots__ = ("coeffs", "order", "var")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None, var: str = "z"):
+    def __init__(self, coeffs: Sequence, order: int | None = None):
         coeffs = [_q(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
@@ -84,20 +88,19 @@ class PowerSeries:
             coeffs = coeffs + [Q(0)] * (order + 1 - len(coeffs))
         self.coeffs = tuple(coeffs[: order + 1])
         self.order = order
-        self.var = var
 
     @classmethod
-    def zero(cls, order: int, var: str = "z") -> "PowerSeries":
-        return cls([], order, var)
+    def zero(cls, order: int) -> "PowerSeries":
+        return cls([], order)
 
     @classmethod
-    def one(cls, order: int, var: str = "z") -> "PowerSeries":
-        return cls([Q(1)], order, var)
+    def one(cls, order: int) -> "PowerSeries":
+        return cls([Q(1)], order)
 
     @classmethod
-    def identity(cls, order: int, var: str = "z") -> "PowerSeries":
+    def identity(cls, order: int) -> "PowerSeries":
         """The series x itself."""
-        return cls([Q(0), Q(1)], order, var)
+        return cls([Q(0), Q(1)], order)
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0 or k > self.order:
@@ -115,23 +118,21 @@ class PowerSeries:
     __hash__ = None
 
     def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs[: order + 1], min(order, self.order), self.var)
+        return PowerSeries(self.coeffs[: order + 1], min(order, self.order))
 
     def __add__(self, other) -> "PowerSeries":
         if not isinstance(other, PowerSeries):
-            other = PowerSeries([other], self.order, self.var)
+            other = PowerSeries([other], self.order)
         n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n, self.var
-        )
+        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.order, self.var)
+        return PowerSeries([-c for c in self.coeffs], self.order)
 
     def __sub__(self, other) -> "PowerSeries":
-        return self + (-other if isinstance(other, PowerSeries) else PowerSeries([-_q(other)], self.order, self.var))
+        return self + (-other if isinstance(other, PowerSeries) else PowerSeries([-_q(other)], self.order))
 
     def __rsub__(self, other) -> "PowerSeries":
         return (-self) + other
@@ -139,7 +140,7 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             c = _q(other)
-            return PowerSeries([c * a for a in self.coeffs], self.order, self.var)
+            return PowerSeries([c * a for a in self.coeffs], self.order)
         # Convolve integers: each operand scaled by the lcm of its
         # denominators, one Fraction built per output coefficient.
         n = min(self.order, other.order)
@@ -155,7 +156,7 @@ class PowerSeries:
                         break
                     out[i + j] += x * y
         den = den_a * den_b
-        return PowerSeries([Fraction(c, den) for c in out], n, self.var)
+        return PowerSeries([Fraction(c, den) for c in out], n)
 
     __rmul__ = __mul__
 
@@ -165,12 +166,8 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         """Formal derivative; the order drops by one."""
         if self.order == 0:
-            return PowerSeries.zero(0, self.var)
-        return PowerSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-            self.order - 1,
-            self.var,
-        )
+            return PowerSeries.zero(0)
+        return PowerSeries([k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1)
 
     def reciprocal(self) -> "PowerSeries":
         """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""
@@ -187,7 +184,7 @@ class PowerSeries:
         for k, part in recurrence(parts, self.order, (0,)).items():
             m, t = part[k]
             coeffs[k] = Fraction(t[(k,)], m)
-        return PowerSeries(coeffs, self.order, self.var)
+        return PowerSeries(coeffs, self.order)
 
     def log(self) -> "PowerSeries":
         """Formal logarithm; requires constant term 1."""
@@ -206,30 +203,29 @@ class PowerSeries:
         out = [Q(0)] * (factor * self.order + 1)
         for k, c in enumerate(self.coeffs):
             out[factor * k] = c
-        return PowerSeries(out, factor * self.order, self.var)
+        return PowerSeries(out, factor * self.order)
 
     def scale_argument(self, c) -> "PowerSeries":
         """Replace x by c*x."""
         c = _q(c)
-        return PowerSeries(
-            [self.coeffs[k] * c**k for k in range(self.order + 1)],
-            self.order,
-            self.var,
-        )
+        return PowerSeries([self.coeffs[k] * c**k for k in range(self.order + 1)], self.order)
+
+    def times_x_power(self, k: int) -> "PowerSeries":
+        """x^k times the series through its order: the coefficients move up
+        by k, and no product is formed.
+
+        >>> PowerSeries([1, 2, 3]).times_x_power(1).coeffs
+        (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
+        """
+        return PowerSeries((Q(0),) * k + self.coeffs, self.order)
 
     def to_json(self) -> dict:
-        return {
-            "var": self.var,
-            "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self):
-        terms = [
-            f"{c}*{self.var}^{k}" for k, c in enumerate(self.coeffs) if c != 0
-        ]
+        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
         body = " + ".join(terms) if terms else "0"
-        return f"PowerSeries({body} + O({self.var}^{self.order + 1}))"
+        return f"PowerSeries({body} + O(x^{self.order + 1}))"
 
 
 class Grading:
@@ -263,6 +259,29 @@ class Grading:
         """The exponents of the variable ``name`` to the power k."""
         i = self.index[name]
         return (0,) * i + (k,) + (0,) * (len(self.names) - i - 1)
+
+    def monomials(self, degree: int) -> list:
+        """Every exponent tuple of weighted degree ``degree``, in
+        lexicographic order.
+
+        The tuples of the later variables are built last variable first,
+        as (degree r, exponents) pairs ordered by descending r; the first
+        variable's exponent is then solved from the remainder, so each
+        such tuple yields at most one monomial.
+
+        >>> Grading(["a", "b", "c"], [1, 2, 3]).monomials(3)
+        [(0, 0, 1), (1, 1, 0), (3, 0, 0)]
+        """
+        if not self.weights or degree < 0:
+            return [()] if degree == 0 else []
+        below = [(0, ())]
+        for w in reversed(self.weights[1:]):
+            # A stable sort keeps, within one degree, the exponent k
+            # ascending and then the tuples below in their order.
+            below = sorted([(r + k * w, (k,) + e) for r, e in below
+                            for k in range((degree - r) // w + 1)], key=itemgetter(0), reverse=True)
+        w = self.weights[0]
+        return [((degree - r) // w,) + e for r, e in below if (degree - r) % w == 0]
 
 
 def _lowest(m: int, acc: dict):
@@ -474,7 +493,8 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         n = min(self.max_degree, other.max_degree)
-        return self.truncate(n)._buckets == other.truncate(n)._buckets
+        return (self.grading == other.grading
+                and self.truncate(n)._buckets == other.truncate(n)._buckets)
 
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
@@ -552,7 +572,8 @@ class MultiSeries:
         """The series re-keyed by variable name into ``grading``, with each
         variable named in ``images`` replaced by its image.
 
-        ``grading`` holds every variable of the series at its weight.  An
+        ``grading`` holds every variable of the series at its weight, except
+        those heavier than its truncation degree, which no term holds.  An
         image is a series over ``grading``, homogeneous of its variable's
         weight w and truncated no lower than w, so every term keeps its
         weighted degree.  It may hold its own variable but no other replaced
@@ -566,7 +587,8 @@ class MultiSeries:
         MultiSeries(1*y^2 + 2*x^1*y^1 + 1*x^2; deg<=3)
         """
         slots = [grading.index.get(name) for name in self.grading.names]
-        if any(j is None or grading.weights[j] != w for j, w in zip(slots, self.grading.weights)):
+        if any(w <= self.max_degree if j is None else grading.weights[j] != w
+               for j, w in zip(slots, self.grading.weights)):
             raise ValueError("the grading lacks a variable of the series at its weight")
         replaced = {grading.index.get(name): image for name, image in images.items()}
         if None in replaced:
@@ -584,7 +606,8 @@ class MultiSeries:
         def rekey(e):
             key = [0] * n
             for j, k in zip(slots, e):
-                key[j] = k
+                if k:
+                    key[j] = k
             return tuple(key)
 
         buckets = {d: (m, {rekey(e): c for e, c in t.items()}) for d, (m, t) in self._buckets.items()}

@@ -415,15 +415,8 @@ def kappa_monomials(degree):
     >>> kappa_monomials(3)
     [(0, 0, 1), (1, 1), (3,)]
     """
-    def extend(left, index):
-        if left == 0:
-            return [()]
-        if index > left:
-            return []
-        return [(e,) + rest for e in range(left // index + 1)
-                for rest in extend(left - index * e, index + 1)]
-
-    return extend(degree, 1)
+    grading = Grading(["x%d" % a for a in range(1, degree + 1)], range(1, degree + 1))
+    return [kappa_monomial(e) for e in grading.monomials(degree)]
 
 
 @lru_cache(maxsize=None)

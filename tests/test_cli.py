@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import airy, cli, named_series
+from tautrel import airy, cli, descendents, named_series
 from tautrel.cli import dispatch
 from tautrel.series import PowerSeries
 
@@ -361,6 +362,24 @@ class TestReports:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("order,at", [(8, 6), (12, 10), (20, 12)])
+    def test_descendents_suite_specializes_once(self, monkeypatch, order, at):
+        # Both Airy checks read one specialization of exp(F^c), through
+        # x^min(order - 2, 12).
+        calls = []
+        shift = descendents._airy_shift
+
+        def counted(Fc, top, xs):
+            calls.append(top)
+            return shift(Fc, top, xs)
+
+        monkeypatch.setattr(descendents, "_airy_shift", counted)
+        code, out = dispatch(["verify", "descendents", "--order", str(order),
+                              "--format", "json"])
+        checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+        assert code == 0 and calls == [at]
+        assert checks["airy_specialization"] and checks["determinantal_N1"]
+
     def test_series_suite(self):
         code, out = dispatch(
             ["verify", "series", "--order", "20", "--format", "json"]
@@ -383,7 +402,7 @@ class TestVerify:
         def perturbed(n):
             coeffs = list(real(n).coeffs)
             coeffs[index] += 1
-            return PowerSeries(coeffs, n, "T")
+            return PowerSeries(coeffs, n)
 
         monkeypatch.setattr(named_series, "series_H1", perturbed)
         code, out = dispatch(
@@ -423,12 +442,18 @@ class TestVerify:
         assert [c["name"] for c in json.loads(out)["failures"]] == failed
 
     def test_times_power_is_product_with_monomial(self):
-        s = PowerSeries([Fraction(k + 1, k + 2) for k in range(9)], 8, "u")
+        s = PowerSeries([Fraction(k + 1, k + 2) for k in range(9)], 8)
         for k in range(10):
-            monomial = PowerSeries([0] * k + [1], 8, "u")
-            got = cli._times_power(s, k)
-            assert (got.coeffs, got.order, got.var) == (
-                (monomial * s).coeffs, 8, "u")
+            monomial = PowerSeries([0] * k + [1], 8)
+            got = s.times_x_power(k)
+            assert (got.coeffs, got.order) == ((monomial * s).coeffs, 8)
+
+    @pytest.mark.parametrize("total,n", [(0, 0), (4, 0), (0, 3), (3, 1), (3, 2), (4, 3)])
+    def test_compositions_sum_at_most_total_in_order(self, total, n):
+        # Every psi exponent tuple with sum <= total, lexicographic; the
+        # leg-less case is the one empty tuple.
+        box = itertools.product(range(total + 1), repeat=n)
+        assert cli._compositions(total, n) == [e for e in box if sum(e) <= total]
 
     @pytest.mark.parametrize("order", [8, 9])
     def test_reflection_check_matches_two_product_oracle(self, order):
@@ -446,7 +471,7 @@ class TestVerify:
                 coeffs = list(H[which].coeffs)
                 coeffs[index] += 1
                 pair = list(H)
-                pair[which] = PowerSeries(coeffs, order, "T")
+                pair[which] = PowerSeries(coeffs, order)
                 got = cli._reflection_holds(pair[0], pair[1], order)
                 assert got == literal(*pair), (which, index)
                 verdicts.add(got)

@@ -343,6 +343,9 @@ class TestDeterminantFormula:
     def test_N1(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 1, 12)
         assert rep["ok"], rep
+        # The specialized series is returned for the caller to read.
+        assert rep["series"] == dsc.specialize_airy(Fc14, 12)
+        assert rep["series"].order == 12
 
     def test_N2(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 2, 8)

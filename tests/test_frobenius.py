@@ -17,7 +17,7 @@ def coord(terms, degree=4):
 
 
 def rho_series(offset, coeffs, order=None):
-    return fr.RhoSeries(offset, PowerSeries(coeffs, order, var="w"))
+    return fr.RhoSeries(offset, PowerSeries(coeffs, order))
 
 
 class TestCoordPolynomial:
@@ -246,7 +246,7 @@ class TestClosedFormConsistency:
         # closed-form columns reduces to 3y^2 B' - (1 + y/2) B = A.
         order = 20
         A, B = series_A(order), series_B(order + 1)
-        y = PowerSeries.identity(order, var="z")
+        y = PowerSeries.identity(order)
         lhs = (
             y * y * B.truncate(order).derivative() * 3
             - B.truncate(order)

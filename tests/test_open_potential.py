@@ -7,7 +7,7 @@ import pytest
 
 from tautrel import open_potential as op
 from tautrel.descendents import build_Fc
-from tautrel.series import Grading, MultiSeries
+from tautrel.series import Grading, MultiSeries, _lowest
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,20 @@ def ref_gz_shift_t_ratio(F, D_max):
             if any(t.values())}
 
 
+def ref_lift_to_open(Fc, grading):
+    """The former re-keying of a t-series into the t+s grading, kept as an
+    oracle: monomials using t-variables beyond the target alphabet are
+    dropped, the others padded with s-exponent 0."""
+    nt = len(grading) - 1
+    pad = (0,) * (nt - len(Fc.grading)) + (0,)
+    out = {}
+    for d, (m, t) in Fc.buckets().items():
+        part = _lowest(m, {e[:nt] + pad: c for e, c in t.items() if not any(e[nt:])})
+        if part:
+            out[d] = part
+    return MultiSeries.from_buckets(grading, out, Fc.max_degree)
+
+
 def exps(grading, **kwargs):
     e = [0] * len(grading)
     for name, v in kwargs.items():
@@ -188,6 +202,24 @@ class TestSolveOpenKdv:
         assert res.is_zero(), sorted(res.terms)[:3]
 
 
+class TestOpenReKeying:
+    @pytest.mark.parametrize("D", [8, 14, 20])
+    def test_substitute_equals_lift_to_open(self, D):
+        g = op.open_grading(D)
+        Fc = build_Fc(D + 3).truncate(D)
+        got, want = Fc.substitute(g, {}), ref_lift_to_open(Fc, g)
+        assert got.grading == g and got.max_degree == want.max_degree == D
+        assert got.buckets() == want.buckets() and not got.is_zero()
+
+    def test_missing_t_within_truncation_rejected(self):
+        # open_grading(8) stops at t3; t4 weighs 9.
+        Fc = build_Fc(11)
+        assert Fc.truncate(8).substitute(op.open_grading(8), {}).max_degree == 8
+        for D in (9, 11):
+            with pytest.raises(ValueError, match="lacks a variable"):
+                Fc.truncate(D).substitute(op.open_grading(8), {})
+
+
 class TestBuryak:
     def test_restriction(self, Fo_buryak):
         assert op.restriction_check(Fo_buryak)
@@ -224,7 +256,7 @@ class TestBuryak:
         # the G_z-ratio lives in u = 1/z alone: its u^0 part is 1, as
         # G_z F - F has a factor u in every term
         g = op.open_grading(8)
-        ratio = op.gz_shift_t_ratio(op.lift_to_open(Fc17.truncate(8), g))
+        ratio = op.gz_shift_t_ratio(Fc17.truncate(8).substitute(g, {}))
         G = ratio.grading
         assert G.names == g.names + ("u",) and G.weights == g.weights + (1,)
         assert {e: c for e, c in ratio.terms.items() if not e[-1]} == {(0,) * len(G): 1}
@@ -235,7 +267,7 @@ class TestBuryak:
     @pytest.mark.parametrize("D", [8, 14, 20])
     def test_ratio_matches_binomial_expansion(self, D):
         g = op.open_grading(D)
-        F = op.lift_to_open(build_Fc(D + 3).truncate(D), g)
+        F = build_Fc(D + 3).truncate(D).substitute(g, {})
         want = ref_gz_shift_t_ratio(F, D)
         got = {}
         for e, c in op.gz_shift_t_ratio(F).terms.items():

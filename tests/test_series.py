@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
+from itertools import product
 from math import factorial, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tautrel import open_potential as op
@@ -85,7 +86,7 @@ class TestPowerSeries:
             PowerSeries([0, 1], 3).reciprocal()
 
     def test_json_roundtrip(self):
-        f = PowerSeries([Q(1), Q(-5, 24)], 4, var="x")
+        f = PowerSeries([Q(1), Q(-5, 24)], 4)
         data = f.to_json()
         assert data["coeffs"][1] == "-5/24"
 
@@ -131,6 +132,12 @@ class TestMultiSeries:
         f = t0 * t0 * t1
         df = f.derivative("t0")
         assert df.coefficient((1, 1, 0)) == 2
+
+    def test_equality_needs_the_same_grading(self):
+        a = MultiSeries(Grading(["x", "y"], [1, 1]), {(1, 0): 1}, 3)
+        assert a == MultiSeries(Grading(["x", "y"], [1, 1]), {(1, 0): 1}, 5)
+        assert a != MultiSeries(Grading(["y", "x"], [1, 1]), {(1, 0): 1}, 3)
+        assert a != MultiSeries(Grading(["x", "y"], [1, 2]), {(1, 0): 1}, 3)
 
     def test_coefficient_out_of_range(self):
         g = self.grading()
@@ -210,7 +217,7 @@ def Fc20():
 def open_sum12():
     Fc = build_Fc(15)
     Fo = op.solve_open_kdv(Fc, 12)
-    return Fo + op.lift_to_open(Fc, Fo.grading)
+    return Fo + Fc.truncate(12).substitute(Fo.grading, {})
 
 
 class TestGradedKernelOracles:
@@ -624,6 +631,29 @@ class TestSubstitute:
             f.substitute(Grading(["y"], [2]), {})
         with pytest.raises(ValueError):  # x has another weight there
             f.substitute(Grading(["x"], [2]), {})
+
+    def test_variable_above_truncation_may_be_missing(self):
+        # z weighs 5 > 4, so no term of f can hold it.
+        f = MultiSeries(Grading(["x", "z"], [1, 5]), {(2, 0): 3}, 4)
+        got = f.substitute(Grading(["y", "x"], [2, 1]), {})
+        assert got.terms == {(0, 2): 3} and got.max_degree == 4
+        with pytest.raises(ValueError):  # at truncation 5, z is a term
+            MultiSeries(f.grading, {(0, 1): 1}, 5).substitute(Grading(["x"], [1]), {})
+
+
+class TestGradingMonomials:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=4), st.integers(-2, 10))
+    @example([], 0)
+    @example([], 3)
+    @example([2, 3], -1)
+    @example([1, 2], 0)
+    @example([4, 6], 7)
+    @example([3, 5, 2], 13)
+    def test_equals_filtered_box(self, weights, degree):
+        g = Grading(["x%d" % i for i in range(len(weights))], weights)
+        box = product(*(range(max(degree, 0) // w + 1) for w in weights))
+        assert g.monomials(degree) == [e for e in box if g.degree(e) == degree]
 
 
 def ref_power_mul(a, b):
