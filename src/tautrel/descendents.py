@@ -334,7 +334,8 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
     """Check the determinant representation of the Airy specialization.
 
     N=1: exp(F^c)|_{t_i = -(2i-1)!! x^{2i+1}} must equal calA(x) through
-    the given order; that series is returned as "series".  N=2: with t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
+    the given order; that series is returned as "series".  N=2: with
+    t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
     exp(F^c) times (x1 - x2) must equal x1 A(x1) E(x2) - x2 A(x2) E(x1)
     through degree order + 1, where E = x * (D-operator applied to calA);
     the residual terms are keyed by the (x1, x2) exponents.  Both N raise

@@ -535,7 +535,10 @@ def solve_R(data, order):
 
 def _parity_part(f, parity):
     """The terms of f whose exponent has the given parity, in w."""
-    return PowerSeries([c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)], f.order)
+    return PowerSeries(
+        [c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)],
+        f.order,
+    )
 
 
 def hypergeometric_r_matrix(order):

@@ -124,7 +124,9 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             other = PowerSeries([other], self.order)
         n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n)
+        return PowerSeries(
+            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
+        )
 
     __radd__ = __add__
 
@@ -167,7 +169,10 @@ class PowerSeries:
         """Formal derivative; the order drops by one."""
         if self.order == 0:
             return PowerSeries.zero(0)
-        return PowerSeries([k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1)
+        return PowerSeries(
+            [k * self.coeffs[k] for k in range(1, self.order + 1)],
+            self.order - 1,
+        )
 
     def reciprocal(self) -> "PowerSeries":
         """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""
@@ -208,7 +213,10 @@ class PowerSeries:
     def scale_argument(self, c) -> "PowerSeries":
         """Replace x by c*x."""
         c = _q(c)
-        return PowerSeries([self.coeffs[k] * c**k for k in range(self.order + 1)], self.order)
+        return PowerSeries(
+            [self.coeffs[k] * c**k for k in range(self.order + 1)],
+            self.order,
+        )
 
     def times_x_power(self, k: int) -> "PowerSeries":
         """x^k times the series through its order: the coefficients move up
@@ -220,10 +228,15 @@ class PowerSeries:
         return PowerSeries((Q(0),) * k + self.coeffs, self.order)
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {
+            "order": self.order,
+            "coeffs": [str(c) for c in self.coeffs],
+        }
 
     def __repr__(self):
-        terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0]
+        terms = [
+            f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0
+        ]
         body = " + ".join(terms) if terms else "0"
         return f"PowerSeries({body} + O(x^{self.order + 1}))"
 
