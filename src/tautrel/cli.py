@@ -13,6 +13,10 @@ suites with machine-readable output:
 - ``pixton``: relation classes as decorated-graph sums;
 - ``frobenius``: the R-matrix and flatness residuals;
 - ``verify``: the invariant suites, in dependency order for ``all``.
+  Each suite is a generator of its checks; one driver, ``_run_suite``,
+  fills in the default order from ``_SUITES``, the table of each
+  suite's default and least ``--order``, times the suite and builds its
+  report.
 
 Exit codes: 0 on success, 1 on a failed check or invalid input data
 (with a structured diff naming the location), 2 on usage errors, which
@@ -267,8 +271,7 @@ def cmd_frobenius(args):
             "leading_limit": [str(c) for c in ps.coeffs],
         }
     # action == "flatness"
-    report = _suite_flatness(args.order, args.seed)
-    return report
+    return _run_suite("flatness", args.order, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +285,6 @@ def _check(name, description, ok, expected=None, computed=None):
     if computed is not None:
         item["computed"] = computed
     return item
-
-
-def _finish_suite(suite, order, seed, checks, started):
-    report = {
-        "suite": suite,
-        "order": order,
-        "seed": seed,
-        "wall_time_s": round(time.monotonic() - started, 3),
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
-    if not report["ok"]:
-        bad = [c for c in checks if not c["ok"]]
-        raise CheckFailure(
-            {
-                "message": "suite %r failed %d check(s)" % (suite, len(bad)),
-                "failures": bad,
-                "report": report,
-            }
-        )
-    return report
 
 
 def _reflection_holds(H0, H1, order):
@@ -325,9 +307,6 @@ def _suite_series(order, seed):
     half-size products, see _reflection_holds), the printed leading
     coefficients and the ODE of D, through the given order.  Products
     with powers of z are coefficient shifts (PowerSeries.times_x_power)."""
-    started = time.monotonic()
-    order = order or 30
-    checks = []
     A = named_series.series_A(order + 2)
     B = named_series.series_B(order + 2)
     At = A.truncate(order)
@@ -337,13 +316,11 @@ def _suite_series(order, seed):
         - At
         - B.truncate(order)
     )
-    checks.append(
-        _check(
-            "first_ode",
-            "3z^2 A' + (z/2 - 1)A - B == 0 through z^%d" % order,
-            ode1.is_zero(),
-            computed=None if ode1.is_zero() else ode1.to_json(),
-        )
+    yield _check(
+        "first_ode",
+        "3z^2 A' + (z/2 - 1)A - B == 0 through z^%d" % order,
+        ode1.is_zero(),
+        computed=None if ode1.is_zero() else ode1.to_json(),
     )
     Ap = A.truncate(order + 1).derivative()
     ode2 = (
@@ -352,148 +329,113 @@ def _suite_series(order, seed):
         - Ap * 2
         + At * Fraction(5, 12)
     )
-    checks.append(
-        _check(
-            "second_ode",
-            "3z^2 A'' + (6z - 2)A' + (5/12)A == 0 through z^%d" % order,
-            ode2.is_zero(),
-        )
+    yield _check(
+        "second_ode",
+        "3z^2 A'' + (6z - 2)A' + (5/12)A == 0 through z^%d" % order,
+        ode2.is_zero(),
     )
     H0 = named_series.series_H0(order)
     H1 = named_series.series_H1(order)
-    checks.append(
-        _check(
-            "reflection",
-            "H0(T)H1(-T) + H0(-T)H1(T) == 2 through T^%d" % order,
-            _reflection_holds(H0, H1, order),
-        )
+    yield _check(
+        "reflection",
+        "H0(T)H1(-T) + H0(-T)H1(T) == 2 through T^%d" % order,
+        _reflection_holds(H0, H1, order),
     )
     printed = {
         "H0": ([H0[0], H0[1], H0[2]], [Fraction(1), Fraction(-60), Fraction(27720)]),
         "H1": ([H1[0], H1[1], H1[2]], [Fraction(1), Fraction(84), Fraction(-32760)]),
     }
     for name, (got, want) in printed.items():
-        checks.append(
-            _check(
-                "coefficients_%s" % name,
-                "leading coefficients of %s" % name,
-                got == want,
-                expected=[str(c) for c in want],
-                computed=[str(c) for c in got],
-            )
+        yield _check(
+            "coefficients_%s" % name,
+            "leading coefficients of %s" % name,
+            got == want,
+            expected=[str(c) for c in want],
+            computed=[str(c) for c in got],
         )
     d_order = min(order, 21)
-    checks.append(
-        _check(
-            "d_series_ode",
-            "closed-form D equals its ODE solution through x^%d" % d_order,
-            named_series.series_D(d_order) == named_series.series_D_ode(d_order),
-        )
+    yield _check(
+        "d_series_ode",
+        "closed-form D equals its ODE solution through x^%d" % d_order,
+        named_series.series_D(d_order) == named_series.series_D_ode(d_order),
     )
-    return _finish_suite("series", order, seed, checks, started)
 
 
-def _suite_descendents(order, seed):
-    started = time.monotonic()
-    degree = order or 12
-    checks = []
+def _suite_descendents(degree, seed):
     Fc = descendents.build_Fc(degree)
     E = Fc.exp()
     for n in range(-1, 3):
         res = descendents.apply_L(n, E)
         bound = degree - (2 * n + 3)
-        checks.append(
-            _check(
-                "virasoro_L%d" % n,
-                "L_%d exp(F^c) == 0 at weighted degree <= %d" % (n, bound),
-                res.truncate(bound).is_zero(),
-            )
+        yield _check(
+            "virasoro_L%d" % n,
+            "L_%d exp(F^c) == 0 at weighted degree <= %d" % (n, bound),
+            res.truncate(bound).is_zero(),
         )
     for which, drop in ((1, 5), (2, 7)):
         res = descendents.kdv_residual(Fc, which)
-        checks.append(
-            _check(
-                "kdv_%d" % which,
-                "KdV residual %d vanishes through degree %d"
-                % (which, degree - drop),
-                res.truncate(degree - drop).is_zero(),
-            )
+        yield _check(
+            "kdv_%d" % which,
+            "KdV residual %d vanishes through degree %d"
+            % (which, degree - drop),
+            res.truncate(degree - drop).is_zero(),
         )
     # One specialization of exp(F^c) serves both Airy checks.
     det = descendents.determinant_formula_check(Fc, 1, min(degree - 2, 12))
     spec = det["series"]
     target = [Fraction(1), Fraction(-5, 24), Fraction(385, 1152)]
     got = [spec[0], spec[3], spec[6]]
-    checks.append(
-        _check(
-            "airy_specialization",
-            "specialized exp(F^c) reproduces the A-series coefficients",
-            got == target,
-            expected=[str(c) for c in target],
-            computed=[str(c) for c in got],
-        )
+    yield _check(
+        "airy_specialization",
+        "specialized exp(F^c) reproduces the A-series coefficients",
+        got == target,
+        expected=[str(c) for c in target],
+        computed=[str(c) for c in got],
     )
-    checks.append(
-        _check(
-            "determinantal_N1",
-            "determinantal formula, one variable",
-            det["ok"],
-        )
+    yield _check(
+        "determinantal_N1",
+        "determinantal formula, one variable",
+        det["ok"],
     )
-    return _finish_suite("descendents", degree, seed, checks, started)
 
 
-def _suite_open(order, seed):
-    started = time.monotonic()
-    degree = order or 8
-    checks = []
+def _suite_open(degree, seed):
     Fc = descendents.build_Fc(degree + 3)
     Fo = open_potential.solve_open_kdv(Fc, degree)
     Fb = open_potential.buryak_formula(Fc, degree)
-    checks.append(
-        _check(
-            "open_three_way",
-            "open KdV solution == closed-form construction, degree <= %d"
-            % degree,
-            Fo == Fb,
-        )
+    yield _check(
+        "open_three_way",
+        "open KdV solution == closed-form construction, degree <= %d"
+        % degree,
+        Fo == Fb,
     )
     E = open_potential.open_exp(Fo, Fc)
     for n in (-1, 0, 1):
         res = open_potential.open_virasoro_residual(Fo, Fc, n, E)
         bound = min(degree, res.max_degree)
-        checks.append(
-            _check(
-                "open_virasoro_L%d" % n,
-                "open Virasoro residual %d vanishes through degree %d"
-                % (n, bound),
-                res.truncate(bound).is_zero(),
-            )
+        yield _check(
+            "open_virasoro_L%d" % n,
+            "open Virasoro residual %d vanishes through degree %d"
+            % (n, bound),
+            res.truncate(bound).is_zero(),
         )
-    checks.append(
-        _check(
-            "restriction",
-            "restriction to the initial potential s^3/6 + t0 s",
-            open_potential.restriction_check(Fo),
-        )
+    yield _check(
+        "restriction",
+        "restriction to the initial potential s^3/6 + t0 s",
+        open_potential.restriction_check(Fo),
     )
-    return _finish_suite("open", degree, seed, checks, started)
 
 
 def _suite_strata(order, seed):
-    started = time.monotonic()
-    checks = []
     census = [((0, 3), 1), ((1, 1), 2), ((2, 0), 7), ((3, 0), 42)]
     for (g, n), want in census:
         got = len(strata.enumerate_stable_graphs(g, n))
-        checks.append(
-            _check(
-                "census_%d_%d" % (g, n),
-                "stable-graph count at (g, n) = (%d, %d)" % (g, n),
-                got == want,
-                expected=want,
-                computed=got,
-            )
+        yield _check(
+            "census_%d_%d" % (g, n),
+            "stable-graph count at (g, n) = (%d, %d)" % (g, n),
+            got == want,
+            expected=want,
+            computed=got,
         )
     aut_cases = [
         (strata.StableGraph((1,), (0,), []), 1),
@@ -502,16 +444,13 @@ def _suite_strata(order, seed):
     ]
     for gr, want in aut_cases:
         got = strata.automorphism_order(gr)
-        checks.append(
-            _check(
-                "aut_order",
-                "automorphism order of %s" % (gr.key(),),
-                got == want,
-                expected=want,
-                computed=got,
-            )
+        yield _check(
+            "aut_order",
+            "automorphism order of %s" % (gr.key(),),
+            got == want,
+            expected=want,
+            computed=got,
         )
-    return _finish_suite("strata", order, seed, checks, started)
 
 
 def _pixton_pairings(g, n, A, d):
@@ -538,8 +477,6 @@ def _compositions(total, n):
 
 
 def _suite_pixton(order, seed):
-    started = time.monotonic()
-    checks = []
     sec = pixton.edge_factor(1)
     edge_values = {
         "constant_parity11": (sec[(1, 1)].coefficient(0, 0), Fraction(60)),
@@ -548,127 +485,134 @@ def _suite_pixton(order, seed):
         "linear_cross_side": (sec[(1, 0)].coefficient(0, 1), Fraction(-27720)),
     }
     for name, (got, want) in edge_values.items():
-        checks.append(
-            _check(
-                "edge_%s" % name,
-                "edge-factor coefficient %s" % name,
-                got == want,
-                expected=str(want),
-                computed=str(got),
-            )
+        yield _check(
+            "edge_%s" % name,
+            "edge-factor coefficient %s" % name,
+            got == want,
+            expected=str(want),
+            computed=str(got),
         )
     for g, n, A, d in [(1, 1, (1,), 1), (2, 0, (), 1), (2, 1, (1,), 1)]:
         terms, count, bad = _pixton_pairings(g, n, A, d)
-        item = _check(
-            "pairings_%d_%d_%s_%d" % (g, n, "".join(map(str, A)), d),
-            "all %d pairings of the (%d,%d) class vanish" % (count, g, n),
-            not bad,
-            computed=bad or None,
-        )
         # A class with no terms pairs to 0 vacuously.
-        item["class_terms"] = terms
-        checks.append(item)
-    return _finish_suite("pixton", order, seed, checks, started)
+        yield dict(
+            _check(
+                "pairings_%d_%d_%s_%d" % (g, n, "".join(map(str, A)), d),
+                "all %d pairings of the (%d,%d) class vanish" % (count, g, n),
+                not bad,
+                computed=bad or None,
+            ),
+            class_terms=terms,
+        )
 
 
 def _suite_frobenius(order, seed):
-    started = time.monotonic()
-    order = order or 6
-    checks = []
     R = frobenius.solve_R(frobenius.spin3_structure(), order)
     target = frobenius.hypergeometric_r_matrix(order)
-    checks.append(
-        _check(
-            "r_matrix",
-            "flatness-recursion R equals the A/B matrix through z^%d" % order,
-            R == target,
-            computed=None if R == target else R.to_json(),
-        )
+    yield _check(
+        "r_matrix",
+        "flatness-recursion R equals the A/B matrix through z^%d" % order,
+        R == target,
+        computed=None if R == target else R.to_json(),
     )
     for data, label in [
         (frobenius.spin3_structure(), "3spin"),
         (frobenius.cp1_structure(Fraction(2)), "cp1"),
     ]:
-        checks.append(
-            _check(
-                "product_%s" % label,
-                "product table matches the potential (%s)" % label,
-                data.product_consistency() and data.associativity_check(),
-            )
+        yield _check(
+            "product_%s" % label,
+            "product table matches the potential (%s)" % label,
+            data.product_consistency() and data.associativity_check(),
         )
     phi = frobenius.cp1_phi_ode_check(order=15, trials=5, seed=seed)
-    checks.append(
-        _check(
-            "phi_ode",
-            "second-order ODE for the q-hypergeometric series",
-            phi["ok"],
-            computed=phi["samples"],
-        )
+    yield _check(
+        "phi_ode",
+        "second-order ODE for the q-hypergeometric series",
+        phi["ok"],
+        computed=phi["samples"],
     )
-    checks.append(
-        _check(
-            "gamma_limit",
-            "Gamma functional-equation limit identity",
-            frobenius.cp1_gamma_limit_check(seed=seed),
-        )
+    yield _check(
+        "gamma_limit",
+        "Gamma functional-equation limit identity",
+        frobenius.cp1_gamma_limit_check(seed=seed),
     )
-    checks.append(
-        _check(
-            "leading_limit",
-            "Gaussian-moment leading limit equals the A series",
-            frobenius.cp1_leading_limit(10) == named_series.series_A(10),
-        )
+    yield _check(
+        "leading_limit",
+        "Gaussian-moment leading limit equals the A series",
+        frobenius.cp1_leading_limit(10) == named_series.series_A(10),
     )
-    report = _finish_suite("frobenius", order, seed, checks, started)
-    return report
 
 
 def _suite_flatness(order, seed):
-    started = time.monotonic()
-    order = order or 6
-    checks = []
     for branch in (1, -1):
         res = frobenius.airy_flatness_check(order, branch=branch)
         for name, series in res.items():
-            checks.append(
-                _check(
-                    "branch%+d_%s" % (branch, name),
-                    "flatness residual %s, branch %+d, through z^%d"
-                    % (name, branch, order),
-                    series.is_zero(),
-                    computed=None if series.is_zero() else series.to_json(),
-                )
+            yield _check(
+                "branch%+d_%s" % (branch, name),
+                "flatness residual %s, branch %+d, through z^%d"
+                % (name, branch, order),
+                series.is_zero(),
+                computed=None if series.is_zero() else series.to_json(),
             )
-    return _finish_suite("flatness", order, seed, checks, started)
 
 
-# In dependency order, the order ``verify all`` runs them in.
+# Each verify suite yields its checks from (order, seed); beside it are
+# its default and its least --order, both None for the suites that run
+# fixed cases and take no order.  In dependency order, the order
+# ``verify all`` runs them in.
 _SUITES = {
-    "series": _suite_series,
-    "descendents": _suite_descendents,
-    "open": _suite_open,
-    "strata": _suite_strata,
-    "pixton": _suite_pixton,
-    "frobenius": _suite_frobenius,
-    "flatness": _suite_flatness,
+    "series": (_suite_series, 30, 2),
+    "descendents": (_suite_descendents, 12, 8),
+    "open": (_suite_open, 8, 1),
+    "strata": (_suite_strata, None, None),
+    "pixton": (_suite_pixton, None, None),
+    "frobenius": (_suite_frobenius, 6, 1),
+    "flatness": (_suite_flatness, 6, 2),
 }
 
+
+def _run_suite(name, order, seed):
+    """Run a verify suite at ``order`` (None: its default) and return its
+    timed report; raise CheckFailure if any check fails."""
+    checks_of, default, _ = _SUITES[name]
+    if order is None:
+        order = default
+    started = time.monotonic()
+    checks = list(checks_of(order, seed))
+    bad = [c for c in checks if not c["ok"]]
+    report = {
+        "suite": name,
+        "order": order,
+        "seed": seed,
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "checks": checks,
+        "ok": not bad,
+    }
+    if bad:
+        raise CheckFailure(
+            {
+                "message": "suite %r failed %d check(s)" % (name, len(bad)),
+                "failures": bad,
+                "report": report,
+            }
+        )
+    return report
+
+
 def cmd_verify(args):
-    if args.suite == "all":
-        started = time.monotonic()
-        reports = []
-        for suite in _SUITES.values():
-            # CheckFailure propagates, short-circuiting on the first
-            # structural failure.
-            reports.append(suite(None, args.seed))
-        return {
-            "suite": "all",
-            "seed": args.seed,
-            "wall_time_s": round(time.monotonic() - started, 3),
-            "suites": reports,
-            "ok": True,
-        }
-    return _SUITES[args.suite](args.order, args.seed)
+    if args.suite != "all":
+        return _run_suite(args.suite, args.order, args.seed)
+    started = time.monotonic()
+    # CheckFailure propagates, short-circuiting on the first structural
+    # failure.
+    reports = [_run_suite(name, None, args.seed) for name in _SUITES]
+    return {
+        "suite": "all",
+        "seed": args.seed,
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "suites": reports,
+        "ok": True,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -783,40 +727,26 @@ def build_parser():
     p.add_argument(
         "--order", type=_nonneg_int, default=None,
         help="the order to run at; not taken by %s"
-        % ", ".join(sorted(_NO_ORDER)),
+        % ", ".join(sorted(["all"] + [name for name, (_, _, low)
+                                     in _SUITES.items() if low is None])),
     )
     p.set_defaults(func=cmd_verify)
 
     return parser
 
 
-# The verify suites that take no --order: they run fixed cases, and
-# "all" runs every suite at its default order.
-_NO_ORDER = {"strata", "pixton", "all"}
-
-# The smallest --order each computation runs at: the verify suites by
-# name, and the frobenius actions by action and model.
-_MIN_ORDER = {
-    "series": 2,
-    "descendents": 8,
-    "open": 1,
-    "frobenius": 1,
-    "flatness": 2,
-    "r-matrix 3spin": 1,
-}
-
-
 def _order_floor(args):
-    """The computation that --order sizes, and the least order it takes."""
+    """The computation that --order sizes, and the least order it takes:
+    None if it takes no order."""
     if args.command == "verify":
-        name = args.suite
-    elif args.command == "frobenius":
-        name = args.action
-        if args.action == "r-matrix":
-            name += " " + args.model
-    else:
+        # "all" runs every suite at its default order.
+        return args.suite, None if args.suite == "all" else _SUITES[args.suite][2]
+    if args.command != "frobenius":
         return None, 0
-    return name, _MIN_ORDER.get(name, 0)
+    if args.action == "flatness":
+        return "flatness", _SUITES["flatness"][2]
+    # The 3-spin R-matrix starts at z^1; the cp1 limit takes any order.
+    return "r-matrix " + args.model, 1 if args.model == "3spin" else 0
 
 
 def dispatch(argv):
@@ -828,15 +758,14 @@ def dispatch(argv):
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.suite in _NO_ORDER and (
-        args.order is not None
-    ):
-        parser.error("argument --order: verify %s takes no order" % args.suite)
     name, low = _order_floor(args)
-    if getattr(args, "order", None) is not None and args.order < low:
+    order = getattr(args, "order", None)
+    if order is not None and low is None:
+        parser.error("argument --order: verify %s takes no order" % name)
+    if order is not None and order < low:
         parser.error(
             "argument --order: %s needs an integer >= %d, got %d"
-            % (name, low, args.order)
+            % (name, low, order)
         )
     try:
         report = args.func(args)

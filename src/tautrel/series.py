@@ -97,11 +97,6 @@ class PowerSeries:
     def one(cls, order: int) -> "PowerSeries":
         return cls([Q(1)], order)
 
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series x itself."""
-        return cls([Q(0), Q(1)], order)
-
     def __getitem__(self, k: int) -> Fraction:
         if k < 0 or k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")

@@ -55,7 +55,7 @@ class TestCriterion1OdeIdentities:
         n = self.ORDER
         A = series_A(n + 1)
         B = series_B(n)
-        z = PowerSeries.identity(n)
+        z = PowerSeries([0, 1], n)
         res = (
             z * z * A.truncate(n).derivative() * 3
             + (z * Q(1, 2) - PowerSeries.one(n)) * A.truncate(n)
@@ -66,7 +66,7 @@ class TestCriterion1OdeIdentities:
     def test_second_order_ode(self):
         n = self.ORDER
         A = series_A(n + 2)
-        z = PowerSeries.identity(n)
+        z = PowerSeries([0, 1], n)
         Ap = A.truncate(n + 1).derivative()
         res = (
             z * z * Ap.truncate(n).derivative() * 3

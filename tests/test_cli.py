@@ -15,6 +15,10 @@ from tautrel import airy, cli, descendents, named_series
 from tautrel.cli import dispatch
 from tautrel.series import PowerSeries
 
+# The verify suites by their least --order, None for those taking none.
+LEAST_ORDER = {name: least for name, (_, _, least) in cli._SUITES.items()}
+NO_ORDER = [name for name, least in LEAST_ORDER.items() if least is None]
+
 
 class TestExitCodes:
     def test_invalid_relation_is_exit_1(self):
@@ -75,9 +79,9 @@ class TestExitCodes:
             (["series", "--order", "-1"], "--order: expected a non-negative"),
             (["frobenius", "r-matrix", "--order", "0"], "r-matrix 3spin needs"),
             (["frobenius", "flatness", "--order", "1"], "flatness needs"),
-            (["verify", "flatness", "--order", "1"], "flatness needs"),
+            (["verify", "flatness", "--order", "0"], "flatness needs"),
             (["verify", "descendents", "--order", "3"], "descendents needs"),
-            (["verify", "series", "--order", "1"], "series needs"),
+            (["verify", "series", "--order", "0"], "series needs"),
             (["airy", "--x", "-1"], "--x: expected a finite positive"),
             (["airy", "--x", "nan"], "--x: expected a finite positive"),
             (["airy", "--precision-bits", "10"], "expected an integer >= 64"),
@@ -88,11 +92,15 @@ class TestExitCodes:
             (["airy", "--x", "1e20"], "--x: expected a finite positive number <= 500"),
             (["airy", "--x", "1e6"], "<= 500"),
             (["airy", "--x", "inf"], "<= 500"),
-            (["verify", "strata", "--order", "1"], "verify strata takes no order"),
-            (["verify", "pixton", "--order", "99"], "verify pixton takes no order"),
-            (["verify", "all", "--order", "1"], "verify all takes no order"),
-            (["verify", "all", "--order", "0"], "verify all takes no order"),
-        ],
+        ]
+        # A suite taking no order rejects any, 0 included.
+        + [(["verify", name, "--order", "1"], "verify %s takes no order" % name)
+           for name in NO_ORDER + ["all"]]
+        + [(["verify", "all", "--order", "0"], "verify all takes no order")]
+        # Each suite rejects the order just below its least.
+        + [(["verify", name, "--order", str(least - 1)],
+            "%s needs an integer >= %d, got %d" % (name, least, least - 1))
+           for name, least in LEAST_ORDER.items() if least],
     )
     def test_out_of_range_argument_is_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -102,15 +110,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["frobenius", "r-matrix", "--model", "cp1", "--order", "0"],
-            ["verify", "descendents", "--order", "8"],
-            ["verify", "flatness", "--order", "2"],
-        ],
+        [["verify", name, "--order", str(least)]
+         for name, least in LEAST_ORDER.items() if least is not None]
+        + [["frobenius", "r-matrix", "--model", "cp1", "--order", "0"],
+           ["frobenius", "flatness", "--order", str(LEAST_ORDER["flatness"])]],
     )
     def test_smallest_order_runs(self, argv):
         code, _ = dispatch(argv)
         assert code == 0
+
+    @pytest.mark.parametrize("suite", list(cli._SUITES))
+    def test_omitted_order_is_table_default(self, suite):
+        code, out = dispatch(["verify", suite, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["order"] == cli._SUITES[suite][1]
 
     def test_oracle_disagreement_is_exit_1(self, monkeypatch):
         def wrong_quadrature(x, precision_bits=128):
@@ -533,13 +546,18 @@ def _without_times(x):
 
 
 # SHA-256 of rendered reports: of the JSON without its *_time_s keys, or
-# of the text as printed when the command names its own --format.  They
-# cover the closed and open potentials, the kappa relations and graph
-# sums, the argument changes of A and B and the Airy asymptotics; changes
-# to the arithmetic underneath must leave these reports byte for byte as
-# they are.  The text case pins the order of the
-# relation's rows, which the JSON's sorted keys do not show.
+# of the text as printed, less its *_time_s rows, when the command names
+# its own --format.  They cover every verify suite at its default order,
+# the closed and open potentials, the kappa relations and graph sums, the
+# argument changes of A and B and the Airy asymptotics; changes to the
+# arithmetic underneath must leave these reports byte for byte as they
+# are.  The text cases pin the order of the relation's rows and of a
+# verify report's keys, which the JSON's sorted keys do not show.
 GOLDEN_REPORTS = {
+    "verify all":
+        "2562754b2776792568062ab05e7e6da799adbf217defc052e7d292221a80f21d",
+    "verify all --format text":
+        "97e4c4375207f984365426c21d2f203454bcaacc8a7e7b5a73f21fc403199278",
     "verify descendents --order 12":
         "ed51bcbb6a46c1e6f326a310f0f889dfdefe8c05cc401640bf21f95891151b5b",
     "descendents closed --degree 12":
@@ -607,6 +625,8 @@ class TestGoldenReports:
         argv = command.split()
         if "--format" in argv:
             code, text = dispatch(argv)
+            text = "\n".join(line for line in text.split("\n")
+                             if not line.split(":")[0].endswith("_time_s"))
         else:
             code, out = dispatch(argv + ["--format", "json"])
             text = cli.render(_without_times(json.loads(out)), "json")

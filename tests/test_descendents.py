@@ -141,7 +141,7 @@ def ref_determinant_N2(Fc, order):
         f = f + poly
     A = series_calA(order + 2)
     E = dsc._apply_D(A)
-    xA = PowerSeries.identity(order + 2) * A
+    xA = PowerSeries([0, 1], order + 2) * A
 
     def outer(a, b):
         return BiPoly({(i, j): ca * cb for i, ca in enumerate(a.coeffs)

@@ -246,7 +246,7 @@ class TestClosedFormConsistency:
         # closed-form columns reduces to 3y^2 B' - (1 + y/2) B = A.
         order = 20
         A, B = series_A(order), series_B(order + 1)
-        y = PowerSeries.identity(order)
+        y = PowerSeries([0, 1], order)
         lhs = (
             y * y * B.truncate(order).derivative() * 3
             - B.truncate(order)

@@ -133,7 +133,7 @@ def ref_vertex_factor(truncation):
 
 def vertex_series(truncation):
     """f = T - T H0(T), truncated at T^{truncation + 1}."""
-    T = PowerSeries.identity(truncation + 1)
+    T = PowerSeries([0, 1], truncation + 1)
     return T - T * series_H0(truncation + 1)
 
 
@@ -357,7 +357,7 @@ def zeta_average_summand(graph, A, d):
     budget = d - len(graph.edges)
     if budget < 0:
         return {}
-    T = PowerSeries.identity(budget + 1)
+    T = PowerSeries([0, 1], budget + 1)
     H = (series_H0(budget), series_H1(budget))
     out = {}
     for zeta in itertools.product((1, -1), repeat=nv):
