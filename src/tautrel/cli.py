@@ -258,20 +258,20 @@ def cmd_pixton(args):
 
 
 def cmd_frobenius(args):
-    if args.action == "r-matrix":
-        if args.model == "3spin":
-            R = frobenius.solve_R(frobenius.spin3_structure(), args.order)
-            return {"model": "3spin", "order": args.order,
-                    "r_matrix": R.to_json()}
-        # The exponential model is covered by its leading-order limit.
-        ps = frobenius.cp1_leading_limit(args.order)
-        return {
-            "model": "cp1",
-            "order": args.order,
-            "leading_limit": [str(c) for c in ps.coeffs],
-        }
-    # action == "flatness"
-    return _run_suite("flatness", args.order, args.seed)
+    if args.action == "flatness":
+        return _run_suite("flatness", args.order, args.seed)
+    # The R-matrix defaults to the order ``verify frobenius`` checks it at.
+    order = _SUITES["frobenius"][1] if args.order is None else args.order
+    if args.model == "3spin":
+        return {"model": "3spin", "order": order,
+                "r_matrix": frobenius.solve_R(order).to_json()}
+    # The exponential model is covered by its leading-order limit.
+    ps = frobenius.cp1_leading_limit(order)
+    return {
+        "model": "cp1",
+        "order": order,
+        "leading_limit": [str(c) for c in ps.coeffs],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def _suite_pixton(order, seed):
 
 
 def _suite_frobenius(order, seed):
-    R = frobenius.solve_R(frobenius.spin3_structure(), order)
+    R = frobenius.solve_R(order)
     target = frobenius.hypergeometric_r_matrix(order)
     yield _check(
         "r_matrix",
@@ -719,7 +719,7 @@ def build_parser():
         default="r-matrix",
     )
     p.add_argument("--model", choices=("3spin", "cp1"), default="3spin")
-    p.add_argument("--order", type=_nonneg_int, default=6)
+    p.add_argument("--order", type=_nonneg_int, default=None)
     p.set_defaults(func=cmd_frobenius)
 
     p = sub.add_parser("verify", parents=[common])

@@ -1,8 +1,13 @@
 """Two-dimensional Frobenius structures and the flatness recursion for R.
 
-Two structures are provided.  The *polynomial* structure has potential
-t0^2 t1 / 2 + t1^4 / 72 and metric [[0, 1], [1, 0]]; writing
-phi = t1 / 3, the product is e1 * e1 = phi e0.  The *exponential*
+What ``frobenius`` and ``verify frobenius``/``flatness`` run: the 3-spin
+R-matrix ``solve_R`` against ``hypergeometric_r_matrix`` and its flatness,
+the product tables of the 3-spin and P^1 structures, and the P^1 checks on
+the q-hypergeometric series Phi.
+
+Two structures are provided.  The *polynomial* (3-spin) structure has
+potential t0^2 t1 / 2 + t1^4 / 72 and metric [[0, 1], [1, 0]]; writing
+phi = t1 / 3, the product is e1 * e1 = phi e0.  The *exponential* (P^1)
 structure has potential t0^2 t1 / 2 + lam t0 t1^2 / 2 + lam^2 t1^3 / 6
 + e^{t1} and metric [[0, 1], [1, lam]]; writing q = e^{t1} and
 phi = q + lam^2 / 4, the product is e1 * e1 = q e0 + lam e1.  (The
@@ -28,7 +33,7 @@ single rho-monomial f_k rho^(m - 3k) (:class:`RhoSeries`).
 
 Example::
 
-    >>> R = solve_R(spin3_structure(), 2)
+    >>> R = solve_R(2)
     >>> R.entry(1, 0).to_json()[1]
     {'rho^-4': '5/144'}
 """
@@ -53,7 +58,6 @@ __all__ = [
     "FrobeniusData2D",
     "spin3_structure",
     "cp1_structure",
-    "canonical_data",
     "RhoSeries",
     "MatrixSeries",
     "solve_R",
@@ -102,8 +106,7 @@ class FrobeniusData2D:
     the unit, so multiplication by e0 is the identity.
     """
 
-    def __init__(self, name, eta, potential, c1, lam=None):
-        self.name = name
+    def __init__(self, eta, potential, c1):
         self.eta = tuple(tuple(Fraction(x) for x in row) for row in eta)
         if self.eta[0][1] != self.eta[1][0]:
             raise ValueError("eta must be symmetric")
@@ -111,7 +114,6 @@ class FrobeniusData2D:
             raise ValueError("eta must be nondegenerate")
         self.potential = potential
         self.c1 = tuple(tuple(row) for row in c1)
-        self.lam = None if lam is None else Fraction(lam)
 
     def eta_inverse(self):
         (a, b), (_, d) = self.eta[0], (self.eta[1][0], self.eta[1][1])
@@ -191,7 +193,7 @@ def spin3_structure():
     zero = MultiSeries.zero(COORDS, 4)
     one = MultiSeries.constant(COORDS, 1, 4)
     c1 = ((zero, phi), (one, zero))
-    return FrobeniusData2D("3spin", ((0, 1), (1, 0)), potential, c1)
+    return FrobeniusData2D(((0, 1), (1, 0)), potential, c1)
 
 
 def cp1_structure(lam):
@@ -218,133 +220,7 @@ def cp1_structure(lam):
     zero = MultiSeries.zero(COORDS, 3)
     one = MultiSeries.constant(COORDS, 1, 3)
     c1 = ((zero, q), (one, one * lam))
-    return FrobeniusData2D("cp1", ((0, 1), (1, lam)), potential, c1, lam=lam)
-
-
-# ---------------------------------------------------------------------------
-# canonical data
-
-
-class SqrtExt:
-    """Element a + b*r of a quadratic extension with r^2 = square.
-
-    >>> r = SqrtExt(0, 1, Fraction(2))
-    >>> (r * r).a
-    Fraction(2, 1)
-    """
-
-    def __init__(self, a, b, square):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.square = Fraction(square)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return SqrtExt(self.a + other.a, self.b + other.b, self.square)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + self._coerce(other) * -1
-
-    def __mul__(self, other):
-        if not isinstance(other, SqrtExt):
-            c = Fraction(other)
-            return SqrtExt(self.a * c, self.b * c, self.square)
-        return SqrtExt(
-            self.a * other.a + self.b * other.b * self.square,
-            self.a * other.b + self.b * other.a,
-            self.square,
-        )
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, SqrtExt):
-            return other
-        return SqrtExt(Fraction(other), 0, self.square)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return (self.a, self.b, self.square) == (other.a, other.b, other.square)
-
-    def __repr__(self):
-        return "SqrtExt(%s + %s r, r^2=%s)" % (self.a, self.b, self.square)
-
-
-def canonical_data(data, q=None):
-    """Canonical-coordinate data at a semisimple point.
-
-    For the polynomial structure the computation is symbolic in
-    rho = sqrt(phi), with values in :class:`RhoSeries` of order 0; for
-    the exponential structure a rational value of q = e^{t1} must be
-    supplied and sqrt(phi) is a formal quadratic irrationality.  Returns
-    a dict with the eigenvalues of multiplication by e1 (the
-    t1-derivatives of the canonical coordinates), the normalizations
-    Delta of the idempotent directions, and the Gram matrix of the
-    normalized idempotents (always the identity).
-
-    >>> canonical_data(spin3_structure())["delta"][0].to_json()
-    [{'rho^1': '-2'}]
-    """
-    if data.name == "3spin":
-        # Eigenvectors of [[0, phi], [1, 0]] for eigenvalues -rho, +rho:
-        # v_pm = (mp rho, 1).
-        one = RhoSeries(0, PowerSeries([1], 0))
-        rho = one.shift(1)
-        vs = [(rho * -1, one), (rho, one)]
-        eigen = (rho * -1, rho)
-
-        def pair(v, w):
-            # eta = [[0, 1], [1, 0]]
-            return v[0] * w[1] + v[1] * w[0]
-
-        delta = (pair(vs[0], vs[0]), pair(vs[1], vs[1]))
-        cross = pair(vs[0], vs[1])
-        u_desc = ("-2 rho^3 + t0", "2 rho^3 + t0")
-    elif data.name == "cp1":
-        if q is None:
-            raise ValueError("the exponential structure needs a rational q")
-        lam = data.lam
-        phi = Fraction(q) + lam * lam / 4
-        if phi == 0:
-            raise ValueError("non-semisimple point: phi = 0")
-        r = SqrtExt(0, 1, phi)
-        # Eigenvalues lam/2 +- sqrt(phi); eigenvectors (-lam/2 +- sqrt(phi), 1).
-        eigen = (lam / 2 + r, (r * -1) + lam / 2)
-        vs = [
-            (r + (-lam / 2), SqrtExt(1, 0, phi)),
-            ((r * -1) + (-lam / 2), SqrtExt(1, 0, phi)),
-        ]
-
-        def pair(v, w):
-            # eta = [[0, 1], [1, lam]]
-            return v[0] * w[1] + v[1] * w[0] + v[1] * w[1] * lam
-
-        delta = (pair(vs[0], vs[0]), pair(vs[1], vs[1]))
-        cross = pair(vs[0], vs[1])
-        u_desc = (
-            "2 sqrt(phi) + lam log(-lam/2 + sqrt(phi)) + t0",
-            "-2 sqrt(phi) + lam log(-lam/2 - sqrt(phi)) + t0",
-        )
-    else:
-        raise ValueError("unknown structure %r" % (data.name,))
-
-    if not cross.is_zero():
-        raise ValueError("idempotent directions are not eta-orthogonal")
-    # Gram matrix of v_i / sqrt(Delta_i): diagonal entries Delta_i/Delta_i,
-    # off-diagonal 0 since the unnormalized pairing vanished.
-    gram = ((1, 0), (0, 1))
-    return {
-        "model": data.name,
-        "eigenvalues": eigen,
-        "delta": delta,
-        "gram": gram,
-        "u": u_desc,
-    }
+    return FrobeniusData2D(((0, 1), (1, lam)), potential, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +371,15 @@ def _canonical_components(order):
     return a, beta, gamma, d
 
 
-def solve_R(data, order):
-    """The R-matrix in the flat basis, solved from the flatness equation.
+def solve_R(order):
+    """The 3-spin R-matrix in the flat basis through z^order, solved from
+    the flatness equation (the exponential structure is covered only by
+    its leading-order limit, ``cp1_leading_limit``).
 
-    Implemented for the polynomial structure (the exponential structure
-    is covered only by its leading-order limit, ``cp1_leading_limit``).
-
-    >>> R = solve_R(spin3_structure(), 1)
+    >>> R = solve_R(1)
     >>> R.entry(0, 1).to_json()
     [{}, {'rho^-2': '-7/144'}]
     """
-    if data.name != "3spin":
-        raise ValueError(
-            "the flatness recursion is implemented for the polynomial "
-            "structure only"
-        )
     if order < 1:
         raise ValueError("order must be at least 1")
     a, beta, gamma, d = _canonical_components(order)
@@ -590,7 +460,7 @@ def airy_flatness_check(order, branch=1, include_exponential=True):
         raise ValueError("branch must be +1 or -1")
     if order < 2:
         raise ValueError("order must be at least 2")
-    R = solve_R(spin3_structure(), order)
+    R = solve_R(order)
     g0 = R.entry(0, 0).shift(1) * -branch + R.entry(0, 1)
     g1 = R.entry(1, 0).shift(1) * -branch + R.entry(1, 1)
 

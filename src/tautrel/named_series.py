@@ -19,8 +19,7 @@ coefficients:
   and the Airy asymptotics (``airy``) sum A(-w) and B(-w).
 - ``series_Phi`` -- the q-hypergeometric series at a rational (lambda, z)
   specialization.
-- ``bernoulli`` / ``stirling_series`` -- Bernoulli numbers and the Stirling
-  log-correction series.
+- ``bernoulli`` -- the Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -184,13 +183,3 @@ def bernoulli(n: int) -> Fraction:
     """
     return _bernoulli_list(n)[n]
 
-
-def stirling_series(order: int) -> PowerSeries:
-    """Stirling correction sum_{i>=1} B_{2i}/(2i(2i-1)) w^{2i-1} in w = z/lambda."""
-    coeffs = [Q(0)] * (order + 1)
-    for i in range(1, order // 2 + 2):
-        k = 2 * i - 1
-        if k > order:
-            break
-        coeffs[k] = bernoulli(2 * i) / (2 * i * (2 * i - 1))
-    return PowerSeries(coeffs, order)

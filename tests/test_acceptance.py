@@ -365,8 +365,7 @@ class TestCriterion11SpinR:
     four flatness equations (both branches)."""
 
     def test_recursion_matches_closed_form(self):
-        data = fr.spin3_structure()
-        assert fr.solve_R(data, 6) == fr.hypergeometric_r_matrix(6)
+        assert fr.solve_R(6) == fr.hypergeometric_r_matrix(6)
 
     @pytest.mark.parametrize("branch", [1, -1])
     def test_flatness_equations(self, branch):

@@ -125,6 +125,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["order"] == cli._SUITES[suite][1]
 
+    @pytest.mark.parametrize(
+        "argv, suite",
+        [(["frobenius", "flatness"], "flatness"),
+         (["frobenius", "r-matrix"], "frobenius"),
+         (["frobenius", "r-matrix", "--model", "cp1"], "frobenius")],
+    )
+    def test_frobenius_omitted_order_follows_table(self, argv, suite,
+                                                   monkeypatch):
+        checks_of, _, least = cli._SUITES[suite]
+        monkeypatch.setitem(cli._SUITES, suite, (checks_of, 3, least))
+        code, out = dispatch(argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["order"] == 3
+
     def test_oracle_disagreement_is_exit_1(self, monkeypatch):
         def wrong_quadrature(x, precision_bits=128):
             return airy.airy_ode(x, precision_bits) * 2
@@ -208,12 +222,16 @@ _FUZZ = {
                                 "--order": _value(0, 6)},
     ("frobenius", "flatness"): {"--order": _value(0, 6)},
 }
+# A verify suite's order is drawn between its least and default orders,
+# and omitted for those that take none.
 _FUZZ.update(
-    {("verify", suite): {"--order": _value(0, 6)}
-     for suite in sorted(cli._SUITES) + ["all"]}
+    {("verify", suite):
+     {} if least is None else {"--order": _value(least, default)}
+     for suite, (_, default, least) in cli._SUITES.items()}
 )
-# Flags every case passes: argparse requires some, some verify suites
-# run for seconds at their default orders, and airy without --x runs
+_FUZZ[("verify", "all")] = {}
+# Flags every case passes: argparse requires some, verify suites run
+# for longer at orders above their defaults, and airy without --x runs
 # its oracles at x = 10.
 _REQUIRED = {
     "verify": {"--order"}, "airy": {"--x"}, "descendents": {"--ks"},

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from tautrel import frobenius as fr
-from tautrel.named_series import SpecializationError, series_A, series_B, stirling_series
+from tautrel.named_series import SpecializationError, series_A, series_B
 from tautrel.series import MultiSeries, PowerSeries
 
 
@@ -68,44 +68,12 @@ class TestStructures:
         bad_potential = good.potential + coord(
             {(0, 3, 0): -lam * lam / 3}, good.potential.max_degree
         )
-        bad = fr.FrobeniusData2D(
-            "cp1", good.eta, bad_potential, good.c1, lam=lam
-        )
+        bad = fr.FrobeniusData2D(good.eta, bad_potential, good.c1)
         assert not bad.product_consistency()
 
     def test_degenerate_eta_rejected(self):
         with pytest.raises(ValueError):
-            fr.FrobeniusData2D("x", ((1, 1), (1, 1)), None, None)
-
-
-class TestCanonicalData:
-    def test_spin3(self):
-        out = fr.canonical_data(fr.spin3_structure())
-        assert out["delta"] == (rho_series(1, [-2]), rho_series(1, [2]))
-        # eigenvalues square to phi = rho^2
-        for mu in out["eigenvalues"]:
-            assert mu * mu == rho_series(2, [1])
-        assert out["gram"] == ((1, 0), (0, 1))
-
-    def test_cp1_eigenvalues_satisfy_char_poly(self):
-        lam, q = Q(5, 3), Q(2)
-        out = fr.canonical_data(fr.cp1_structure(lam), q=q)
-        for mu in out["eigenvalues"]:
-            # mu^2 - lam mu - q = 0
-            assert (mu * mu - mu * lam - q).is_zero()
-        dplus, dminus = out["delta"]
-        # Delta_pm = pm 2 sqrt(phi)
-        assert (dplus + dminus).is_zero()
-        assert dplus * dplus == 4 * (q + lam * lam / 4)
-
-    def test_cp1_degenerate(self):
-        lam = Q(2)
-        with pytest.raises(ValueError):
-            fr.canonical_data(fr.cp1_structure(lam), q=-lam * lam / 4)
-
-    def test_cp1_needs_q(self):
-        with pytest.raises(ValueError):
-            fr.canonical_data(fr.cp1_structure(Q(2)))
+            fr.FrobeniusData2D(((1, 1), (1, 1)), None, None)
 
 
 class TestRhoSeries:
@@ -149,7 +117,7 @@ class TestSolveR:
         # From the commutator at order z: beta_1 = gamma_1 = 1/(24 rho^3)
         # and integration gives a_1 = -d_1 = 1/(144 rho^3); converting to
         # the flat basis yields the values below.
-        R = fr.solve_R(fr.spin3_structure(), 1)
+        R = fr.solve_R(1)
         assert R.entry(0, 0)[1] == 0
         assert R.entry(1, 1)[1] == 0
         assert R.entry(0, 1).to_json()[1] == {"rho^-2": "-7/144"}
@@ -158,7 +126,7 @@ class TestSolveR:
     def test_second_order_diagonal_factorial_oracle(self):
         # Diagonal z^2 coefficients are -B_2/36 and A_2/36 with
         # A_2 = 12!/(6!4!288^2) = 385/1152 and B_2 = A_2 * 13/11.
-        R = fr.solve_R(fr.spin3_structure(), 2)
+        R = fr.solve_R(2)
         A2 = a_coeff(2)
         assert A2 == Q(385, 1152)
         assert R.entry(1, 1).to_json()[2] == {"rho^-6": str(A2 / 36)}
@@ -167,7 +135,7 @@ class TestSolveR:
         }
 
     def test_matches_hypergeometric_form_z6(self):
-        R = fr.solve_R(fr.spin3_structure(), 6)
+        R = fr.solve_R(6)
         assert R == fr.hypergeometric_r_matrix(6)
 
     def test_symplectic_condition(self):
@@ -175,7 +143,7 @@ class TestSolveR:
         # adjoint entry (i, j) is R(-z)[1-j][1-i].  This pins the sign of
         # the (0,1) entry: flipping it breaks the identity at z^2.
         order = 6
-        R = fr.solve_R(fr.spin3_structure(), order)
+        R = fr.solve_R(order)
 
         def at_minus_z(s):
             return fr.RhoSeries(s.offset, s.series.scale_argument(-1))
@@ -211,7 +179,7 @@ class TestSolveR:
     def test_homogeneity(self):
         # Every z^k coefficient is concentrated in a single rho-weight
         # -3k shifted by +1 / -1 on the off-diagonal.
-        R = fr.solve_R(fr.spin3_structure(), 5)
+        R = fr.solve_R(5)
         shifts = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}
         for (i, j), s in shifts.items():
             for k in range(6):
@@ -220,9 +188,7 @@ class TestSolveR:
 
     def test_rejects_other_models_and_bad_order(self):
         with pytest.raises(ValueError):
-            fr.solve_R(fr.cp1_structure(Q(1)), 3)
-        with pytest.raises(ValueError):
-            fr.solve_R(fr.spin3_structure(), 0)
+            fr.solve_R(0)
 
     def test_identity_constant_term_enforced(self):
         z = rho_series(0, [], 1)
@@ -234,7 +200,7 @@ class TestSolveR:
             fr.MatrixSeries(((one.shift(1), z), (z, one)), 1)
 
     def test_json(self):
-        R = fr.solve_R(fr.spin3_structure(), 1)
+        R = fr.solve_R(1)
         data = R.to_json()
         assert data["order"] == 1
         assert data["entries"]["01"][1] == {"rho^-2": "-7/144"}
@@ -336,6 +302,3 @@ class TestLeadingLimit:
     def test_order_zero(self):
         assert fr.cp1_leading_limit(0)[0] == 1
 
-    def test_stirling_first_correction(self):
-        # B_2/(2*1) (z/lam) has coefficient 1/12.
-        assert stirling_series(3)[1] == Q(1, 12)

@@ -203,12 +203,6 @@ class TestBernoulliStirling:
         assert ns.bernoulli(2) == Q(1, 6)
         assert ns.bernoulli(12) == Q(-691, 2730)
 
-    def test_stirling_first_terms(self):
-        st = ns.stirling_series(5)
-        assert st[1] == Q(1, 12)
-        assert st[3] == Q(-1, 360)
-        assert st[0] == 0 and st[2] == 0
-
 
 def test_double_factorial():
     assert ns.double_factorial(-1) == 1
