@@ -10,13 +10,25 @@ than 1/(2 sqrt(pi)) x^{-1/4} ...
 
 Two independent numeric oracles are provided for x > 0:
 
-- ``airy_quadrature``: the trapezoid rule on the deformed-Gaussian
-  contour form  Ai(x) = e^{-(2/3)x^{3/2}} x^{-1/4}/(2 sqrt 2)
-  * int_R e^{-t^2/2} cos(x^{-3/4} t^3 / (6 sqrt 2)) dt.  The integrand is
-  entire and decays like a Gaussian, so the rule converges geometrically
+- ``airy_quadrature`` and ``airy_prime_quadrature``: one trapezoid sweep
+  over the deformed-Gaussian contour form
+
+      Ai(x) = P int_R e^{-t^2/2} cos(c t^3) dt,
+      P = e^{-(2/3)x^{3/2}} x^{-1/4}/(2 sqrt 2),  c = x^{-3/4}/(6 sqrt 2),
+
+  and its x-derivative.  Differentiating under the integral
+  (P'/P = -sqrt(x) - 1/(4x), c' = -3c/(4x)) and integrating the
+  t^3 sin(c t^3) term by parts leaves
+
+      Ai'(x) = -P int_R (sqrt(x) + t^2/(4x)) e^{-t^2/2} cos(c t^3) dt,
+
+  so one exp and one cos per node give both values.  The integrands are
+  entire and decay like a Gaussian, so the rule converges geometrically
   in 1/h (Trefethen and Weideman, "The exponentially convergent
   trapezoidal rule", SIAM Rev. 56 (2014) 385-458) and needs no nodes or
-  weights.
+  weights.  They are cut at T = sqrt(2L) + 2 with L = (p + 16) ln 2 for p
+  bits: T^2/2 = L + 2T - 2, so e^{-T^2/2} and T^2 e^{-T^2/2}
+  = e^{-L} (T e^{1-T})^2 are both below 2^{-(p+16)}.
 - ``airy_ode``: Taylor-series continuation of y'' = x y from 0, with working
   precision padded to absorb the exponential cancellation.
 
@@ -88,8 +100,9 @@ def _trapezoid(f, half_width, precision_bits):
         h, stride, previous = h / 2, 2, estimate
 
 
-def airy_quadrature(x, precision_bits: int = 128):
-    """Ai(x) by quadrature of the deformed-Gaussian integral (x > 0)."""
+def _quadrature_pair(x, precision_bits: int):
+    """(Ai(x), Ai'(x)) by one trapezoid sweep of the contour form and its
+    x-derivative (module docstring), for x > 0."""
     import mpmath
     from mpmath import mp, mpf
 
@@ -98,53 +111,36 @@ def airy_quadrature(x, precision_bits: int = 128):
         raise ValueError("precision_bits must be >= 64")
     with mp.workprec(precision_bits + 32):
         x = mpf(x)
-        # e^{-T^2/2} below target tolerance bounds the truncated tail.
+        # Beyond T both e^{-t^2/2} and t^2 e^{-t^2/2} are below
+        # 2^{-(precision_bits+16)} (module docstring), which bounds the tails.
         tol_log = (precision_bits + 16) * math.log(2)
-        T = mpmath.sqrt(2 * tol_log) + 2
+        T = math.sqrt(2 * tol_log) + 2
         c = x ** mpf("-0.75") / (6 * mpmath.sqrt(2))
+        sx = mpmath.sqrt(x)
+        q = 1 / (4 * x)
 
-        def integrand(t):
-            return (mpmath.e ** (-t * t / 2) * mpmath.cos(c * t**3),)
+        def integrands(t):
+            t2 = t * t
+            f = mpmath.exp(-t2 / 2) * mpmath.cos(c * t2 * t)
+            return f, -(sx + q * t2) * f
 
-        # Even integrand: integrate [0, T] and double.
-        (half,) = _trapezoid(integrand, T, precision_bits)
-        pref = mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5")) * x ** mpf("-0.25") / (
-            2 * mpmath.sqrt(2)
-        )
-        result = pref * 2 * half
+        # Even integrands: sum over [0, T], then multiply by 2P.
+        half, half_prime = _trapezoid(integrands, T, precision_bits)
+        pref = (mpmath.exp(-mpf(2) / 3 * x ** mpf("1.5")) / mpmath.sqrt(2)
+                * x ** mpf("-0.25"))
+        ai, aip = pref * half, pref * half_prime
     with mp.workprec(precision_bits):
-        return +result
+        return +ai, +aip
+
+
+def airy_quadrature(x, precision_bits: int = 128):
+    """Ai(x) by the quadrature oracle."""
+    return _quadrature_pair(x, precision_bits)[0]
 
 
 def airy_prime_quadrature(x, precision_bits: int = 128):
-    """Ai'(x) by quadrature: d/dx of the contour form, differentiated under
-    the integral in the pre-scaling variable u, where
-    Ai(x) = e^{-(2/3)x^{3/2}} int_0^oo e^{-sqrt(x) u^2} cos(u^3/3) du
-    has a clean x-derivative."""
-    import mpmath
-    from mpmath import mp, mpf
-
-    _require_positive(x)
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
-    with mp.workprec(precision_bits + 32):
-        x = mpf(x)
-        sx = mpmath.sqrt(x)
-        # Ai(x) = e^{-(2/3)x^{3/2}} * int_0^oo e^{-sx u^2} cos(u^3/3) du
-        # (substitute u = t / (sqrt(2) x^{1/4}) in the module docstring form).
-        # Differentiate the product in x.
-        tol_log = (precision_bits + 16) * math.log(2)
-        U = mpmath.sqrt(2 * tol_log / sx) + 2
-
-        def integrands(u):
-            f0 = mpmath.e ** (-sx * u * u) * mpmath.cos(u**3 / 3)
-            return f0, u * u * f0
-
-        i0, i2 = _trapezoid(integrands, U, precision_bits)
-        pref = mpmath.e ** (-mpf(2) / 3 * x ** mpf("1.5"))
-        result = pref * (-sx * i0 - i2 / (2 * sx))
-    with mp.workprec(precision_bits):
-        return +result
+    """Ai'(x) by the quadrature oracle."""
+    return _quadrature_pair(x, precision_bits)[1]
 
 
 def _ode_pair(x, precision_bits: int):
@@ -162,8 +158,11 @@ def _ode_pair(x, precision_bits: int):
     with mp.workprec(precision_bits + cancel_bits + 32):
         x = mpf(x)
         # pi times the standard initial values.
-        c0 = mpmath.pi / (mpf(3) ** (mpf(2) / 3) * mpmath.gamma(mpf(2) / 3))
-        c1 = -mpmath.pi / (mpf(3) ** (mpf(1) / 3) * mpmath.gamma(mpf(1) / 3))
+        # c1 = -pi / (3^{1/3} Gamma(1/3)), and the reflection formula
+        # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt 3 leaves one Gamma value.
+        g = mpmath.gamma(mpf(2) / 3)
+        c0 = mpmath.pi / (mpf(3) ** (mpf(2) / 3) * g)
+        c1 = -mpf(3) ** (mpf(1) / 6) * g / 2
         # y = sum c_n x^n with c_{n+3} = c_n / ((n+3)(n+2)); c_2 = 0.
         y = mpmath.mpf(0)
         yp = mpmath.mpf(0)

@@ -36,12 +36,14 @@ class TestOracles:
 
     @pytest.mark.parametrize("x", ORACLE_X)
     def test_quadrature_matches_mpmath_airyai(self, x):
-        with mpmath.mp.workprec(128):
-            for derivative, quadrature in (
-                (0, airy.airy_quadrature), (1, airy.airy_prime_quadrature)
-            ):
-                ref = mpmath.pi * mpmath.airyai(x, derivative)
-                assert bits_agree(quadrature(x, 128), ref, 128), derivative
+        for bits in (128, 384):
+            with mpmath.mp.workprec(bits):
+                for derivative, quadrature in (
+                    (0, airy.airy_quadrature), (1, airy.airy_prime_quadrature)
+                ):
+                    ref = mpmath.pi * mpmath.airyai(x, derivative)
+                    assert bits_agree(quadrature(x, bits), ref, bits), (
+                        derivative, bits)
 
     def test_small_x(self):
         # cos(x^{-3/4} t^3 / (6 sqrt 2)) oscillates fast here; the step
@@ -53,8 +55,11 @@ class TestOracles:
         assert bits_agree(q, ref, 64)
 
     def test_small_x_prime(self):
-        q = airy.airy_prime_quadrature(mpf("0.01"), 64)
-        assert bits_agree(q, airy.airy_prime_ode(mpf("0.01"), 64), 64)
+        # At 0.001 and 128 bits the sweep must converge for Ai' within the
+        # evaluation budget, as it does for Ai.
+        for x, bits in (("0.01", 64), ("0.001", 128)):
+            q = airy.airy_prime_quadrature(mpf(x), bits)
+            assert bits_agree(q, airy.airy_prime_ode(mpf(x), bits), bits), x
 
     def test_evaluation_budget(self, monkeypatch):
         monkeypatch.setattr(airy, "MAX_EVALUATIONS", 50)
@@ -70,12 +75,6 @@ class TestOracles:
         assert sig_agree(v10, mpf("1.1047532552898685e-10") * mpmath.pi, 8)
         v1 = airy.airy_numeric(1)
         assert sig_agree(v1, mpf("0.13529241631288141") * mpmath.pi, 8)
-
-    def test_prime_oracles_agree(self):
-        for x in [1, 5, 10]:
-            q = airy.airy_prime_quadrature(x)
-            o = airy.airy_prime_ode(x)
-            assert sig_agree(q, o, 10)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -616,6 +616,10 @@ GOLDEN_REPORTS = {
         "7608664eb52bfc911ac5a0814cb21019ccfe3fbe8f2d99ce0a8155e4e945d7bc",
     "airy --x 10 --k 5 --prime":
         "0957ba68f430c03defc2ddbc8f16b3c61740e329152689d7ce32808d3cac1812",
+    "airy --x 10.5 --k 5 --precision-bits 384":
+        "2eb6401fafd142f9c45affce89b0fbf968338877cc3e65c238ed5f3ee18dc7fd",
+    "airy --x 10.5 --k 5 --precision-bits 384 --prime":
+        "87a4345b158de62797ba240d11dab3085b3be61d669a340b8a189b79cfb3d300",
     "fz --g 7 --r 4 --sigma 1,3":
         "3340d38cca0e4137101f63b8edcbe75bb7949bb955a85d05cb363f641fa2a998",
     "fz --g 10 --r 6 --sigma 1,4":

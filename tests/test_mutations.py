@@ -7,6 +7,8 @@ edited copy replaces, and the checks of each suite that must fail.
 Each row runs in a fresh interpreter, so no patched function or cached
 value outlives it.  The unmutated row shows that the suites pass
 without an edit, so a failure of the other rows is the edit's doing.
+The rows in ``HOLES`` are edits no check catches yet; they are strict
+xfails, so they fail once a check catches them.
 
 No mutation reaches ``verify frobenius``'s ``gamma_limit``: it compares
 two forms of one rational function, and its boundary value of Phi is
@@ -49,10 +51,51 @@ print(json.dumps(failed))
 """
 
 # id: (module, function, (old, new), modules binding the function,
-#      {suite: checks that must fail}).
+#      {suite: checks that must fail}); None for the checks of a hole
+#      (see HOLES) asks only that some check of the suite fail.
 MUTATIONS = {
     "none": (None, None, None, (),
-             {"frobenius": [], "flatness": []}),
+             {suite: [] for suite in ("series", "descendents", "strata",
+                                      "pixton", "frobenius", "flatness",
+                                      "all")}),
+    "a3_doubled": (
+        "named_series", "_a_coeffs",
+        ("return tuple(out)",
+         "return tuple(v * (2 if i == 3 else 1) for i, v in enumerate(out))"),
+        ("named_series",),
+        {"series": ["first_ode", "reflection", "second_ode"],
+         "descendents": ["determinantal_N1"],
+         "frobenius": ["leading_limit", "r_matrix"]},
+    ),
+    "tau4_genus2_doubled": (
+        "descendents", "_scaled_bracket",
+        ("return total\n", "return total * (2 if ks == (4,) else 1)\n"),
+        ("descendents",),
+        {"descendents": ["determinantal_N1", "virasoro_L0", "virasoro_L1"],
+         "pixton": ["pairings_2_0__1"]},
+    ),
+    "automorphism_order_doubled": (
+        "strata", "automorphism_order",
+        ("return order", "return 2 * order"), ("strata",),
+        {"strata": ["aut_order"]},
+    ),
+    "tau7_genus3_doubled": (
+        "descendents", "_scaled_bracket",
+        ("return total\n", "return total * (2 if ks == (7,) else 1)\n"),
+        ("descendents",),
+        {"all": None},
+    ),
+    "h1_z3_doubled": (
+        "pixton", "_h_coeffs",
+        ("series[k] for k",
+         "series[k] * (2 if (which, k) == (1, 3) else 1) for k"),
+        ("pixton",),
+        {"all": None},
+    ),
+    "log_psi_doubled": (
+        "fz", "_log_psi", (".log()", ".log() * 2"), ("fz",),
+        {"all": None},
+    ),
     "beta_recursion_d_over_25": (
         "frobenius", "_canonical_components",
         ("d[k] / 24", "d[k] / 25"), ("frobenius",),
@@ -68,8 +111,23 @@ MUTATIONS = {
     ),
 }
 
+# Mutations no check catches yet, each with the ROADMAP item whose checks
+# must catch it.  The xfails are strict: when the item lands, the row
+# passes, and the item deletes its entry here.
+HOLES = {
+    "tau7_genus3_doubled":
+        "item 4: no verify descendents check reads a genus-3 one-point "
+        "bracket",
+    "h1_z3_doubled":
+        "item 2: verify pixton reads H0 and H1 only through z^1",
+    "log_psi_doubled":
+        "item 1: verify all runs no fz suite",
+}
 
-@pytest.mark.parametrize("mutation", list(MUTATIONS))
+
+@pytest.mark.parametrize("mutation", [
+    pytest.param(m, marks=pytest.mark.xfail(strict=True, reason=HOLES[m]))
+    if m in HOLES else m for m in MUTATIONS])
 def test_mutation_fails_its_checks(mutation):
     module, function, edit, bound_in, expected = MUTATIONS[mutation]
     row = {"module": module, "function": function, "edit": edit,
@@ -83,6 +141,9 @@ def test_mutation_fails_its_checks(mutation):
     assert done.returncode == 0, done.stderr
     failed = json.loads(done.stdout)
     for suite, checks in expected.items():
+        if checks is None:
+            assert failed[suite], (suite, "no check fails")
+            continue
         # Each named check fails; a later check may catch the edit too.
         assert set(checks) <= set(failed[suite]), (suite, failed[suite])
         assert bool(checks) == bool(failed[suite]), (suite, failed[suite])
