@@ -32,11 +32,11 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial
+from itertools import accumulate, permutations, product
+from math import comb, factorial, prod
 
 from .named_series import double_factorial, series_calA
-from .series import Grading, MultiSeries, PowerSeries, Q
+from .series import Grading, MultiSeries, Q
 from .series import _lcm_bucket
 
 
@@ -312,63 +312,49 @@ def _airy_shift(Fc: MultiSeries, order: int, xs: Grading) -> MultiSeries:
     return Fc.truncate(order).substitute(G, images).exp()
 
 
-def specialize_airy(Fc: MultiSeries, order: int) -> PowerSeries:
-    """exp(F^c) at t_i = -(2i-1)!! y^{2i+1} as a series in y = 1/lambda,
-    exact through the truncation degree of F^c."""
-    E = _airy_shift(Fc, order, Grading(["y"], [1]))
-    coeffs = [E.coefficient(E.grading.monomial("y", k)) for k in range(order + 1)]
-    return PowerSeries(coeffs, order)
-
-
-_XY = Grading(["x1", "x2"], [1, 1])
-
-
-def _apply_D(A: PowerSeries) -> PowerSeries:
-    """x * D(A) where D = x^3 d/dx + 1/x + x^2/2 (multiplying by x clears the
-    pole; the constant term of A/x is handled by the caller's pairing),
-    through the order of A'."""
-    return A.derivative().times_x_power(4) + A + A.times_x_power(3) * Q(1, 2)
-
-
 def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
-    """Check the determinant representation of the Airy specialization.
+    r"""Check exp(F^c) prod_{a<b} (x_a - x_b) = det[x_a^{N-j} psi_j(x_a)]
+    (Kontsevich) at t_i = -(2i-1)!! sum_a x_a^{2i+1} through x-degree
+    ``order``, with psi_1 = calA and
+    psi_{j+1} = x^4 psi_j' + psi_j + (3/2 - j) x^3 psi_j.
 
-    N=1: exp(F^c)|_{t_i = -(2i-1)!! x^{2i+1}} must equal calA(x) through
-    the given order; that series is returned as "series".  N=2: with
-    t_i = -(2i-1)!!(x1^{2i+1} + x2^{2i+1}),
-    exp(F^c) times (x1 - x2) must equal x1 A(x1) E(x2) - x2 A(x2) E(x1)
-    through degree order + 1, where E = x * (D-operator applied to calA);
-    the residual terms are keyed by the (x1, x2) exponents.  Both N raise
-    IndexError when ``order`` exceeds the truncation of F^c.
-    Returns {"ok": bool, "residual_terms": ...}.
+    Both sides are antisymmetric, so it compares them at x^{lambda+delta},
+    delta = (N-1, ..., 0), for every partition lambda of at most N parts
+    with |lambda| <= order: the left side's sum over sigma of
+    sgn(sigma) E[lambda_a - a + sigma(a)], E the specialized exp(F^c),
+    against the Plucker coordinate det[c_{sigma(a), lambda_a - a + sigma(a)}],
+    c_{j,k} the x^k coefficient of psi_j.  Raises IndexError when ``order``
+    exceeds the truncation of F^c.  Returns {"ok": bool, "residual_terms":
+    {str(lambda): left - right where they differ}, "series": E}.
     """
-    if N == 1:
-        lhs = specialize_airy(Fc, order)
-        rhs = series_calA(order)
-        diff = lhs - rhs
-        return {"ok": diff.is_zero(), "residual_terms": [str(c) for c in diff.coeffs],
-                "series": lhs}
-    if N != 2:
-        raise ValueError("N must be 1 or 2")
-    lhs = _airy_shift(Fc, order, _XY)
-    G = lhs.grading
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    xs = Grading([f"x{a}" for a in range(1, N + 1)], [1] * N)
+    E = _airy_shift(Fc, order, xs)
     nt = len(Fc.grading)
-    top = order + 1
-    A = series_calA(top + 1)
-    xA = A.times_x_power(1)
-    E = _apply_D(A)
-
-    def of(x: str, f: PowerSeries) -> MultiSeries:
-        return MultiSeries(G, {G.monomial(x, k): c for k, c in enumerate(f.coeffs)}, top)
-
-    # lhs (x1 - x2) == x1 A(x1) E(x2) - x2 A(x2) E(x1) through degree top is
-    # exact division by x1 - x2, which is homogeneous of degree 1: the
-    # terms of lhs above degree order would land above top.
-    x1_x2 = MultiSeries.variable(G, "x1", top) - MultiSeries.variable(G, "x2", top)
-    lhs = MultiSeries.from_buckets(G, lhs.buckets(), top) * x1_x2
-    rhs = of("x1", xA) * of("x2", E) - of("x2", xA) * of("x1", E)
-    diff = lhs - rhs
-    return {
-        "ok": diff.is_zero(),
-        "residual_terms": {str(e[nt:]): str(c) for e, c in diff.terms.items()},
-    }
+    at = {e[nt:]: c for e, c in E.terms.items()}
+    # psi_{j+1} has x^k coefficient c_{j,k} + (k - j - 3/2) c_{j,k-3}; the
+    # Plucker coordinates read psi_j through x^(order + j - 1).
+    psi = [series_calA(order + N - 1).coeffs]
+    for j in range(1, N):
+        c = psi[-1]
+        psi.append([c[k] + (k - j - Q(3, 2)) * c[k - 3] if k >= 3 else c[k]
+                    for k in range(len(c))])
+    perms = [((-1) ** sum(p > q for i, p in enumerate(s) for q in s[i + 1:]), s)
+             for s in permutations(range(N))]
+    # A partition of d into at most N parts is the conjugate of one with
+    # parts at most N, m_i of them equal to i: lambda_a = sum_{i>=a} m_i.
+    conjugates = Grading(xs.names, range(1, N + 1))
+    residual = {}
+    for d in range(order + 1):
+        for m in conjugates.monomials(d):
+            lam = tuple(accumulate(reversed(m)))[::-1]
+            left = right = 0
+            for sign, s in perms:
+                ks = tuple(l - a + j for a, (l, j) in enumerate(zip(lam, s)))
+                if min(ks) >= 0:
+                    left += sign * at.get(ks, 0)
+                    right += sign * prod(psi[j][k] for j, k in zip(s, ks))
+            if left != right:
+                residual[str(lam)] = str(left - right)
+    return {"ok": not residual, "residual_terms": residual, "series": E}

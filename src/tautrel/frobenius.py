@@ -152,33 +152,6 @@ class FrobeniusData2D:
             return False
         return self.product_matrix_from_potential(0) == self._identity()
 
-    def associativity_check(self):
-        """(e1*e1)*e1 == e1*(e1*e1), checked on the c1 matrix."""
-        # e1*e1 = alpha e0 + beta e1 reads off the second column of c1.
-        alpha, beta = self.c1[0][1], self.c1[1][1]
-        lhs = _mat_mul(self.c1, self.c1)
-        rhs = _mat_add(
-            _mat_scale(self._identity(), alpha), _mat_scale(self.c1, beta)
-        )
-        return lhs == rhs
-
-
-def _mat_mul(A, B):
-    return tuple(
-        tuple(
-            A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in (0, 1)
-        )
-        for i in (0, 1)
-    )
-
-
-def _mat_add(A, B):
-    return tuple(tuple(A[i][j] + B[i][j] for j in (0, 1)) for i in (0, 1))
-
-
-def _mat_scale(A, s):
-    return tuple(tuple(A[i][j] * s for j in (0, 1)) for i in (0, 1))
-
 
 def spin3_structure():
     """The polynomial structure: potential t0^2 t1/2 + t1^4/72.

@@ -145,7 +145,9 @@ class TestCriterion5AirySpecialization:
     reproduces the alternating planar series through lam^{-12}."""
 
     def test_specialization(self, Fc14):
-        got = dsc.specialize_airy(Fc14, 12)
+        E = dsc.determinant_formula_check(Fc14, 1, 12)["series"]
+        got = PowerSeries([E.coefficient(E.grading.monomial("x1", k))
+                           for k in range(13)], 12)
         assert got == series_calA(12)
         assert got[0] == 1
         assert got[3] == Q(-5, 24)
@@ -156,7 +158,7 @@ class TestCriterion5AirySpecialization:
 
 class TestCriterion6Determinantal:
     """Exact determinantal formula: N = 1 through order 12, N = 2 through
-    total negative degree 8, with exact Vandermonde division."""
+    total negative degree 8, compared at every x^{lambda+delta}."""
 
     def test_N1(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 1, 12)

@@ -542,6 +542,30 @@ class TestVerify:
         # The (2,1,(1),1) class is zero: its pairings vanish vacuously.
         assert pairings["pairings_2_1_1_1"] == 0
 
+    def test_all_reports_every_failing_suite(self, monkeypatch):
+        # Break the first check of two suites: both failures are listed,
+        # and the suites after them still run.
+        for suite in ("descendents", "frobenius"):
+            checks_of, default, least = cli._SUITES[suite]
+
+            def broken(order, seed, checks_of=checks_of):
+                for i, check in enumerate(checks_of(order, seed)):
+                    yield dict(check, ok=False) if i == 0 else check
+
+            monkeypatch.setitem(cli._SUITES, suite, (broken, default, least))
+        code, out = dispatch(["verify", "all", "--format", "json"])
+        data = json.loads(out)
+        assert code == 1 and not data["ok"]
+        assert [c["name"] for c in data["failures"]] == [
+            "virasoro_L-1", "r_matrix"]
+        assert data["message"] == (
+            "suite 'descendents', 'frobenius' failed 2 check(s)")
+        suites = data["report"]["suites"]
+        assert [s["suite"] for s in suites] == list(cli._SUITES)
+        assert [s["suite"] for s in suites if not s["ok"]] == [
+            "descendents", "frobenius"]
+        assert not data["report"]["ok"]
+
     def test_all_runs_in_dependency_order(self):
         code, out = dispatch(["verify", "all", "--format", "json"])
         assert code == 0

@@ -140,7 +140,8 @@ def ref_determinant_N2(Fc, order):
                 poly = poly * BiPoly({(w, 0): k, (0, w): k}, order)
         f = f + poly
     A = series_calA(order + 2)
-    E = dsc._apply_D(A)
+    # psi_2 = x^4 A' + A + x^3 A / 2, through the order of A'.
+    E = A.derivative().times_x_power(4) + A + A.times_x_power(3) * Q(1, 2)
     xA = PowerSeries([0, 1], order + 2) * A
 
     def outer(a, b):
@@ -326,7 +327,9 @@ class TestKdV:
 
 class TestAirySpecialization:
     def test_matches_calA(self, Fc14):
-        got = dsc.specialize_airy(Fc14, 12)
+        E = dsc.determinant_formula_check(Fc14, 1, 12)["series"]
+        got = PowerSeries([E.coefficient(E.grading.monomial("x1", k))
+                           for k in range(13)], 12)
         assert got == series_calA(12)
         assert got[0] == 1
         assert got[3] == Q(-5, 24)
@@ -336,27 +339,58 @@ class TestAirySpecialization:
 
     def test_out_of_range(self, Fc14):
         with pytest.raises(IndexError):
-            dsc.specialize_airy(Fc14, 15)
+            dsc.determinant_formula_check(Fc14, 1, 15)
+
+
+# F^c's six monomials of weighted degree 9, as exponents of t_0 .. t_4,
+# and the combination v of them that the two-variable specialization
+# sends to 0.
+_DEGREE9 = [(0, 0, 0, 0, 1), (0, 3, 0, 0, 0), (1, 1, 1, 0, 0),
+            (2, 0, 0, 1, 0), (3, 2, 0, 0, 0), (4, 0, 1, 0, 0)]
+_BLIND_AT_N2 = dict(zip(_DEGREE9, [0, -6, 5, Q(-3, 5), -3, 1]))
+
+
+def _rank(rows):
+    """Rank of a list of rational rows, by exact elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in rows[rank:] if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)]
+                for r in rows]
+        rows.insert(rank, pivot)
+        rank += 1
+    return rank
 
 
 class TestDeterminantFormula:
     def test_N1(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 1, 12)
         assert rep["ok"], rep
-        # The specialized series is returned for the caller to read.
-        assert rep["series"] == dsc.specialize_airy(Fc14, 12)
-        assert rep["series"].order == 12
+        # The specialized series is returned for the caller to read
+        # (TestAirySpecialization reads it).
+        assert rep["series"].max_degree == 12
 
     def test_N2(self, Fc14):
         rep = dsc.determinant_formula_check(Fc14, 2, 8)
         assert rep["ok"], rep
+
+    @pytest.mark.parametrize("N,order", [(3, 14), (4, 16)])
+    def test_more_variables(self, N, order):
+        rep = dsc.determinant_formula_check(dsc.build_Fc(16), N, order)
+        assert rep["ok"], rep["residual_terms"]
 
     @pytest.mark.parametrize("order", [8, 12])
     def test_N2_agrees_with_bipoly_division(self, Fc14, order):
         lhs, rhs = ref_determinant_N2(Fc14, order)
         assert lhs == rhs and not lhs.is_zero()
         rep = dsc.determinant_formula_check(Fc14, 2, order)
-        assert rep == {"ok": True, "residual_terms": {}}
+        assert rep["ok"], rep["residual_terms"]
+        nt = len(Fc14.grading)
+        assert {e[nt:]: c for e, c in rep["series"].terms.items()} == lhs.terms
 
     def test_N2_catches_one_extra_term(self, Fc14, monkeypatch):
         shift = dsc._airy_shift
@@ -368,14 +402,44 @@ class TestDeterminantFormula:
 
         monkeypatch.setattr(dsc, "_airy_shift", perturbed)
         rep = dsc.determinant_formula_check(Fc14, 2, 8)
-        # (x1 - x2) x1^3 x2^2 / 7 is all that is left over.
+        # x1^3 x2^2 / 7 is x^{lambda + delta} at lambda = (3, 2) only.
         assert not rep["ok"]
-        assert rep["residual_terms"] == {"(4, 2)": "1/7", "(3, 3)": "-1/7"}
+        assert rep["residual_terms"] == {"(3, 2)": "1/7"}
 
-    @pytest.mark.parametrize("N", [1, 2])
+    def test_degree9_specialization_kernel(self):
+        # The N-variable specialization of the six degree-9 monomials:
+        # 6 - rank directions are blind, 5 at N = 1, 1 at N = 2, none at
+        # N = 3, and v spans them at N = 2.
+        G = dsc.t_grading(9)
+        for N, blind in [(1, 5), (2, 1), (3, 0)]:
+            xs = Grading([f"x{a}" for a in range(1, N + 1)], [1] * N)
+            images = []
+            for m in _DEGREE9:
+                E = dsc._airy_shift(MultiSeries(G, {m: 1}, 9), 9, xs)
+                images.append({e: c for e, c in E.terms.items() if any(e)})
+            keys = sorted(set().union(*images))
+            assert 6 - _rank([[f.get(k, 0) for k in keys] for f in images]) == blind
+            v = {k: sum(_BLIND_AT_N2[m] * f.get(k, 0) for m, f in zip(_DEGREE9, images))
+                 for k in keys}
+            assert (not any(v.values())) == (N <= 2)
+
+    def test_three_variables_see_what_two_cannot(self, Fc14):
+        pad = (0,) * (len(Fc14.grading) - 5)
+        v = MultiSeries(Fc14.grading, {m + pad: c for m, c in _BLIND_AT_N2.items()},
+                        Fc14.max_degree)
+        for N, failed in [(1, 0), (2, 0), (3, 17), (4, 36)]:
+            rep = dsc.determinant_formula_check(Fc14 + v, N, 14)
+            assert rep["ok"] == (not failed)
+            assert len(rep["residual_terms"]) == failed
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
     def test_order_beyond_Fc_rejected(self, N):
         with pytest.raises(IndexError, match="order exceeds the truncation of F"):
             dsc.determinant_formula_check(dsc.build_Fc(10), N, 14)
+
+    def test_no_variables_rejected(self, Fc14):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            dsc.determinant_formula_check(Fc14, 0, 8)
 
     def test_bipoly_exp_matches_power_loop(self):
         rng = random.Random(13)
@@ -384,5 +448,5 @@ class TestDeterminantFormula:
              for i in range(5) for j in range(5) if 0 < i + j},
             9,
         )
-        got = MultiSeries(dsc._XY, f.terms, f.max_degree).exp()
+        got = MultiSeries(Grading(["x1", "x2"], [1, 1]), f.terms, f.max_degree).exp()
         assert got.terms == ref_bipoly_exp(f).terms

@@ -55,9 +55,9 @@ print(json.dumps(failed))
 #      (see HOLES) asks only that some check of the suite fail.
 MUTATIONS = {
     "none": (None, None, None, (),
-             {suite: [] for suite in ("series", "descendents", "strata",
-                                      "pixton", "frobenius", "flatness",
-                                      "all")}),
+             {suite: [] for suite in ("series", "descendents", "open",
+                                      "strata", "pixton", "frobenius",
+                                      "flatness", "all")}),
     "a3_doubled": (
         "named_series", "_a_coeffs",
         ("return tuple(out)",
@@ -65,19 +65,23 @@ MUTATIONS = {
         ("named_series",),
         {"series": ["first_ode", "reflection", "second_ode"],
          "descendents": ["determinantal_N1"],
-         "frobenius": ["leading_limit", "r_matrix"]},
+         "frobenius": ["leading_limit", "r_matrix"],
+         "all": ["determinantal_N1", "first_ode", "leading_limit", "r_matrix",
+                 "reflection", "second_ode"]},
     ),
     "tau4_genus2_doubled": (
         "descendents", "_scaled_bracket",
         ("return total\n", "return total * (2 if ks == (4,) else 1)\n"),
         ("descendents",),
         {"descendents": ["determinantal_N1", "virasoro_L0", "virasoro_L1"],
-         "pixton": ["pairings_2_0__1"]},
+         "pixton": ["pairings_2_0__1"],
+         "all": ["determinantal_N1", "pairings_2_0__1", "virasoro_L0",
+                 "virasoro_L1"]},
     ),
     "automorphism_order_doubled": (
         "strata", "automorphism_order",
         ("return order", "return 2 * order"), ("strata",),
-        {"strata": ["aut_order"]},
+        {"strata": ["aut_order"], "all": ["aut_order"]},
     ),
     "tau7_genus3_doubled": (
         "descendents", "_scaled_bracket",
@@ -101,13 +105,64 @@ MUTATIONS = {
         ("d[k] / 24", "d[k] / 25"), ("frobenius",),
         {"frobenius": ["r_matrix"],
          "flatness": ["branch-1_second_order", "branch-1_t1_0",
-                      "branch-1_t1_1"]},
+                      "branch-1_t1_1"],
+         "all": ["branch-1_second_order", "branch-1_t1_0", "branch-1_t1_1",
+                 "r_matrix"]},
     ),
     "phi_q2_doubled": (
         "named_series", "series_Phi",
         ("coeffs.append(acc)", "coeffs.append(acc * (2 if i == 2 else 1))"),
         ("frobenius",),
-        {"frobenius": ["phi_ode"]},
+        {"frobenius": ["phi_ode"], "all": ["phi_ode"]},
+    ),
+    "mul_sum_denominator_plus_1": (
+        "series", "_mul_sum",
+        ("_lowest(m * den, acc)", "_lowest(m * den + (den > 1), acc)"),
+        ("series", "open_potential"),
+        {"descendents": ["airy_specialization", "determinantal_N1",
+                         "virasoro_L-1", "virasoro_L0", "virasoro_L1",
+                         "virasoro_L2"],
+         "open": ["open_three_way", "open_virasoro_L-1", "open_virasoro_L0",
+                  "open_virasoro_L1"],
+         "pixton": ["pairings_2_0__1"],
+         "all": ["airy_specialization", "determinantal_N1", "open_three_way",
+                 "open_virasoro_L-1", "open_virasoro_L0", "open_virasoro_L1",
+                 "pairings_2_0__1", "virasoro_L-1", "virasoro_L0",
+                 "virasoro_L1", "virasoro_L2"]},
+    ),
+    "graded_exp_top_grade_dropped": (
+        "series", "graded_exp", ("range(1, top + 1)", "range(1, top)"),
+        ("series",),
+        {"descendents": ["virasoro_L0", "virasoro_L1", "virasoro_L2"],
+         "pixton": ["pairings_1_1_1_1", "pairings_2_0__1"],
+         "all": ["pairings_1_1_1_1", "pairings_2_0__1", "virasoro_L0",
+                 "virasoro_L1", "virasoro_L2"]},
+    ),
+    "vertex_kappa1_doubled": (
+        "pixton", "vertex_factor",
+        ("parts[kappa_degree(e) % 2][e] = c",
+         "parts[kappa_degree(e) % 2][e] = c * (2 if e == (1,) else 1)"),
+        ("pixton",),
+        {"pixton": ["pairings_1_1_1_1", "pairings_2_0__1"],
+         "all": ["pairings_1_1_1_1", "pairings_2_0__1"]},
+    ),
+    # The quotient, not the numerator: an edited numerator no longer
+    # divides by psi' + psi'', and DivisibilityError stops every check.
+    "edge_sector00_doubled": (
+        "pixton", "edge_factor",
+        ("divide_exact(BiPoly(terms, t), (1, 1))",
+         "divide_exact(BiPoly(terms, t), (1, 1)) * (2 if p == (0, 0) else 1)"),
+        ("pixton",),
+        {"pixton": ["edge_constant_parity00", "pairings_1_1_1_1",
+                    "pairings_2_0__1"],
+         "all": ["edge_constant_parity00", "pairings_1_1_1_1",
+                 "pairings_2_0__1"]},
+    ),
+    # product_consistency alone guards the c1 table of CP^1.
+    "cp1_c1_lambda_plus_1": (
+        "frobenius", "cp1_structure", ("one * lam", "one * (lam + 1)"),
+        ("frobenius",),
+        {"frobenius": ["product_cp1"], "all": ["product_cp1"]},
     ),
 }
 
