@@ -1,14 +1,15 @@
 r"""Exact truncated series arithmetic over the rationals.
 
-Two containers cover everything the higher-level modules need:
+One container covers everything the higher-level modules need:
 
-- :class:`PowerSeries` -- dense univariate series truncated at an explicit
-  order (inclusive), in an unnamed variable x; a product by x^k within
-  the order is a coefficient shift, :meth:`PowerSeries.times_x_power`.
 - :class:`MultiSeries` -- sparse multivariate series truncated by a weighted
   total degree; each variable carries a positive integer weight, and
   :meth:`Grading.monomials` lists the exponent tuples of one weighted
-  degree.
+  degree.  Series over different gradings do not combine.
+- :class:`PowerSeries` -- the one-variable MultiSeries, in an unnamed
+  variable x of weight 1, truncated at an explicit order (inclusive);
+  a product by x^k within the order is a re-keying,
+  :meth:`PowerSeries.times_x_power`.
 
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
 A product multiplies only the pairs of groups whose degrees sum to at most
@@ -27,9 +28,9 @@ These are the weighted forms of the recurrences in Brent and Kung, "Fast
 algorithms for manipulating formal power series" (JACM 1978), each written
 once: :func:`graded_exp` and :func:`graded_log`, over any grading of the
 factors.  :meth:`MultiSeries.exp` and :meth:`MultiSeries.log` grade by
-weighted degree, :meth:`PowerSeries.exp` and :meth:`PowerSeries.log` by the
-power of x, and :meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0.
-Neither takes a budget: a cut such as "weighted degree plus power of 1/z
+weighted degree, for a PowerSeries the power of x, and
+:meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0.  Neither takes a
+budget: a cut such as "weighted degree plus power of 1/z
 at most D" is the weighted truncation over one more variable, of weight 1.
 :meth:`MultiSeries.substitute` replaces variables by series homogeneous of
 their weights, such as the shift t_i -> t_i - (2i-1)!! x^{2i+1} of
@@ -42,10 +43,9 @@ lowest terms, ``{d: (m, {exps: c})}``; :func:`graded_exp` and
 :func:`graded_log` take and return such buckets.  Sums, scalar products
 and derivatives make one gcd per bucket, and one sparse kernel,
 ``_mul_sum``, accumulates each output degree of a product over one common
-denominator.  Fractions are built only where coefficients leave the
-series.  :class:`PowerSeries` stores Fractions and convolves their dense
-integer numerators.  Values are immutable after construction and safe to
-share.
+denominator, for a PowerSeries as for any MultiSeries.  Fractions are
+built only where coefficients leave the series.  Values are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -61,179 +61,6 @@ Q = Fraction
 
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list, int]:
-    """Integers c_k and a common denominator m with coeffs[k] = c_k / m."""
-    m = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (m // c.denominator) for c in coeffs], m
-
-
-class PowerSeries:
-    """Truncated power series sum_{k=0}^{order} c_k x^k.
-
-    The truncation order is explicit and inclusive; arithmetic between two
-    series truncates to the smaller order.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        coeffs = [_q(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [Q(0)] * (order + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs[: order + 1])
-        self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([Q(1)], order)
-
-    def __getitem__(self, k: int) -> Fraction:
-        if k < 0 or k > self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    # Equality compares through the smaller order, which no hash of one
-    # operand can follow, so series are unhashable.
-    __hash__ = None
-
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs[: order + 1], min(order, self.order))
-
-    def __add__(self, other) -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            other = PowerSeries([other], self.order)
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "PowerSeries":
-        return self + (-other if isinstance(other, PowerSeries) else PowerSeries([-_q(other)], self.order))
-
-    def __rsub__(self, other) -> "PowerSeries":
-        return (-self) + other
-
-    def __mul__(self, other) -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            c = _q(other)
-            return PowerSeries([c * a for a in self.coeffs], self.order)
-        # Convolve integers: each operand scaled by the lcm of its
-        # denominators, one Fraction built per output coefficient.
-        n = min(self.order, other.order)
-        a, den_a = _integer_coeffs(self.coeffs[: n + 1])
-        b, den_b = _integer_coeffs(other.coeffs[: n + 1])
-        b = [(j, y) for j, y in enumerate(b) if y]
-        out = [0] * (n + 1)
-        for i, x in enumerate(a):
-            if x:
-                room = n - i
-                for j, y in b:
-                    if j > room:
-                        break
-                    out[i + j] += x * y
-        den = den_a * den_b
-        return PowerSeries([Fraction(c, den) for c in out], n)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def derivative(self) -> "PowerSeries":
-        """Formal derivative; the order drops by one."""
-        if self.order == 0:
-            return PowerSeries.zero(0)
-        return PowerSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-            self.order - 1,
-        )
-
-    def reciprocal(self) -> "PowerSeries":
-        """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ValueError("reciprocal requires nonzero constant term")
-        inv0 = 1 / self.coeffs[0]
-        return (-(self * inv0).log()).exp() * inv0
-
-    def _graded(self, recurrence) -> "PowerSeries":
-        """``recurrence`` (graded_exp or graded_log) with x^k as grade k."""
-        parts = {k: {k: (c.denominator, {(k,): c.numerator})}
-                 for k, c in enumerate(self.coeffs) if k and c}
-        coeffs = [Q(0)] * (self.order + 1)
-        for k, part in recurrence(parts, self.order, (0,)).items():
-            m, t = part[k]
-            coeffs[k] = Fraction(t[(k,)], m)
-        return PowerSeries(coeffs, self.order)
-
-    def log(self) -> "PowerSeries":
-        """Formal logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        return self._graded(graded_log)
-
-    def exp(self) -> "PowerSeries":
-        """Formal exponential; requires constant term 0."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires constant term 0")
-        return self._graded(graded_exp)
-
-    def shift_exponents(self, factor: int) -> "PowerSeries":
-        """Replace x by x^factor (order scales accordingly)."""
-        out = [Q(0)] * (factor * self.order + 1)
-        for k, c in enumerate(self.coeffs):
-            out[factor * k] = c
-        return PowerSeries(out, factor * self.order)
-
-    def scale_argument(self, c) -> "PowerSeries":
-        """Replace x by c*x."""
-        c = _q(c)
-        return PowerSeries(
-            [self.coeffs[k] * c**k for k in range(self.order + 1)],
-            self.order,
-        )
-
-    def times_x_power(self, k: int) -> "PowerSeries":
-        """x^k times the series through its order: the coefficients move up
-        by k, and no product is formed.
-
-        >>> PowerSeries([1, 2, 3]).times_x_power(1).coeffs
-        (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
-        """
-        return PowerSeries((Q(0),) * k + self.coeffs, self.order)
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    def __repr__(self):
-        terms = [
-            f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"PowerSeries({body} + O(x^{self.order + 1}))"
 
 
 class Grading:
@@ -415,10 +242,10 @@ class MultiSeries:
     ``{d: (m, {exps: c})}``: the coefficient of exps is c / m, with m > 0,
     gcd(m, *c) = 1, no c zero and no bucket empty.  This form is canonical.
     Only the public constructor computes weighted degrees: sums, negation,
-    scalar products, products, derivatives and truncations build their
-    results from the operands' buckets, and may share unchanged buckets
-    with them.  Fractions are built only for :attr:`terms` and the
-    accessors on top of it.
+    products, derivatives, truncations, exp and log build their results
+    from the operands' buckets by ``self.from_buckets``, so a subclass
+    keeps its class, and may share unchanged buckets with them.  Fractions
+    are built only for :attr:`terms` and the accessors on top of it.
     """
 
     __slots__ = ("grading", "max_degree", "_buckets", "_terms")
@@ -492,7 +319,7 @@ class MultiSeries:
     def truncate(self, max_degree: int) -> "MultiSeries":
         n = min(max_degree, self.max_degree)
         kept = {d: b for d, b in self._buckets.items() if d <= n}
-        return MultiSeries.from_buckets(self.grading, kept, n)
+        return self.from_buckets(self.grading, kept, n)
 
     def is_zero(self) -> bool:
         return not self._buckets
@@ -504,9 +331,16 @@ class MultiSeries:
         return (self.grading == other.grading
                 and self.truncate(n)._buckets == other.truncate(n)._buckets)
 
+    def _check_grading(self, other: "MultiSeries") -> None:
+        """Raise ValueError unless ``other`` is over the same grading: the
+        exponent tuples of two alphabets do not combine."""
+        if other.grading is not self.grading and other.grading != self.grading:
+            raise ValueError("series over different gradings do not combine")
+
     def __add__(self, other) -> "MultiSeries":
         if not isinstance(other, MultiSeries):
             other = MultiSeries.constant(self.grading, other, self.max_degree)
+        self._check_grading(other)
         n = min(self.max_degree, other.max_degree)
         out = {d: b for d, b in self._buckets.items() if d <= n}
         for d, (m2, t2) in other._buckets.items():
@@ -527,42 +361,47 @@ class MultiSeries:
                 out[d] = part
             else:
                 del out[d]
-        return MultiSeries.from_buckets(self.grading, out, n)
+        return self.from_buckets(self.grading, out, n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiSeries":
         out = {d: (m, {e: -c for e, c in t.items()})
                for d, (m, t) in self._buckets.items()}
-        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def __sub__(self, other) -> "MultiSeries":
-        if not isinstance(other, MultiSeries):
-            other = MultiSeries.constant(self.grading, other, self.max_degree)
         return self + (-other)
 
     def __rsub__(self, other) -> "MultiSeries":
         return (-self) + other
 
     def __mul__(self, other) -> "MultiSeries":
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def _product(self, other) -> "MultiSeries":
+        """The product with a series over the same grading or a scalar: the
+        one body of both classes' ``__mul__``, two functions so that
+        perfbench/tracer.py times PowerSeries products apart."""
         if isinstance(other, MultiSeries):
+            self._check_grading(other)
             n = min(self.max_degree, other.max_degree)
             out = _mul_sum([(1, self._buckets, other._buckets)], n)
-            return MultiSeries.from_buckets(self.grading, out, n)
+            return self.from_buckets(self.grading, out, n)
         # p/q times c/m is (c / h)(p / g) over (m / g)(q / h), with
         # g = gcd(p, m) and h = gcd(q, *c): already in lowest terms.
         c = _q(other)
         p, q = c.numerator, c.denominator
         if not p:
-            return MultiSeries.zero(self.grading, self.max_degree)
+            return self.from_buckets(self.grading, {}, self.max_degree)
         out = {}
         for d, (m, t) in self._buckets.items():
             g, h = gcd(p, m), gcd(q, *t.values())
             pg = p // g
             out[d] = (m // g * (q // h), {e: c // h * pg for e, c in t.items()})
-        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
-
-    __rmul__ = __mul__
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def derivative(self, name: str) -> "MultiSeries":
         i = self.grading.index[name]
@@ -574,7 +413,7 @@ class MultiSeries:
                 out[d - w] = b
         # Differentiation lowers weighted degree uniformly by the weight of
         # the variable, so the truncation window stays valid as-is.
-        return MultiSeries.from_buckets(self.grading, out, self.max_degree)
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def substitute(self, grading: Grading, images: Mapping[str, "MultiSeries"]) -> "MultiSeries":
         """The series re-keyed by variable name into ``grading``, with each
@@ -641,7 +480,7 @@ class MultiSeries:
         as the grade."""
         parts = {d: {d: b} for d, b in self._buckets.items()}
         out = recurrence(parts, self.max_degree, (0,) * len(self.grading))
-        return MultiSeries.from_buckets(
+        return self.from_buckets(
             self.grading, {d: part[d] for d, part in out.items()}, self.max_degree
         )
 
@@ -670,6 +509,117 @@ class MultiSeries:
             )
             terms.append(f"{c}" + (f"*{mono}" if mono else ""))
         return f"MultiSeries({' + '.join(terms) or '0'}; deg<={self.max_degree})"
+
+
+# The one variable x of weight 1 that every PowerSeries is graded by.
+_X = Grading(["x"], [1])
+
+
+class PowerSeries(MultiSeries):
+    """Truncated power series sum_{k=0}^{order} c_k x^k: the
+    :class:`MultiSeries` over the one variable x of weight 1, so bucket k
+    holds the x^k term and ``max_degree`` is the order.
+
+    Arithmetic between two series truncates to the smaller order.  Sums,
+    products, truncations, exp and log are the MultiSeries ones, and they
+    return PowerSeries.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coeffs: Sequence, order: int | None = None):
+        if order is None:
+            order = len(coeffs) - 1
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        super().__init__(_X, {(k,): c for k, c in enumerate(coeffs)}, order)
+
+    @classmethod
+    def zero(cls, order: int) -> "PowerSeries":
+        return cls([], order)
+
+    @classmethod
+    def one(cls, order: int) -> "PowerSeries":
+        return cls([1], order)
+
+    @property
+    def order(self) -> int:
+        return self.max_degree
+
+    @property
+    def coeffs(self) -> tuple:
+        """(c_0, ..., c_order) as Fractions, built on first use like
+        :attr:`terms`; ``from_buckets`` leaves the slot unset."""
+        coeffs = getattr(self, "_coeffs", None)
+        if coeffs is None:
+            out = [Q(0)] * (self.max_degree + 1)
+            for k, (m, t) in self._buckets.items():
+                out[k] = Fraction(t[(k,)], m)
+            coeffs = self._coeffs = tuple(out)
+        return coeffs
+
+    def __getitem__(self, k: int) -> Fraction:
+        if k < 0 or k > self.order:
+            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
+        return self.coeffs[k]
+
+    def __mul__(self, other) -> "PowerSeries":
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "PowerSeries":
+        """Formal derivative; the order drops by one, and stays 0 at 0."""
+        return super().derivative("x").truncate(max(self.order - 1, 0))
+
+    def _moved(self, move, order: int, c: Fraction = Q(1)) -> "PowerSeries":
+        """The term c_k x^k moved to c_k c^k x^move(k), kept through
+        ``order``."""
+        p, q = c.numerator, c.denominator
+        out = {}
+        for k, (m, t) in self._buckets.items():
+            j = move(k)
+            part = _lowest(m * q**k, {(j,): t[(k,)] * p**k}) if j <= order else None
+            if part:
+                out[j] = part
+        return self.from_buckets(self.grading, out, order)
+
+    def times_x_power(self, k: int) -> "PowerSeries":
+        """x^k times the series through its order: the coefficients move up
+        by k, and no product is formed.
+
+        >>> PowerSeries([1, 2, 3]).times_x_power(1).coeffs
+        (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
+        """
+        return self._moved(lambda j: j + k, self.order)
+
+    def shift_exponents(self, factor: int) -> "PowerSeries":
+        """Replace x by x^factor (order scales accordingly)."""
+        return self._moved(lambda j: factor * j, factor * self.order)
+
+    def scale_argument(self, c) -> "PowerSeries":
+        """Replace x by c*x."""
+        return self._moved(lambda j: j, self.order, _q(c))
+
+    def reciprocal(self) -> "PowerSeries":
+        """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""
+        if 0 not in self._buckets:
+            raise ValueError("reciprocal requires nonzero constant term")
+        inv0 = 1 / self[0]
+        return (-(self * inv0).log()).exp() * inv0
+
+    def to_json(self) -> dict:
+        return {
+            "order": self.order,
+            "coeffs": [str(c) for c in self.coeffs],
+        }
+
+    def __repr__(self):
+        terms = [
+            f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != 0
+        ]
+        body = " + ".join(terms) if terms else "0"
+        return f"PowerSeries({body} + O(x^{self.order + 1}))"
 
 
 class BiPoly:

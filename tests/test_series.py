@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 from itertools import product
 from math import factorial, gcd, lcm
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -138,6 +139,21 @@ class TestMultiSeries:
         assert a == MultiSeries(Grading(["x", "y"], [1, 1]), {(1, 0): 1}, 5)
         assert a != MultiSeries(Grading(["y", "x"], [1, 1]), {(1, 0): 1}, 3)
         assert a != MultiSeries(Grading(["x", "y"], [1, 2]), {(1, 0): 1}, 3)
+
+    def test_different_gradings_do_not_combine(self):
+        # Exponent tuples of two alphabets do not line up: merging them
+        # would add x to y, or key x^1 as both (1, 0) and (1,).
+        a = MultiSeries(Grading(["x", "y"], [1, 1]), {(1, 0): 1}, 3)
+        others = [MultiSeries(self.grading(), {(0, 1, 0): 2}, 3),
+                  MultiSeries(Grading(["u"], [2]), {(1,): 1}, 3),
+                  PowerSeries([1, 2], 3)]
+        for b in others:
+            for combine in (add, sub, mul):
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(ValueError):
+                        combine(x, y)
+        same_grading = MultiSeries(Grading(["x", "y"], [1, 1]), {(0, 1): 2}, 3)
+        assert a + same_grading == MultiSeries(a.grading, {(1, 0): 1, (0, 1): 2}, 3)
 
     def test_coefficient_out_of_range(self):
         g = self.grading()
@@ -666,6 +682,34 @@ def ref_power_mul(a, b):
     return out
 
 
+def ref_power_add(a, b):
+    n = min(a.order, b.order)
+    return [a.coeffs[k] + b.coeffs[k] for k in range(n + 1)]
+
+
+def ref_power_scale(f, c):
+    return [c * a for a in f.coeffs]
+
+
+def ref_power_derivative(f):
+    return [k * f.coeffs[k] for k in range(1, f.order + 1)] or [Q(0)]
+
+
+def ref_power_times_x_power(f, k):
+    return ([Q(0)] * k + list(f.coeffs))[: f.order + 1]
+
+
+def ref_power_shift_exponents(f, factor):
+    out = [Q(0)] * (factor * f.order + 1)
+    for k, c in enumerate(f.coeffs):
+        out[factor * k] = c
+    return out
+
+
+def ref_power_scale_argument(f, c):
+    return [a * c**k for k, a in enumerate(f.coeffs)]
+
+
 # The Fraction loops PowerSeries.exp, log and reciprocal ran before they
 # went through graded_exp and graded_log.
 
@@ -761,6 +805,59 @@ class TestPowerSeriesIntegerKernel:
     def test_mul_of_zero_series(self):
         z = PowerSeries.zero(4)
         assert (z * exp_series(6)).coeffs == (Q(0),) * 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(POWER_COEFFS, min_size=1, max_size=14),
+        st.lists(POWER_COEFFS, min_size=1, max_size=14),
+        POWER_COEFFS,
+        st.integers(0, 5),
+        st.integers(1, 4),
+    )
+    def test_linear_ops_and_rekeyings_match_lists(self, a, b, c, k, factor):
+        A, B = PowerSeries(a), PowerSeries(b)
+        cases = [
+            (A + B, ref_power_add(A, B)),
+            (A - B, ref_power_add(A, PowerSeries([-x for x in b]))),
+            (A * c, ref_power_scale(A, c)),
+            (c * A, ref_power_scale(A, c)),
+            (A.derivative(), ref_power_derivative(A)),
+            (A.times_x_power(k), ref_power_times_x_power(A, k)),
+            (A.shift_exponents(factor), ref_power_shift_exponents(A, factor)),
+            (A.scale_argument(c), ref_power_scale_argument(A, c)),
+        ]
+        for got, want in cases:
+            assert exactly(got, want) and got.order == len(want) - 1
+            assert well_bucketed(got)
+
+    def test_every_operation_returns_a_power_series(self):
+        f, g = PowerSeries([1, Q(1, 2), 3, 0, Q(-5, 7)], 4), exp_series(6)
+        h = f.times_x_power(1)
+        cases = [
+            (f + g, 4), (g + f, 4), (f + 1, 4), (2 + f, 4),
+            (f - g, 4), (g - f, 4), (f - 1, 4), (1 - f, 4), (-f, 4),
+            (f * 3, 4), (3 * f, 4), (f * Q(2, 3), 4), (f * 0, 4), (0 * f, 4),
+            (f * g, 4), (g * f, 4),
+            (f.truncate(2), 2), (f.truncate(9), 4),
+            (f.derivative(), 3), (PowerSeries([5], 0).derivative(), 0),
+            (h.exp(), 4), (f.log(), 4), (f.reciprocal(), 4),
+            (f.times_x_power(2), 4), (f.shift_exponents(3), 12),
+            (f.scale_argument(-2), 4),
+        ]
+        for got, order in cases:
+            assert type(got) is PowerSeries and got.order == order
+
+    def test_coeffs_are_built_once(self):
+        f = PowerSeries([1, 2, 3]) * PowerSeries([1, 1, 1])
+        assert f.coeffs is f.coeffs and f[2] is f.coeffs[2]
+        assert f.coeffs == (1, 3, 6)
+
+    def test_index_beyond_the_order(self):
+        f = PowerSeries([1, 2], 3)
+        assert f[3] == 0
+        for k in (-1, 4):
+            with pytest.raises(IndexError):
+                f[k]
 
 
 class TestDivideExact:
