@@ -480,10 +480,10 @@ def _compositions(total, n):
 def _suite_pixton(order, seed):
     sec = pixton.edge_factor(1)
     edge_values = {
-        "constant_parity11": (sec[(1, 1)].coefficient(0, 0), Fraction(60)),
-        "constant_parity00": (sec[(0, 0)].coefficient(0, 0), Fraction(-84)),
-        "linear_same_side": (sec[(1, 0)].coefficient(1, 0), Fraction(32760)),
-        "linear_cross_side": (sec[(1, 0)].coefficient(0, 1), Fraction(-27720)),
+        "constant_parity11": (sec[(1, 1)].coefficient((0, 0)), Fraction(60)),
+        "constant_parity00": (sec[(0, 0)].coefficient((0, 0)), Fraction(-84)),
+        "linear_same_side": (sec[(1, 0)].coefficient((1, 0)), Fraction(32760)),
+        "linear_cross_side": (sec[(1, 0)].coefficient((0, 1)), Fraction(-27720)),
     }
     for name, (got, want) in edge_values.items():
         yield _check(

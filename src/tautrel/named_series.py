@@ -78,11 +78,6 @@ def series_B(order: int) -> PowerSeries:
     )
 
 
-def a_j(j: int) -> Fraction:
-    """Coefficient of x^{3j} in calA: (-1)^j (6j)!/(288^j (2j)! (3j)!)."""
-    return (-1) ** j * _a_coeffs(j)[j]
-
-
 def _cube(s: PowerSeries, order: int) -> PowerSeries:
     """s(x^3) in the variable x through x^order."""
     return PowerSeries(s.shift_exponents(3).coeffs, order)

@@ -97,15 +97,16 @@ def leg_factor(a_l, truncation):
 
 @lru_cache(maxsize=None)
 def edge_factor(truncation):
-    """Delta_e by sector of (zeta', zeta'') parity, as BiPoly quotients.
+    """Delta_e by sector of (zeta', zeta'') parity, as exact quotients.
 
-    Returns a dict {(p', p''): BiPoly in (psi', psi'')}.  For a loop
-    the two parities fall on one vertex and cancel when both are odd.
-    Cached per truncation; callers must not mutate the returned dict or
-    its BiPolys.
+    Returns a dict {(p', p''): BiPoly}, each sector's numerator divided
+    by psi' + psi'' with series.divide_exact; the BiPoly's x and y are
+    psi' and psi''.  For a loop the two parities fall on one vertex and
+    cancel when both are odd.  Cached per truncation; callers must not
+    mutate the returned dict.
 
     >>> sec = edge_factor(0)
-    >>> sec[(1, 1)].coefficient(0, 0), sec[(0, 0)].coefficient(0, 0)
+    >>> sec[(1, 1)].coefficient((0, 0)), sec[(0, 0)].coefficient((0, 0))
     (Fraction(60, 1), Fraction(-84, 1))
     """
     t = truncation + 1

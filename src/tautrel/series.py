@@ -10,6 +10,9 @@ One container covers everything the higher-level modules need:
   variable x of weight 1, truncated at an explicit order (inclusive);
   a product by x^k within the order is a re-keying,
   :meth:`PowerSeries.times_x_power`.
+- :class:`BiPoly` -- the two-variable MultiSeries, in x and y of weight 1,
+  truncated by total degree; :func:`divide_exact` divides one exactly by
+  a linear form a x + b y, one degree at a time.
 
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
 A product multiplies only the pairs of groups whose degrees sum to at most
@@ -43,8 +46,9 @@ lowest terms, ``{d: (m, {exps: c})}``; :func:`graded_exp` and
 :func:`graded_log` take and return such buckets.  Sums, scalar products
 and derivatives make one gcd per bucket, and one sparse kernel,
 ``_mul_sum``, accumulates each output degree of a product over one common
-denominator, for a PowerSeries as for any MultiSeries.  Fractions are
-built only where coefficients leave the series.  Values are immutable
+denominator, for a PowerSeries or a BiPoly as for any MultiSeries;
+:func:`divide_exact` solves on the same buckets.  Fractions are built
+only where coefficients leave the series.  Values are immutable
 after construction and safe to share.
 """
 
@@ -151,25 +155,24 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
 
     Only bucket pairs with d1 + d2 <= ``limit`` are multiplied.  Each output
     degree accumulates over the lcm of its pairs' denominators and is
-    returned reduced, without zero terms or empty buckets.
+    returned reduced, without zero terms or empty buckets.  The bucket
+    pairs of one output degree are formed only when that degree is
+    accumulated, so no more than one degree's pairs are held at a time.
     """
-    by_degree: dict = {}
-    for s, a, b in pairs:
-        for d1, p1 in a.items():
-            room = limit - d1
-            for d2, p2 in b.items():
-                if d2 <= room:
-                    by_degree.setdefault(d1 + d2, []).append((s, p1, p2))
+    degrees = dict.fromkeys(d1 + d2 for _, a, b in pairs for d1 in a for d2 in b
+                            if d1 + d2 <= limit)
     out = {}
-    for d, items in by_degree.items():
+    for d in degrees:
+        items = [(s, p1, b[d - d1]) for s, a, b in pairs for d1, p1 in a.items()
+                 if d - d1 in b]
         m = lcm(*(m1 * m2 for _, (m1, _), (m2, _) in items))
         acc: dict = {}
         for s, (m1, t1), (m2, t2) in items:
             s *= m // (m1 * m2)
-            t2 = list(t2.items())
             for e1, c1 in t1.items():
-                c1 *= s
-                for e2, c2 in t2:
+                if s != 1:
+                    c1 *= s
+                for e2, c2 in t2.items():
                     e = tuple(map(add, e1, e2))
                     if e in acc:
                         acc[e] += c1 * c2
@@ -383,8 +386,8 @@ class MultiSeries:
 
     def _product(self, other) -> "MultiSeries":
         """The product with a series over the same grading or a scalar: the
-        one body of both classes' ``__mul__``, two functions so that
-        perfbench/tracer.py times PowerSeries products apart."""
+        one body of every class's ``__mul__``, apart from it so that
+        perfbench/tracer.py times PowerSeries and BiPoly products apart."""
         if isinstance(other, MultiSeries):
             self._check_grading(other)
             n = min(self.max_degree, other.max_degree)
@@ -622,67 +625,26 @@ class PowerSeries(MultiSeries):
         return f"PowerSeries({body} + O(x^{self.order + 1}))"
 
 
-class BiPoly:
-    """Bivariate polynomial with exact coefficients, truncated by total degree.
+# The two variables x and y of weight 1 that every BiPoly is graded by.
+_XY = Grading(["x", "y"], [1, 1])
 
-    Used for the edge-factor and Vandermonde divisions: sparse dict from
-    (i, j) exponent pairs to Fraction.
+
+class BiPoly(MultiSeries):
+    """Polynomial in x and y truncated by total degree: the
+    :class:`MultiSeries` over x and y of weight 1, so bucket d holds the
+    terms x^i y^(d-i).  Sums, products and equality are the MultiSeries
+    ones; sums and products return BiPoly.
     """
 
-    __slots__ = ("terms", "max_degree")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple, Fraction], max_degree: int):
-        self.max_degree = max_degree
-        self.terms = {
-            (i, j): _q(c)
-            for (i, j), c in terms.items()
-            if c != 0 and i + j <= max_degree
-        }
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        n = min(self.max_degree, other.max_degree)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Q(0)) + c
-        return BiPoly(out, n)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self.terms.items()}, self.max_degree)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
+        super().__init__(_XY, terms, max_degree)
 
     def __mul__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            c = _q(other)
-            return BiPoly({e: c * v for e, v in self.terms.items()}, self.max_degree)
-        n = min(self.max_degree, other.max_degree)
-        out: dict[tuple, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                if i1 + i2 + j1 + j2 <= n:
-                    e = (i1 + i2, j1 + j2)
-                    out[e] = out.get(e, Q(0)) + c1 * c2
-        return BiPoly(out, n)
+        return self._product(other)
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Q(0))
-
-    def swap(self) -> "BiPoly":
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()}, self.max_degree)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        n = min(self.max_degree, other.max_degree)
-        a = {e: c for e, c in self.terms.items() if e[0] + e[1] <= n}
-        b = {e: c for e, c in other.terms.items() if e[0] + e[1] <= n}
-        return a == b
 
 
 class DivisibilityError(ArithmeticError):
@@ -693,27 +655,37 @@ def divide_exact(num: BiPoly, den: tuple = (1, 1)) -> BiPoly:
     """Divide ``num`` exactly by the linear form a*x + b*y.
 
     ``den`` is the coefficient pair (a, b) with a != 0.  The division is
-    performed degree by degree; a nonzero remainder raises
+    performed one degree at a time: with a x + b y = (p x + r y) / s over
+    the integers, the quotient's coefficients of x^(k-1) y^(d-k) are solved
+    from the numerator's degree-d bucket for k = d down to 1, and the
+    coefficient of y^d is the remainder.  A nonzero remainder raises
     :class:`DivisibilityError`, which signals an inconsistency upstream
     (e.g. a wrongly assembled edge factor).
+
+    >>> divide_exact(BiPoly({(2, 0): 1, (0, 2): -1}, 2)).terms
+    {(1, 0): Fraction(1, 1), (0, 1): Fraction(-1, 1)}
     """
     a, b = _q(den[0]), _q(den[1])
     if a == 0:
         raise ValueError("leading coefficient of the divisor must be nonzero")
-    rem = dict(num.terms)
-    out: dict[tuple, Fraction] = {}
-    # Eliminate highest x-power first: x^i y^j = (a x + b y)/a * x^(i-1) y^j - ...
-    for i in range(num.max_degree, 0, -1):
-        for j in range(num.max_degree - i + 1):
-            c = rem.get((i, j), Q(0))
-            if c == 0:
-                continue
-            q = c / a
-            out[(i - 1, j)] = out.get((i - 1, j), Q(0)) + q
-            rem.pop((i, j))
-            key = (i - 1, j + 1)
-            rem[key] = rem.get(key, Q(0)) - q * b
-    leftovers = {e: c for e, c in rem.items() if c != 0}
-    if leftovers:
-        raise DivisibilityError(f"nonzero remainder: {leftovers}")
-    return BiPoly(out, num.max_degree - 1)
+    s = lcm(a.denominator, b.denominator)
+    p, r = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+    if p < 0:
+        p, r, s = -p, -r, -s
+    out = {}
+    for d, (m, t) in num.buckets().items():
+        # With t_k the numerator's integer at x^k y^(d-k) and c_(d+1) = 0,
+        # c_k = p^(d-k) t_k - r c_(k+1) gives the quotient's coefficient
+        # s c_k / (m p^(d-k+1)) of x^(k-1) y^(d-k), and the remainder
+        # c_0 / (m p^d) of y^d.
+        acc, c = {}, 0
+        for k in range(d, 0, -1):
+            c = t.get((k, d - k), 0) * p ** (d - k) - r * c
+            acc[(k - 1, d - k)] = s * c * p ** (k - 1)
+        c = t.get((0, d), 0) * p**d - r * c
+        if c:
+            raise DivisibilityError(f"nonzero remainder: {Fraction(c, m * p**d)}*y^{d}")
+        part = _lowest(m * p**d, acc)
+        if part:
+            out[d - 1] = part
+    return BiPoly.from_buckets(_XY, out, num.max_degree - 1)

@@ -18,7 +18,6 @@ from tautrel import open_potential as op
 from tautrel import pixton, strata
 from tautrel.airy import airy_ode, airy_prime_quadrature, airy_quadrature, asymptotic_report
 from tautrel.named_series import (
-    a_j,
     series_A,
     series_B,
     series_calA,
@@ -152,8 +151,8 @@ class TestCriterion5AirySpecialization:
         assert got[0] == 1
         assert got[3] == Q(-5, 24)
         assert got[6] == Q(385, 1152)
-        assert got[9] == a_j(3)
-        assert got[12] == a_j(4)
+        assert got[9] == -series_A(3)[3]
+        assert got[12] == series_A(4)[4]
 
 
 class TestCriterion6Determinantal:
@@ -352,13 +351,13 @@ class TestCriterion10PixtonZeroPairings:
     def test_edge_factor_coefficients(self):
         sec = pixton.edge_factor(1)
         # degree 0: 60 z'z'' - 84
-        assert sec[(1, 1)].coefficient(0, 0) == 60
-        assert sec[(0, 0)].coefficient(0, 0) == -84
+        assert sec[(1, 1)].coefficient((0, 0)) == 60
+        assert sec[(0, 0)].coefficient((0, 0)) == -84
         # degree 1: 32760 on matched zeta/psi slots, -27720 crossed
-        assert sec[(1, 0)].coefficient(1, 0) == 32760
-        assert sec[(0, 1)].coefficient(0, 1) == 32760
-        assert sec[(1, 0)].coefficient(0, 1) == -27720
-        assert sec[(0, 1)].coefficient(1, 0) == -27720
+        assert sec[(1, 0)].coefficient((1, 0)) == 32760
+        assert sec[(0, 1)].coefficient((0, 1)) == 32760
+        assert sec[(1, 0)].coefficient((0, 1)) == -27720
+        assert sec[(0, 1)].coefficient((1, 0)) == -27720
 
 
 class TestCriterion11SpinR:

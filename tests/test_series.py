@@ -860,6 +860,32 @@ class TestPowerSeriesIntegerKernel:
                 f[k]
 
 
+def ref_divide_exact(num, den=(1, 1)):
+    """Division by a*x + b*y on Fraction terms, kept as an oracle: terms
+    go highest power of x first, by x^i y^j = (a x + b y) x^(i-1) y^j / a
+    - (b/a) x^(i-1) y^(j+1), and whatever is left is the remainder."""
+    a, b = Q(den[0]), Q(den[1])
+    if a == 0:
+        raise ValueError("leading coefficient of the divisor must be nonzero")
+    rem = dict(num.terms)
+    out = {}
+    for i in range(num.max_degree, 0, -1):
+        for j in range(num.max_degree - i + 1):
+            c = rem.pop((i, j), Q(0))
+            if c == 0:
+                continue
+            q = c / a
+            out[(i - 1, j)] = out.get((i - 1, j), Q(0)) + q
+            rem[(i - 1, j + 1)] = rem.get((i - 1, j + 1), Q(0)) - q * b
+    if any(rem.values()):
+        raise DivisibilityError("nonzero remainder")
+    return BiPoly(out, num.max_degree - 1)
+
+
+QUOTIENTS = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 4)), COEFFS,
+                            max_size=12)
+
+
 class TestDivideExact:
     def test_difference_of_squares(self):
         num = BiPoly({(2, 0): Q(1), (0, 2): Q(-1)}, 4)
@@ -882,3 +908,39 @@ class TestDivideExact:
             {(i, j): Q(rng.randint(-6, 6)) for i in range(4) for j in range(4)}, 8
         )
         assert divide_exact(den * q) == q
+
+    @pytest.mark.parametrize("divide", [divide_exact, ref_divide_exact])
+    @pytest.mark.parametrize("den", [(1, 1), (1, -1), (2, 3), (Q(-1, 2), 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(terms=QUOTIENTS)
+    def test_quotient_recovered(self, divide, den, terms):
+        q = BiPoly(terms, 10)
+        num = q * BiPoly({(1, 0): den[0], (0, 1): den[1]}, 10)
+        assert divide(num, den) == q
+
+    @pytest.mark.parametrize("divide", [divide_exact, ref_divide_exact])
+    @pytest.mark.parametrize("den", [(1, 1), (1, -1), (2, 3), (Q(-1, 2), 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(terms=QUOTIENTS, i=st.integers(0, 5), j=st.integers(0, 5), c=COEFFS.filter(bool))
+    def test_remainder_detected_with_a_quotient(self, divide, den, terms, i, j, c):
+        # No monomial is a multiple of a x + b y with a and b nonzero.
+        num = BiPoly(terms, 10) * BiPoly({(1, 0): den[0], (0, 1): den[1]}, 10)
+        with pytest.raises(DivisibilityError):
+            divide(num + BiPoly({(i, j): c}, 10), den)
+
+    @pytest.mark.parametrize("divide", [divide_exact, ref_divide_exact])
+    def test_zero_leading_coefficient(self, divide):
+        with pytest.raises(ValueError):
+            divide(BiPoly({(0, 1): Q(1)}, 2), (0, 1))
+
+
+class TestBiPoly:
+    def test_product_is_bipoly(self):
+        f = BiPoly({(1, 0): Q(1), (0, 1): Q(2)}, 3)
+        for g in (f * f, f * 3, 3 * f, f + f, -f):
+            assert type(g) is BiPoly
+        assert (f * f).terms == {(2, 0): 1, (1, 1): 4, (0, 2): 4}
+
+    def test_no_sum_with_power_series(self):
+        with pytest.raises(ValueError):
+            BiPoly({(1, 0): Q(1)}, 3) + PowerSeries([1, 1], 3)
