@@ -268,18 +268,6 @@ def _asymptotic(x, k, prime, precision_bits):
         return +(pref * total), abs(pref * omitted)
 
 
-def airy_asymptotic(x, k, precision_bits: int = 128):
-    """Truncated asymptotic (sqrt(pi)/2) x^{-1/4} e^{-(2/3)x^{3/2}}
-    * calA(2^{-1/3} x^{-1/2}) kept through the x^{-3k/2} term."""
-    return _asymptotic(x, k, False, precision_bits)[0]
-
-
-def airy_prime_asymptotic(x, k, precision_bits: int = 128):
-    """Truncated asymptotic (sqrt(pi)/2) x^{1/4} e^{-(2/3)x^{3/2}}
-    * (-calB)(2^{-1/3} x^{-1/2}); the leading term is negative, as Ai' is."""
-    return _asymptotic(x, k, True, precision_bits)[0]
-
-
 class AsymptoticReport(NamedTuple):
     x: float
     terms: int
@@ -287,22 +275,12 @@ class AsymptoticReport(NamedTuple):
     asymptotic: str
     abs_error: str
     rel_error: str
-    first_omitted: str
+    first_omitted_magnitude: str
     envelope_ok: bool
     prime: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "terms": self.terms,
-            "numeric": self.numeric,
-            "asymptotic": self.asymptotic,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-            "first_omitted_magnitude": self.first_omitted,
-            "envelope_ok": self.envelope_ok,
-            "prime": self.prime,
-        }
+        return self._asdict()
 
 
 def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> AsymptoticReport:
@@ -322,7 +300,7 @@ def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> A
             asymptotic=mpmath.nstr(asym, 20),
             abs_error=mpmath.nstr(err, 10),
             rel_error=mpmath.nstr(err / abs(num), 10),
-            first_omitted=mpmath.nstr(omitted_mag, 10),
+            first_omitted_magnitude=mpmath.nstr(omitted_mag, 10),
             envelope_ok=bool(err <= 2 * omitted_mag),
             prime=prime,
         )

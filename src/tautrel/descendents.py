@@ -147,16 +147,6 @@ def _multiset_splits(ks: tuple) -> list:
     return out
 
 
-def descendent(g: int, ks) -> Fraction:
-    """<tau_{k_1} ... tau_{k_n}>_g with explicit genus (0 off-dimension)."""
-    ks = tuple(sorted(ks))
-    if 2 * g - 2 + len(ks) <= 0:
-        raise ValueError(f"unstable (g, n) = ({g}, {len(ks)})")
-    if _genus_of(ks) != g:
-        return Q(0)
-    return bracket(ks)
-
-
 def t_grading(degree_max: int) -> Grading:
     """Variables t_0 .. t_K with weights 2i+1, K as large as the degree allows."""
     K = max((degree_max - 1) // 2, 0)

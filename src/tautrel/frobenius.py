@@ -405,23 +405,19 @@ def hypergeometric_r_matrix(order):
     )
 
 
-def _reduced_operator(g, branch, include_exponential):
+def _reduced_operator(g, branch):
     """z(g' - g/(12 rho^2)) - branch*rho*g, the flatness operator on the
-    reduced solution columns (the last term records the e^{u/z} factor;
-    dropping it is the negative control)."""
+    reduced solution columns (the last term records the e^{u/z} factor)."""
     out = (g.t1_derivative() - g.shift(-2) * Fraction(1, 12)).z_shift()
-    if include_exponential:
-        out = out - g.shift(1) * branch
-    return out
+    return out - g.shift(1) * branch
 
 
-def airy_flatness_check(order, branch=1, include_exponential=True):
+def airy_flatness_check(order, branch=1):
     """Residuals of the flatness system for S = Psi R e^{u/z}.
 
     The solution column for the given branch (+1 or -1) reduces, after
     stripping 1/sqrt(Delta) and e^{u/z}, to G = R_flat . (-branch*rho, 1).
-    Returned residuals (all RhoSeries, identically zero when
-    ``include_exponential`` is true):
+    Returned residuals (all RhoSeries, identically zero):
 
     - "t0_0", "t0_1": z dS/dt0 - S for each component,
     - "t1_1": z dS/dt1 - (e1 * S), component 1 (reduces to D G^1 - G^0),
@@ -438,14 +434,13 @@ def airy_flatness_check(order, branch=1, include_exponential=True):
     g1 = R.entry(1, 0).shift(1) * -branch + R.entry(1, 1)
 
     def op(g):
-        return _reduced_operator(g, branch, include_exponential)
+        return _reduced_operator(g, branch)
 
-    # z dS/dt0 = S reduces to (du/dt0) G = G with the exponential factor
-    # present, and to 0 = G without it.
-    t0_factor = 0 if include_exponential else -1
+    # z dS/dt0 = S reduces to (du/dt0) G = G, as G does not depend on t0:
+    # the e^{u/z} factor meets it alone, so its residuals are 0.
     return {
-        "t0_0": g0 * t0_factor,
-        "t0_1": g1 * t0_factor,
+        "t0_0": g0 * 0,
+        "t0_1": g1 * 0,
         "t1_1": op(g1) - g0,
         "t1_0": op(g0) - g1.shift(2),
         "second_order": op(op(g1)) - g1.shift(2),
@@ -483,18 +478,25 @@ def _sample_rational(rng):
     return Fraction(num, den)
 
 
-def cp1_phi_ode_check(order=15, trials=5, seed=0):
-    """Check the second-order ODE for Phi at random rational (lam, z).
+# The order through which cp1_phi_ode_check compares, and the number of
+# random points each of the two P^1 checks samples.
+CP1_ORDER = 15
+CP1_TRIALS = 5
 
-    Returns a report dict with the seed, the sampled points, and a
-    boolean "ok".
+
+def cp1_phi_ode_check(seed=0):
+    """Check the second-order ODE for Phi through q^CP1_ORDER at
+    CP1_TRIALS random rational (lam, z).
+
+    Returns a report dict with the seed, the order, the sampled points,
+    and a boolean "ok".
     """
     rng = random.Random(seed)
     samples = []
-    while len(samples) < trials:
+    while len(samples) < CP1_TRIALS:
         lam, z = _sample_rational(rng), _sample_rational(rng)
         try:
-            residual = cp1_phi_ode_residual(order, lam, z)
+            residual = cp1_phi_ode_residual(CP1_ORDER, lam, z)
         except SpecializationError:
             continue
         samples.append(
@@ -502,48 +504,40 @@ def cp1_phi_ode_check(order=15, trials=5, seed=0):
         )
     return {
         "seed": seed,
-        "order": order,
+        "order": CP1_ORDER,
         "samples": samples,
         "ok": all(s["residual_zero"] for s in samples),
     }
 
 
-def cp1_gamma_limit_check(shift=-1, trials=5, seed=0):
-    """The q -> 0 limit identity for the first q-derivative of Phi.
+def cp1_gamma_limit_check(seed=0):
+    """The q -> 0 limit identity for the first q-derivative of Phi, at
+    CP1_TRIALS random rational (lam, z).
 
-    The identity states that shifting the Gamma-function argument by
-    ``shift`` and the power of (-z) by the same amount multiplies the
-    limit by 1/(z(z - lam)):
+    The identity states that shifting the Gamma-function argument and the
+    power of (-z) by -1 multiplies the limit by 1/(z(z - lam)):
 
-        (-z)^shift * (1/z) * Gamma(x + shift)/Gamma(x) = 1/(z(z - lam)),
+        (-z)^(-1) * (1/z) * Gamma(x - 1)/Gamma(x) = 1/(z(z - lam)),
 
-    at x = lam/z, where the Gamma-ratio is evaluated exactly through the
-    functional equation Gamma(x) = (x - 1) Gamma(x - 1).  It holds for
-    shift = -1 and fails for other shifts (the negative control).  The
-    matching boundary value d Phi/d q (z, 0) = 1/((z - lam) z) is
-    checked alongside.
+    at x = lam/z, where the Gamma-ratio 1/(x - 1) follows from the
+    functional equation Gamma(x) = (x - 1) Gamma(x - 1).  The matching
+    boundary value d Phi/d q (z, 0) = 1/((z - lam) z) is checked
+    alongside.
 
     >>> cp1_gamma_limit_check()
     True
-    >>> cp1_gamma_limit_check(shift=1)
-    False
     """
     rng = random.Random(seed)
     done = 0
-    while done < trials:
+    while done < CP1_TRIALS:
         lam, z = _sample_rational(rng), _sample_rational(rng)
         if z == 0 or lam == z or lam == 0:
             continue
         x = lam / z
-        if shift == -1:
-            if x == 1:
-                continue
-            ratio = 1 / (x - 1)
-        elif shift == 1:
-            ratio = x
-        else:
-            raise ValueError("shift must be -1 or +1")
-        lhs = Fraction(-1, 1) ** shift * z**shift / z * ratio
+        if x == 1:
+            continue
+        # (-z)^(-1) * (1/z) * Gamma(x - 1)/Gamma(x)
+        lhs = -1 / z / z / (x - 1)
         rhs = 1 / (z * (z - lam))
         if lhs != rhs:
             return False

@@ -25,8 +25,6 @@ truncated at t-degree r and p-weight |sigma|.
 
 Example::
 
-    >>> fz_constants(1, ())
-    Fraction(60, 1)
     >>> sorted(fz_relation(3, 2, ()).items())
     [((0, 1), Fraction(-25920, 1)), ((2,), Fraction(1800, 1))]
 """
@@ -42,7 +40,6 @@ __all__ = [
     "NotARelationError",
     "normalize_partition",
     "build_psi",
-    "fz_constants",
     "fz_relation",
 ]
 
@@ -81,7 +78,7 @@ def build_psi(t_order, p_weight_max):
     p-weight (weight of p_j is j) is at most ``p_weight_max``.
 
     >>> psi = build_psi(2, 1)
-    >>> psi.constant_term()
+    >>> psi.coefficient((0, 0))
     Fraction(1, 1)
     >>> psi.coefficient((1, 0))
     Fraction(60, 1)
@@ -109,26 +106,6 @@ def build_psi(t_order, p_weight_max):
 @lru_cache(maxsize=None)
 def _log_psi(t_order, p_weight_max):
     return build_psi(t_order, p_weight_max).log()
-
-
-def fz_constants(r, sigma):
-    """Coefficient C_r(sigma) of t^r p^sigma in log Psi.
-
-    >>> fz_constants(0, ())
-    Fraction(0, 1)
-    >>> fz_constants(0, (1,))
-    Fraction(-1, 1)
-    """
-    sigma = normalize_partition(sigma)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    weight = sum(sigma)
-    lp = _log_psi(r, weight)
-    e = [0] * len(lp.grading)
-    e[0] = r
-    for part in sigma:
-        e[lp.grading.index["p%d" % part]] += 1
-    return lp.coefficient(tuple(e))
 
 
 def fz_relation(g, r, sigma):

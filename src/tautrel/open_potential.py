@@ -153,39 +153,19 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     return MultiSeries.from_buckets(g, F, D_max)
 
 
-def open_kdv_residual(Fo: MultiSeries, Fc: MultiSeries, n: int) -> MultiSeries:
-    """Residual of open KdV equation n for a candidate Fo; valid to weighted
-    degree max_degree - (2n+1)."""
-    if n < 1:
-        raise ValueError("open KdV equations are indexed by n >= 1")
-    g = Fo.grading
-    Fc_o = Fc.truncate(Fo.max_degree).substitute(g, {})
-    out = Fo.max_degree - (2 * n + 1)
-    res = (
-        Fo.derivative(f"t{n}") * Q(2 * n + 1, 2)
-        - Fo.derivative("s") * Fo.derivative(f"t{n - 1}")
-        - Fo.derivative("s").derivative(f"t{n - 1}")
-        - Fo.derivative("t0") * Fc_o.derivative("t0").derivative(f"t{n - 1}") * Q(1, 2)
-        + Fc_o.derivative("t0").derivative("t0").derivative(f"t{n - 1}") * Q(1, 4)
-    )
-    return res.truncate(out)
-
-
 def open_exp(Fo: MultiSeries, Fc: MultiSeries) -> MultiSeries:
     """exp(F^o + F^c) in the open grading."""
     return (Fo + Fc.truncate(Fo.max_degree).substitute(Fo.grading, {})).exp()
 
 
 def open_virasoro_residual(
-    Fo: MultiSeries, Fc: MultiSeries, n: int, E: MultiSeries | None = None
+    Fo: MultiSeries, Fc: MultiSeries, n: int, E: MultiSeries
 ) -> MultiSeries:
     """L_n^open exp(F^o + F^c); vanishes up to the valid truncation.
 
-    ``E`` is :func:`open_exp` of the same pair, when the caller already has
-    it: it does not depend on n.
+    ``E`` is :func:`open_exp` of the same pair, formed once by the caller:
+    it does not depend on n.
     """
-    if E is None:
-        E = open_exp(Fo, Fc)
     return apply_L(n, E, s_var=True)
 
 

@@ -158,9 +158,12 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
     returned reduced, without zero terms or empty buckets.  The bucket
     pairs of one output degree are formed only when that degree is
     accumulated, so no more than one degree's pairs are held at a time.
+    They are found by scanning the operand with fewer buckets and looking
+    up the other.
     """
     degrees = dict.fromkeys(d1 + d2 for _, a, b in pairs for d1 in a for d2 in b
                             if d1 + d2 <= limit)
+    pairs = [(s, a, b) if len(a) <= len(b) else (s, b, a) for s, a, b in pairs]
     out = {}
     for d in degrees:
         items = [(s, p1, b[d - d1]) for s, a, b in pairs for d1, p1 in a.items()
@@ -295,18 +298,20 @@ class MultiSeries:
                            for e, c in t.items()}
         return self._terms
 
-    @classmethod
-    def zero(cls, grading: Grading, max_degree: int) -> "MultiSeries":
-        return cls(grading, {}, max_degree)
+    # These build a MultiSeries over any grading, also when called on a
+    # subclass, whose constructor fixes its own grading.
+    @staticmethod
+    def zero(grading: Grading, max_degree: int) -> "MultiSeries":
+        return MultiSeries(grading, {}, max_degree)
 
-    @classmethod
-    def constant(cls, grading: Grading, c, max_degree: int) -> "MultiSeries":
+    @staticmethod
+    def constant(grading: Grading, c, max_degree: int) -> "MultiSeries":
         z = (0,) * len(grading)
-        return cls(grading, {z: _q(c)}, max_degree)
+        return MultiSeries(grading, {z: _q(c)}, max_degree)
 
-    @classmethod
-    def variable(cls, grading: Grading, name: str, max_degree: int) -> "MultiSeries":
-        return cls(grading, {grading.monomial(name): Q(1)}, max_degree)
+    @staticmethod
+    def variable(grading: Grading, name: str, max_degree: int) -> "MultiSeries":
+        return MultiSeries(grading, {grading.monomial(name): Q(1)}, max_degree)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
@@ -315,9 +320,6 @@ class MultiSeries:
         if self.grading.degree(exps) > self.max_degree:
             raise IndexError("monomial beyond weighted truncation degree")
         return self.terms.get(exps, Q(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.grading), Q(0))
 
     def truncate(self, max_degree: int) -> "MultiSeries":
         n = min(max_degree, self.max_degree)
@@ -414,8 +416,9 @@ class MultiSeries:
             b = _bucket_derivative(b, i)
             if b:
                 out[d - w] = b
-        # Differentiation lowers weighted degree uniformly by the weight of
-        # the variable, so the truncation window stays valid as-is.
+        # The result keeps max_degree, but its terms above max_degree - w
+        # are not determined by the input, whose terms above max_degree
+        # are unknown; callers truncate.
         return self.from_buckets(self.grading, out, self.max_degree)
 
     def substitute(self, grading: Grading, images: Mapping[str, "MultiSeries"]) -> "MultiSeries":
@@ -536,14 +539,6 @@ class PowerSeries(MultiSeries):
         if order < 0:
             raise ValueError("order must be non-negative")
         super().__init__(_X, {(k,): c for k, c in enumerate(coeffs)}, order)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1], order)
 
     @property
     def order(self) -> int:

@@ -114,15 +114,6 @@ class StableGraph:
         graph.genera, graph.legs, graph.edges = tuple(genera), legs, edges
         return graph
 
-    def relabel(self, perm):
-        """Apply a vertex permutation: vertex v becomes perm[v]."""
-        inv = [0] * len(perm)
-        for v, pv in enumerate(perm):
-            inv[pv] = v
-        genera = tuple(self.genera[inv[v]] for v in range(len(perm)))
-        legs = tuple([perm[v] for v in self.legs])
-        return StableGraph._unchecked(genera, legs, self._moved_edges(perm))
-
     def _moved_edges(self, perm):
         """Sorted edges of the relabelling by ``perm``."""
         edges = []
@@ -479,14 +470,6 @@ class Decoration:
         self.leg_psis = tuple(leg_psis)
         self.edge_psis = tuple(tuple(p) for p in edge_psis)
 
-    @staticmethod
-    def trivial(graph):
-        return Decoration(
-            [()] * len(graph.genera),
-            [0] * len(graph.legs),
-            [(0, 0)] * len(graph.edges),
-        )
-
     def degree(self):
         d = sum(kappa_degree(k) for k in self.vertex_kappas)
         return d + sum(self.leg_psis) + sum(a + b for a, b in self.edge_psis)
@@ -559,15 +542,6 @@ class StrataElement:
         else:
             self.terms[key] = c
 
-    def __mul__(self, c):
-        out = StrataElement(self.g, self.n, self.d)
-        for (graph, dec), x in self.terms.items():
-            out.add_term(graph, dec, x * Fraction(c))
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
     def to_json(self):
         out = []
         for (graph, dec), c in sorted(
@@ -598,7 +572,8 @@ def pairings(element, psi_exps=()):
     is prod e_a! times the coefficient of s^e in the sum.
 
     >>> gr = StableGraph((1, 0), (1, 1), [(0, 1)])
-    >>> pairings(StrataElement(1, 2, 1, {(gr, Decoration.trivial(gr)): 1}))
+    >>> dec = Decoration([(), ()], [0, 0], [(0, 0)])
+    >>> pairings(StrataElement(1, 2, 1, {(gr, dec): 1}))
     {(1,): Fraction(1, 24)}
     """
     g, n = element.g, element.n

@@ -57,7 +57,7 @@ class TestCriterion1OdeIdentities:
         z = PowerSeries([0, 1], n)
         res = (
             z * z * A.truncate(n).derivative() * 3
-            + (z * Q(1, 2) - PowerSeries.one(n)) * A.truncate(n)
+            + (z * Q(1, 2) - PowerSeries([1], n)) * A.truncate(n)
             - B
         )
         assert res.is_zero()
@@ -69,7 +69,7 @@ class TestCriterion1OdeIdentities:
         Ap = A.truncate(n + 1).derivative()
         res = (
             z * z * Ap.truncate(n).derivative() * 3
-            + (z * 6 - PowerSeries.one(n) * 2) * Ap.truncate(n)
+            + (z * 6 - PowerSeries([1], n) * 2) * Ap.truncate(n)
             + A.truncate(n) * Q(5, 12)
         )
         assert res.is_zero()
@@ -82,7 +82,7 @@ class TestCriterion2Reflection:
         n = 30
         H0, H1 = series_H0(n), series_H1(n)
         lhs = H0 * H1.scale_argument(-1) + H0.scale_argument(-1) * H1
-        assert lhs == PowerSeries.one(n) * 2
+        assert lhs == PowerSeries([1], n) * 2
 
     def test_printed_coefficients(self):
         H0, H1 = series_H0(2), series_H1(2)
@@ -132,11 +132,12 @@ class TestCriterion4VirasoroKdv:
 
     def test_genus_coverage(self, Fc21):
         # Weighted degree <= 10 includes genus-3 terms (e.g. <tau_7>_3).
-        assert dsc.descendent(3, (7,)) != 0
+        t7 = Fc21.grading.monomial("t7")
+        assert Fc21.coefficient(t7) == dsc.bracket((7,)) != 0
 
     def test_anchors(self):
-        assert dsc.descendent(0, (0, 0, 0)) == 1
-        assert dsc.descendent(1, (1,)) == Q(1, 24)
+        assert dsc.bracket((0, 0, 0)) == 1
+        assert dsc.bracket((1,)) == Q(1, 24)
 
 
 class TestCriterion5AirySpecialization:
@@ -201,12 +202,14 @@ class TestCriterion7OpenPotential:
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
     def test_open_virasoro_kdv_solution(self, n, Fo_kdv, Fc17):
-        res = op.open_virasoro_residual(Fo_kdv, Fc17, n)
+        E = op.open_exp(Fo_kdv, Fc17)
+        res = op.open_virasoro_residual(Fo_kdv, Fc17, n, E)
         assert res.truncate(min(8, res.max_degree)).is_zero(), n
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
     def test_open_virasoro_buryak_solution(self, n, Fo_buryak, Fc17):
-        res = op.open_virasoro_residual(Fo_buryak, Fc17, n)
+        E = op.open_exp(Fo_buryak, Fc17)
+        res = op.open_virasoro_residual(Fo_buryak, Fc17, n, E)
         assert res.truncate(min(8, res.max_degree)).is_zero(), n
 
     def test_restriction(self, Fo_kdv, Fo_buryak):
@@ -384,7 +387,7 @@ class TestCriterion12Cp1:
     the planar series' first coefficients."""
 
     def test_phi_ode_random_samples(self):
-        rep = fr.cp1_phi_ode_check(order=15, trials=5, seed=0)
+        rep = fr.cp1_phi_ode_check(seed=0)
         assert rep["ok"], rep
         assert len(rep["samples"]) == 5
 

@@ -493,7 +493,7 @@ class TestVerify:
         # odd index = order, where both sides of the identity ignore it.
         def literal(H0, H1):
             lhs = H0 * H1.scale_argument(-1) + H0.scale_argument(-1) * H1
-            return lhs == PowerSeries.one(order) * 2
+            return lhs == PowerSeries([1], order) * 2
 
         H = (named_series.series_H0(order), named_series.series_H1(order))
         verdicts = set()

@@ -227,12 +227,6 @@ class TestAiryFlatness:
         for name, series in res.items():
             assert series.is_zero(), name
 
-    def test_negative_control(self):
-        res = fr.airy_flatness_check(4, include_exponential=False)
-        assert not res["t1_1"].is_zero()
-        assert not res["second_order"].is_zero()
-        assert not res["t0_1"].is_zero()
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             fr.airy_flatness_check(4, branch=2)
@@ -260,21 +254,14 @@ class TestCp1Phi:
             fr.cp1_phi_ode_residual(5, Q(2), Q(1))  # i=2 pole
 
     def test_check_report(self):
-        rep = fr.cp1_phi_ode_check(order=15, trials=5, seed=3)
+        rep = fr.cp1_phi_ode_check(seed=3)
         assert rep["ok"] and rep["seed"] == 3 and len(rep["samples"]) == 5
-        assert rep == fr.cp1_phi_ode_check(order=15, trials=5, seed=3)
+        assert rep["order"] == 15 and rep == fr.cp1_phi_ode_check(seed=3)
 
 
 class TestGammaLimit:
     def test_identity_holds(self):
         assert fr.cp1_gamma_limit_check() is True
-
-    def test_negative_control(self):
-        assert fr.cp1_gamma_limit_check(shift=1) is False
-
-    def test_bad_shift(self):
-        with pytest.raises(ValueError):
-            fr.cp1_gamma_limit_check(shift=0)
 
     def test_hand_instance(self):
         # x = lam/z = 3 at lam = 3, z = 1:

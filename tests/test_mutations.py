@@ -1,5 +1,6 @@
-"""Mutation rows for the verify suites: each row breaks one kernel by a
-source edit and requires the suites it names to fail.
+"""Mutation rows for the verify suites: each row breaks one kernel, or
+the formula of one check as its negative control, by a source edit and
+requires the suites it names to fail.
 
 A row names the module and function to edit, one text replacement in
 the function's source, the modules whose binding of the function the
@@ -10,10 +11,11 @@ without an edit, so a failure of the other rows is the edit's doing.
 The rows in ``HOLES`` are edits no check catches yet; they are strict
 xfails, so they fail once a check catches them.
 
-No mutation reaches ``verify frobenius``'s ``gamma_limit``: it compares
-two forms of one rational function, and its boundary value of Phi is
-also covered by ``phi_ode``.  It checks nothing, which is the reason to
-delete it (ROADMAP item 15).
+No kernel mutation reaches ``verify frobenius``'s ``gamma_limit``: it
+compares two forms of one rational function, and its boundary value of
+Phi is also covered by ``phi_ode``.  Only an edit of the check itself
+fails it (``gamma_limit_shift_plus_1``).  It checks nothing, which is
+the reason to delete it (ROADMAP item 15).
 """
 
 import json
@@ -175,6 +177,23 @@ MUTATIONS = {
                     "pairings_2_0__1"],
          "all": ["edge_constant_parity00", "pairings_1_1_1_1",
                  "pairings_2_0__1"]},
+    ),
+    # The flatness operator without the term of the e^{u/z} factor.
+    "flatness_without_exponential": (
+        "frobenius", "_reduced_operator",
+        ("return out - g.shift(1) * branch", "return out"),
+        ("frobenius",),
+        {"flatness": ["branch+1_second_order", "branch+1_t1_0", "branch+1_t1_1",
+                      "branch-1_second_order", "branch-1_t1_0",
+                      "branch-1_t1_1"],
+         "all": ["branch+1_second_order", "branch+1_t1_0", "branch+1_t1_1",
+                 "branch-1_second_order", "branch-1_t1_0", "branch-1_t1_1"]},
+    ),
+    # Gamma's argument and the power of -z shifted by +1 instead of -1.
+    "gamma_limit_shift_plus_1": (
+        "frobenius", "cp1_gamma_limit_check",
+        ("lhs = -1 / z / z / (x - 1)", "lhs = -z / z * x"), ("frobenius",),
+        {"frobenius": ["gamma_limit"], "all": ["gamma_limit"]},
     ),
     # product_consistency alone guards the c1 table of CP^1.
     "cp1_c1_lambda_plus_1": (

@@ -31,7 +31,7 @@ class TestAB:
         A = ns.series_A(order + 1)
         B = ns.series_B(order)
         z = PowerSeries([0, 1], order)
-        lhs = 3 * z * z * A.derivative().truncate(order) + (z * Q(1, 2) - PowerSeries.one(order)) * A.truncate(order)
+        lhs = 3 * z * z * A.derivative().truncate(order) + (z * Q(1, 2) - PowerSeries([1], order)) * A.truncate(order)
         assert (lhs - B).is_zero()
 
     def test_second_order_ode(self):
@@ -41,7 +41,7 @@ class TestAB:
         z = PowerSeries([0, 1], order)
         lhs = (
             3 * z * z * A.derivative().derivative().truncate(order)
-            + (6 * z - 2 * PowerSeries.one(order)) * A.derivative().truncate(order)
+            + (6 * z - 2 * PowerSeries([1], order)) * A.derivative().truncate(order)
             + Q(5, 12) * A.truncate(order)
         )
         assert lhs.is_zero()
@@ -73,7 +73,7 @@ class TestH:
         H1 = ns.series_H1(order)
         H0m = H0.scale_argument(-1)
         H1m = H1.scale_argument(-1)
-        assert H0 * H1m + H0m * H1 == 2 * PowerSeries.one(order)
+        assert H0 * H1m + H0m * H1 == 2 * PowerSeries([1], order)
 
     def test_reciprocal_H0(self):
         rec = ns.series_H0(2).reciprocal()

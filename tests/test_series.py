@@ -41,7 +41,7 @@ class TestPowerSeries:
     def test_exp_times_exp_neg(self):
         e = exp_series(20)
         em = e.scale_argument(-1)
-        assert (e * em) == PowerSeries.one(20)
+        assert (e * em) == PowerSeries([1], 20)
 
     def test_log_of_one_plus_z(self):
         f = PowerSeries([1, 1], 8)
@@ -100,6 +100,20 @@ class TestMultiSeries:
         g = self.grading()
         t2 = MultiSeries.variable(g, "t2", 4)
         assert t2.is_zero()  # weight 5 > 4
+
+    @pytest.mark.parametrize("cls", [MultiSeries, PowerSeries, BiPoly])
+    def test_constructors_on_each_class(self, cls):
+        # They build a MultiSeries over the given grading, whatever
+        # grading the class's own constructor fixes.
+        g = self.grading()
+        cases = [
+            (cls.zero(g, 6), {}),
+            (cls.constant(g, 2, 6), {(0, 0, 0): 2}),
+            (cls.variable(g, "t1", 6), {(0, 1, 0): 1}),
+        ]
+        for got, terms in cases:
+            assert type(got) is MultiSeries and got.grading == g
+            assert got == MultiSeries(g, terms, 6) and got.max_degree == 6
 
     def test_product_agrees_with_untruncated(self):
         g = self.grading()
@@ -793,7 +807,7 @@ class TestPowerSeriesIntegerKernel:
         f = PowerSeries([Q(-3, 2), 5, 0, Q(7, 4)], 6)
         r = f.reciprocal()
         assert exactly(r, ref_power_reciprocal(f))
-        assert r[0] == Q(-2, 3) and f * r == PowerSeries.one(6)
+        assert r[0] == Q(-2, 3) and f * r == PowerSeries([1], 6)
 
     def test_exp_log_reject_bad_constant(self):
         with pytest.raises(ValueError):
@@ -803,7 +817,7 @@ class TestPowerSeriesIntegerKernel:
                 PowerSeries([c0, 1], 3).log()
 
     def test_mul_of_zero_series(self):
-        z = PowerSeries.zero(4)
+        z = PowerSeries([], 4)
         assert (z * exp_series(6)).coeffs == (Q(0),) * 5
 
     @settings(max_examples=100, deadline=None)
