@@ -210,62 +210,48 @@ def apply_L(n: int, series: MultiSeries, s_var: bool = False) -> MultiSeries:
     With ``s_var`` the operator gains s d^{n+1}/ds^{n+1} + ((3n+3)/4) d^n/ds^n
     and the grading is expected to contain a final variable named "s".
 
-    The returned truncation degree is max_degree - (2n+3) for n >= 0 and
-    max_degree - 1 for n = -1: the t-linear and quadratic terms shift the
-    weighted degree by exactly -2n, but the dilaton shift -d/dt_{n+1}
-    consults input coefficients 2n+3 degrees higher (one degree higher for
-    n = -1).
+    Each term is known as far as the series core determines it, and the
+    result through max_degree - (2n+3) for n >= 0 and max_degree - 1 for
+    n = -1: the window of the dilaton shift -d/dt_{n+1}, the lowest, as
+    the other terms shift the weighted degree by exactly -2n.
     """
     if n < -1:
         raise ValueError("L_n defined for n >= -1")
     g = series.grading
-    names = g.names
-    t_names = [nm for nm in names if nm.startswith("t")]
-    K = len(t_names) - 1
+    K = sum(nm.startswith("t") for nm in g.names) - 1
     D = series.max_degree
     out_deg = D - (2 * n + 3) if n >= 0 else D - 1
     acc = MultiSeries.zero(g, out_deg)
     pow2 = Q(1, 2 ** (n + 1))
-    for i in range(0, K + 1):
-        if i + n < 0 or i + n > K:
-            continue
-        c = pow2 * Q(
-            double_factorial(2 * i + 2 * n + 1), double_factorial(2 * i - 1)
-        )
-        d = series.derivative(f"t{i + n}").truncate(out_deg)
-        term = MultiSeries.variable(g, f"t{i}", out_deg) * d
+    for i in range(max(-n, 0), K + 1 - max(n, 0)):  # t_i and t_{i+n} both exist
+        c = pow2 * Q(double_factorial(2 * i + 2 * n + 1), double_factorial(2 * i - 1))
+        d = series.derivative(f"t{i + n}")
+        term = d.times_monomial(f"t{i}")
         if i == 1:
             term = term - d
         acc = acc + term * c
     for i in range(0, n):
-        c = pow2 * Q(
-            double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2
-        )
-        acc = acc + series.derivative(f"t{i}").derivative(f"t{n - 1 - i}").truncate(
-            out_deg
-        ) * c
+        c = pow2 * Q(double_factorial(2 * i + 1) * double_factorial(2 * n - 2 * i - 1), 2)
+        acc = acc + series.derivative(f"t{i}").derivative(f"t{n - 1 - i}") * c
     if n == -1:
-        t0 = MultiSeries.variable(g, "t0", out_deg)
-        acc = acc + t0 * t0 * series.truncate(out_deg - 2) * Q(1, 2)
+        acc = acc + series.times_monomial("t0", 2) * Q(1, 2)
     if n == 0:
-        acc = acc + series.truncate(out_deg) * Q(1, 16)
+        acc = acc + series * Q(1, 16)
     if s_var:
-        ds = series
+        ds = [series]
         for _ in range(n + 1):
-            ds = ds.derivative("s")
-        acc = acc + MultiSeries.variable(g, "s", out_deg) * ds.truncate(out_deg)
+            ds.append(ds[-1].derivative("s"))
+        acc = acc + ds[-1].times_monomial("s")
         if n >= 0:
-            ds = series
-            for _ in range(n):
-                ds = ds.derivative("s")
-            acc = acc + ds.truncate(out_deg) * Q(3 * n + 3, 4)
-    return acc.truncate(out_deg)
+            acc = acc + ds[-2] * Q(3 * n + 3, 4)
+    return acc
 
 
 def kdv_residual(Fc: MultiSeries, which: int) -> MultiSeries:
     """Residual of the first (which=1) or second (which=2) KdV equation for
     u = d^2 F^c / dt_0^2, with x identified with t_0.  Zero up to truncation
-    if F^c is correct."""
+    if F^c is correct: it is known through Fc.max_degree - 5 (which=1) or
+    - 7 (which=2), the window of its u_{t_1} or u_{t_2} term."""
     u = Fc.derivative("t0").derivative("t0")
 
     def dx(f, k=1):
@@ -274,16 +260,14 @@ def kdv_residual(Fc: MultiSeries, which: int) -> MultiSeries:
         return f
 
     if which == 1:
-        res = u.derivative("t1") - u * dx(u) - dx(u, 3) * Q(1, 12)
-        return res.truncate(Fc.max_degree - 5)
+        return u.derivative("t1") - u * dx(u) - dx(u, 3) * Q(1, 12)
     if which == 2:
-        res = (
+        return (
             u.derivative("t2")
             - u * u * dx(u) * Q(1, 2)
             - (dx(u) * dx(u, 2) * 2 + u * dx(u, 3)) * Q(1, 12)
             - dx(u, 5) * Q(1, 240)
         )
-        return res.truncate(Fc.max_degree - 7)
     raise ValueError("which must be 1 or 2")
 
 

@@ -73,9 +73,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # coordinate polynomials
 
-#: The flat coordinates t0, t1 and q = e^{t1}.  A structure's series are
-#: truncated at its potential's total degree, which no product of its
-#: checks exceeds.
+#: The flat coordinates t0, t1 and q = e^{t1}.  A structure's product
+#: table is truncated at its potential's total degree, and the potential
+#: three degrees higher, so that its third derivatives are known as far.
 COORDS = Grading(("t0", "t1", "q"), (1, 1, 1))
 
 
@@ -83,13 +83,13 @@ def t_derivative(p, i):
     """The t_i-derivative of p for i = 0, 1; as q = e^{t1}, the
     t1-derivative is the partial in t1 plus q times the partial in q.
 
-    >>> q = MultiSeries.variable(COORDS, "q", 1)
+    >>> q = MultiSeries.variable(COORDS, "q", 2)
     >>> t_derivative(q, 1) == q
     True
     """
     d = p.derivative(("t0", "t1")[i])
     if i == 1:
-        d = d + MultiSeries.variable(COORDS, "q", p.max_degree) * p.derivative("q")
+        d = d + p.derivative("q").times_monomial("q")
     return d
 
 
@@ -160,7 +160,7 @@ def spin3_structure():
     True
     """
     potential = MultiSeries(
-        COORDS, {(2, 1, 0): Fraction(1, 2), (0, 4, 0): Fraction(1, 72)}, 4
+        COORDS, {(2, 1, 0): Fraction(1, 2), (0, 4, 0): Fraction(1, 72)}, 7
     )
     phi = MultiSeries(COORDS, {(0, 1, 0): Fraction(1, 3)}, 4)
     zero = MultiSeries.zero(COORDS, 4)
@@ -187,7 +187,7 @@ def cp1_structure(lam):
             (0, 3, 0): lam * lam / 6,
             (0, 0, 1): Fraction(1),
         },
-        3,
+        6,
     )
     q = MultiSeries.variable(COORDS, "q", 3)
     zero = MultiSeries.zero(COORDS, 3)
@@ -250,7 +250,8 @@ class RhoSeries:
 
     def z_shift(self):
         """Multiply by z = w rho^3, truncating at the order."""
-        return RhoSeries(self.offset + 3, self.series.times_x_power(1))
+        f = self.series
+        return RhoSeries(self.offset + 3, f.times_monomial("x").truncate(f.order))
 
     def t1_derivative(self):
         """d/dt1 termwise: rho^p -> (p/6) rho^(p-2).

@@ -38,7 +38,7 @@ from itertools import compress
 
 # build_Fc is unused here; it stays because the benchmark's tracer rebinds
 # open_potential.build_Fc and checks that the name exists.
-from .descendents import apply_L, build_Fc
+from .descendents import apply_L, build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
 from .series import (
     Grading,
@@ -51,12 +51,10 @@ from .series import (
 
 
 def open_grading(degree_max: int) -> Grading:
-    """t_0..t_K (weights 2i+1) followed by s (weight 2)."""
-    K = max((degree_max - 1) // 2, 0)
-    return Grading(
-        [f"t{i}" for i in range(K + 1)] + ["s"],
-        [2 * i + 1 for i in range(K + 1)] + [2],
-    )
+    """The t_0..t_K of :func:`tautrel.descendents.t_grading` followed by s
+    (weight 2)."""
+    t = t_grading(degree_max)
+    return Grading(t.names + ("s",), t.weights + (2,))
 
 
 def _kdv_monomials(grading: Grading, degree: int) -> list:
@@ -158,13 +156,11 @@ def open_exp(Fo: MultiSeries, Fc: MultiSeries) -> MultiSeries:
     return (Fo + Fc.truncate(Fo.max_degree).substitute(Fo.grading, {})).exp()
 
 
-def open_virasoro_residual(
-    Fo: MultiSeries, Fc: MultiSeries, n: int, E: MultiSeries
-) -> MultiSeries:
-    """L_n^open exp(F^o + F^c); vanishes up to the valid truncation.
+def open_virasoro_residual(n: int, E: MultiSeries) -> MultiSeries:
+    """L_n^open exp(F^o + F^c); vanishes through its truncation degree.
 
-    ``E`` is :func:`open_exp` of the same pair, formed once by the caller:
-    it does not depend on n.
+    ``E`` is :func:`open_exp` of the pair, formed once by the caller: it
+    does not depend on n.
     """
     return apply_L(n, E, s_var=True)
 

@@ -68,7 +68,7 @@ def vertex_factor(truncation):
     >>> vertex_factor(1)
     ({(): Fraction(1, 1)}, {(1,): Fraction(60, 1)})
     """
-    f = (1 - series_H0(truncation + 1)).times_x_power(1)
+    f = (1 - series_H0(truncation)).times_monomial("x")
     kappa = kappa_of_f(f, truncation)
     parts = ({}, {})
     for e, c in kappa.items():

@@ -7,12 +7,17 @@ One container covers everything the higher-level modules need:
   :meth:`Grading.monomials` lists the exponent tuples of one weighted
   degree.  Series over different gradings do not combine.
 - :class:`PowerSeries` -- the one-variable MultiSeries, in an unnamed
-  variable x of weight 1, truncated at an explicit order (inclusive);
-  a product by x^k within the order is a re-keying,
-  :meth:`PowerSeries.times_x_power`.
+  variable x of weight 1, truncated at an explicit order (inclusive).
 - :class:`BiPoly` -- the two-variable MultiSeries, in x and y of weight 1,
   truncated by total degree; :func:`divide_exact` divides one exactly by
   a linear form a x + b y, one degree at a time.
+
+A series is known through its truncation degree ``max_degree``, and each
+result through the degree its operands determine, so no caller truncates
+to compensate: a sum or product through the smaller degree, a derivative
+by a variable of weight w through max_degree - w, and the product by its
+k-th power, the re-keying :meth:`MultiSeries.times_monomial`, through
+max_degree + k w.
 
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
 A product multiplies only the pairs of groups whose degrees sum to at most
@@ -409,6 +414,8 @@ class MultiSeries:
         return self.from_buckets(self.grading, out, self.max_degree)
 
     def derivative(self, name: str) -> "MultiSeries":
+        """The derivative by ``name``, known w degrees less than the series
+        for ``name`` of weight w."""
         i = self.grading.index[name]
         w = self.grading.weights[i]
         out = {}
@@ -416,10 +423,21 @@ class MultiSeries:
             b = _bucket_derivative(b, i)
             if b:
                 out[d - w] = b
-        # The result keeps max_degree, but its terms above max_degree - w
-        # are not determined by the input, whose terms above max_degree
-        # are unknown; callers truncate.
-        return self.from_buckets(self.grading, out, self.max_degree)
+        return self.from_buckets(self.grading, out, self.max_degree - w)
+
+    def times_monomial(self, name: str, k: int = 1) -> "MultiSeries":
+        """``name`` to the power k >= 0 times the series: a re-keying,
+        known k w degrees further than the series for ``name`` of weight w.
+
+        >>> x = Grading(["x"], [2])
+        >>> MultiSeries(x, {(0,): 1, (1,): 3}, 2).times_monomial("x")
+        MultiSeries(1*x^1 + 3*x^2; deg<=4)
+        """
+        i = self.grading.index[name]
+        shift = k * self.grading.weights[i]
+        out = {d + shift: (m, {e[:i] + (e[i] + k,) + e[i + 1 :]: c for e, c in t.items()})
+               for d, (m, t) in self._buckets.items()}
+        return self.from_buckets(self.grading, out, self.max_degree + shift)
 
     def substitute(self, grading: Grading, images: Mapping[str, "MultiSeries"]) -> "MultiSeries":
         """The series re-keyed by variable name into ``grading``, with each
@@ -567,8 +585,9 @@ class PowerSeries(MultiSeries):
     __rmul__ = __mul__
 
     def derivative(self) -> "PowerSeries":
-        """Formal derivative; the order drops by one, and stays 0 at 0."""
-        return super().derivative("x").truncate(max(self.order - 1, 0))
+        """Formal derivative, known through order - 1; at order 0 that is
+        order -1, the series of which no coefficient is known."""
+        return super().derivative("x")
 
     def _moved(self, move, order: int, c: Fraction = Q(1)) -> "PowerSeries":
         """The term c_k x^k moved to c_k c^k x^move(k), kept through
@@ -581,15 +600,6 @@ class PowerSeries(MultiSeries):
             if part:
                 out[j] = part
         return self.from_buckets(self.grading, out, order)
-
-    def times_x_power(self, k: int) -> "PowerSeries":
-        """x^k times the series through its order: the coefficients move up
-        by k, and no product is formed.
-
-        >>> PowerSeries([1, 2, 3]).times_x_power(1).coeffs
-        (Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))
-        """
-        return self._moved(lambda j: j + k, self.order)
 
     def shift_exponents(self, factor: int) -> "PowerSeries":
         """Replace x by x^factor (order scales accordingly)."""

@@ -390,10 +390,14 @@ def kappa_of_f(f, degree_max):
     return {kappa_monomial(e): c for e, c in kappa.terms.items()}
 
 
+def _kappa_grading(top):
+    """x_1..x_top, with x_a of weight a: the slots of kappa_1..kappa_top."""
+    return Grading(["x%d" % a for a in range(1, top + 1)], range(1, top + 1))
+
+
 def _weighted_linear(coeffs, top):
-    """sum_a coeffs[a] x_a over x_1..x_top, with x_a of weight a."""
-    grading = Grading(["x%d" % a for a in range(1, top + 1)], range(1, top + 1))
-    return MultiSeries(grading, {
+    """sum_a coeffs[a] x_a over :func:`_kappa_grading`."""
+    return MultiSeries(_kappa_grading(top), {
         (0,) * (a - 1) + (1,) + (0,) * (top - a): coeffs[a]
         for a in range(1, top + 1)
     }, top)
@@ -406,8 +410,7 @@ def kappa_monomials(degree):
     >>> kappa_monomials(3)
     [(0, 0, 1), (1, 1), (3,)]
     """
-    grading = Grading(["x%d" % a for a in range(1, degree + 1)], range(1, degree + 1))
-    return [kappa_monomial(e) for e in grading.monomials(degree)]
+    return [kappa_monomial(e) for e in _kappa_grading(degree).monomials(degree)]
 
 
 @lru_cache(maxsize=None)

@@ -203,13 +203,13 @@ class TestCriterion7OpenPotential:
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
     def test_open_virasoro_kdv_solution(self, n, Fo_kdv, Fc17):
         E = op.open_exp(Fo_kdv, Fc17)
-        res = op.open_virasoro_residual(Fo_kdv, Fc17, n, E)
+        res = op.open_virasoro_residual(n, E)
         assert res.truncate(min(8, res.max_degree)).is_zero(), n
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
     def test_open_virasoro_buryak_solution(self, n, Fo_buryak, Fc17):
         E = op.open_exp(Fo_buryak, Fc17)
-        res = op.open_virasoro_residual(Fo_buryak, Fc17, n, E)
+        res = op.open_virasoro_residual(n, E)
         assert res.truncate(min(8, res.max_degree)).is_zero(), n
 
     def test_restriction(self, Fo_kdv, Fo_buryak):

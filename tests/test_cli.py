@@ -472,13 +472,6 @@ class TestVerify:
         assert code == 1
         assert [c["name"] for c in json.loads(out)["failures"]] == failed
 
-    def test_times_power_is_product_with_monomial(self):
-        s = PowerSeries([Fraction(k + 1, k + 2) for k in range(9)], 8)
-        for k in range(10):
-            monomial = PowerSeries([0] * k + [1], 8)
-            got = s.times_x_power(k)
-            assert (got.coeffs, got.order) == ((monomial * s).coeffs, 8)
-
     @pytest.mark.parametrize("total,n", [(0, 0), (4, 0), (0, 3), (3, 1), (3, 2), (4, 3)])
     def test_compositions_sum_at_most_total_in_order(self, total, n):
         # Every psi exponent tuple with sum <= total, lexicographic; the
@@ -597,9 +590,9 @@ def _without_times(x):
 # verify report's keys, which the JSON's sorted keys do not show.
 GOLDEN_REPORTS = {
     "verify all":
-        "2562754b2776792568062ab05e7e6da799adbf217defc052e7d292221a80f21d",
+        "a946f19031973d15f0a0f71c1b3d6e303ff15a6df73fbebf688d85edec6fbf01",
     "verify all --format text":
-        "97e4c4375207f984365426c21d2f203454bcaacc8a7e7b5a73f21fc403199278",
+        "715152a5b8cd0ee70b02f6a1eef2c9604ec7d005fb28c8ab029c891ef8dd6eaa",
     "verify descendents --order 12":
         "ed51bcbb6a46c1e6f326a310f0f889dfdefe8c05cc401640bf21f95891151b5b",
     "descendents closed --degree 12":
@@ -607,7 +600,7 @@ GOLDEN_REPORTS = {
     "descendents table --ks 3,3,3":
         "d06677d269a0179289c872e8cdda27dffb3507c224e14309e50f27bb352a306e",
     "verify open --order 8":
-        "7a7873bb91a869d6f2628f4e891ed1a200456a8c7985b5b7f19bfb44e035b2b8",
+        "9193f243189b33427ac8cad364dc7e0abfa5f5e7f21a6908a0d4b028e208b4f8",
     "descendents open --degree 6":
         "41ea6bf3e4e57f21c8c6e0db04198921b618d5bc483cd686b5a86da383a6e761",
     "fz --g 3 --r 2":
@@ -621,7 +614,7 @@ GOLDEN_REPORTS = {
     "pixton --g 2 --n 2 --a 1,0 --d 4":
         "45235f9948c44d9b4b86841af43e993b328182abd801c8c3935f4d3bc32561e1",
     "verify pixton":
-        "4a5521d4033abaf2dbd784e87acc9b6aff45946337a49e8db049f36f3c7b5daa",
+        "d163f15b345bd865528fa02d3b90c29c5cce2c7762a76e0604710f4c17810a8a",
     "fz --g 7 --r 4 --format text":
         "b776d011e12c334d2be8195b2b1534aadafef5b78f5878ba6823179072be77ad",
     "series --which calA --order 60":
@@ -635,7 +628,7 @@ GOLDEN_REPORTS = {
     "series --which D --order 60":
         "74b0f27ea52fc18bff7c83bff9520a64f80b38c1323ebf462af5133211bd912f",
     "verify series --order 60":
-        "c0948f30b5c213caf082eb7cd2d3f3ff079639f121a7cd6b8a3c37b45f065920",
+        "e0be2360ab916b72ca32eda428dc87b12c202e53f5e53477ab47f000bd356ced",
     "airy --x 10 --k 5":
         "7608664eb52bfc911ac5a0814cb21019ccfe3fbe8f2d99ce0a8155e4e945d7bc",
     "airy --x 10 --k 5 --prime":
@@ -651,13 +644,13 @@ GOLDEN_REPORTS = {
     "frobenius r-matrix --order 20":
         "748640cd0a1e341bced8c9b2cd87dd66fb0522ecbc3e8da9e600a79b401240a7",
     "frobenius flatness --order 20":
-        "dc63a43d72f8ab987061c90d00d31a8a34da15b3b7272b6e9e12814332e682da",
+        "f654150941b086b3da32f15a0736570ccaae963da95b890147607b09a031dc9f",
     "verify frobenius":
         "2d45e374ae54620efd95fa42bc49b162efd562b813a9c8d84f8c0bd4b38bc6ab",
     "verify flatness":
-        "19a1d12d2bc01931ccc1ba7673923023d1870b613e83c0eb5701bcd16d2388a1",
+        "59388164d3a56049c4e4e1605b47eae34773a70f395a14994e10543fd35942bb",
     "verify open --order 20":
-        "6384ab8a38bdc1a414d8d297428ea1586c1dac0a2826f57581489e3508ae3595",
+        "4b19a051ca7bc7573f2bb225c59835bf2765a498b0a493b0b3cafb6f45f1c4a9",
     "descendents open --degree 20":
         "d2bbf24009c6b559782c05ed0dfd871c39212603ac66eefb18fd66d9062feabf",
     "verify strata":

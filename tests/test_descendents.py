@@ -155,8 +155,8 @@ def ref_determinant_N2(Fc, order):
         for e, c in poly.items():
             f[e] = f.get(e, Q(0)) + c
     A = series_calA(order + 2)
-    # psi_2 = x^4 A' + A + x^3 A / 2, through the order of A'.
-    E = A.derivative().times_x_power(4) + A + A.times_x_power(3) * Q(1, 2)
+    # psi_2 = x^4 A' + A + x^3 A / 2, through the order of A.
+    E = A.derivative().times_monomial("x", 4) + A + A.times_monomial("x", 3) * Q(1, 2)
     xA = PowerSeries([0, 1], order + 2) * A
     num = {(i, j): ca * cb - E[i] * xA[j] for i, ca in enumerate(xA.coeffs)
            for j, cb in enumerate(E.coeffs) if i + j <= order + 1}

@@ -201,6 +201,19 @@ MUTATIONS = {
         ("frobenius",),
         {"frobenius": ["product_cp1"], "all": ["product_cp1"]},
     ),
+    # A potential is cut three degrees above its own, so its third
+    # derivatives hold every entry of the product table, q's included.
+    "cp1_c1_q_doubled": (
+        "frobenius", "cp1_structure", ("c1 = ((zero, q),", "c1 = ((zero, q * 2),"),
+        ("frobenius",),
+        {"frobenius": ["product_cp1"], "all": ["product_cp1"]},
+    ),
+    "spin3_quartic_doubled": (
+        "frobenius", "spin3_structure",
+        ("(0, 4, 0): Fraction(1, 72)", "(0, 4, 0): Fraction(1, 36)"),
+        ("frobenius",),
+        {"frobenius": ["product_3spin"], "all": ["product_3spin"]},
+    ),
 }
 
 # Mutations no check catches yet, each with the ROADMAP item whose checks

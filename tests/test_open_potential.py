@@ -315,14 +315,14 @@ class TestOpenVirasoro:
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
     def test_annihilation_kdv_solution(self, n, Fo_kdv, Fc17):
         E = op.open_exp(Fo_kdv, Fc17)
-        res = op.open_virasoro_residual(Fo_kdv, Fc17, n, E)
+        res = op.open_virasoro_residual(n, E)
         bound = min(8, res.max_degree)
         assert res.truncate(bound).is_zero(), (n, sorted(res.terms)[:3])
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_annihilation_buryak_solution(self, n, Fo_buryak, Fc17):
         E = op.open_exp(Fo_buryak, Fc17)
-        res = op.open_virasoro_residual(Fo_buryak, Fc17, n, E)
+        res = op.open_virasoro_residual(n, E)
         bound = min(8, res.max_degree)
         assert res.truncate(bound).is_zero(), (n, sorted(res.terms)[:3])
 

@@ -470,7 +470,7 @@ def ref_derivative(f, i):
     for e, c in f.terms.items():
         if e[i]:
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-    return MultiSeries(f.grading, out, f.max_degree)
+    return MultiSeries(f.grading, out, f.max_degree - f.grading.weights[i])
 
 
 def well_bucketed(f):
@@ -531,7 +531,8 @@ class TestBucketConstructors:
         i = data.draw(st.integers(0, len(w) - 1))
         k = data.draw(st.integers(0, 9))
         zero = MultiSeries.zero(g, D)
-        # No term of `flat` contains x_i, so its x_i-derivative vanishes.
+        # No term of `flat` contains x_i, so its x_i-derivative vanishes,
+        # known w_i degrees less than `flat`.
         flat = MultiSeries(g, {e: c for e, c in a.terms.items() if not e[i]}, D)
         low = a.truncate(k)
         cases = [
@@ -541,7 +542,7 @@ class TestBucketConstructors:
             (a + (-a), zero),
             (low + b, ref_add(low, b)),
             (b - low, ref_add(b, low * -1)),
-            (flat.derivative(g.names[i]), zero),
+            (flat.derivative(g.names[i]), MultiSeries.zero(g, D - w[i])),
         ]
         for got, want in cases:
             assert same(got, want) and well_bucketed(got)
@@ -554,6 +555,67 @@ class TestBucketConstructors:
         agree = {e: c for e, c in a.terms.items() if g.degree(e) <= n} == {
             e: c for e, c in b.terms.items() if g.degree(e) <= n}
         assert (a == b) == agree
+
+
+class TestTruncationContract:
+    """Each result is known as far as its operands determine it: a
+    derivative by a variable of weight w through D - w, a product by x^k
+    for x of weight w through D + k w, so no caller truncates."""
+
+    def test_equal_series_have_equal_derivatives(self):
+        # x + O(x^2) and x + 3x^2 + O(x^3) are equal, and so are their
+        # derivatives 1 + O(x) and 1 + 6x + O(x^2).
+        a, b = PowerSeries([0, 1], 1), PowerSeries([0, 1, 3], 2)
+        assert a == b and a.derivative() == b.derivative()
+        assert (a.derivative().order, b.derivative().order) == (0, 1)
+
+    def test_derivative_at_order_zero_knows_no_coefficient(self):
+        d = PowerSeries([5], 0).derivative()
+        assert d.order == -1 and d.coeffs == () and d.is_zero()
+        with pytest.raises(IndexError):
+            d[0]
+        assert d == PowerSeries([1, 2], 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_derivative_window(self, data):
+        w = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        a = data.draw(sparse_series(w))
+        i = data.draw(st.integers(0, len(w) - 1))
+        g, D, name = a.grading, a.max_degree, a.grading.names[i]
+        # `high` adds terms above D, so it equals `a`, and so must the
+        # derivatives, whatever the added terms.
+        exps = st.tuples(*(st.integers(0, 4) for _ in w))
+        tail = data.draw(st.dictionaries(exps, COEFFS.filter(bool), max_size=6))
+        high = MultiSeries(g, {**a.terms, **{e: c for e, c in tail.items()
+                                             if g.degree(e) > D}}, D + 8)
+        assert a == high
+        assert a.derivative(name).max_degree == D - w[i]
+        assert a.derivative(name) == high.derivative(name)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_times_monomial_is_product_with_monomial(self, data):
+        w = data.draw(WEIGHTS)
+        a = data.draw(sparse_series(w))
+        i = data.draw(st.integers(0, len(w) - 1))
+        k = data.draw(st.integers(0, 4))
+        g, D, name = a.grading, a.max_degree, a.grading.names[i]
+        got = a.times_monomial(name, k)
+        assert got.max_degree == D + k * w[i] and well_bucketed(got)
+        mono = MultiSeries(g, {g.monomial(name, k): 1}, got.max_degree)
+        # The product with `a` is known through D only, and agrees there;
+        # with `a` read as a polynomial it agrees throughout.
+        assert same(mono * a, got.truncate(D))
+        assert same(mono * MultiSeries(g, a.terms, got.max_degree), got)
+
+    def test_power_series_times_monomial_is_product_with_monomial(self):
+        s = PowerSeries([Q(k + 1, k + 2) for k in range(9)], 8)
+        for k in range(10):
+            got = s.times_monomial("x", k)
+            monomial = PowerSeries([0] * k + [1], 8 + k)
+            assert type(got) is PowerSeries and got.order == 8 + k
+            assert got.coeffs == (monomial * PowerSeries(s.coeffs, 8 + k)).coeffs
 
 
 def monomials_of_degree(weights, d):
@@ -706,11 +768,11 @@ def ref_power_scale(f, c):
 
 
 def ref_power_derivative(f):
-    return [k * f.coeffs[k] for k in range(1, f.order + 1)] or [Q(0)]
+    return [k * f.coeffs[k] for k in range(1, f.order + 1)]
 
 
-def ref_power_times_x_power(f, k):
-    return ([Q(0)] * k + list(f.coeffs))[: f.order + 1]
+def ref_power_times_monomial(f, k):
+    return [Q(0)] * k + list(f.coeffs)
 
 
 def ref_power_shift_exponents(f, factor):
@@ -836,7 +898,7 @@ class TestPowerSeriesIntegerKernel:
             (A * c, ref_power_scale(A, c)),
             (c * A, ref_power_scale(A, c)),
             (A.derivative(), ref_power_derivative(A)),
-            (A.times_x_power(k), ref_power_times_x_power(A, k)),
+            (A.times_monomial("x", k), ref_power_times_monomial(A, k)),
             (A.shift_exponents(factor), ref_power_shift_exponents(A, factor)),
             (A.scale_argument(c), ref_power_scale_argument(A, c)),
         ]
@@ -846,16 +908,16 @@ class TestPowerSeriesIntegerKernel:
 
     def test_every_operation_returns_a_power_series(self):
         f, g = PowerSeries([1, Q(1, 2), 3, 0, Q(-5, 7)], 4), exp_series(6)
-        h = f.times_x_power(1)
+        h = f.times_monomial("x")
         cases = [
             (f + g, 4), (g + f, 4), (f + 1, 4), (2 + f, 4),
             (f - g, 4), (g - f, 4), (f - 1, 4), (1 - f, 4), (-f, 4),
             (f * 3, 4), (3 * f, 4), (f * Q(2, 3), 4), (f * 0, 4), (0 * f, 4),
             (f * g, 4), (g * f, 4),
             (f.truncate(2), 2), (f.truncate(9), 4),
-            (f.derivative(), 3), (PowerSeries([5], 0).derivative(), 0),
-            (h.exp(), 4), (f.log(), 4), (f.reciprocal(), 4),
-            (f.times_x_power(2), 4), (f.shift_exponents(3), 12),
+            (f.derivative(), 3), (PowerSeries([5], 0).derivative(), -1),
+            (h.exp(), 5), (f.log(), 4), (f.reciprocal(), 4),
+            (f.times_monomial("x", 2), 6), (f.shift_exponents(3), 12),
             (f.scale_argument(-2), 4),
         ]
         for got, order in cases:
