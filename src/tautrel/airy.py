@@ -45,7 +45,6 @@ Airy value is computed, not whenever the package or its CLI is imported.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .named_series import series_A, series_B
 
@@ -143,6 +142,23 @@ def airy_prime_quadrature(x, precision_bits: int = 128):
     return _quadrature_pair(x, precision_bits)[1]
 
 
+def _gamma_two_thirds():
+    """Gamma(2/3) at the working precision, from one AGM.
+
+    Gamma(1/3)^3 = 2^{7/3} pi K(sin 15 deg) / 3^{1/4} (Borwein and Zucker,
+    IMA J. Numer. Anal. 12 (1992) 519-526), with K(k) = pi / (2 agm(1, k'))
+    and k' = cos 15 deg = (sqrt 6 + sqrt 2) / 4, and the reflection formula
+    gives Gamma(2/3) = 2 pi / (sqrt 3 Gamma(1/3)).  mpmath.gamma costs
+    more, as it builds a Taylor table in every process.
+    """
+    import mpmath
+    from mpmath import mpf
+
+    k = (mpmath.sqrt(6) + mpmath.sqrt(2)) / 4
+    cube = 2 ** (mpf(4) / 3) * mpmath.pi ** 2 / (mpf(3) ** (mpf(1) / 4) * mpmath.agm(1, k))
+    return 2 * mpmath.pi / mpmath.sqrt(3) / mpmath.cbrt(cube)
+
+
 def _ode_pair(x, precision_bits: int):
     """(Ai(x), Ai'(x)) by Taylor continuation of y'' = x y from 0.
 
@@ -160,7 +176,7 @@ def _ode_pair(x, precision_bits: int):
         # pi times the standard initial values.
         # c1 = -pi / (3^{1/3} Gamma(1/3)), and the reflection formula
         # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt 3 leaves one Gamma value.
-        g = mpmath.gamma(mpf(2) / 3)
+        g = _gamma_two_thirds()
         c0 = mpmath.pi / (mpf(3) ** (mpf(2) / 3) * g)
         c1 = -mpf(3) ** (mpf(1) / 6) * g / 2
         # y = sum c_n x^n with c_{n+3} = c_n / ((n+3)(n+2)); c_2 = 0.
@@ -206,33 +222,24 @@ class OracleDisagreement(ArithmeticError):
         self.ode = ode
 
 
-def _cross_checked(x, q, o, precision_bits):
-    """The ODE value o, if the quadrature value q agrees with it."""
-    from mpmath import mpf
-
-    tol = mpf(2) ** (-(precision_bits // 2))
-    if abs(q - o) > tol * abs(o):
-        raise OracleDisagreement(x, q, o)
-    return o
-
-
-def airy_numeric(x, precision_bits: int = 128):
-    """Ai(x), cross-checked between the quadrature and ODE oracles.
+def airy_numeric(x, precision_bits: int = 128, prime: bool = False):
+    """Ai(x) (Ai'(x) if ``prime``), cross-checked between the quadrature
+    and ODE oracles.
 
     Raises OracleDisagreement (an ArithmeticError) if the two methods
     disagree beyond the certified tolerance 2^{-(precision_bits/2)}
     relative.
     """
-    q = airy_quadrature(x, precision_bits)
-    return _cross_checked(x, q, airy_ode(x, precision_bits), precision_bits)
+    from mpmath import mpf
 
-
-def airy_prime_numeric(x, precision_bits: int = 128):
-    """Ai'(x), cross-checked between the quadrature and ODE oracles."""
-    q = airy_prime_quadrature(x, precision_bits)
-    return _cross_checked(
-        x, q, airy_prime_ode(x, precision_bits), precision_bits
-    )
+    if prime:
+        quadrature, ode = airy_prime_quadrature, airy_prime_ode
+    else:
+        quadrature, ode = airy_quadrature, airy_ode
+    q, o = quadrature(x, precision_bits), ode(x, precision_bits)
+    if abs(q - o) > mpf(2) ** (-(precision_bits // 2)) * abs(o):
+        raise OracleDisagreement(x, q, o)
+    return o
 
 
 def _asymptotic(x, k, prime, precision_bits):
@@ -268,39 +275,24 @@ def _asymptotic(x, k, prime, precision_bits):
         return +(pref * total), abs(pref * omitted)
 
 
-class AsymptoticReport(NamedTuple):
-    x: float
-    terms: int
-    numeric: str
-    asymptotic: str
-    abs_error: str
-    rel_error: str
-    first_omitted_magnitude: str
-    envelope_ok: bool
-    prime: bool = False
-
-    def to_json(self) -> dict:
-        return self._asdict()
-
-
-def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> AsymptoticReport:
+def asymptotic_report(x, k, prime: bool = False, precision_bits: int = 128) -> dict:
     """Compare numeric and truncated-asymptotic values at x with k terms."""
     import mpmath
     from mpmath import mp, mpf
 
     with mp.workprec(precision_bits):
         x = mpf(x)
-        num = (airy_prime_numeric if prime else airy_numeric)(x, precision_bits)
+        num = airy_numeric(x, precision_bits, prime)
         asym, omitted_mag = _asymptotic(x, k, prime, precision_bits)
         err = abs(num - asym)
-        return AsymptoticReport(
-            x=float(x),
-            terms=k,
-            numeric=mpmath.nstr(num, 20),
-            asymptotic=mpmath.nstr(asym, 20),
-            abs_error=mpmath.nstr(err, 10),
-            rel_error=mpmath.nstr(err / abs(num), 10),
-            first_omitted_magnitude=mpmath.nstr(omitted_mag, 10),
-            envelope_ok=bool(err <= 2 * omitted_mag),
-            prime=prime,
-        )
+        return {
+            "x": float(x),
+            "terms": k,
+            "numeric": mpmath.nstr(num, 20),
+            "asymptotic": mpmath.nstr(asym, 20),
+            "abs_error": mpmath.nstr(err, 10),
+            "rel_error": mpmath.nstr(err / abs(num), 10),
+            "first_omitted_magnitude": mpmath.nstr(omitted_mag, 10),
+            "envelope_ok": bool(err <= 2 * omitted_mag),
+            "prime": prime,
+        }

@@ -27,6 +27,7 @@ Rationals serialize as "p/q" strings.
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -138,7 +139,7 @@ def cmd_series(args):
 
 def cmd_airy(args):
     try:
-        rep = airy.asymptotic_report(
+        out = airy.asymptotic_report(
             args.x, args.k, prime=args.prime,
             precision_bits=args.precision_bits,
         )
@@ -161,9 +162,8 @@ def cmd_airy(args):
                 "precision_bits": args.precision_bits,
             }
         )
-    out = rep.to_json()
     out["precision_bits"] = args.precision_bits
-    if not rep.envelope_ok:
+    if not out["envelope_ok"]:
         raise CheckFailure(
             {
                 "message": "asymptotic truncation outside the error envelope",
@@ -265,7 +265,7 @@ def cmd_frobenius(args):
     order = _SUITES["frobenius"][1] if args.order is None else args.order
     if args.model == "3spin":
         return {"model": "3spin", "order": order,
-                "r_matrix": frobenius.solve_R(order).to_json()}
+                "r_matrix": frobenius.r_matrix_json(frobenius.solve_R(order))}
     # The exponential model is covered by its leading-order limit.
     ps = frobenius.cp1_leading_limit(order)
     return {
@@ -400,7 +400,7 @@ def _suite_descendents(degree, seed):
 
 
 def _suite_open(degree, seed):
-    Fc = descendents.build_Fc(degree + 3)
+    Fc = descendents.build_Fc(degree)
     Fo = open_potential.solve_open_kdv(Fc, degree)
     Fb = open_potential.buryak_formula(Fc, degree)
     yield _check(
@@ -512,7 +512,7 @@ def _suite_frobenius(order, seed):
         "r_matrix",
         "flatness-recursion R equals the A/B matrix through z^%d" % order,
         R == target,
-        computed=None if R == target else R.to_json(),
+        computed=None if R == target else frobenius.r_matrix_json(R),
     )
     for data, label in [
         (frobenius.spin3_structure(), "3spin"),
@@ -762,6 +762,12 @@ def dispatch(argv):
     >>> code
     1
     """
+    # The objects built so far, the interpreter's and the imports', mostly
+    # live as long as the process.  Frozen, no collection scans them, and
+    # neither does the exit: a fresh process exits in about 2.5 ms instead
+    # of 10 ms (README).
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     name, low = _order_floor(args)

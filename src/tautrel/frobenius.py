@@ -34,7 +34,7 @@ single rho-monomial f_k rho^(m - 3k) (:class:`RhoSeries`).
 Example::
 
     >>> R = solve_R(2)
-    >>> R.entry(1, 0).to_json()[1]
+    >>> R[1][0].to_json()[1]
     {'rho^-4': '5/144'}
 """
 
@@ -59,7 +59,7 @@ __all__ = [
     "spin3_structure",
     "cp1_structure",
     "RhoSeries",
-    "MatrixSeries",
+    "r_matrix_json",
     "solve_R",
     "hypergeometric_r_matrix",
     "airy_flatness_check",
@@ -284,37 +284,13 @@ class RhoSeries:
         ]
 
 
-class MatrixSeries:
-    """A 2x2 matrix of RhoSeries with identity constant term."""
-
-    def __init__(self, entries, order):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.order = order
-        for i in (0, 1):
-            for j in (0, 1):
-                s = self.entries[i][j]
-                if s[0] != (1 if i == j else 0) or (s[0] and s.offset):
-                    raise ValueError("constant term must be the identity")
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixSeries)
-            and self.order == other.order
-            and self.entries == other.entries
-        )
-
-    def to_json(self):
-        return {
-            "order": self.order,
-            "entries": {
-                "%d%d" % (i, j): self.entries[i][j].to_json()
-                for i in (0, 1)
-                for j in (0, 1)
-            },
-        }
+def r_matrix_json(R):
+    """The report of a 2x2 matrix of RhoSeries: its order and each entry
+    under the key "ij"."""
+    return {
+        "order": R[0][0].series.order,
+        "entries": {"%d%d" % (i, j): R[i][j].to_json() for i in (0, 1) for j in (0, 1)},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +322,13 @@ def _canonical_components(order):
 
 
 def solve_R(order):
-    """The 3-spin R-matrix in the flat basis through z^order, solved from
-    the flatness equation (the exponential structure is covered only by
-    its leading-order limit, ``cp1_leading_limit``).
+    """The 3-spin R-matrix in the flat basis through z^order, as the 2x2
+    tuple of its RhoSeries entries, solved from the flatness equation (the
+    exponential structure is covered only by its leading-order limit,
+    ``cp1_leading_limit``).
 
     >>> R = solve_R(1)
-    >>> R.entry(0, 1).to_json()
+    >>> R[0][1].to_json()
     [{}, {'rho^-2': '-7/144'}]
     """
     if order < 1:
@@ -362,18 +339,15 @@ def solve_R(order):
         return RhoSeries(offset, PowerSeries(coeffs, order))
 
     ks = range(order + 1)
-    return MatrixSeries(
+    return (
         (
-            (
-                entry(0, [(a[k] + d[k] + gamma[k] - beta[k]) / 2 for k in ks]),
-                entry(1, [(d[k] - a[k] - beta[k] - gamma[k]) / 2 for k in ks]),
-            ),
-            (
-                entry(-1, [(d[k] - a[k] + beta[k] + gamma[k]) / 2 for k in ks]),
-                entry(0, [(a[k] + d[k] + beta[k] - gamma[k]) / 2 for k in ks]),
-            ),
+            entry(0, [(a[k] + d[k] + gamma[k] - beta[k]) / 2 for k in ks]),
+            entry(1, [(d[k] - a[k] - beta[k] - gamma[k]) / 2 for k in ks]),
         ),
-        order,
+        (
+            entry(-1, [(d[k] - a[k] + beta[k] + gamma[k]) / 2 for k in ks]),
+            entry(0, [(a[k] + d[k] + beta[k] - gamma[k]) / 2 for k in ks]),
+        ),
     )
 
 
@@ -397,12 +371,9 @@ def hypergeometric_r_matrix(order):
     """
     A = series_A(order).scale_argument(Fraction(1, 6))
     B = series_B(order).scale_argument(Fraction(1, 6))
-    return MatrixSeries(
-        (
-            (RhoSeries(0, -_parity_part(B, 0)), RhoSeries(1, -_parity_part(B, 1))),
-            (RhoSeries(-1, _parity_part(A, 1)), RhoSeries(0, _parity_part(A, 0))),
-        ),
-        order,
+    return (
+        (RhoSeries(0, -_parity_part(B, 0)), RhoSeries(1, -_parity_part(B, 1))),
+        (RhoSeries(-1, _parity_part(A, 1)), RhoSeries(0, _parity_part(A, 0))),
     )
 
 
@@ -431,8 +402,8 @@ def airy_flatness_check(order, branch=1):
     if order < 2:
         raise ValueError("order must be at least 2")
     R = solve_R(order)
-    g0 = R.entry(0, 0).shift(1) * -branch + R.entry(0, 1)
-    g1 = R.entry(1, 0).shift(1) * -branch + R.entry(1, 1)
+    g0 = R[0][0].shift(1) * -branch + R[0][1]
+    g1 = R[1][0].shift(1) * -branch + R[1][1]
 
     def op(g):
         return _reduced_operator(g, branch)

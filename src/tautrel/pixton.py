@@ -131,7 +131,7 @@ def edge_factor(truncation):
                 p = ((i + 1) % 2, j % 2)
                 num[p][(i, j)] = num[p].get((i, j), Fraction(0)) + c
     return {
-        p: divide_exact(BiPoly(terms, t), (1, 1)) for p, terms in num.items()
+        p: divide_exact(BiPoly(terms, t)) for p, terms in num.items()
     }
 
 

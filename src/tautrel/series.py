@@ -10,7 +10,7 @@ One container covers everything the higher-level modules need:
   variable x of weight 1, truncated at an explicit order (inclusive).
 - :class:`BiPoly` -- the two-variable MultiSeries, in x and y of weight 1,
   truncated by total degree; :func:`divide_exact` divides one exactly by
-  a linear form a x + b y, one degree at a time.
+  x + y, one degree at a time.
 
 A series is known through its truncation degree ``max_degree``, and each
 result through the degree its operands determine, so no caller truncates
@@ -22,9 +22,10 @@ max_degree + k w.
 :class:`MultiSeries` arithmetic runs on terms grouped by weighted degree.
 A product multiplies only the pairs of groups whose degrees sum to at most
 the truncation degree, so no pair of terms is formed and then discarded.
-Every exp and log works grade by grade with the Euler operator theta,
-which multiplies the part of grade d by d.  As theta is a derivation,
-theta(exp F) = theta(F) exp F, whose grade-d part reads, with E = exp F,
+Every exp and log works weighted degree by weighted degree with the Euler
+operator theta, which multiplies the part of weighted degree d by d.  As
+theta is a derivation, theta(exp F) = theta(F) exp F, whose degree-d part
+reads, with E = exp F,
 
     d * E_d = sum_{k=1..d} k * F_k * E_{d-k},
 
@@ -34,12 +35,12 @@ and theta(G) = G theta(log G) gives, for L = log G with G_0 = 1,
 
 These are the weighted forms of the recurrences in Brent and Kung, "Fast
 algorithms for manipulating formal power series" (JACM 1978), each written
-once: :func:`graded_exp` and :func:`graded_log`, over any grading of the
-factors.  :meth:`MultiSeries.exp` and :meth:`MultiSeries.log` grade by
-weighted degree, for a PowerSeries the power of x, and
-:meth:`PowerSeries.reciprocal` is exp(-log(f/f_0))/f_0.  Neither takes a
-budget: a cut such as "weighted degree plus power of 1/z
-at most D" is the weighted truncation over one more variable, of weight 1.
+once: :func:`graded_exp` and :func:`graded_log`, on the weighted-degree
+buckets of :meth:`MultiSeries.exp` and :meth:`MultiSeries.log` (for a
+PowerSeries the powers of x), and :meth:`PowerSeries.reciprocal` is
+exp(-log(f/f_0))/f_0.  Neither takes a budget: a cut such as "weighted
+degree plus power of 1/z at most D" is the weighted truncation over one
+more variable, of weight 1.
 :meth:`MultiSeries.substitute` replaces variables by series homogeneous of
 their weights, such as the shift t_i -> t_i - (2i-1)!! x^{2i+1} of
 descendent theory, one variable at a time by one product call; with no
@@ -193,54 +194,53 @@ def _mul_sum(pairs, limit, den: int = 1) -> dict:
 
 
 def graded_exp(parts: Mapping, top: int, unit: tuple) -> dict:
-    """exp(F) for F = sum_{k>=1} F_k, grade by grade, through grade ``top``.
+    """exp(F) for F = sum_{d>=1} F_d, degree by degree, through weighted
+    degree ``top``.
 
     Uses d * E_d = sum_{k=1..d} k * F_k * E_{d-k}, which follows from
-    E' = F' E for the derivative counting the grade.  Each F_k and E_d is
-    bucketed by weighted degree as integers over one denominator per
-    bucket, ``{w: (m, {exps: c})}``, and ``unit`` is the exponent tuple of
-    the constant 1.  Parts of grade 0 or above ``top`` are ignored.
+    theta(E) = theta(F) E for the Euler operator theta.  F_d and E_d are
+    the integer buckets of weighted degree d, ``{d: (m, {exps: c})}``, and
+    ``unit`` is the exponent tuple of the constant 1.  Parts of degree 0 or
+    above ``top`` are ignored.
 
     Returns ``{d: E_d}`` for the nonzero E_d, 0 <= d <= top, each bucket in
     lowest terms.
 
-    >>> e = graded_exp({1: {1: (1, {(1,): 1})}}, 3, (0,))
-    >>> [e[d][d] for d in range(4)]
-    [(1, {(0,): 1}), (1, {(1,): 1}), (2, {(2,): 1}), (6, {(3,): 1})]
+    >>> graded_exp({1: (1, {(1,): 1})}, 3, (0,))
+    {0: (1, {(0,): 1}), 1: (1, {(1,): 1}), 2: (2, {(2,): 1}), 3: (6, {(3,): 1})}
     """
-    scaled = [(k, parts[k]) for k in sorted(parts) if 0 < k <= top]
-    out = {0: {0: (1, {unit: 1})}}
+    F = [(k, {k: parts[k]}) for k in sorted(parts) if 0 < k <= top]
+    out = {0: (1, {unit: 1})}
     for d in range(1, top + 1):
-        pairs = [(k, kf, out[d - k]) for k, kf in scaled if d - k in out]
-        acc = _mul_sum(pairs, inf, d)
+        acc = _mul_sum([(k, f, {d - k: out[d - k]}) for k, f in F if d - k in out], inf, d)
         if acc:
-            out[d] = acc
+            out[d] = acc[d]
     return out
 
 
 def graded_log(parts: Mapping, top: int, unit: tuple) -> dict:
-    """log(G) for G = 1 + sum_{k>=1} G_k, grade by grade, through grade ``top``.
+    """log(G) for G = 1 + sum_{d>=1} G_d, degree by degree, through weighted
+    degree ``top``.
 
     Uses d * L_d = d * G_d - sum_{k=1..d-1} k * L_k * G_{d-k}, which follows
-    from G L' = G' for the derivative counting the grade.  The parts are
-    integer buckets as in :func:`graded_exp`; the constant 1 is implied,
-    and parts of grade 0 or above ``top`` are ignored.
+    from G theta(L) = theta(G).  The parts are integer buckets as in
+    :func:`graded_exp`; the constant 1 is implied, and parts of degree 0 or
+    above ``top`` are ignored.
 
     Returns ``{d: L_d}`` for the nonzero L_d, 1 <= d <= top.
 
-    >>> l = graded_log({1: {1: (1, {(1,): 1})}}, 3, (0,))
-    >>> [l[d][d] for d in range(1, 4)]
-    [(1, {(1,): 1}), (2, {(2,): -1}), (3, {(3,): 1})]
+    >>> graded_log({1: (1, {(1,): 1})}, 3, (0,))
+    {1: (1, {(1,): 1}), 2: (2, {(2,): -1}), 3: (3, {(3,): 1})}
     """
-    G = {k: parts[k] for k in sorted(parts) if 0 < k <= top}
+    G = {k: {k: parts[k]} for k in sorted(parts) if 0 < k <= top}
     one = {0: (1, {unit: 1})}
     out: dict = {}
     for d in range(1, top + 1):
         pairs = [(d, G[d], one)] if d in G else []
-        pairs += [(-k, lk, G[d - k]) for k, lk in out.items() if d - k in G]
+        pairs += [(-k, {k: lk}, G[d - k]) for k, lk in out.items() if d - k in G]
         acc = _mul_sum(pairs, inf, d)
         if acc:
-            out[d] = acc
+            out[d] = acc[d]
     return out
 
 
@@ -499,26 +499,20 @@ class MultiSeries:
             buckets = _mul_sum(pairs, self.max_degree)
         return MultiSeries.from_buckets(grading, buckets, self.max_degree)
 
-    def _graded(self, recurrence) -> "MultiSeries":
-        """``recurrence`` (graded_exp or graded_log) with the weighted degree
-        as the grade."""
-        parts = {d: {d: b} for d, b in self._buckets.items()}
-        out = recurrence(parts, self.max_degree, (0,) * len(self.grading))
-        return self.from_buckets(
-            self.grading, {d: part[d] for d, part in out.items()}, self.max_degree
-        )
-
     def exp(self) -> "MultiSeries":
         """exp of a series with zero constant term."""
         if 0 in self._buckets:
             raise ValueError("exp requires zero constant term")
-        return self._graded(graded_exp)
+        out = graded_exp(self._buckets, self.max_degree, (0,) * len(self.grading))
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def log(self) -> "MultiSeries":
         """log of a series with constant term 1."""
-        if self._buckets.get(0) != (1, {(0,) * len(self.grading): 1}):
+        unit = (0,) * len(self.grading)
+        if self._buckets.get(0) != (1, {unit: 1}):
             raise ValueError("log requires constant term 1")
-        return self._graded(graded_log)
+        out = graded_log(self._buckets, self.max_degree, unit)
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def to_json(self) -> list:
         items = sorted(self.terms.items())
@@ -549,7 +543,7 @@ class PowerSeries(MultiSeries):
     return PowerSeries.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
         if order is None:
@@ -564,20 +558,14 @@ class PowerSeries(MultiSeries):
 
     @property
     def coeffs(self) -> tuple:
-        """(c_0, ..., c_order) as Fractions, built on first use like
-        :attr:`terms`; ``from_buckets`` leaves the slot unset."""
-        coeffs = getattr(self, "_coeffs", None)
-        if coeffs is None:
-            out = [Q(0)] * (self.max_degree + 1)
-            for k, (m, t) in self._buckets.items():
-                out[k] = Fraction(t[(k,)], m)
-            coeffs = self._coeffs = tuple(out)
-        return coeffs
+        """(c_0, ..., c_order), the Fractions of :attr:`terms`."""
+        t, zero = self.terms, Q(0)
+        return tuple(t.get((k,), zero) for k in range(self.max_degree + 1))
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 0 or k > self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return self.terms.get((k,), Q(0))
 
     def __mul__(self, other) -> "PowerSeries":
         return self._product(other)
@@ -656,41 +644,31 @@ class DivisibilityError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def divide_exact(num: BiPoly, den: tuple = (1, 1)) -> BiPoly:
-    """Divide ``num`` exactly by the linear form a*x + b*y.
+def divide_exact(num: BiPoly) -> BiPoly:
+    """Divide ``num`` exactly by x + y, one degree at a time.
 
-    ``den`` is the coefficient pair (a, b) with a != 0.  The division is
-    performed one degree at a time: with a x + b y = (p x + r y) / s over
-    the integers, the quotient's coefficients of x^(k-1) y^(d-k) are solved
-    from the numerator's degree-d bucket for k = d down to 1, and the
-    coefficient of y^d is the remainder.  A nonzero remainder raises
+    The quotient's coefficients of x^(k-1) y^(d-k) are solved from the
+    numerator's degree-d bucket for k = d down to 1, and the coefficient
+    of y^d is the remainder.  A nonzero remainder raises
     :class:`DivisibilityError`, which signals an inconsistency upstream
     (e.g. a wrongly assembled edge factor).
 
     >>> divide_exact(BiPoly({(2, 0): 1, (0, 2): -1}, 2)).terms
     {(1, 0): Fraction(1, 1), (0, 1): Fraction(-1, 1)}
     """
-    a, b = _q(den[0]), _q(den[1])
-    if a == 0:
-        raise ValueError("leading coefficient of the divisor must be nonzero")
-    s = lcm(a.denominator, b.denominator)
-    p, r = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
-    if p < 0:
-        p, r, s = -p, -r, -s
     out = {}
     for d, (m, t) in num.buckets().items():
         # With t_k the numerator's integer at x^k y^(d-k) and c_(d+1) = 0,
-        # c_k = p^(d-k) t_k - r c_(k+1) gives the quotient's coefficient
-        # s c_k / (m p^(d-k+1)) of x^(k-1) y^(d-k), and the remainder
-        # c_0 / (m p^d) of y^d.
+        # c_k = t_k - c_(k+1) gives the quotient's coefficient c_k / m of
+        # x^(k-1) y^(d-k), and the remainder c_0 / m of y^d.
         acc, c = {}, 0
         for k in range(d, 0, -1):
-            c = t.get((k, d - k), 0) * p ** (d - k) - r * c
-            acc[(k - 1, d - k)] = s * c * p ** (k - 1)
-        c = t.get((0, d), 0) * p**d - r * c
+            c = t.get((k, d - k), 0) - c
+            acc[(k - 1, d - k)] = c
+        c = t.get((0, d), 0) - c
         if c:
-            raise DivisibilityError(f"nonzero remainder: {Fraction(c, m * p**d)}*y^{d}")
-        part = _lowest(m * p**d, acc)
+            raise DivisibilityError(f"nonzero remainder: {Fraction(c, m)}*y^{d}")
+        part = _lowest(m, acc)
         if part:
             out[d - 1] = part
     return BiPoly.from_buckets(_XY, out, num.max_degree - 1)

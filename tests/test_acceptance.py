@@ -105,7 +105,7 @@ class TestCriterion3AiryAsymptotics:
             for k in range(1, 6):
                 for prime in (False, True):
                     rep = asymptotic_report(x, k, prime=prime)
-                    assert rep.envelope_ok, (x, k, prime)
+                    assert rep["envelope_ok"], (x, k, prime)
         assert time.monotonic() - started < 30
 
     def test_prime_oracles_agree(self):

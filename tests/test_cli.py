@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -287,6 +288,15 @@ class TestColdStart:
         assert data["loaded"] == []
         assert data["code"] == 0
         assert data["report"]["envelope_ok"] is True
+
+
+class TestFreeze:
+    def test_second_dispatch_leaves_the_freeze_alone(self):
+        dispatch(["series", "--order", "0"])
+        frozen = gc.get_freeze_count()
+        dispatch(["series", "--order", "0"])
+        assert frozen > 0 and gc.get_freeze_count() == frozen
+        assert gc.isenabled()
 
 
 class TestFuzz:

@@ -115,10 +115,10 @@ class TestSolveR:
         # and integration gives a_1 = -d_1 = 1/(144 rho^3); converting to
         # the flat basis yields the values below.
         R = fr.solve_R(1)
-        assert R.entry(0, 0)[1] == 0
-        assert R.entry(1, 1)[1] == 0
-        assert R.entry(0, 1).to_json()[1] == {"rho^-2": "-7/144"}
-        assert R.entry(1, 0).to_json()[1] == {"rho^-4": "5/144"}
+        assert R[0][0][1] == 0
+        assert R[1][1][1] == 0
+        assert R[0][1].to_json()[1] == {"rho^-2": "-7/144"}
+        assert R[1][0].to_json()[1] == {"rho^-4": "5/144"}
 
     def test_second_order_diagonal_factorial_oracle(self):
         # Diagonal z^2 coefficients are -B_2/36 and A_2/36 with
@@ -126,8 +126,8 @@ class TestSolveR:
         R = fr.solve_R(2)
         A2 = a_coeff(2)
         assert A2 == Q(385, 1152)
-        assert R.entry(1, 1).to_json()[2] == {"rho^-6": str(A2 / 36)}
-        assert R.entry(0, 0).to_json()[2] == {
+        assert R[1][1].to_json()[2] == {"rho^-6": str(A2 / 36)}
+        assert R[0][0].to_json()[2] == {
             "rho^-6": str(-A2 * Q(13, 11) / 36)
         }
 
@@ -147,8 +147,8 @@ class TestSolveR:
 
         for i in (0, 1):
             for j in (0, 1):
-                acc = R.entry(i, 0) * at_minus_z(R.entry(1 - j, 1))
-                acc = acc + R.entry(i, 1) * at_minus_z(R.entry(1 - j, 0))
+                acc = R[i][0] * at_minus_z(R[1 - j][1])
+                acc = acc + R[i][1] * at_minus_z(R[1 - j][0])
                 expect = rho_series(i - j, [1 if i == j else 0], order)
                 assert acc == expect, (i, j)
 
@@ -180,25 +180,21 @@ class TestSolveR:
         shifts = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}
         for (i, j), s in shifts.items():
             for k in range(6):
-                for m in R.entry(i, j).to_json()[k]:
+                for m in R[i][j].to_json()[k]:
                     assert m == "rho^%d" % (-3 * k + s)
 
     def test_rejects_other_models_and_bad_order(self):
         with pytest.raises(ValueError):
             fr.solve_R(0)
 
-    def test_identity_constant_term_enforced(self):
-        z = rho_series(0, [], 1)
-        with pytest.raises(ValueError):
-            fr.MatrixSeries(((z, z), (z, z)), 1)
-        one = rho_series(0, [1], 1)
-        fr.MatrixSeries(((one, z.shift(1)), (z.shift(-1), one)), 1)
-        with pytest.raises(ValueError):
-            fr.MatrixSeries(((one.shift(1), z), (z, one)), 1)
+    def test_constant_term_is_the_identity(self):
+        for R in (fr.solve_R(3), fr.hypergeometric_r_matrix(3)):
+            for i in (0, 1):
+                for j in (0, 1):
+                    assert R[i][j].to_json()[0] == ({"rho^0": "1"} if i == j else {})
 
     def test_json(self):
-        R = fr.solve_R(1)
-        data = R.to_json()
+        data = fr.r_matrix_json(fr.solve_R(1))
         assert data["order"] == 1
         assert data["entries"]["01"][1] == {"rho^-2": "-7/144"}
 

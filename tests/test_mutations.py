@@ -170,8 +170,8 @@ MUTATIONS = {
     # divides by psi' + psi'', and DivisibilityError stops every check.
     "edge_sector00_doubled": (
         "pixton", "edge_factor",
-        ("divide_exact(BiPoly(terms, t), (1, 1))",
-         "divide_exact(BiPoly(terms, t), (1, 1)) * (2 if p == (0, 0) else 1)"),
+        ("divide_exact(BiPoly(terms, t))",
+         "divide_exact(BiPoly(terms, t)) * (2 if p == (0, 0) else 1)"),
         ("pixton",),
         {"pixton": ["edge_constant_parity00", "pairings_1_1_1_1",
                     "pairings_2_0__1"],

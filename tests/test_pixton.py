@@ -328,7 +328,7 @@ def zeta_edge(z1, z2, budget):
         for j in range(t + 1 - i):
             c = -z2 * h0[i] * h1[j] - z1 * h1[i] * h0[j]
             num[(i, j)] = num.get((i, j), Q(0)) + c * z1**i * z2**j
-    return divide_exact(BiPoly(num, t), (1, 1))
+    return divide_exact(BiPoly(num, t))
 
 
 def expand(factors, budget):
