@@ -63,6 +63,16 @@ def _parse_int_list(text):
         )
 
 
+def _exponents(text):
+    """A nonempty comma-separated list of non-negative integers."""
+    ks = _parse_int_list(text)
+    if not ks or min(ks) < 0:
+        raise argparse.ArgumentTypeError(
+            "expected a nonempty list of non-negative integers, got %r" % text
+        )
+    return ks
+
+
 def _int_at_least(low):
     """An argparse type accepting the integers >= ``low``."""
     what = "a non-negative integer" if low == 0 else "an integer >= %d" % low
@@ -188,15 +198,17 @@ def cmd_descendents_open(args):
 
 def cmd_descendents_table(args):
     ks = args.ks
-    if not ks or any(k < 0 for k in ks):
+    try:
+        value = descendents.bracket(ks)
+    except RecursionError:
+        # The recursion runs about sum(ks) + len(ks) deep.
         raise CheckFailure(
             {
-                "message": "descendent exponents must be nonnegative and "
-                "nonempty",
+                "message": "the bracket recursion exceeded Python's "
+                "recursion limit",
                 "location": {"ks": list(ks)},
             }
         )
-    value = descendents.bracket(ks)
     return {"ks": list(ks), "value": str(value)}
 
 
@@ -521,7 +533,7 @@ def _suite_frobenius(order, seed):
         yield _check(
             "product_%s" % label,
             "product table matches the potential (%s)" % label,
-            data.product_consistency(),
+            frobenius.product_consistency(*data),
         )
     phi = frobenius.cp1_phi_ode_check(seed=seed)
     yield _check(
@@ -689,7 +701,9 @@ def build_parser():
     p.add_argument("--precision-bits", type=_int_at_least(64), default=128)
     p.set_defaults(func=cmd_airy)
 
-    p = sub.add_parser("descendents", parents=[common])
+    # The group takes no common option: each mode sets its own defaults,
+    # which would override one given before the mode.
+    p = sub.add_parser("descendents")
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("closed", parents=[common])
     d.add_argument("--degree", type=_nonneg_int, default=8)
@@ -698,7 +712,7 @@ def build_parser():
     d.add_argument("--degree", type=_nonneg_int, default=6)
     d.set_defaults(func=cmd_descendents_open)
     d = dsub.add_parser("table", parents=[common])
-    d.add_argument("--ks", type=_parse_int_list, required=True)
+    d.add_argument("--ks", type=_exponents, required=True)
     d.set_defaults(func=cmd_descendents_table)
 
     p = sub.add_parser("fz", parents=[common])

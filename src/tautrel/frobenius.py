@@ -38,7 +38,6 @@ Example::
     {'rho^-4': '5/144'}
 """
 
-import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -55,7 +54,7 @@ from .series import Grading, MultiSeries, PowerSeries
 __all__ = [
     "COORDS",
     "t_derivative",
-    "FrobeniusData2D",
+    "product_consistency",
     "spin3_structure",
     "cp1_structure",
     "RhoSeries",
@@ -97,66 +96,41 @@ def t_derivative(p, i):
 # Frobenius data
 
 
-class FrobeniusData2D:
-    """Metric and quantum product of a 2-dimensional Frobenius structure.
+def product_consistency(eta, potential, c1):
+    """True iff the product table ``c1`` of a 2-dimensional Frobenius
+    structure matches its potential and e0 is the unit.
 
-    ``eta`` is a symmetric 2x2 rational matrix, ``potential`` a
-    ``MultiSeries`` over :data:`COORDS`, and ``c1`` the 2x2 matrix (of
-    such series) of multiplication by e1 in the basis (e0, e1); e0 is
-    the unit, so multiplication by e0 is the identity.
+    ``eta`` is the 2x2 rational metric, which must be symmetric and
+    nondegenerate (ValueError otherwise), ``potential`` a ``MultiSeries``
+    over :data:`COORDS`, and ``c1`` the 2x2 tuple (of such series) of
+    multiplication by e1 in the basis (e0, e1).  Multiplication by e_a
+    has the entries c^nu_b = eta^{nu c} Phi_{a b c}.
     """
+    (e00, e01), (e10, e11) = eta
+    if e01 != e10:
+        raise ValueError("eta must be symmetric")
+    det = Fraction(e00 * e11 - e01 * e10)
+    if not det:
+        raise ValueError("eta must be nondegenerate")
+    inv = ((e11 / det, -e01 / det), (-e01 / det, e00 / det))
 
-    def __init__(self, eta, potential, c1):
-        self.eta = tuple(tuple(Fraction(x) for x in row) for row in eta)
-        if self.eta[0][1] != self.eta[1][0]:
-            raise ValueError("eta must be symmetric")
-        if self.eta[0][0] * self.eta[1][1] == self.eta[0][1] * self.eta[1][0]:
-            raise ValueError("eta must be nondegenerate")
-        self.potential = potential
-        self.c1 = tuple(tuple(row) for row in c1)
+    def product(a):
+        third = [[t_derivative(t_derivative(t_derivative(potential, a), b), c)
+                  for c in (0, 1)] for b in (0, 1)]
+        return tuple(tuple(row[0] * inv[nu][0] + row[1] * inv[nu][1]
+                           for row in third) for nu in (0, 1))
 
-    def eta_inverse(self):
-        (a, b), (_, d) = self.eta[0], (self.eta[1][0], self.eta[1][1])
-        det = a * d - b * b
-        return ((d / det, -b / det), (-b / det, a / det))
-
-    def _identity(self):
-        n = self.potential.max_degree
-        one = MultiSeries.constant(COORDS, 1, n)
-        zero = MultiSeries.zero(COORDS, n)
-        return ((one, zero), (zero, one))
-
-    def product_matrix_from_potential(self, a):
-        """Multiplication by e_a derived from third potential derivatives.
-
-        Returns the 2x2 matrix with entries c^nu_b = eta^{nu c} Phi_{a b c}
-        as ``MultiSeries``.
-        """
-        third = {}
-        for b, c in itertools.product((0, 1), repeat=2):
-            third[(b, c)] = t_derivative(
-                t_derivative(t_derivative(self.potential, a), b), c
-            )
-        inv = self.eta_inverse()
-        return tuple(
-            tuple(third[(b, 0)] * inv[nu][0] + third[(b, 1)] * inv[nu][1]
-                  for b in (0, 1))
-            for nu in (0, 1)
-        )
-
-    def product_consistency(self):
-        """True iff the stored c1 table matches the potential and e0 is
-        the unit."""
-        derived = self.product_matrix_from_potential(1)
-        if derived != self.c1:
-            return False
-        return self.product_matrix_from_potential(0) == self._identity()
+    n = potential.max_degree
+    one = MultiSeries.constant(COORDS, 1, n)
+    zero = MultiSeries.zero(COORDS, n)
+    return product(1) == c1 and product(0) == ((one, zero), (zero, one))
 
 
 def spin3_structure():
-    """The polynomial structure: potential t0^2 t1/2 + t1^4/72.
+    """The polynomial structure: (eta, potential, c1) with potential
+    t0^2 t1/2 + t1^4/72.
 
-    >>> spin3_structure().product_consistency()
+    >>> product_consistency(*spin3_structure())
     True
     """
     potential = MultiSeries(
@@ -166,16 +140,17 @@ def spin3_structure():
     zero = MultiSeries.zero(COORDS, 4)
     one = MultiSeries.constant(COORDS, 1, 4)
     c1 = ((zero, phi), (one, zero))
-    return FrobeniusData2D(((0, 1), (1, 0)), potential, c1)
+    return ((0, 1), (1, 0)), potential, c1
 
 
 def cp1_structure(lam):
-    """The exponential structure at rational parameter lam.
+    """The exponential structure at rational parameter lam, as
+    (eta, potential, c1).
 
     Potential t0^2 t1/2 + lam t0 t1^2/2 + lam^2 t1^3/6 + q with
     q = e^{t1}; the product is e1*e1 = q e0 + lam e1.
 
-    >>> cp1_structure(Fraction(2)).product_consistency()
+    >>> product_consistency(*cp1_structure(Fraction(2)))
     True
     """
     lam = Fraction(lam)
@@ -193,11 +168,16 @@ def cp1_structure(lam):
     zero = MultiSeries.zero(COORDS, 3)
     one = MultiSeries.constant(COORDS, 1, 3)
     c1 = ((zero, q), (one, one * lam))
-    return FrobeniusData2D(((0, 1), (1, lam)), potential, c1)
+    return ((0, 1), (1, lam)), potential, c1
 
 
 # ---------------------------------------------------------------------------
 # rho-homogeneous series in z
+
+
+def _theta(f):
+    """The Euler operator x d/dx on a PowerSeries, known through its order."""
+    return f.derivative().times_monomial("x")
 
 
 class RhoSeries:
@@ -254,14 +234,14 @@ class RhoSeries:
         return RhoSeries(self.offset + 3, f.times_monomial("x").truncate(f.order))
 
     def t1_derivative(self):
-        """d/dt1 termwise: rho^p -> (p/6) rho^(p-2).
+        """d/dt1 termwise: rho^p -> (p/6) rho^(p-2), so rho^m f(w) goes to
+        rho^(m-2) (m f - 3 theta f)/6, with theta = w d/dw.
 
         >>> RhoSeries(1, PowerSeries([1, 1])).t1_derivative().to_json()
         [{'rho^-1': '1/6'}, {'rho^-4': '-1/3'}]
         """
         m, f = self.offset, self.series
-        coeffs = [c * Fraction(m - 3 * k, 6) for k, c in enumerate(f.coeffs)]
-        return RhoSeries(m - 2, PowerSeries(coeffs, f.order))
+        return RhoSeries(m - 2, f * Fraction(m, 6) - _theta(f) * Fraction(1, 2))
 
     def is_zero(self):
         return self.series.is_zero()
@@ -434,14 +414,8 @@ def cp1_phi_ode_residual(order, lam, z):
     """
     lam, z = Fraction(lam), Fraction(z)
     phi = series_Phi(order, lam, z)
-    coeffs = []
-    for dd in range(order + 1):
-        euler = z * dd
-        val = phi[dd] * euler * (euler - lam)
-        if dd >= 1:
-            val -= phi[dd - 1]
-        coeffs.append(val)
-    return PowerSeries(coeffs, order)
+    z_theta_phi = _theta(phi) * z
+    return _theta(z_theta_phi) * z - z_theta_phi * lam - phi.times_monomial("x")
 
 
 def _sample_rational(rng):

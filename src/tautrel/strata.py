@@ -21,6 +21,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from typing import NamedTuple
 
 from .descendents import bracket
 from .series import Grading, MultiSeries, PowerSeries
@@ -460,34 +461,22 @@ def _kmz_monomial(mult, top):
     return _kmz_monomial(lower, top) * p_j * Fraction(1, mult[-1])
 
 
-class Decoration:
+class Decoration(NamedTuple):
     """Kappa/psi decoration of a stable graph.
 
     ``vertex_kappas`` holds one kappa-exponent tuple per vertex,
     ``leg_psis`` one psi exponent per leg, and ``edge_psis`` one pair
-    of psi exponents per edge (aligned with the edge's vertex pair).
+    of psi exponents per edge (aligned with the edge's vertex pair),
+    all tuples.
     """
 
-    def __init__(self, vertex_kappas, leg_psis, edge_psis):
-        self.vertex_kappas = tuple(tuple(k) for k in vertex_kappas)
-        self.leg_psis = tuple(leg_psis)
-        self.edge_psis = tuple(tuple(p) for p in edge_psis)
+    vertex_kappas: tuple
+    leg_psis: tuple
+    edge_psis: tuple
 
     def degree(self):
         d = sum(kappa_degree(k) for k in self.vertex_kappas)
         return d + sum(self.leg_psis) + sum(a + b for a, b in self.edge_psis)
-
-    def key(self):
-        return (self.vertex_kappas, self.leg_psis, self.edge_psis)
-
-    def __eq__(self, other):
-        return isinstance(other, Decoration) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "Decoration(%r, %r, %r)" % self.key()
 
 
 def _canonical_pair(graph, dec):
@@ -548,7 +537,7 @@ class StrataElement:
     def to_json(self):
         out = []
         for (graph, dec), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0].key(), kv[0][1].key())
+            self.terms.items(), key=lambda kv: (kv[0][0].key(), kv[0][1])
         ):
             out.append(
                 {
@@ -575,7 +564,7 @@ def pairings(element, psi_exps=()):
     is prod e_a! times the coefficient of s^e in the sum.
 
     >>> gr = StableGraph((1, 0), (1, 1), [(0, 1)])
-    >>> dec = Decoration([(), ()], [0, 0], [(0, 0)])
+    >>> dec = Decoration(((), ()), (0, 0), ((0, 0),))
     >>> pairings(StrataElement(1, 2, 1, {(gr, dec): 1}))
     {(1,): Fraction(1, 24)}
     """

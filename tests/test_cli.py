@@ -54,6 +54,28 @@ class TestExitCodes:
         assert code == 1 and "dim = 3g-3+n = 3" in report["message"]
         assert report["location"] == {"g": 2, "n": 0, "a": [], "d": 100}
 
+    @pytest.mark.parametrize("option", [["--format", "json"],
+                                        ["--out", "report.txt"]])
+    def test_option_before_descendents_mode_is_exit_2(self, option, tmp_path,
+                                                      monkeypatch):
+        # The modes take the common options; given before the mode, one
+        # would be dropped for the mode's default.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["descendents"] + option + ["table", "--ks", "1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("ks", ["1000", ",".join(["1"] * 1000)],
+                             ids=["k1000", "1000_ones"])
+    def test_descendents_table_too_deep_is_exit_1(self, ks):
+        code, out = dispatch(["descendents", "table", "--ks", ks,
+                              "--format", "json"])
+        report = json.loads(out)
+        assert code == 1 and not report["ok"]
+        assert "recursion limit" in report["message"]
+        assert report["location"] == {"ks": [int(k) for k in ks.split(",")]}
+
     def test_strata_unstable_is_exit_1(self):
         code, _ = dispatch(["strata", "--g", "0", "--n", "2"])
         assert code == 1
@@ -101,7 +123,10 @@ class TestExitCodes:
         # Each suite rejects the order just below its least.
         + [(["verify", name, "--order", str(least - 1)],
             "%s needs an integer >= %d, got %d" % (name, least, least - 1))
-           for name, least in LEAST_ORDER.items() if least],
+           for name, least in LEAST_ORDER.items() if least]
+        # Descendent exponents: none negative, and at least one.
+        + [(["descendents", "table", "--ks", ks], "--ks: expected a nonempty")
+           for ks in ("-1", "")],
     )
     def test_out_of_range_argument_is_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -333,10 +358,6 @@ class TestReports:
         )
         assert code == 0
         assert json.loads(out)["value"] == "29/5760"
-
-    def test_descendents_table_bad_input(self):
-        code, _ = dispatch(["descendents", "table", "--ks", "-1"])
-        assert code == 1
 
     def test_strata_census(self):
         code, out = dispatch(

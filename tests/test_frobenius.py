@@ -39,38 +39,42 @@ class TestCoordPolynomial:
 
 class TestStructures:
     def test_spin3_consistency(self):
-        assert fr.spin3_structure().product_consistency()
+        assert fr.product_consistency(*fr.spin3_structure())
 
     def test_spin3_third_derivative_oracle(self):
         # eta(e1*e1, e1) = d^3/dt1^3 (t1^4/72) = t1/3
-        data = fr.spin3_structure()
+        _, potential, _ = fr.spin3_structure()
         d = lambda p: fr.t_derivative(p, 1)
-        assert d(d(d(data.potential))) == coord({(0, 1, 0): Q(1, 3)})
+        assert d(d(d(potential))) == coord({(0, 1, 0): Q(1, 3)})
 
     def test_spin3_product_at_t1_3(self):
         # phi = t1/3 = 1 at t1 = 3, so e1*e1 = e0 there.
-        data = fr.spin3_structure()
-        assert poly_eval(data.c1[0][1], 0, 3, 1) == 1
-        assert poly_eval(data.c1[1][1], 0, 3, 1) == 0
+        _, _, c1 = fr.spin3_structure()
+        assert poly_eval(c1[0][1], 0, 3, 1) == 1
+        assert poly_eval(c1[1][1], 0, 3, 1) == 0
 
     def test_cp1_consistency(self):
-        assert fr.cp1_structure(Q(2)).product_consistency()
-        assert fr.cp1_structure(Q(7, 2)).product_consistency()
+        assert fr.product_consistency(*fr.cp1_structure(Q(2)))
+        assert fr.product_consistency(*fr.cp1_structure(Q(7, 2)))
 
     def test_cp1_cubic_sign_negative_control(self):
         # Flipping the cubic coefficient to -lam^2/6 breaks the match
         # between the product table and the potential.
         lam = Q(2)
-        good = fr.cp1_structure(lam)
-        bad_potential = good.potential + coord(
-            {(0, 3, 0): -lam * lam / 3}, good.potential.max_degree
+        eta, potential, c1 = fr.cp1_structure(lam)
+        bad_potential = potential + coord(
+            {(0, 3, 0): -lam * lam / 3}, potential.max_degree
         )
-        bad = fr.FrobeniusData2D(good.eta, bad_potential, good.c1)
-        assert not bad.product_consistency()
+        assert not fr.product_consistency(eta, bad_potential, c1)
 
     def test_degenerate_eta_rejected(self):
-        with pytest.raises(ValueError):
-            fr.FrobeniusData2D(((1, 1), (1, 1)), None, None)
+        with pytest.raises(ValueError, match="nondegenerate"):
+            fr.product_consistency(((1, 1), (1, 1)), None, None)
+
+    def test_non_symmetric_eta_rejected(self):
+        _, potential, c1 = fr.spin3_structure()
+        with pytest.raises(ValueError, match="symmetric"):
+            fr.product_consistency(((0, 1), (2, 0)), potential, c1)
 
 
 class TestRhoSeries:

@@ -34,8 +34,8 @@ def ref_canonical(graph):
 
 def undecorated(graph):
     """The decoration with no kappa and no psi anywhere."""
-    return Decoration([()] * len(graph.genera), [0] * len(graph.legs),
-                      [(0, 0)] * len(graph.edges))
+    return Decoration(((),) * len(graph.genera), (0,) * len(graph.legs),
+                      ((0, 0),) * len(graph.edges))
 
 
 # Graphs with legs on some vertices only, and leg-less ones whose
@@ -91,7 +91,7 @@ def ref_canonical_pair(graph, dec):
         cand = (cand_graph.key(), vk, dec.leg_psis, tuple(psis))
         if best is None or cand < best:
             best = cand
-            best_pair = (cand_graph, Decoration(vk, dec.leg_psis, psis))
+            best_pair = (cand_graph, Decoration(vk, dec.leg_psis, tuple(psis)))
     return best_pair
 
 
@@ -267,8 +267,8 @@ def relabel_pair(graph, dec, p, rng):
         [p[v] for v in graph.legs],
         [e for e, _ in items],
     )
-    vk = [dec.vertex_kappas[inv[v]] for v in range(nv)]
-    return relabelled, Decoration(vk, dec.leg_psis, [ab for _, ab in items])
+    vk = tuple(dec.vertex_kappas[inv[v]] for v in range(nv))
+    return relabelled, Decoration(vk, dec.leg_psis, tuple(ab for _, ab in items))
 
 
 class TestCanonicalForm:
@@ -500,7 +500,7 @@ class TestIntegrate:
         gr = StableGraph((1, 0), (1, 1), [(0, 1)])
         el = StrataElement(1, 2, 1, {(gr, undecorated(gr)): Q(1)})
         assert strata.integrate(el, psi_exps=(1, 0)) == 0
-        dec = Decoration([(), ()], [0, 0], [(1, 0)])
+        dec = Decoration(((), ()), (0, 0), ((1, 0),))
         el2 = StrataElement(1, 2, 2, {(gr, dec): Q(1)})
         assert strata.integrate(el2) == Q(1, 24)
 
@@ -519,7 +519,7 @@ class TestIntegrate:
         # genus-1 vertex with a loop carrying psi' on one half-edge,
         # paired with ambient kappa_1 on Mbar_2.
         gr = StableGraph((1,), (), [(0, 0)])
-        dec = Decoration([()], [], [(1, 0)])
+        dec = Decoration(((),), (), ((1, 0),))
         el = StrataElement(2, 0, 2, {(gr, dec): Q(1)})
         expected = ref_vertex_integral(1, (1,), (0, 1)) / 2
         assert strata.integrate(el, kappa_exps=(1,)) == expected
