@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautrel import airy, cli, descendents, named_series
+from tautrel import airy, cli, descendents, frobenius, named_series
 from tautrel.cli import dispatch
 from tautrel.series import PowerSeries
 
@@ -540,6 +540,50 @@ class TestVerify:
         data = json.loads(out)
         assert data["ok"]
         assert any(c["name"] == "branch-1_second_order" for c in data["checks"])
+
+    def test_failure_payloads_of_a_broken_r_matrix(self, monkeypatch):
+        # With d_2 of the canonical frame doubled, the failed checks carry
+        # the rho-keyed residuals and the R-matrix report.
+        solve = frobenius._canonical_components
+
+        def doubled(order):
+            a, beta, gamma, d = solve(order)
+            return a, beta, gamma, d[:2] + [2 * d[2]] + d[3:]
+
+        monkeypatch.setattr(frobenius, "_canonical_components", doubled)
+
+        def failures(argv):
+            code, out = dispatch(argv + ["--format", "json"])
+            assert code == 1
+            return {c["name"]: c["computed"]
+                    for c in json.loads(out)["failures"]}
+
+        assert failures(["verify", "flatness", "--order", "8"]) == {
+            "branch-1_t1_1":
+                [{}, {}, {}, {"rho^-8": "455/497664"}] + [{}] * 5,
+            "branch-1_t1_0":
+                [{}, {}, {}, {"rho^-7": "385/497664"}] + [{}] * 5,
+            "branch-1_second_order":
+                [{}, {}, {}, {"rho^-7": "35/20736"},
+                 {"rho^-10": "-7735/5971968"}] + [{}] * 4,
+        }
+        assert failures(["verify", "frobenius"]) == {"r_matrix": {
+            "order": 6,
+            "entries": {
+                "00": [{"rho^0": "1"}, {}, {"rho^-6": "-35/3072"}, {},
+                       {"rho^-12": "-40415375/10319560704"}, {},
+                       {"rho^-18": "-6183948445675/1283918464548864"}],
+                "01": [{}, {"rho^-2": "-7/144"}, {"rho^-5": "-35/82944"},
+                       {"rho^-8": "-95095/17915904"}, {},
+                       {"rho^-14": "-5763232475/1486016741376"}, {}],
+                "10": [{}, {"rho^-4": "5/144"}, {"rho^-7": "-35/82944"},
+                       {"rho^-10": "85085/17915904"}, {},
+                       {"rho^-16": "5391411025/1486016741376"}, {}],
+                "11": [{"rho^0": "1"}, {}, {"rho^-6": "245/27648"}, {},
+                       {"rho^-12": "37182145/10319560704"}, {},
+                       {"rho^-18": "5849680962125/1283918464548864"}],
+            },
+        }}
 
     def test_frobenius_suite_deterministic(self):
         a = dispatch(["verify", "frobenius", "--format", "json", "--seed", "5"])
