@@ -557,14 +557,14 @@ def _suite_frobenius(order, seed):
 def _suite_flatness(order, seed):
     for branch in (1, -1):
         res = frobenius.airy_flatness_check(order, branch=branch)
-        for name, series in res.items():
+        for name, (offset, series) in res.items():
             note = ", zero as G does not depend on t0" if name.startswith("t0") else ""
             yield _check(
                 "branch%+d_%s" % (branch, name),
                 "flatness residual %s, branch %+d, through z^%d%s"
                 % (name, branch, order, note),
                 series.is_zero(),
-                computed=None if series.is_zero() else series.to_json(),
+                computed=None if series.is_zero() else frobenius.rho_json(offset, series),
             )
 
 
@@ -671,6 +671,13 @@ def render(report, fmt):
     return "\n".join(lines)
 
 
+def _before_mode(text):
+    """The type of a common option given before the ``descendents`` mode:
+    a usage error under the option's name (the mode's default would win)."""
+    raise argparse.ArgumentTypeError(
+        "given before the mode; options follow the mode (closed, open or table)")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -701,9 +708,12 @@ def build_parser():
     p.add_argument("--precision-bits", type=_int_at_least(64), default=128)
     p.set_defaults(func=cmd_airy)
 
-    # The group takes no common option: each mode sets its own defaults,
-    # which would override one given before the mode.
+    # The group rejects the common options: each mode sets its own
+    # defaults, which would override one given before the mode.
     p = sub.add_parser("descendents")
+    for option in ("--format", "--seed", "--out"):
+        p.add_argument(option, type=_before_mode, default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
     dsub = p.add_subparsers(dest="mode", required=True)
     d = dsub.add_parser("closed", parents=[common])
     d.add_argument("--degree", type=_nonneg_int, default=8)

@@ -307,13 +307,13 @@ def determinant_formula_check(Fc: MultiSeries, N: int, order: int) -> dict:
     E = _airy_shift(Fc, order, xs)
     nt = len(Fc.grading)
     at = {e[nt:]: c for e, c in E.terms.items()}
-    # psi_{j+1} has x^k coefficient c_{j,k} + (k - j - 3/2) c_{j,k-3}; the
-    # Plucker coordinates read psi_j through x^(order + j - 1).
-    psi = [series_calA(order + N - 1).coeffs]
+    # The Plucker coordinates read psi_j through x^(order + j - 1).
+    p = series_calA(order + N - 1)
+    psi = [p.coeffs]
     for j in range(1, N):
-        c = psi[-1]
-        psi.append([c[k] + (k - j - Q(3, 2)) * c[k - 3] if k >= 3 else c[k]
-                    for k in range(len(c))])
+        p = (p.derivative().times_monomial("x", 4) + p
+             + p.times_monomial("x", 3) * (Q(3, 2) - j))
+        psi.append(p.coeffs)
     perms = [((-1) ** sum(p > q for i, p in enumerate(s) for q in s[i + 1:]), s)
              for s in permutations(range(N))]
     # A partition of d into at most N parts is the conjugate of one with

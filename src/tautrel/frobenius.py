@@ -27,14 +27,16 @@ hypergeometric matrix
     [[ -B^even(w),        -rho   B^odd(w) ],
      [  rho^{-1} A^odd(w),  A^even(w)     ]],     w = z / (6 rho^3),
 
-built from the A and B series of ``named_series``.  Each entry is
-rho^m f(z / rho^3) for a power series f, so its z^k coefficient is the
-single rho-monomial f_k rho^(m - 3k) (:class:`RhoSeries`).
+built from the A and B series of ``named_series``.  Entry (i, j) is
+rho^(j - i) M[i][j](z / rho^3) for a power series M[i][j], so its z^k
+coefficient is the single rho-monomial M[i][j]_k rho^(j - i - 3k).
+``solve_R`` and ``hypergeometric_r_matrix`` return the 2x2 tuple M of
+``PowerSeries``; ``r_matrix_json`` writes it with the rho-powers.
 
 Example::
 
     >>> R = solve_R(2)
-    >>> R[1][0].to_json()[1]
+    >>> r_matrix_json(R)["entries"]["10"][1]
     {'rho^-4': '5/144'}
 """
 
@@ -57,7 +59,7 @@ __all__ = [
     "product_consistency",
     "spin3_structure",
     "cp1_structure",
-    "RhoSeries",
+    "rho_json",
     "r_matrix_json",
     "solve_R",
     "hypergeometric_r_matrix",
@@ -172,7 +174,7 @@ def cp1_structure(lam):
 
 
 # ---------------------------------------------------------------------------
-# rho-homogeneous series in z
+# the R-matrix in w = z / rho^3
 
 
 def _theta(f):
@@ -180,96 +182,24 @@ def _theta(f):
     return f.derivative().times_monomial("x")
 
 
-class RhoSeries:
-    """rho^offset * f(w) with w = z / rho^3, for a ``PowerSeries`` f.
+def rho_json(offset, f):
+    """rho^offset f(z / rho^3) by its z^k coefficients, each the single
+    rho-monomial {"rho^(offset - 3k)": f_k}, or {} where f_k is 0.
 
-    The z^k coefficient is the single rho-monomial f_k rho^(offset - 3k),
-    and d rho / d t1 = 1 / (6 rho).  Sums need equal offsets, so every
-    value stays rho-homogeneous.
-
-    >>> s = RhoSeries(1, PowerSeries([1, Fraction(1, 6)]))
-    >>> s.to_json()
-    [{'rho^1': '1'}, {'rho^-2': '1/6'}]
-    >>> s[1], s.z_shift().to_json()
-    (Fraction(1, 6), [{}, {'rho^1': '1'}])
+    >>> rho_json(1, PowerSeries([1, 0, Fraction(1, 6)]))
+    [{'rho^1': '1'}, {}, {'rho^-5': '1/6'}]
     """
-
-    __slots__ = ("offset", "series")
-
-    def __init__(self, offset, series):
-        self.offset = offset
-        self.series = series
-
-    def __getitem__(self, k):
-        """The rational coefficient of z^k, at rho^(offset - 3k)."""
-        return self.series[k]
-
-    def _same_offset(self, other):
-        if self.offset != other.offset:
-            raise ValueError(
-                "rho offsets differ: %d and %d" % (self.offset, other.offset)
-            )
-
-    def __add__(self, other):
-        self._same_offset(other)
-        return RhoSeries(self.offset, self.series + other.series)
-
-    def __sub__(self, other):
-        self._same_offset(other)
-        return RhoSeries(self.offset, self.series - other.series)
-
-    def __mul__(self, other):
-        """Product with a RhoSeries (offsets add) or a rational."""
-        if isinstance(other, RhoSeries):
-            return RhoSeries(self.offset + other.offset, self.series * other.series)
-        return RhoSeries(self.offset, self.series * other)
-
-    def shift(self, j):
-        """Multiply by rho^j."""
-        return RhoSeries(self.offset + j, self.series)
-
-    def z_shift(self):
-        """Multiply by z = w rho^3, truncating at the order."""
-        f = self.series
-        return RhoSeries(self.offset + 3, f.times_monomial("x").truncate(f.order))
-
-    def t1_derivative(self):
-        """d/dt1 termwise: rho^p -> (p/6) rho^(p-2), so rho^m f(w) goes to
-        rho^(m-2) (m f - 3 theta f)/6, with theta = w d/dw.
-
-        >>> RhoSeries(1, PowerSeries([1, 1])).t1_derivative().to_json()
-        [{'rho^-1': '1/6'}, {'rho^-4': '-1/3'}]
-        """
-        m, f = self.offset, self.series
-        return RhoSeries(m - 2, f * Fraction(m, 6) - _theta(f) * Fraction(1, 2))
-
-    def is_zero(self):
-        return self.series.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RhoSeries)
-            and self.series.order == other.series.order
-            and self.series.coeffs == other.series.coeffs
-            and (self.offset == other.offset or self.is_zero())
-        )
-
-    def __repr__(self):
-        return "RhoSeries(rho^%d * %r)" % (self.offset, self.series)
-
-    def to_json(self):
-        return [
-            {"rho^%d" % (self.offset - 3 * k): str(c)} if c else {}
-            for k, c in enumerate(self.series.coeffs)
-        ]
+    return [{"rho^%d" % (offset - 3 * k): str(c)} if c else {}
+            for k, c in enumerate(f.coeffs)]
 
 
 def r_matrix_json(R):
-    """The report of a 2x2 matrix of RhoSeries: its order and each entry
-    under the key "ij"."""
+    """The report of an R-matrix: its order and each entry under the key
+    "ij", with its rho-offset j - i."""
     return {
-        "order": R[0][0].series.order,
-        "entries": {"%d%d" % (i, j): R[i][j].to_json() for i in (0, 1) for j in (0, 1)},
+        "order": R[0][0].order,
+        "entries": {"%d%d" % (i, j): rho_json(j - i, R[i][j])
+                    for i in (0, 1) for j in (0, 1)},
     }
 
 
@@ -303,44 +233,32 @@ def _canonical_components(order):
 
 def solve_R(order):
     """The 3-spin R-matrix in the flat basis through z^order, as the 2x2
-    tuple of its RhoSeries entries, solved from the flatness equation (the
-    exponential structure is covered only by its leading-order limit,
-    ``cp1_leading_limit``).
+    tuple M of PowerSeries in w with R[i][j] = rho^(j - i) M[i][j](w),
+    solved from the flatness equation (the exponential structure is
+    covered only by its leading-order limit, ``cp1_leading_limit``).
 
-    >>> R = solve_R(1)
-    >>> R[0][1].to_json()
-    [{}, {'rho^-2': '-7/144'}]
+    >>> solve_R(1)[0][1]
+    PowerSeries(-7/144*x^1 + O(x^2))
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    a, beta, gamma, d = _canonical_components(order)
-
-    def entry(offset, coeffs):
-        return RhoSeries(offset, PowerSeries(coeffs, order))
-
-    ks = range(order + 1)
+    comps = list(zip(*_canonical_components(order)))
     return (
-        (
-            entry(0, [(a[k] + d[k] + gamma[k] - beta[k]) / 2 for k in ks]),
-            entry(1, [(d[k] - a[k] - beta[k] - gamma[k]) / 2 for k in ks]),
-        ),
-        (
-            entry(-1, [(d[k] - a[k] + beta[k] + gamma[k]) / 2 for k in ks]),
-            entry(0, [(a[k] + d[k] + beta[k] - gamma[k]) / 2 for k in ks]),
-        ),
+        (PowerSeries([(a + d + g - b) / 2 for a, b, g, d in comps], order),
+         PowerSeries([(d - a - b - g) / 2 for a, b, g, d in comps], order)),
+        (PowerSeries([(d - a + b + g) / 2 for a, b, g, d in comps], order),
+         PowerSeries([(a + d + b - g) / 2 for a, b, g, d in comps], order)),
     )
 
 
 def _parity_part(f, parity):
-    """The terms of f whose exponent has the given parity, in w."""
-    return PowerSeries(
-        [c if k % 2 == parity else 0 for k, c in enumerate(f.coeffs)],
-        f.order,
-    )
+    """The terms of f whose exponent has the given parity:
+    (f(w) + (1 - 2 parity) f(-w)) / 2."""
+    return (f + f.scale_argument(-1) * (1 - 2 * parity)) * Fraction(1, 2)
 
 
 def hypergeometric_r_matrix(order):
-    """The closed-form R-matrix built from the A and B series.
+    """The closed-form R-matrix from the A and B series, as ``solve_R``'s M.
 
     Entry-wise, with w = z / (6 rho^3):
 
@@ -352,24 +270,34 @@ def hypergeometric_r_matrix(order):
     A = series_A(order).scale_argument(Fraction(1, 6))
     B = series_B(order).scale_argument(Fraction(1, 6))
     return (
-        (RhoSeries(0, -_parity_part(B, 0)), RhoSeries(1, -_parity_part(B, 1))),
-        (RhoSeries(-1, _parity_part(A, 1)), RhoSeries(0, _parity_part(A, 0))),
+        (-_parity_part(B, 0), -_parity_part(B, 1)),
+        (_parity_part(A, 1), _parity_part(A, 0)),
     )
 
 
-def _reduced_operator(g, branch):
-    """z(g' - g/(12 rho^2)) - branch*rho*g, the flatness operator on the
-    reduced solution columns (the last term records the e^{u/z} factor)."""
-    out = (g.t1_derivative() - g.shift(-2) * Fraction(1, 12)).z_shift()
-    return out - g.shift(1) * branch
+def _reduced_operator(g, m, branch):
+    """z(d/dt1 - 1/(12 rho^2)) - branch*rho, the flatness operator on a
+    reduced solution column rho^m g(w), as the series of rho^(m+1) (the
+    last term records the e^{u/z} factor).  As d/dt1 takes rho^m g to
+    rho^(m-2) (m g - 3 theta g)/6 and z is w rho^3, the series is
+    w ((2m - 1) g/12 - theta g/2) - branch g.
+
+    >>> _reduced_operator(PowerSeries([1, 1]), 1, 1)
+    PowerSeries(-1*x^0 + -11/12*x^1 + O(x^2))
+    """
+    out = (g * Fraction(2 * m - 1, 12) - _theta(g) * Fraction(1, 2)).times_monomial("x")
+    return out.truncate(g.order) - g * branch
 
 
 def airy_flatness_check(order, branch=1):
     """Residuals of the flatness system for S = Psi R e^{u/z}.
 
     The solution column for the given branch (+1 or -1) reduces, after
-    stripping 1/sqrt(Delta) and e^{u/z}, to G = R_flat . (-branch*rho, 1).
-    Returned residuals (all RhoSeries, identically zero):
+    stripping 1/sqrt(Delta) and e^{u/z}, to G = R . (-branch*rho, 1),
+    that is G^0 = rho g0(w) and G^1 = g1(w) with g0 = M01 - branch M00
+    and g1 = M11 - branch M10 for the M of ``solve_R``.  Returns each
+    residual, identically zero, as (offset, series) for
+    rho^offset series(w):
 
     - "t0_0", "t0_1": z dS/dt0 - S for each component,
     - "t1_1": z dS/dt1 - (e1 * S), component 1 (reduces to D G^1 - G^0),
@@ -381,21 +309,18 @@ def airy_flatness_check(order, branch=1):
         raise ValueError("branch must be +1 or -1")
     if order < 2:
         raise ValueError("order must be at least 2")
-    R = solve_R(order)
-    g0 = R[0][0].shift(1) * -branch + R[0][1]
-    g1 = R[1][0].shift(1) * -branch + R[1][1]
-
-    def op(g):
-        return _reduced_operator(g, branch)
-
+    (m00, m01), (m10, m11) = solve_R(order)
+    g0 = m01 - m00 * branch
+    g1 = m11 - m10 * branch
+    d_g1 = _reduced_operator(g1, 0, branch)
     # z dS/dt0 = S reduces to (du/dt0) G = G, as G does not depend on t0:
     # the e^{u/z} factor meets it alone, so its residuals are 0.
     return {
-        "t0_0": g0 * 0,
-        "t0_1": g1 * 0,
-        "t1_1": op(g1) - g0,
-        "t1_0": op(g0) - g1.shift(2),
-        "second_order": op(op(g1)) - g1.shift(2),
+        "t0_0": (1, g0 * 0),
+        "t0_1": (0, g1 * 0),
+        "t1_1": (1, d_g1 - g0),
+        "t1_0": (2, _reduced_operator(g0, 1, branch) - g1),
+        "second_order": (2, _reduced_operator(d_g1, 1, branch) - g1),
     }
 
 

@@ -50,12 +50,6 @@ class NotInPixtonSetError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _h_coeffs(which, order):
-    series = series_H0(order) if which == 0 else series_H1(order)
-    return tuple(series[k] for k in range(order + 1))
-
-
-@lru_cache(maxsize=None)
 def vertex_factor(truncation):
     """kappa(T - T H0(zeta T)) as its (even, odd) zeta-parity parts.
 
@@ -87,7 +81,7 @@ def leg_factor(a_l, truncation):
     """
     if a_l not in (0, 1):
         raise ValueError("leg marking must be 0 or 1")
-    h = _h_coeffs(a_l, truncation)
+    h = (series_H0 if a_l == 0 else series_H1)(truncation).coeffs
     parts = ({}, {})
     for k in range(truncation + 1):
         if h[k]:
@@ -110,8 +104,8 @@ def edge_factor(truncation):
     (Fraction(60, 1), Fraction(-84, 1))
     """
     t = truncation + 1
-    h0 = _h_coeffs(0, t)
-    h1 = _h_coeffs(1, t)
+    h0 = series_H0(t).coeffs
+    h1 = series_H1(t).coeffs
     num = {
         (0, 0): {},
         (0, 1): {(0, 0): Fraction(1)},  # zeta''

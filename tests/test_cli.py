@@ -55,9 +55,10 @@ class TestExitCodes:
         assert report["location"] == {"g": 2, "n": 0, "a": [], "d": 100}
 
     @pytest.mark.parametrize("option", [["--format", "json"],
-                                        ["--out", "report.txt"]])
+                                        ["--out", "report.txt"],
+                                        ["--seed", "3"]])
     def test_option_before_descendents_mode_is_exit_2(self, option, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, capsys):
         # The modes take the common options; given before the mode, one
         # would be dropped for the mode's default.
         monkeypatch.chdir(tmp_path)
@@ -65,6 +66,9 @@ class TestExitCodes:
             dispatch(["descendents"] + option + ["table", "--ks", "1"])
         assert exc.value.code == 2
         assert not (tmp_path / "report.txt").exists()
+        err = capsys.readouterr().err
+        assert "argument %s: given before the mode" % option[0] in err
+        assert "options follow the mode" in err
 
     @pytest.mark.parametrize("ks", ["1000", ",".join(["1"] * 1000)],
                              ids=["k1000", "1000_ones"])

@@ -16,10 +16,6 @@ def coord(terms, degree=4):
     return MultiSeries(fr.COORDS, terms, degree)
 
 
-def rho_series(offset, coeffs, order=None):
-    return fr.RhoSeries(offset, PowerSeries(coeffs, order))
-
-
 class TestCoordPolynomial:
     """Polynomials in the coordinates (t0, t1, q = e^{t1})."""
 
@@ -77,36 +73,17 @@ class TestStructures:
             fr.product_consistency(((0, 1), (2, 0)), potential, c1)
 
 
-class TestRhoSeries:
-    def test_derivative(self):
-        # d rho / dt1 = 1/(6 rho), and z/rho^3 -> -z/(2 rho^5)
-        rho = rho_series(1, [1])
-        assert rho.t1_derivative() == rho_series(-1, [Q(1, 6)])
-        w = rho_series(0, [0, 1])
-        assert w.t1_derivative() == rho_series(-2, [0, Q(-1, 2)])
-
-    def test_arithmetic(self):
-        s = rho_series(1, [1, 2])
-        t = rho_series(-1, [3, 4])
-        assert (s * t).to_json() == [{"rho^0": "3"}, {"rho^-3": "10"}]
-        assert (s * Q(1, 2) + s.shift(2).shift(-2)).to_json() == (
-            (s * Q(3, 2)).to_json()
-        )
-        assert (s - s).is_zero() and (s - s).to_json() == [{}, {}]
-        assert s.z_shift().to_json() == [{}, {"rho^1": "1"}]
-
-    def test_unequal_offsets_rejected(self):
-        s = rho_series(1, [1, 2])
-        with pytest.raises(ValueError):
-            s + s.shift(1)
-        with pytest.raises(ValueError):
-            s - s.z_shift()
-
-    def test_equality(self):
-        assert rho_series(0, [1, 2]) != rho_series(1, [1, 2])
-        assert rho_series(0, [1, 2]) != rho_series(0, [1, 2, 0])
-        # A zero series is zero at every offset.
-        assert rho_series(0, [0, 0]) == rho_series(3, [0, 0])
+class TestReducedOperator:
+    def test_hand_values(self):
+        # rho^m g(w) goes to rho^(m+1) times z(d/dt1 - 1/(12 rho^2)) - branch rho
+        # of it; with d rho / dt1 = 1/(6 rho), for rho itself (m = 1, g = 1)
+        # that is z (1/6 - 1/12) rho^{-1} - branch rho^2 = (w/12 - branch) rho^2.
+        one = PowerSeries([1], 2)
+        assert fr._reduced_operator(one, 1, 1) == PowerSeries([-1, Q(1, 12), 0])
+        # w = z / rho^3 (m = 0) has d/dt1 -z/(2 rho^5) = -w/(2 rho^2), so
+        # z (-w/2 - w/12) rho^{-2} - branch w rho = (-7 w^2/12 - branch w) rho.
+        w = PowerSeries([0, 1], 2)
+        assert fr._reduced_operator(w, 0, -1) == PowerSeries([0, 1, Q(-7, 12)])
 
 
 def a_coeff(j):
@@ -121,17 +98,18 @@ class TestSolveR:
         R = fr.solve_R(1)
         assert R[0][0][1] == 0
         assert R[1][1][1] == 0
-        assert R[0][1].to_json()[1] == {"rho^-2": "-7/144"}
-        assert R[1][0].to_json()[1] == {"rho^-4": "5/144"}
+        entries = fr.r_matrix_json(R)["entries"]
+        assert entries["01"][1] == {"rho^-2": "-7/144"}
+        assert entries["10"][1] == {"rho^-4": "5/144"}
 
     def test_second_order_diagonal_factorial_oracle(self):
         # Diagonal z^2 coefficients are -B_2/36 and A_2/36 with
         # A_2 = 12!/(6!4!288^2) = 385/1152 and B_2 = A_2 * 13/11.
-        R = fr.solve_R(2)
+        entries = fr.r_matrix_json(fr.solve_R(2))["entries"]
         A2 = a_coeff(2)
         assert A2 == Q(385, 1152)
-        assert R[1][1].to_json()[2] == {"rho^-6": str(A2 / 36)}
-        assert R[0][0].to_json()[2] == {
+        assert entries["11"][2] == {"rho^-6": str(A2 / 36)}
+        assert entries["00"][2] == {
             "rho^-6": str(-A2 * Q(13, 11) / 36)
         }
 
@@ -141,50 +119,53 @@ class TestSolveR:
 
     def test_symplectic_condition(self):
         # R(z) eta R(-z)^T eta = Id; with eta the antidiagonal metric the
-        # adjoint entry (i, j) is R(-z)[1-j][1-i].  This pins the sign of
-        # the (0,1) entry: flipping it breaks the identity at z^2.
-        order = 6
-        R = fr.solve_R(order)
-
-        def at_minus_z(s):
-            return fr.RhoSeries(s.offset, s.series.scale_argument(-1))
-
+        # adjoint entry (i, j) is R(-z)[1-j][1-i].  As R[i][j] is
+        # rho^(j-i) M[i][j](w), both terms of entry (i, j) carry rho^(i-j),
+        # so in w it reads M_i0(w) M_{1-j,1}(-w) + M_i1(w) M_{1-j,0}(-w)
+        # = delta_ij.  This pins the sign of the (0,1) entry: flipping it
+        # breaks the identity at z^2.
+        order = 8
+        M = fr.solve_R(order)
         for i in (0, 1):
             for j in (0, 1):
-                acc = R[i][0] * at_minus_z(R[1 - j][1])
-                acc = acc + R[i][1] * at_minus_z(R[1 - j][0])
-                expect = rho_series(i - j, [1 if i == j else 0], order)
-                assert acc == expect, (i, j)
+                acc = (M[i][0] * M[1 - j][1].scale_argument(-1)
+                       + M[i][1] * M[1 - j][0].scale_argument(-1))
+                assert acc == PowerSeries([1 if i == j else 0], order), (i, j)
 
     def test_canonical_recursion_solves_flatness(self):
         # The rational recursion against the equations it solves, with
-        # X = sum_k X_k z^k rho^{-3k} for each component X:
+        # X = sum_k X_k z^k rho^{-3k} = X(w) for each component X, which
+        # is rho-offset 0, so that X' = d/dt1 X = -(theta X)(w) / (2 rho^2)
+        # with theta = w d/dw:
         # 2 rho beta = z (d / (12 rho^2) - beta'),
         # 2 rho gamma = z (a / (12 rho^2) + gamma'),
         # a' = -gamma / (12 rho^2) and d' = beta / (12 rho^2).
+        # At offset 1 the first two read 2 beta = w (d / 12 + theta beta / 2)
+        # and 2 gamma = w (a / 12 - theta gamma / 2); at offset -2 the last
+        # two read theta a = gamma / 6 and theta d = -beta / 6.
         order = 12
         a, beta, gamma, d = (
-            rho_series(0, c) for c in fr._canonical_components(order)
+            PowerSeries(c) for c in fr._canonical_components(order)
         )
-        twelfth = Q(1, 12)
-        assert beta.shift(1) * 2 == (
-            d.shift(-2) * twelfth - beta.t1_derivative()
-        ).z_shift()
-        assert gamma.shift(1) * 2 == (
-            a.shift(-2) * twelfth + gamma.t1_derivative()
-        ).z_shift()
-        assert a.t1_derivative() == gamma.shift(-2) * -twelfth
-        assert d.t1_derivative() == beta.shift(-2) * twelfth
-        assert not a.t1_derivative().is_zero()
+        theta = fr._theta
+
+        def times_w(f):
+            return f.times_monomial("x").truncate(order)
+
+        assert beta * 2 == times_w(d * Q(1, 12) + theta(beta) * Q(1, 2))
+        assert gamma * 2 == times_w(a * Q(1, 12) - theta(gamma) * Q(1, 2))
+        assert theta(a) == gamma * Q(1, 6)
+        assert theta(d) == beta * Q(-1, 6)
+        assert not theta(a).is_zero()
 
     def test_homogeneity(self):
         # Every z^k coefficient is concentrated in a single rho-weight
         # -3k shifted by +1 / -1 on the off-diagonal.
-        R = fr.solve_R(5)
+        entries = fr.r_matrix_json(fr.solve_R(5))["entries"]
         shifts = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}
         for (i, j), s in shifts.items():
             for k in range(6):
-                for m in R[i][j].to_json()[k]:
+                for m in entries["%d%d" % (i, j)][k]:
                     assert m == "rho^%d" % (-3 * k + s)
 
     def test_rejects_other_models_and_bad_order(self):
@@ -193,9 +174,11 @@ class TestSolveR:
 
     def test_constant_term_is_the_identity(self):
         for R in (fr.solve_R(3), fr.hypergeometric_r_matrix(3)):
+            entries = fr.r_matrix_json(R)["entries"]
             for i in (0, 1):
                 for j in (0, 1):
-                    assert R[i][j].to_json()[0] == ({"rho^0": "1"} if i == j else {})
+                    want = {"rho^0": "1"} if i == j else {}
+                    assert entries["%d%d" % (i, j)][0] == want
 
     def test_json(self):
         data = fr.r_matrix_json(fr.solve_R(1))
@@ -224,7 +207,7 @@ class TestAiryFlatness:
     def test_residuals_vanish(self, order, branch):
         res = fr.airy_flatness_check(order, branch=branch)
         assert set(res) == {"t0_0", "t0_1", "t1_1", "t1_0", "second_order"}
-        for name, series in res.items():
+        for name, (_, series) in res.items():
             assert series.is_zero(), name
 
     def test_bad_arguments(self):

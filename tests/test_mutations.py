@@ -91,10 +91,12 @@ MUTATIONS = {
         ("descendents",),
         {"all": None},
     ),
+    # H1 as pixton reads it, in its leg and edge factors.
     "h1_z3_doubled": (
-        "pixton", "_h_coeffs",
-        ("series[k] for k",
-         "series[k] * (2 if (which, k) == (1, 3) else 1) for k"),
+        "named_series", "series_H1",
+        ("return -series_B(order).scale_argument(-288)",
+         "return PowerSeries([c * (2 if k == 3 else 1) for k, c in enumerate("
+         "(-series_B(order).scale_argument(-288)).coeffs)], order)"),
         ("pixton",),
         {"all": None},
     ),
@@ -181,7 +183,8 @@ MUTATIONS = {
     # The flatness operator without the term of the e^{u/z} factor.
     "flatness_without_exponential": (
         "frobenius", "_reduced_operator",
-        ("return out - g.shift(1) * branch", "return out"),
+        ("return out.truncate(g.order) - g * branch",
+         "return out.truncate(g.order)"),
         ("frobenius",),
         {"flatness": ["branch+1_second_order", "branch+1_t1_0", "branch+1_t1_1",
                       "branch-1_second_order", "branch-1_t1_0",
