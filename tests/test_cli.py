@@ -734,6 +734,11 @@ GOLDEN_REPORTS = {
         "d2bbf24009c6b559782c05ed0dfd871c39212603ac66eefb18fd66d9062feabf",
     "verify strata":
         "cb5b9e921b2665e7d3521c12474e935284d69e691895cd06b6734b456fc41eb8",
+    # Legs of both markings at a decoration budget of 2 and more.
+    "pixton --g 3 --n 1 --a 1 --d 3":
+        "d3e5db1658bdf049c33419e3ef803a1e9eda31450f4053734da919ea45f3874d",
+    "pixton --g 3 --n 1 --a 0 --d 4":
+        "001c18ede2ebe0b09d338e1d3fbed05c3a216eed1a308a617d6eb57d8205e342",
 }
 
 

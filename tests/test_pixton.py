@@ -202,7 +202,35 @@ class TestLegFactor:
             pixton.leg_factor(2, 1)
 
 
+def ref_edge_factor(truncation):
+    """The former pixton.edge_factor: the H0/H1 coefficient products of
+    the numerator in a double loop, sorted into (zeta', zeta'') parity
+    sectors and divided by psi' + psi''."""
+    t = truncation + 1
+    h0 = series_H0(t).coeffs
+    h1 = series_H1(t).coeffs
+    num = {
+        (0, 0): {},
+        (0, 1): {(0, 0): Q(1)},  # zeta''
+        (1, 0): {(0, 0): Q(1)},  # zeta'
+        (1, 1): {},
+    }
+    for i in range(t + 1):
+        for j in range(t + 1 - i):
+            # -H0(z'psi') z'' H1(z''psi''):  parity (i, j+1)
+            p = (i % 2, (j + 1) % 2)
+            num[p][(i, j)] = num[p].get((i, j), Q(0)) - h0[i] * h1[j]
+            # -z' H1(z'psi') H0(z''psi''):  parity (i+1, j)
+            p = ((i + 1) % 2, j % 2)
+            num[p][(i, j)] = num[p].get((i, j), Q(0)) - h1[i] * h0[j]
+    return {p: divide_exact(BiPoly(terms, t)) for p, terms in num.items()}
+
+
 class TestEdgeFactor:
+    @pytest.mark.parametrize("t", range(7))
+    def test_matches_former_double_loop(self, t):
+        assert pixton.edge_factor(t) == ref_edge_factor(t)
+
     def test_degree0(self):
         sec = pixton.edge_factor(0)
         assert sec[(1, 1)].coefficient((0, 0)) == Q(60)
@@ -393,7 +421,8 @@ class TestZetaAveragingOracle:
 
     @pytest.mark.parametrize(
         "g,n,A,d",
-        [(1, 1, (1,), 1), (2, 0, (), 1), (3, 0, (), 4), (2, 2, (1, 0), 4)],
+        [(1, 1, (1,), 1), (2, 0, (), 1), (3, 0, (), 4), (2, 2, (1, 0), 4),
+         (3, 1, (0,), 4), (3, 1, (1,), 3)],
     )
     def test_matches_assembly_and_pairings_vanish(self, g, n, A, d):
         graphs = strata.enumerate_stable_graphs(g, n)
