@@ -148,6 +148,11 @@ def cmd_series(args):
 
 
 def cmd_airy(args):
+    # airy loads mpmath on first use, after dispatch's freeze.  Loaded
+    # and frozen here, its modules are not scanned at exit either.
+    if "mpmath" not in sys.modules:
+        import mpmath  # noqa: F401
+        gc.freeze()
     try:
         out = airy.asymptotic_report(
             args.x, args.k, prime=args.prime,

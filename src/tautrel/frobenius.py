@@ -251,12 +251,6 @@ def solve_R(order):
     )
 
 
-def _parity_part(f, parity):
-    """The terms of f whose exponent has the given parity:
-    (f(w) + (1 - 2 parity) f(-w)) / 2."""
-    return (f + f.scale_argument(-1) * (1 - 2 * parity)) * Fraction(1, 2)
-
-
 def hypergeometric_r_matrix(order):
     """The closed-form R-matrix from the A and B series, as ``solve_R``'s M.
 
@@ -270,8 +264,8 @@ def hypergeometric_r_matrix(order):
     A = series_A(order).scale_argument(Fraction(1, 6))
     B = series_B(order).scale_argument(Fraction(1, 6))
     return (
-        (-_parity_part(B, 0), -_parity_part(B, 1)),
-        (_parity_part(A, 1), _parity_part(A, 0)),
+        (-B.parity_part(0), -B.parity_part(1)),
+        (A.parity_part(1), A.parity_part(0)),
     )
 
 

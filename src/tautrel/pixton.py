@@ -16,9 +16,14 @@ weighted by 1/2^{h1(Gamma)}.  The parity algebra is the group algebra
 of (Z/2)^V: a zeta-monomial is a bit set over the vertices, and
 monomials multiply by exclusive or.
 
-Each factor is a label-free table of its even and odd zeta-parity
-parts, computed once per decoration budget; vertex labels enter only
-when _graph_summand turns the parities into bits.
+The degrees fix the zeta-parity of the vertex and leg terms: kappa_a
+carries zeta^a, and psi^k on a leg marked a_l carries zeta^{k+a_l}.  So
+the vertex factor is the plain kappa map at zeta = 1, the leg factor
+the coefficients of H_{a_l}, and _graph_summand reads each term's
+parity bit off its degree.  Only the edge factor is kept by sector of
+(zeta', zeta'') parity.  The vertex and edge tables are label-free and
+computed once per decoration budget; vertex labels enter only when
+_graph_summand turns the parities into bits.
 """
 
 from fractions import Fraction
@@ -38,7 +43,6 @@ from .strata import (
 __all__ = [
     "NotInPixtonSetError",
     "vertex_factor",
-    "leg_factor",
     "edge_factor",
     "pixton_class",
     "fz_restriction_report",
@@ -51,42 +55,17 @@ class NotInPixtonSetError(ValueError):
 
 @lru_cache(maxsize=None)
 def vertex_factor(truncation):
-    """kappa(T - T H0(zeta T)) as its (even, odd) zeta-parity parts.
+    """kappa(T - T H0(T)), the vertex factor at zeta = 1, as the
+    strata.kappa_of_f map {kappa exponents: coeff}.
 
-    The T^{b+1} coefficient of f = T - T H0(zeta T) carries zeta^b, so
-    kappa_a carries zeta^a and each kappa-monomial carries zeta to its
-    weighted degree: the factor is strata.kappa_of_f(T - T H0(T)) split
-    into its even- and odd-degree kappa polynomials.  Cached per
-    truncation; callers must not mutate the returned maps.
+    The T^{b+1} coefficient of T - T H0(zeta T) carries zeta^b, so a
+    kappa-monomial carries zeta to its weighted degree.  Cached per
+    truncation; callers must not mutate the returned map.
 
     >>> vertex_factor(1)
-    ({(): Fraction(1, 1)}, {(1,): Fraction(60, 1)})
+    {(): Fraction(1, 1), (1,): Fraction(60, 1)}
     """
-    f = (1 - series_H0(truncation)).times_monomial("x")
-    kappa = kappa_of_f(f, truncation)
-    parts = ({}, {})
-    for e, c in kappa.items():
-        parts[kappa_degree(e) % 2][e] = c
-    return parts
-
-
-@lru_cache(maxsize=None)
-def leg_factor(a_l, truncation):
-    """zeta^{a_l} H_{a_l}(zeta psi) as its (even, odd) zeta-parity parts,
-    each a map {psi_exp: coeff}.  Cached per (a_l, truncation); callers
-    must not mutate the returned maps.
-
-    >>> leg_factor(1, 1)
-    ({1: Fraction(84, 1)}, {0: Fraction(1, 1)})
-    """
-    if a_l not in (0, 1):
-        raise ValueError("leg marking must be 0 or 1")
-    h = (series_H0 if a_l == 0 else series_H1)(truncation).coeffs
-    parts = ({}, {})
-    for k in range(truncation + 1):
-        if h[k]:
-            parts[(k + a_l) % 2][k] = h[k]
-    return parts
+    return kappa_of_f((1 - series_H0(truncation)).times_monomial("x"), truncation)
 
 
 @lru_cache(maxsize=None)
@@ -99,33 +78,27 @@ def edge_factor(truncation):
     cancel when both are odd.  Cached per truncation; callers must not
     mutate the returned dict.
 
+    With H_a(zeta psi) = E_a(psi) + zeta O_a(psi), its even and odd
+    parts, and zeta^2 = 1, the numerator's zeta' + zeta'' puts 1 into
+    sectors (1, 0) and (0, 1); -H0(zeta' psi') zeta'' H1(zeta'' psi'')
+    puts the parity-i part of H0 in psi' times the parity-j part of H1
+    in psi'' into sector (i, j + 1 mod 2); and
+    -zeta' H1(zeta' psi') H0(zeta'' psi'') the parity-i part of H1 in
+    psi' times the parity-j part of H0 in psi'' into (i + 1 mod 2, j).
+
     >>> sec = edge_factor(0)
     >>> sec[(1, 1)].coefficient((0, 0)), sec[(0, 0)].coefficient((0, 0))
     (Fraction(60, 1), Fraction(-84, 1))
     """
     t = truncation + 1
-    h0 = series_H0(t).coeffs
-    h1 = series_H1(t).coeffs
-    num = {
-        (0, 0): {},
-        (0, 1): {(0, 0): Fraction(1)},  # zeta''
-        (1, 0): {(0, 0): Fraction(1)},  # zeta'
-        (1, 1): {},
-    }
-    for i in range(t + 1):
-        for j in range(t + 1 - i):
-            # -H0(z'psi') z'' H1(z''psi''):  parity (i, j+1)
-            c = -h0[i] * h1[j]
-            if c:
-                p = (i % 2, (j + 1) % 2)
-                num[p][(i, j)] = num[p].get((i, j), Fraction(0)) + c
-            # -z' H1(z'psi') H0(z''psi''):  parity (i+1, j)
-            c = -h1[i] * h0[j]
-            if c:
-                p = ((i + 1) % 2, j % 2)
-                num[p][(i, j)] = num[p].get((i, j), Fraction(0)) + c
+    y = BiPoly({(0, 1): 1}, t)
+    H = (series_H0(t), series_H1(t))
+    # X[a][p] and Y[a][p]: the parity-p part of H_a in x = psi' and in y = psi''.
+    X = [[h.parity_part(p).substitute(y.grading, {}) for p in (0, 1)] for h in H]
+    Y = [[h.parity_part(p).substitute(y.grading, {"x": y}) for p in (0, 1)] for h in H]
     return {
-        p: divide_exact(BiPoly(terms, t)) for p, terms in num.items()
+        (p, q): divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])
+        for p in (0, 1) for q in (0, 1)
     }
 
 
@@ -134,30 +107,22 @@ def _graph_summand(graph, A, d):
 
     Every vertex, leg and edge offers a list of options (parity bits,
     degree, pick, coeff), where bit v of the parity bits is the
-    exponent of zeta_v.  The products of one option per factor are
-    folded left to right, dropping any whose degree passes the budget;
-    a product is kept when its bits are the target prod_v
-    zeta_v^{h(v)-1} and its degree is the budget.
+    exponent of zeta_v: the degree's parity for a vertex, and for a
+    leg marked a_l the parity of degree + a_l.  The products of one
+    option per factor are folded left to right, dropping any whose
+    degree passes the budget; a product is kept when its bits are the
+    target prod_v zeta_v^{h(v)-1} and its degree is the budget.
     """
     nv, n = len(graph.genera), len(graph.legs)
     budget = d - len(graph.edges)
     if budget < 0:
         return {}
-    factors = [
-        [
-            (p << v, kappa_degree(e), e, c)
-            for p, part in enumerate(vertex_factor(budget))
-            for e, c in part.items()
-        ]
-        for v in range(nv)
-    ]
+    kappas = [(kappa_degree(e), e, c) for e, c in vertex_factor(budget).items()]
+    factors = [[((k & 1) << v, k, e, c) for k, e, c in kappas] for v in range(nv)]
+    legs = {a: (series_H0, series_H1)[a](budget).coeffs for a in set(A)}
     for v, a_l in zip(graph.legs, A):
         factors.append(
-            [
-                (p << v, k, k, c)
-                for p, part in enumerate(leg_factor(a_l, budget))
-                for k, c in part.items()
-            ]
+            [(((k + a_l) & 1) << v, k, k, c) for k, c in enumerate(legs[a_l]) if c]
         )
     sectors = edge_factor(budget)
     for v, w in graph.edges:

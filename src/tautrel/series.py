@@ -7,7 +7,8 @@ One container covers everything the higher-level modules need:
   :meth:`Grading.monomials` lists the exponent tuples of one weighted
   degree.  Series over different gradings do not combine.
 - :class:`PowerSeries` -- the one-variable MultiSeries, in an unnamed
-  variable x of weight 1, truncated at an explicit order (inclusive).
+  variable x of weight 1, truncated at an explicit order (inclusive);
+  :meth:`PowerSeries.parity_part` keeps its even or its odd terms.
 - :class:`BiPoly` -- the two-variable MultiSeries, in x and y of weight 1,
   truncated by total degree; :func:`divide_exact` divides one exactly by
   x + y, one degree at a time.
@@ -596,6 +597,16 @@ class PowerSeries(MultiSeries):
     def scale_argument(self, c) -> "PowerSeries":
         """Replace x by c*x."""
         return self._moved(lambda j: j, self.order, _q(c))
+
+    def parity_part(self, parity: int) -> "PowerSeries":
+        """The terms whose exponent has the given parity, 0 or 1:
+        (f(x) + (1 - 2 parity) f(-x)) / 2.
+
+        >>> PowerSeries([1, 2, 3, 4]).parity_part(1)
+        PowerSeries(2*x^1 + 4*x^3 + O(x^4))
+        """
+        kept = {k: b for k, b in self._buckets.items() if k % 2 == parity}
+        return self.from_buckets(self.grading, kept, self.max_degree)
 
     def reciprocal(self) -> "PowerSeries":
         """1/f = exp(-log(f/f_0))/f_0; requires nonzero constant term."""

@@ -271,7 +271,7 @@ class TestKappaMaps:
         # kappa_of_f works over kappa_1..kappa_t, so kappa_1 alone
         # comes out of the exp as (1, 0, ..., 0) before it is trimmed.
         f = PowerSeries([0, 0, 1, 0, 1], 4)
-        for poly in (strata.kappa_of_f(f, t), *pixton.vertex_factor(t)):
+        for poly in (strata.kappa_of_f(f, t), pixton.vertex_factor(t)):
             assert poly and in_normal_form(poly)
 
     def test_relation_json_keys(self):

@@ -162,8 +162,9 @@ MUTATIONS = {
     ),
     "vertex_kappa1_doubled": (
         "pixton", "vertex_factor",
-        ("parts[kappa_degree(e) % 2][e] = c",
-         "parts[kappa_degree(e) % 2][e] = c * (2 if e == (1,) else 1)"),
+        ('return kappa_of_f((1 - series_H0(truncation)).times_monomial("x"), truncation)',
+         "return {e: c * (2 if e == (1,) else 1) for e, c in kappa_of_f("
+         '(1 - series_H0(truncation)).times_monomial("x"), truncation).items()}'),
         ("pixton",),
         {"pixton": ["pairings_1_1_1_1", "pairings_2_0__1"],
          "all": ["pairings_1_1_1_1", "pairings_2_0__1"]},
@@ -172,8 +173,9 @@ MUTATIONS = {
     # divides by psi' + psi'', and DivisibilityError stops every check.
     "edge_sector00_doubled": (
         "pixton", "edge_factor",
-        ("divide_exact(BiPoly(terms, t))",
-         "divide_exact(BiPoly(terms, t)) * (2 if p == (0, 0) else 1)"),
+        ("divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])",
+         "divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])"
+         " * (2 if (p, q) == (0, 0) else 1)"),
         ("pixton",),
         {"pixton": ["edge_constant_parity00", "pairings_1_1_1_1",
                     "pairings_2_0__1"],

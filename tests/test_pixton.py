@@ -157,49 +157,66 @@ class TestKappaOracles:
 
     @pytest.mark.parametrize("t", range(7))
     def test_vertex_factor(self, t):
-        assert pixton.vertex_factor(t) == ref_vertex_factor(t)
+        even, odd = ref_vertex_factor(t)
+        assert pixton.vertex_factor(t) == {**even, **odd}
+        # The parity algebra gives each kappa-monomial zeta to its degree.
+        assert all(strata.kappa_degree(e) % 2 == 0 for e in even)
+        assert all(strata.kappa_degree(e) % 2 == 1 for e in odd)
 
     @pytest.mark.parametrize("t", range(7))
     def test_parity_halves_sum_to_kappa_of_f(self, t):
-        even, odd = pixton.vertex_factor(t)
-        assert not set(even) & set(odd)
-        whole = strata.kappa_of_f(vertex_series(t), t)
-        assert {**even, **odd} == whole
-        for e in even:
-            assert strata.kappa_degree(e) % 2 == 0
-        for e in odd:
-            assert strata.kappa_degree(e) % 2 == 1
+        # Split by the parity of the degree, the halves of the factor at
+        # zeta = 1 give the factor at zeta = +1 and -1 as even +- odd.
+        halves = ({}, {})
+        for e, c in pixton.vertex_factor(t).items():
+            halves[strata.kappa_degree(e) % 2][e] = c
+        T = PowerSeries([0, 1], t + 1)
+        for zeta in (1, -1):
+            f = T - T * series_H0(t + 1).scale_argument(zeta)
+            assert ref_kappa_add(*halves, zeta) == strata.kappa_of_f(f, t)
 
 
 class TestVertexFactor:
     def test_degree0(self):
-        even, odd = pixton.vertex_factor(0)
-        assert even == {(): Q(1)} and odd == {}
+        assert pixton.vertex_factor(0) == {(): Q(1)}
 
     def test_degree1(self):
-        even, odd = pixton.vertex_factor(1)
-        assert odd == {(1,): Q(60)}
-        assert even == {(): Q(1)}
+        assert pixton.vertex_factor(1) == {(): Q(1), (1,): Q(60)}
 
     def test_degree2_even_part(self):
         # even-parity degree-2 terms come from the T^3 coefficient
         # -27720 (kappa_2) and the two-point term (60 zeta)^2/2 ->
         # (1800)(k1^2 + k2) with parity 0.
-        even, _ = pixton.vertex_factor(2)
-        assert even[(0, 1)] == Q(-27720 + 1800)
-        assert even[(2,)] == Q(1800)
+        vf = pixton.vertex_factor(2)
+        assert vf[(0, 1)] == Q(-27720 + 1800)
+        assert vf[(2,)] == Q(1800)
 
 
 class TestLegFactor:
+    """The leg factor zeta^{a_l} H_{a_l}(zeta psi), read through the
+    summand of the smooth genus-1 graph with one leg at d = 1.  Its
+    target bits are 0, so a term is kept when the kappa degree plus the
+    psi degree plus a_l is even."""
+
+    def smooth_summand(self, A):
+        graph, = [gr for gr in strata.enumerate_stable_graphs(1, 1) if not gr.edges]
+        return pixton._graph_summand(graph, A, 1)
+
     def test_a0(self):
-        assert pixton.leg_factor(0, 1) == ({0: Q(1)}, {1: Q(-60)})
+        # kappa_1 (60 zeta) and psi (-60 zeta) are both odd.
+        assert self.smooth_summand((0,)) == {}
 
     def test_a1(self):
-        assert pixton.leg_factor(1, 1) == ({1: Q(84)}, {0: Q(1)})
+        # zeta H1(zeta psi) = zeta + 84 psi + ...: kappa_1 pairs with the
+        # leg's zeta, and 84 psi is even.
+        assert self.smooth_summand((1,)) == {
+            strata.Decoration(((1,),), (0,), ()): Q(60),
+            strata.Decoration(((),), (1,), ()): Q(84),
+        }
 
     def test_bad_marking(self):
         with pytest.raises(ValueError):
-            pixton.leg_factor(2, 1)
+            pixton.pixton_class(1, 1, (2,), 1)
 
 
 def ref_edge_factor(truncation):

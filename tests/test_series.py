@@ -891,6 +891,17 @@ class TestPowerSeriesIntegerKernel:
             assert exactly(got, want) and got.order == len(want) - 1
             assert well_bucketed(got)
 
+    @settings(max_examples=100, deadline=None)
+    @given(POWER_TAILS)
+    def test_parity_parts_split_the_series(self, tail):
+        f = PowerSeries([0] + tail)
+        even, odd = f.parity_part(0), f.parity_part(1)
+        assert exactly(even + odd, list(f.coeffs))
+        for part, parity in ((even, 0), (odd, 1)):
+            assert part.order == f.order and well_bucketed(part)
+            assert all(part[k] == (f[k] if k % 2 == parity else 0)
+                       for k in range(f.order + 1))
+
     def test_every_operation_returns_a_power_series(self):
         f, g = PowerSeries([1, Q(1, 2), 3, 0, Q(-5, 7)], 4), exp_series(6)
         h = f.times_monomial("x")
@@ -903,7 +914,7 @@ class TestPowerSeriesIntegerKernel:
             (f.derivative(), 3), (PowerSeries([5], 0).derivative(), -1),
             (h.exp(), 5), (f.log(), 4), (f.reciprocal(), 4),
             (f.times_monomial("x", 2), 6), (f.shift_exponents(3), 12),
-            (f.scale_argument(-2), 4),
+            (f.scale_argument(-2), 4), (f.parity_part(0), 4), (f.parity_part(1), 4),
         ]
         for got, order in cases:
             assert type(got) is PowerSeries and got.order == order
