@@ -138,6 +138,37 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    # One bad value of each argument type, with the whole error line.
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["series", "--order", "-1"], "tautrel series: error: argument "
+             "--order: expected a non-negative integer, got '-1'"),
+            (["airy", "--precision-bits", "10"], "tautrel airy: error: argument "
+             "--precision-bits: expected an integer >= 64, got '10'"),
+            (["airy", "--x", "nan"], "tautrel airy: error: argument --x: "
+             "expected a finite positive number <= 500, got 'nan'"),
+            (["pixton", "--g", "1", "--n", "1", "--d", "1", "--a", "x"],
+             "tautrel pixton: error: argument --a: expected a "
+             "comma-separated integer list, got 'x'"),
+            (["descendents", "table", "--ks", "x"], "tautrel descendents table: "
+             "error: argument --ks: expected a comma-separated integer list, "
+             "got 'x'"),
+            (["descendents", "table", "--ks", "-1"], "tautrel descendents table: "
+             "error: argument --ks: expected a nonempty list of non-negative "
+             "integers, got '-1'"),
+            (["fz", "--g", "3", "--r", "2", "--sigma", "2"], "tautrel fz: error: "
+             "argument --sigma: parts must be positive and not 2 mod 3: 2"),
+        ],
+        ids=["order", "precision_bits", "x", "a", "ks_not_int", "ks_negative",
+             "sigma"],
+    )
+    def test_bad_value_error_line(self, argv, line, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == line
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", name, "--order", str(least)]
