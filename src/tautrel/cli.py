@@ -51,67 +51,36 @@ class CheckFailure(Exception):
         self.report = report
 
 
-def _parse_int_list(text):
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected a comma-separated integer list, got %r" % text
-        )
-
-
-def _exponents(text):
-    """A nonempty comma-separated list of non-negative integers."""
-    ks = _parse_int_list(text)
-    if not ks or min(ks) < 0:
-        raise argparse.ArgumentTypeError(
-            "expected a nonempty list of non-negative integers, got %r" % text
-        )
-    return ks
-
-
-def _int_at_least(low):
-    """An argparse type accepting the integers >= ``low``."""
-    what = "a non-negative integer" if low == 0 else "an integer >= %d" % low
+def _checked(convert, what, ok=lambda value: True):
+    """An argparse type: ``convert`` the text and test ``ok`` on the
+    value; a ValueError or a failed test expects ``what``."""
 
     def parse(text):
         try:
-            value = int(text)
+            value = convert(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(
-                "expected %s, got %r" % (what, text)
-            )
-        return value
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
 
     return parse
 
 
-_nonneg_int = _int_at_least(0)
+_nonneg_int = _checked(int, "a non-negative integer", lambda n: n >= 0)
+_parse_int_list = _checked(
+    lambda text: tuple(map(int, text.split(","))) if text.strip() else (),
+    "a comma-separated integer list")
+_exponents = _checked(_parse_int_list, "a nonempty list of non-negative "
+                      "integers", lambda ks: ks and min(ks) >= 0)
 
 
 # The Airy ODE oracle works at about 1.9 x^1.5 extra bits and sums more
 # than 3x Taylor terms, so its cost grows faster than x^3: on one Xeon
 # core x = 400 takes about 70 s, and x = 1e6 did not end within minutes.
 AIRY_MAX_X = 500.0
-
-
-def _airy_x(text):
-    """A point x with 0 < x <= AIRY_MAX_X."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 < value <= AIRY_MAX_X:
-        raise argparse.ArgumentTypeError(
-            "expected a finite positive number <= %g, got %r"
-            % (AIRY_MAX_X, text)
-        )
-    return value
+_airy_x = _checked(float, "a finite positive number <= %g" % AIRY_MAX_X,
+                   lambda x: 0 < x <= AIRY_MAX_X)
 
 
 def _partition(text):
@@ -710,7 +679,8 @@ def build_parser():
     )
     p.add_argument("--k", type=_nonneg_int, default=3)
     p.add_argument("--prime", action="store_true")
-    p.add_argument("--precision-bits", type=_int_at_least(64), default=128)
+    p.add_argument("--precision-bits", default=128,
+                   type=_checked(int, "an integer >= 64", lambda n: n >= 64))
     p.set_defaults(func=cmd_airy)
 
     # The group rejects the common options: each mode sets its own

@@ -18,7 +18,9 @@ math/0701319, times a power of 2) satisfies M(0, 0, 0) = 8, M(1) = 1 and
     M(n + 1, S) = 4 sum_j (2k_j + 1) M(S with k_j -> k_j + n)
         + sum_{a+b=n-1} [2 M(S + {a, b}) + sum_{I+J=S} M(I + {a}) M(J + {b})]
 
-for n >= 1 and max S <= n + 1.  Only :func:`bracket` builds a Fraction.
+for n >= 1 and max S <= n + 1.  Only :func:`bracket` builds a Fraction,
+and it answers the one-point brackets <tau_{3g-2}>_g = 1/(24^g g!) and
+the all-ones brackets <tau_1^n>_1 = (n-1)!/24 in closed form.
 
 Weighted degree of t_i is 2i + 1 throughout; a genus-g, n-point bracket
 contributes a monomial of weighted degree 6g - 6 + 3n = 3 chi, and
@@ -62,11 +64,20 @@ def bracket(ks: tuple) -> Fraction:
     Fraction(1, 24)
     >>> bracket((4,))
     Fraction(1, 1152)
+    >>> bracket((1, 1, 1, 1))
+    Fraction(1, 4)
     """
     ks = tuple(sorted(ks))
     g = _genus_of(ks)
     if g is None:
         return Q(0)
+    # Closed forms where the recursion would visit every lower multiset:
+    # <tau_{3g-2}>_g = 1/(24^g g!), and <tau_1^n>_1 = (n-1)!/24 by the
+    # dilaton equation.
+    if len(ks) == 1:
+        return Fraction(1, 24**g * factorial(g))
+    if ks[0] == ks[-1] == 1:
+        return Fraction(factorial(len(ks) - 1), 24)
     den = 2 ** (4 * g - 3 + 2 * len(ks))
     for k in ks:
         den *= double_factorial(2 * k + 1)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,15 +71,26 @@ class TestExitCodes:
         assert "argument %s: given before the mode" % option[0] in err
         assert "options follow the mode" in err
 
-    @pytest.mark.parametrize("ks", ["1000", ",".join(["1"] * 1000)],
-                             ids=["k1000", "1000_ones"])
-    def test_descendents_table_too_deep_is_exit_1(self, ks):
-        code, out = dispatch(["descendents", "table", "--ks", ks,
-                              "--format", "json"])
+    def test_descendents_table_too_deep_is_exit_1(self):
+        # 1,000 string equations in a chain, down to <tau_0^3 tau_998>.
+        ks = [0] * 1000 + [998]
+        code, out = dispatch(["descendents", "table", "--ks",
+                              ",".join(map(str, ks)), "--format", "json"])
         report = json.loads(out)
         assert code == 1 and not report["ok"]
         assert "recursion limit" in report["message"]
-        assert report["location"] == {"ks": [int(k) for k in ks.split(",")]}
+        assert report["location"] == {"ks": ks}
+
+    @pytest.mark.parametrize(
+        "ks,value",
+        [([1000], Fraction(1, 24**334 * math.factorial(334))),
+         ([1] * 1000, Fraction(math.factorial(999), 24))],
+        ids=["k1000", "1000_ones"])
+    def test_descendents_table_closed_forms_at_depth(self, ks, value):
+        code, out = dispatch(["descendents", "table", "--ks",
+                              ",".join(map(str, ks)), "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"ks": ks, "value": str(value)}
 
     def test_strata_unstable_is_exit_1(self):
         code, _ = dispatch(["strata", "--g", "0", "--n", "2"])

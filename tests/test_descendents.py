@@ -56,6 +56,16 @@ def ref_bracket(ks):
     return total / double_factorial(2 * n + 3)
 
 
+def recursion_value(ks):
+    """<tau_ks> from the integer recursion _scaled_bracket, past the closed
+    forms bracket answers first."""
+    g = dsc._genus_of(ks)
+    den = 2 ** (4 * g - 3 + 2 * len(ks))
+    for k in ks:
+        den *= double_factorial(2 * k + 1)
+    return Q(dsc._scaled_bracket(ks), den)
+
+
 def multisets_up_to(degree_max):
     """Every nonempty multiset of exponents, as a sorted tuple, of weighted
     degree sum (2k + 1) <= degree_max."""
@@ -222,8 +232,15 @@ class TestBracket:
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_one_point(self, g):
-        # <tau_{3g-2}>_g = 1 / (24^g g!).
-        assert dsc.bracket((3 * g - 2,)) == Q(1, 24**g * factorial(g))
+        # <tau_{3g-2}>_g = 1 / (24^g g!), which bracket returns unrecursed.
+        ks = (3 * g - 2,)
+        assert dsc.bracket(ks) == recursion_value(ks) == Q(1, 24**g * factorial(g))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_all_ones(self, n):
+        # <tau_1^n>_1 = (n - 1)!/24, which bracket returns unrecursed.
+        ks = (1,) * n
+        assert dsc.bracket(ks) == recursion_value(ks) == Q(factorial(n - 1), 24)
 
     def test_dijkgraaf_two_point(self):
         # (x + y) sum <tau_k tau_l>_g x^k y^l is the degree-3g part of
