@@ -763,6 +763,14 @@ GOLDEN_REPORTS = {
         "3340d38cca0e4137101f63b8edcbe75bb7949bb955a85d05cb363f641fa2a998",
     "fz --g 10 --r 6 --sigma 1,4":
         "3dfffef6af60a856589e8e57909668388e06b20f21046090b16d02759b50f474",
+    # Repeated parts and five parts, of both classes mod 3: the p^sigma'
+    # parts of log Psi with more than one factor u_j, and their row order.
+    "fz --g 9 --r 5 --sigma 1,1,3":
+        "3e53146e1ae9c27bd09df65da7e8fb765d6c1923f9378f4ba4cabcb7e3c8a49c",
+    "fz --g 13 --r 8 --sigma 1,1,1,3,4":
+        "57ec31a77d4cd842bb52223883d3b44b3b658acb0899f9405e78dc61b7b4076c",
+    "fz --g 13 --r 8 --sigma 1,1,1,3,4 --format text":
+        "a74c579638367fa1de206554f190c022e20f184e9d04c861b1c9c055e2e43cd0",
     "frobenius r-matrix --order 20":
         "748640cd0a1e341bced8c9b2cd87dd66fb0522ecbc3e8da9e600a79b401240a7",
     "frobenius flatness --order 20":
