@@ -19,9 +19,17 @@ admissible triple (g, r, sigma), the kappa-polynomial relation
 
 valid when g - 1 + |sigma| < 3r and g = r + |sigma| + 1 (mod 2).  Here
 sigma is a partition avoiding parts congruent to 2 mod 3, and kappa_0
-is substituted by the scalar 2g - 2.  Every C_r'(sigma') that gamma needs
-(r' <= r, sigma' inside sigma) is a coefficient of the one log Psi
-truncated at t-degree r and p-weight |sigma|.
+is substituted by the scalar 2g - 2.
+
+Psi is linear in the p_j: Psi = A(288 t) (1 + sum_j p_j u_j) with
+u_{3k} = t^k and u_{3k-2} = t^{k-1} B(288 t)/A(288 t).  So the p^sigma'
+part of log Psi is log A(288 t) for sigma' empty, and for sigma' of k > 0
+parts with multiplicities m_j it is
+
+    (-1)^{k+1} (k-1)!/prod_j m_j! * prod_j u_j^{m_j}.
+
+Every C_r'(sigma') that gamma needs is read from two one-variable tables
+through t^r: log A(288 t) and the powers of B(288 t)/A(288 t).
 
 Example::
 
@@ -31,15 +39,16 @@ Example::
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import factorial, prod
 
 from .named_series import series_A, series_B
-from .series import Grading, MultiSeries
+from .series import Grading, MultiSeries, PowerSeries
 from .strata import kappa_monomial
 
 __all__ = [
     "NotARelationError",
     "normalize_partition",
-    "build_psi",
     "fz_relation",
 ]
 
@@ -61,51 +70,21 @@ def normalize_partition(sigma):
     return parts
 
 
-def _p_indices(p_weight_max):
-    return [j for j in range(1, p_weight_max + 1) if j % 3 != 2]
-
-
-def _psi_grading(p_weight_max):
-    names = ["t"] + ["p%d" % j for j in _p_indices(p_weight_max)]
-    weights = [1] + _p_indices(p_weight_max)
-    return Grading(names, weights)
-
-
-def build_psi(t_order, p_weight_max):
-    """The two-row series Psi as a multivariate series in t and the p_j.
-
-    Monomials are kept when the t-degree is at most ``t_order`` and the
-    p-weight (weight of p_j is j) is at most ``p_weight_max``.
-
-    >>> psi = build_psi(2, 1)
-    >>> psi.coefficient((0, 0))
-    Fraction(1, 1)
-    >>> psi.coefficient((1, 0))
-    Fraction(60, 1)
-    >>> psi.coefficient((0, 1))
-    Fraction(-1, 1)
-    """
-    if t_order < 0 or p_weight_max < 0:
-        raise ValueError("orders must be nonnegative")
-    g = _psi_grading(p_weight_max)
-    A = series_A(t_order).scale_argument(288).coeffs
-    B = series_B(t_order).scale_argument(288).coeffs
-    # The constant 1 multiplies A(288 t); p_j multiplies t^{j//3} A(288 t)
-    # when 3 divides j, and t^{j//3} B(288 t) when j = 1 (mod 3).
-    terms = {}
-    for col, j in enumerate([0] + _p_indices(p_weight_max)):
-        for i, c in enumerate((B if j % 3 == 1 else A)[: t_order - j // 3 + 1]):
-            e = [0] * len(g)
-            e[0] = i + j // 3
-            if j:
-                e[col] = 1
-            terms[tuple(e)] = c
-    return MultiSeries(g, terms, t_order + p_weight_max)
+@lru_cache(maxsize=None)
+def _log_a(order):
+    """log A(288 t) through t^order: the p-free part of log Psi."""
+    return series_A(order).scale_argument(288).log()
 
 
 @lru_cache(maxsize=None)
-def _log_psi(t_order, p_weight_max):
-    return build_psi(t_order, p_weight_max).log()
+def _ratio_powers(order, n):
+    """(B/A)(288 t)^i through t^order, as coefficient tuples, i = 0..n."""
+    powers = [PowerSeries([1], order)]
+    if n:
+        ratio = series_B(order).scale_argument(288) * (-_log_a(order)).exp()
+        while len(powers) <= n:
+            powers.append(powers[-1] * ratio)
+    return [p.coeffs for p in powers]
 
 
 def fz_relation(g, r, sigma):
@@ -134,36 +113,38 @@ def fz_relation(g, r, sigma):
 
     # gamma as a series in kappa_1..kappa_r and the p_j appearing in
     # sigma; kappa_a carries weight a so the t-power is the kappa-degree.
-    kappa_names = ["k%d" % a for a in range(1, r + 1)]
-    kappa_weights = list(range(1, r + 1))
     p_parts = sorted(set(sigma))
-    p_names = ["p%d" % j for j in p_parts]
-    p_weights = list(p_parts)
-    grading = Grading(kappa_names + p_names, kappa_weights + p_weights)
+    grading = Grading(["k%d" % a for a in range(1, r + 1)]
+                      + ["p%d" % j for j in p_parts],
+                      list(range(1, r + 1)) + p_parts)
     cap = r + weight
 
-    # C_r'(sigma') for r' <= r and sigma' inside sigma, read off the one
-    # log Psi that covers them all.  gamma's terms go in by r', then by
-    # p-counts: the relation's row order follows theirs.
-    lp = _log_psi(r, weight)
-    p_cols = [lp.grading.index["p%d" % j] for j in p_parts]
+    # The t-coefficients of the p^sigma' part of log Psi, for each
+    # sub-multiset sigma' of sigma by its p-counts.
     target_p = tuple(sigma.count(j) for j in p_parts)
-    picked = {}
-    for e, c in lp.terms.items():
-        counts = tuple(e[i] for i in p_cols)
-        if (e[0] > r or sum(e[1:]) != sum(counts)
-                or any(n > m for n, m in zip(counts, target_p))):
+    powers = _ratio_powers(r, sum(j % 3 == 1 for j in sigma))
+    columns = {}
+    for counts in product(*(range(m + 1) for m in target_p)):
+        k = sum(counts)
+        if not k:
+            columns[counts] = _log_a(r).coeffs
             continue
-        if e[0] == 0:
-            c *= 2 * g - 2  # kappa_0 is the scalar 2g-2
-        if c:
-            picked[e[0], counts] = c
+        # prod_j u_j^{m_j} = t^shift (B/A)^ones
+        shift = sum(m * (j // 3) for m, j in zip(counts, p_parts))
+        ones = sum(m for m, j in zip(counts, p_parts) if j % 3 == 1)
+        scale = Fraction((-1) ** (k + 1) * factorial(k - 1),
+                         prod(map(factorial, counts)))
+        columns[counts] = (0,) * shift + tuple(scale * c for c in powers[ones])
+    # gamma's terms go in by r', then by p-counts: the relation's row
+    # order follows theirs.
     gamma_terms = {}
-    for (rp, counts), c in sorted(picked.items()):
-        kappa = [0] * r
-        if rp:
-            kappa[rp - 1] = 1
-        gamma_terms[tuple(kappa) + counts] = c
+    for rp in range(r + 1):
+        kappa = tuple(int(a == rp) for a in range(1, r + 1))
+        for counts, column in columns.items():
+            # kappa_0 is the scalar 2g-2
+            c = column[rp] * (2 * g - 2 if rp == 0 else 1)
+            if c:
+                gamma_terms[kappa + counts] = c
     gamma = MultiSeries(grading, gamma_terms, cap)
     # A kept term has kappa-degree r and p-part sigma, so it lies in the
     # top weighted-degree bucket r + |sigma| of exp(-gamma).

@@ -104,7 +104,7 @@ MUTATIONS = {
         {"all": None},
     ),
     "log_psi_doubled": (
-        "fz", "_log_psi", (".log()", ".log() * 2"), ("fz",),
+        "fz", "_log_a", (".log()", ".log() * 2"), ("fz",),
         {"all": None},
     ),
     "beta_recursion_d_over_25": (

@@ -509,12 +509,10 @@ class TestFZRestriction:
     @pytest.mark.parametrize("g,d", FZ_MATCH_CASES)
     def test_doubled_constants_fail(self, monkeypatch, g, d):
         # A proportionality search accepted doubled constants at (2, 1)
-        # with scale -1/2; the exact check must not.  Every constant is a
-        # coefficient of the cached log Psi, so double that.
-        log_psi = fz._log_psi
-        monkeypatch.setattr(
-            fz, "_log_psi", lambda t_order, p_weight: log_psi(t_order, p_weight) * 2
-        )
+        # with scale -1/2; the exact check must not.  For sigma = () every
+        # constant is a coefficient of the cached log A, so double that.
+        log_a = fz._log_a
+        monkeypatch.setattr(fz, "_log_a", lambda order: log_a(order) * 2)
         rep = pixton.fz_restriction_report(g, d)
         assert rep["comparable"] and rep["match"] is False
         assert rep["smooth"] and rep["fz"]
