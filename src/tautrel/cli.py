@@ -26,6 +26,7 @@ Rationals serialize as "p/q" strings.
 """
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -778,18 +779,34 @@ def dispatch(argv):
             "argument --order: %s needs an integer >= %d, got %d"
             % (name, low, order)
         )
-    try:
-        report = args.func(args)
-        code = 0
-    except CheckFailure as exc:
-        report = dict(exc.report)
-        report["ok"] = False
-        code = 1
-    rendered = render(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
+    if args.command == "frobenius" and name == "flatness" and args.model != "3spin":
+        parser.error(
+            "argument --model: flatness is computed for 3spin only, got %s"
+            % args.model
+        )
+    with _open_out(parser, args.out) as fh:
+        try:
+            report = args.func(args)
+            code = 0
+        except CheckFailure as exc:
+            report = dict(exc.report)
+            report["ok"] = False
+            code = 1
+        rendered = render(report, args.format)
+        if fh:
             fh.write(rendered + "\n")
     return code, rendered
+
+
+def _open_out(parser, path):
+    """The --out file, opened before the run, so that a path that cannot
+    be written is a usage error and costs no computation."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        parser.error("argument --out: can't open %r: %s" % (path, exc.strerror))
 
 
 def main(argv=None):

@@ -181,12 +181,37 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == line
 
+    # Values each fine alone that the command cannot use, with the whole
+    # error line; {tmp} is a fresh directory.
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["series", "--order", "3", "--out", "{tmp}/missing/x.txt"],
+             "tautrel: error: argument --out: can't open "
+             "'{tmp}/missing/x.txt': No such file or directory"),
+            (["series", "--order", "3", "--out", "{tmp}"],
+             "tautrel: error: argument --out: can't open '{tmp}': "
+             "Is a directory"),
+            (["frobenius", "flatness", "--model", "cp1"], "tautrel: error: "
+             "argument --model: flatness is computed for 3spin only, got cp1"),
+        ],
+        ids=["out_missing_dir", "out_directory", "flatness_cp1"],
+    )
+    def test_unusable_value_error_line(self, argv, line, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == line.format(tmp=tmp_path)
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", name, "--order", str(least)]
          for name, least in LEAST_ORDER.items() if least is not None]
         + [["frobenius", "r-matrix", "--model", "cp1", "--order", "0"],
-           ["frobenius", "flatness", "--order", str(LEAST_ORDER["flatness"])]],
+           ["frobenius", "flatness", "--order", str(LEAST_ORDER["flatness"])],
+           ["frobenius", "flatness", "--model", "3spin",
+            "--order", str(LEAST_ORDER["flatness"])]],
     )
     def test_smallest_order_runs(self, argv):
         code, _ = dispatch(argv)
