@@ -784,7 +784,13 @@ def dispatch(argv):
             "argument --model: flatness is computed for 3spin only, got %s"
             % args.model
         )
-    with _open_out(parser, args.out) as fh:
+    try:
+        # Opened before the run, so that a path that cannot be written
+        # costs no computation.
+        out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        parser.error("argument --out: can't open %r: %s" % (args.out, exc.strerror))
+    with out:
         try:
             report = args.func(args)
             code = 0
@@ -793,20 +799,9 @@ def dispatch(argv):
             report["ok"] = False
             code = 1
         rendered = render(report, args.format)
-        if fh:
-            fh.write(rendered + "\n")
+        if args.out:
+            out.write(rendered + "\n")
     return code, rendered
-
-
-def _open_out(parser, path):
-    """The --out file, opened before the run, so that a path that cannot
-    be written is a usage error and costs no computation."""
-    if not path:
-        return contextlib.nullcontext()
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        parser.error("argument --out: can't open %r: %s" % (path, exc.strerror))
 
 
 def main(argv=None):
