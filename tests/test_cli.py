@@ -796,6 +796,14 @@ GOLDEN_REPORTS = {
         "57ec31a77d4cd842bb52223883d3b44b3b658acb0899f9405e78dc61b7b4076c",
     "fz --g 13 --r 8 --sigma 1,1,1,3,4 --format text":
         "a74c579638367fa1de206554f190c022e20f184e9d04c861b1c9c055e2e43cd0",
+    # Four and nine parts at larger g and r: many sub-multisets of sigma,
+    # and (1^7, 3, 4) the longest partition the CI step times.
+    "fz --g 16 --r 10 --sigma 1,1,3,4":
+        "268e6f54a9e4b9dcdf971f41086dceedc4b7925039d63e160450cc1352ad06ef",
+    "fz --g 24 --r 13 --sigma 1,1,1,1,1,1,1,3,4":
+        "b393117edb9331adabb05e8cc4bc2feb97d11eaecfd6c1d8d938f276cefcb5db",
+    "fz --g 24 --r 13 --sigma 1,1,1,1,1,1,1,3,4 --format text":
+        "3535028e997bc83a54a90a1116da17e6644566166569d3d443b152e07cadd15c",
     "frobenius r-matrix --order 20":
         "748640cd0a1e341bced8c9b2cd87dd66fb0522ecbc3e8da9e600a79b401240a7",
     "frobenius flatness --order 20":

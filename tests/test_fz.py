@@ -270,6 +270,13 @@ class TestOneLogPsi:
             want = ref_fz_relation(g, r, sigma)
             assert list(got.items()) == list(want.items()), (g, r, sigma)
 
+    # FZ_CASES stops at three parts.
+    @pytest.mark.parametrize(
+        "g,r,sigma", [(13, 8, (1, 1, 1, 3, 4)), (10, 7, (1,) * 4), (11, 7, (1,) * 5)]
+    )
+    def test_long_sigma_matches_term_by_term_assembly(self, g, r, sigma):
+        assert fz.fz_relation(g, r, sigma) == ref_fz_relation(g, r, sigma)
+
     @pytest.mark.parametrize(
         "g,r,sigma", [(3, 2, ()), (7, 4, (1, 3)), (10, 6, (1, 4)), (3, 3, (1, 1, 1))]
     )
