@@ -31,6 +31,15 @@ parts with multiplicities m_j it is
 Every C_r'(sigma') that gamma needs is read from two one-variable tables
 through t^r: log A(288 t) and the powers of B(288 t)/A(288 t).
 
+Only the sub-multisets of sigma matter, so no p_j becomes a variable.
+With c the p-counts of a sub-multiset, gamma_c the kappa-linear p^c part
+of gamma and E_c the p^c part of exp(-gamma), the Euler operator
+sum_j p_j d/dp_j in the p-counts gives E_0 = exp(-gamma_0) and
+
+    |c| E_c = -sum_{0 < c' <= c} |c'| gamma_{c'} E_{c-c'},
+
+and the relation is the kappa-degree-r part of E_sigma.
+
 Example::
 
     >>> sorted(fz_relation(3, 2, ()).items())
@@ -41,10 +50,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, prod
+from operator import le, sub
 
 from .named_series import series_A, series_B
-from .series import Grading, MultiSeries, PowerSeries
-from .strata import kappa_monomial
+from .series import PowerSeries
+from .strata import _weighted_linear, kappa_monomial
 
 __all__ = [
     "NotARelationError",
@@ -111,47 +121,31 @@ def fz_relation(g, r, sigma):
             % (g, r + weight + 1)
         )
 
-    # gamma as a series in kappa_1..kappa_r and the p_j appearing in
-    # sigma; kappa_a carries weight a so the t-power is the kappa-degree.
+    # For each sub-multiset of sigma, by its p-counts c: gamma's p^c part
+    # gamma_c, a series in kappa_1..kappa_r (kappa_a of weight a, so the
+    # t-power is the kappa-degree; kappa_0 is the scalar 2g-2), and the
+    # p^c part E_c of exp(-gamma), by the Euler operator in the p-counts:
+    # |c| E_c = -sum_{0 < c' <= c} |c'| gamma_{c'} E_{c-c'}.  product()
+    # lists each c after every c' <= c, and sigma's own counts last.
     p_parts = sorted(set(sigma))
-    grading = Grading(["k%d" % a for a in range(1, r + 1)]
-                      + ["p%d" % j for j in p_parts],
-                      list(range(1, r + 1)) + p_parts)
-    cap = r + weight
-
-    # The t-coefficients of the p^sigma' part of log Psi, for each
-    # sub-multiset sigma' of sigma by its p-counts.
-    target_p = tuple(sigma.count(j) for j in p_parts)
     powers = _ratio_powers(r, sum(j % 3 == 1 for j in sigma))
-    columns = {}
-    for counts in product(*(range(m + 1) for m in target_p)):
-        k = sum(counts)
+    gamma, E = {}, {}
+    for c in product(*(range(sigma.count(j) + 1) for j in p_parts)):
+        k = sum(c)
         if not k:
-            columns[counts] = _log_a(r).coeffs
+            # log A(0) = 0, so gamma_0 has no constant term.
+            gamma[c] = _weighted_linear(_log_a(r).coeffs, r)
+            E[c] = (-gamma[c]).exp()
             continue
         # prod_j u_j^{m_j} = t^shift (B/A)^ones
-        shift = sum(m * (j // 3) for m, j in zip(counts, p_parts))
-        ones = sum(m for m, j in zip(counts, p_parts) if j % 3 == 1)
+        shift = sum(m * (j // 3) for m, j in zip(c, p_parts))
+        ones = sum(m for m, j in zip(c, p_parts) if j % 3 == 1)
         scale = Fraction((-1) ** (k + 1) * factorial(k - 1),
-                         prod(map(factorial, counts)))
-        columns[counts] = (0,) * shift + tuple(scale * c for c in powers[ones])
-    # gamma's terms go in by r', then by p-counts: the relation's row
-    # order follows theirs.
-    gamma_terms = {}
-    for rp in range(r + 1):
-        kappa = tuple(int(a == rp) for a in range(1, r + 1))
-        for counts, column in columns.items():
-            # kappa_0 is the scalar 2g-2
-            c = column[rp] * (2 * g - 2 if rp == 0 else 1)
-            if c:
-                gamma_terms[kappa + counts] = c
-    gamma = MultiSeries(grading, gamma_terms, cap)
-    # A kept term has kappa-degree r and p-part sigma, so it lies in the
-    # top weighted-degree bucket r + |sigma| of exp(-gamma).
-    m, top = (gamma * Fraction(-1)).exp().buckets().get(cap, (1, {}))
-    return {
-        kappa_monomial(e[:r]): Fraction(c, m)
-        for e, c in top.items()
-        if e[r:] == target_p
-    }
-
+                         prod(map(factorial, c)))
+        column = (0,) * shift + tuple(scale * x for x in powers[ones])
+        gamma[c] = _weighted_linear(column, r) + column[0] * (2 * g - 2)
+        terms = [sum(d) * gamma[d] * E[tuple(map(sub, c, d))]
+                 for d in gamma if any(d) and all(map(le, d, c))]
+        E[c] = sum(terms[1:], terms[0]) * Fraction(-1, k)
+    m, top = E[c].buckets().get(r, (1, {}))
+    return {kappa_monomial(e): Fraction(x, m) for e, x in top.items()}
