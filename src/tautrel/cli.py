@@ -31,6 +31,7 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -74,6 +75,8 @@ _parse_int_list = _checked(
     "a comma-separated integer list")
 _exponents = _checked(_parse_int_list, "a nonempty list of non-negative "
                       "integers", lambda ks: ks and min(ks) >= 0)
+_markings = _checked(_parse_int_list, "a comma-separated list of 0s and 1s",
+                     lambda a: set(a) <= {0, 1})
 
 
 # The Airy ODE oracle works at about 1.9 x^1.5 extra bits and sums more
@@ -188,20 +191,19 @@ def cmd_descendents_table(args):
 
 
 def cmd_fz(args):
-    sigma = args.sigma
     try:
-        rel = fz.fz_relation(args.g, args.r, sigma)
+        rel = fz.fz_relation(args.g, args.r, args.sigma)
     except NotARelationError as exc:
         raise CheckFailure(
             {
                 "message": str(exc),
-                "location": {"g": args.g, "r": args.r, "sigma": list(sigma)},
+                "location": {"g": args.g, "r": args.r, "sigma": list(args.sigma)},
             }
         )
     return {
         "g": args.g,
         "r": args.r,
-        "sigma": list(sigma),
+        "sigma": list(args.sigma),
         "relation": {
             ("*".join("k%d^%d" % (a, x) for a, x in enumerate(e, start=1) if x)
              or "1"): str(c)
@@ -653,6 +655,14 @@ def _before_mode(text):
         "given before the mode; options follow the mode (closed, open or table)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1,2 as a value, not an option; subparsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d[\d,]*|\d*\.\d+)$")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -661,7 +671,7 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write the report here")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tautrel",
         description="exact computations with the hypergeometric relation "
         "series and tautological classes",
@@ -715,7 +725,7 @@ def build_parser():
     p = sub.add_parser("pixton", parents=[common])
     p.add_argument("--g", type=_nonneg_int, required=True)
     p.add_argument("--n", type=_nonneg_int, required=True)
-    p.add_argument("--a", type=_parse_int_list, default=())
+    p.add_argument("--a", type=_markings, default=())
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=cmd_pixton)
 

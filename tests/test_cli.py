@@ -171,9 +171,18 @@ class TestExitCodes:
              "integers, got '-1'"),
             (["fz", "--g", "3", "--r", "2", "--sigma", "2"], "tautrel fz: error: "
              "argument --sigma: parts must be positive and not 2 mod 3: 2"),
-        ],
+        ]
+        # A list that starts with "-" is a value in either spelling, not
+        # an unknown option.
+        + [(["descendents", "table"] + ks, "tautrel descendents table: error: "
+             "argument --ks: expected a nonempty list of non-negative "
+             "integers, got '-1,2'") for ks in (["--ks", "-1,2"], ["--ks=-1,2"])]
+        + [(["pixton", "--g", "2", "--n", "2", "--d", "1"] + a, "tautrel pixton: "
+             "error: argument --a: expected a comma-separated list of 0s and "
+             "1s, got '-1,0'") for a in (["--a", "-1,0"], ["--a=-1,0"])],
         ids=["order", "precision_bits", "x", "a", "ks_not_int", "ks_negative",
-             "sigma"],
+             "sigma", "ks_negative_list", "ks_negative_list_eq", "a_negative",
+             "a_negative_eq"],
     )
     def test_bad_value_error_line(self, argv, line, capsys):
         with pytest.raises(SystemExit) as exc:
