@@ -29,12 +29,10 @@ parts with multiplicities m_j it is
     (-1)^{k+1} (k-1)!/prod_j m_j! * prod_j u_j^{m_j}.
 
 Every C_r'(sigma') that gamma needs is read from two one-variable tables
-through t^r: log A(288 t) and the powers of B(288 t)/A(288 t).
-
-Only the sub-multisets of sigma matter, so no p_j becomes a variable.
-With c the p-counts of a sub-multiset, gamma_c the kappa-linear p^c part
-of gamma and E_c the p^c part of exp(-gamma), the Euler operator
-sum_j p_j d/dp_j in the p-counts gives E_0 = exp(-gamma_0) and
+through t^r: log A(288 t) and the powers of B(288 t)/A(288 t).  No p_j
+becomes a variable: with gamma_c and E_c the p^c parts of gamma and
+exp(-gamma), for c the p-counts of a sub-multiset of sigma, the Euler
+operator sum_j p_j d/dp_j gives E_0 = exp(-gamma_0) and
 
     |c| E_c = -sum_{0 < c' <= c} |c'| gamma_{c'} E_{c-c'},
 
@@ -121,12 +119,9 @@ def fz_relation(g, r, sigma):
             % (g, r + weight + 1)
         )
 
-    # For each sub-multiset of sigma, by its p-counts c: gamma's p^c part
-    # gamma_c, a series in kappa_1..kappa_r (kappa_a of weight a, so the
-    # t-power is the kappa-degree; kappa_0 is the scalar 2g-2), and the
-    # p^c part E_c of exp(-gamma), by the Euler operator in the p-counts:
-    # |c| E_c = -sum_{0 < c' <= c} |c'| gamma_{c'} E_{c-c'}.  product()
-    # lists each c after every c' <= c, and sigma's own counts last.
+    # gamma_c and E_c as series in kappa_1..kappa_r, kappa_a of weight a and
+    # kappa_0 the scalar 2g-2.  product() lists each c after every c' <= c,
+    # and sigma's own counts last.
     p_parts = sorted(set(sigma))
     powers = _ratio_powers(r, sum(j % 3 == 1 for j in sigma))
     gamma, E = {}, {}
