@@ -21,8 +21,10 @@ suites with machine-readable output:
 
 Exit codes: 0 on success, 1 on a failed check or invalid input data
 (with a structured diff naming the location), 2 on usage errors, which
-include an argument below the smallest value its computation runs at.
-Rationals serialize as "p/q" strings.
+include an argument below the smallest value its computation runs at
+and a ``pixton --a`` whose length is not ``--n``.  A reader that closes
+the output pipe early ends the run quietly, with the report's own exit
+code.  Rationals serialize as "p/q" strings.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -789,6 +792,9 @@ def dispatch(argv):
             "argument --order: %s needs an integer >= %d, got %d"
             % (name, low, order)
         )
+    if args.command == "pixton" and len(args.a) != args.n:
+        parser.error("argument --a: expected one entry per leg, --n %d, got %d"
+                     % (args.n, len(args.a)))
     if args.command == "frobenius" and name == "flatness" and args.model != "3spin":
         parser.error(
             "argument --model: flatness is computed for 3spin only, got %s"
@@ -816,7 +822,13 @@ def dispatch(argv):
 
 def main(argv=None):
     code, rendered = dispatch(sys.argv[1:] if argv is None else argv)
-    print(rendered)
+    try:
+        print(rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Python flushes stdout again at exit, so point
+        # it at devnull, or that flush raises once more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

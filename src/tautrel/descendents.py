@@ -39,7 +39,6 @@ from math import comb, factorial, prod
 
 from .named_series import double_factorial, series_calA
 from .series import Grading, MultiSeries, Q
-from .series import _lcm_bucket
 
 
 def _genus_of(ks: tuple) -> int | None:
@@ -181,9 +180,10 @@ def build_Fc(degree_max: int) -> MultiSeries:
     """F^c as a MultiSeries over t_grading(degree_max) to that degree.
 
     The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, that is
-    M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)); the terms of one
-    chi form the bucket of weighted degree 3 chi, over the lcm of these
-    denominators.
+    M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)).  M is read from
+    the recursion :func:`_scaled_bracket` also where :func:`bracket` has a
+    closed form, so the checks on F^c test the recursion.  The terms of
+    one chi have weighted degree 3 chi.
 
     >>> build_Fc(5).coefficient((3, 0, 0))
     Fraction(1, 6)
@@ -193,9 +193,8 @@ def build_Fc(degree_max: int) -> MultiSeries:
     grading = t_grading(degree_max)
     nv = len(grading)
     dfact = [double_factorial(2 * k + 1) for k in range(nv)]
-    buckets = {}
+    terms = {}
     for chi in range(1, degree_max // 3 + 1):
-        terms = {}
         for g in range((chi + 1) // 2 + 1):
             n = chi + 2 - 2 * g
             for ks in _multisets(3 * g - 3 + n, n, nv - 1):
@@ -206,20 +205,19 @@ def build_Fc(degree_max: int) -> MultiSeries:
                 for k, e in enumerate(exps):
                     if e:
                         den *= dfact[k] ** e * factorial(e)
-                terms[tuple(exps)] = (_scaled_bracket(ks[::-1]), den)
-        buckets[3 * chi] = _lcm_bucket(terms)
-    return MultiSeries.from_buckets(grading, buckets, degree_max)
+                terms[tuple(exps)] = Fraction(_scaled_bracket(ks[::-1]), den)
+    return MultiSeries(grading, terms, degree_max)
 
 
-def apply_L(n: int, series: MultiSeries, s_var: bool = False) -> MultiSeries:
-    """Apply the Virasoro operator L_n (or the open modification if s_var).
+def apply_L(n: int, series: MultiSeries) -> MultiSeries:
+    """Apply the Virasoro operator L_n, or its open modification when the
+    grading of ``series`` has a variable named "s".
 
     L_n = sum_i (2i+2n+1)!!/(2^{n+1}(2i-1)!!) (t_i - delta_{i,1}) d/dt_{i+n}
         + 1/2 sum_{i=0}^{n-1} (2i+1)!!(2n-2i-1)!!/2^{n+1} d^2/dt_i dt_{n-1-i}
         + delta_{n,-1} t_0^2/2 + delta_{n,0}/16.
 
-    With ``s_var`` the operator gains s d^{n+1}/ds^{n+1} + ((3n+3)/4) d^n/ds^n
-    and the grading is expected to contain a final variable named "s".
+    The open modification adds s d^{n+1}/ds^{n+1} + ((3n+3)/4) d^n/ds^n.
 
     Each term is known as far as the series core determines it, and the
     result through max_degree - (2n+3) for n >= 0 and max_degree - 1 for
@@ -248,7 +246,7 @@ def apply_L(n: int, series: MultiSeries, s_var: bool = False) -> MultiSeries:
         acc = acc + series.times_monomial("t0", 2) * Q(1, 2)
     if n == 0:
         acc = acc + series * Q(1, 16)
-    if s_var:
+    if "s" in g.index:
         ds = [series]
         for _ in range(n + 1):
             ds.append(ds[-1].derivative("s"))

@@ -142,5 +142,4 @@ def fz_relation(g, r, sigma):
         terms = [sum(d) * gamma[d] * E[tuple(map(sub, c, d))]
                  for d in gamma if any(d) and all(map(le, d, c))]
         E[c] = sum(terms[1:], terms[0]) * Fraction(-1, k)
-    m, top = E[c].buckets().get(r, (1, {}))
-    return {kappa_monomial(e): Fraction(x, m) for e, x in top.items()}
+    return {kappa_monomial(e): x for e, x in E[c].part(r).terms.items()}

@@ -9,10 +9,9 @@ variable s (weight 2).  The three routes:
   (Pandharipande-Solomon-Tessler) solved from the initial slice
   F|_{t_{i>=1}=0} = s^3/6 + t_0 s one weighted degree at a time, over
   the monomials of :meth:`tautrel.series.Grading.monomials`.  The
-  products on the right side only involve lower degrees, so 4 times the
-  right side is formed as one degree bucket, by one call of the integer
-  product kernel of :mod:`tautrel.series` on integer derivative buckets
-  with weights 4, 2 and -1, over the denominator 4.
+  products on the right side only involve lower degrees, so its part of
+  one weighted degree is a sum of products of homogeneous parts
+  (:meth:`tautrel.series.MultiSeries.part`) of derivatives of F and F^c.
 - :func:`open_virasoro_residual`: the modified Virasoro constraints
   applied to exp(F^o + F^c) (verification only).
 - :func:`buryak_formula`: the z^0-pairing closed formula
@@ -27,7 +26,7 @@ The negative powers of z are those of a variable u = 1/z of weight 1, so
 G_z F^c - F^c is one :meth:`tautrel.series.MultiSeries.substitute`
 t_i -> t_i - (2i-1)!! u^{2i+1}, and the weighted truncation keeps exactly
 the terms whose degree plus power of 1/z the z^0 pairing can consume.  The
-ratio, D(1/z) and exp(xi) are plain MultiSeries; the bucket of weighted
+ratio, D(1/z) and exp(xi) are plain MultiSeries; the part of weighted
 degree j of exp(xi) is its z^j coefficient.
 """
 
@@ -40,14 +39,7 @@ from itertools import compress
 # open_potential.build_Fc and checks that the name exists.
 from .descendents import apply_L, build_Fc, t_grading
 from .named_series import d_coeff, double_factorial
-from .series import (
-    Grading,
-    MultiSeries,
-    Q,
-    _bucket_derivative,
-    _lcm_bucket,
-    _mul_sum,
-)
+from .series import Grading, MultiSeries, Q
 
 
 def open_grading(degree_max: int) -> Grading:
@@ -74,38 +66,38 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
 
     ``Fc`` must be truncated to weighted degree >= D_max.
 
-    F is solved one weighted degree d at a time and kept as degree
-    buckets.  A monomial M of degree d, with n its largest t-index and
-    Mp = M / t_n, takes its coefficient from equation n at Mp, which has
-    degree e = d - 2n - 1.  Every product on the right side draws its
-    factors from F below degree d, which is solved, so the degree-e
-    bucket of F_s F_{t_{n-1}} + 1/2 F_{t_0} Fc_{t_0 t_{n-1}}
-    - 1/4 Fc_{t_0 t_0 t_{n-1}} is formed once per (n, d), over the nonzero
-    derivative buckets only.  The one same-degree term, F_{s t_{n-1}} at
-    Mp, is the coefficient of M s t_{n-1} / t_n.  Replacing t_n by t_{n-1}
-    lowers the descending multiset of t-indices, and the monomials of a
-    degree are solved in that order, so it is known when M is reached.
+    F is solved one weighted degree d at a time.  A monomial M of degree
+    d, with n its largest t-index and Mp = M / t_n, takes its coefficient
+    from equation n at Mp, which has degree e = d - 2n - 1.  Every product
+    on the right side draws its factors from F below degree d, which is
+    solved, so the degree-e part of F_s F_{t_{n-1}} + 1/2 F_{t_0}
+    Fc_{t_0 t_{n-1}} - 1/4 Fc_{t_0 t_0 t_{n-1}} is formed once per (n, d),
+    as a sum of products of homogeneous parts of the derivatives of F and
+    F^c, skipping the products with a zero part.  The one same-degree
+    term, F_{s t_{n-1}} at Mp, is the coefficient of M s t_{n-1} / t_n.
+    Replacing t_n by t_{n-1} lowers the descending multiset of t-indices,
+    and the monomials of a degree are solved in that order, so it is
+    known when M is reached.
     """
     if Fc.max_degree < D_max:
         raise IndexError("Fc truncated below the requested degree")
     g = open_grading(D_max)
-    weights = g.weights
     s_i = len(g) - 1
-    fc = Fc.truncate(D_max).substitute(g, {}).buckets()
-    # Initial slice: all pure (t0, s) monomials, as (numerator, denominator).
+    fc = Fc.truncate(D_max).substitute(g, {})
+    # Initial slice: all pure (t0, s) monomials.
     initial = {
-        3: {(1,) + (0,) * (s_i - 1) + (1,): (1, 1)},  # t_0 s
-        6: {(0,) * s_i + (3,): (1, 6)},  # s^3 / 6
+        3: {(1,) + (0,) * (s_i - 1) + (1,): Q(1)},  # t_0 s
+        6: {(0,) * s_i + (3,): Q(1, 6)},  # s^3 / 6
     }
-    F: dict = {}
+    F = MultiSeries.zero(g, D_max)
 
-    # Derivative buckets as integer buckets {degree: (m, {exps: c})}, each
-    # read only once its source degree is solved.
-    def derivative(buckets, vars_, degree):
-        b = buckets.get(degree + sum(weights[i] for i in vars_))
+    # The degree-e part of a derivative, read only once its source degree
+    # is solved.
+    def derivative(series, vars_, degree):
+        part = series.part(degree + sum(g.weights[i] for i in vars_))
         for i in vars_:
-            b = b and _bucket_derivative(b, i)
-        return {degree: b} if b else {}
+            part = part.derivative(g.names[i])
+        return part
 
     @cache
     def dF(vars_, degree):
@@ -115,40 +107,35 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     def dFc(vars_, degree):
         return derivative(fc, vars_, degree)
 
-    one = {0: (1, {(0,) * len(g): 1})}
-
-    def rhs_bucket(n, e):
-        """The degree-e bucket of 4 F_s F_{t_{n-1}} + 2 F_{t_0} Fc_{t_0 t_{n-1}}
-        - Fc_{t_0 t_0 t_{n-1}}, over 4, as (m, {exps: c})."""
-        pairs = [(-1, dFc((0, 0, n - 1), e), one)]
+    def rhs_terms(n, e):
+        """The degree-e terms of F_s F_{t_{n-1}} + 1/2 F_{t_0} Fc_{t_0 t_{n-1}}
+        - 1/4 Fc_{t_0 t_0 t_{n-1}}."""
+        FsFt = Ft0Fc = MultiSeries.zero(g, e)
         for a in range(e + 1):
-            pairs.append((4, dF((s_i,), a), dF((n - 1,), e - a)))
-            pairs.append((2, dF((0,), a), dFc((0, n - 1), e - a)))
-        return _mul_sum(pairs, e, 4).get(e, (1, {}))
+            x, y = dF((s_i,), a), dF((n - 1,), e - a)
+            if not (x.is_zero() or y.is_zero()):
+                FsFt = FsFt + x * y
+            x, y = dF((0,), a), dFc((0, n - 1), e - a)
+            if not (x.is_zero() or y.is_zero()):
+                Ft0Fc = Ft0Fc + x * y
+        return (FsFt + Ft0Fc * Q(1, 2) - dFc((0, 0, n - 1), e) * Q(1, 4)).terms
 
-    # Each degree is solved as unreduced (numerator, denominator) pairs and
-    # stored as one integer bucket once complete.
     for d in range(1, D_max + 1):
         part = initial.get(d, {})
         rhs_of: dict = {}
         for n, M in _kdv_monomials(g, d):
             if n not in rhs_of:
-                rhs_of[n] = rhs_bucket(n, d - 2 * n - 1)
-            den, rhs = rhs_of[n]
+                rhs_of[n] = rhs_terms(n, d - 2 * n - 1)
             Mp = M[:n] + (M[n] - 1,) + M[n + 1 :]
-            num = rhs.get(Mp, 0)
             # F_{s t_{n-1}} at Mp.
             e = list(Mp)
             e[s_i] += 1
             e[n - 1] += 1
-            c = part.get(tuple(e))
+            c = rhs_of[n].get(Mp, 0) + part.get(tuple(e), 0) * e[s_i] * e[n - 1]
             if c:
-                num, den = num * c[1] + c[0] * e[s_i] * e[n - 1] * den, den * c[1]
-            if num:
-                part[M] = (2 * num, den * (2 * n + 1) * M[n])
-        if part:
-            F[d] = _lcm_bucket(part)
-    return MultiSeries.from_buckets(g, F, D_max)
+                part[M] = 2 * c / ((2 * n + 1) * M[n])
+        F = F + MultiSeries(g, part, D_max)
+    return F
 
 
 def open_exp(Fo: MultiSeries, Fc: MultiSeries) -> MultiSeries:
@@ -162,7 +149,7 @@ def open_virasoro_residual(n: int, E: MultiSeries) -> MultiSeries:
     ``E`` is :func:`open_exp` of the pair, formed once by the caller: it
     does not depend on n.
     """
-    return apply_L(n, E, s_var=True)
+    return apply_L(n, E)
 
 
 def gz_shift_t_ratio(F: MultiSeries) -> MultiSeries:
@@ -187,7 +174,7 @@ def exp_xi(grading: Grading, D_max: int) -> MultiSeries:
     to 1.
 
     Every variable in xi carries the z-power of its own weight, so the
-    bucket of weighted degree j is the coefficient of z^j.
+    part of weighted degree j is the coefficient of z^j.
     """
     xi = {grading.monomial(name): Q(1, 2 if name == "s" else double_factorial(w))
           for name, w in zip(grading.names, grading.weights)}
@@ -205,16 +192,17 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
     D = {ratio.grading.monomial("u", 3 * i): d_coeff(i) if i else 1
          for i in range(D_max // 3 + 1)}
     neg = ratio * MultiSeries(ratio.grading, D, D_max)
-    # The z^0 pairing: the u^j part of neg, valid to degree D_max - j,
-    # times the z^j bucket of exp(xi), homogeneous of degree j.
-    pos = exp_xi(g, D_max).buckets()
+    # The z^0 pairing: the u^j part of neg, known to degree D_max - j,
+    # times the z^j part of exp(xi), homogeneous of degree j, is known to
+    # degree D_max.
     parts: dict = {}
-    for d, (m, t) in neg.buckets().items():
-        for e, c in t.items():
-            j = e[u]
-            parts.setdefault(j, {}).setdefault(d - j, (m, {}))[1][e[:u]] = c
-    pairs = [(1, part, {j: pos[j]}) for j, part in parts.items()]
-    return MultiSeries.from_buckets(g, _mul_sum(pairs, D_max), D_max).log()
+    for e, c in neg.terms.items():
+        parts.setdefault(e[u], {})[e[:u]] = c
+    pos = exp_xi(g, D_max)
+    out = MultiSeries.zero(g, D_max)
+    for j, terms in parts.items():
+        out = out + MultiSeries(g, terms, D_max) * pos.part(j)
+    return out.log()
 
 
 def restriction_check(Fo: MultiSeries) -> bool:

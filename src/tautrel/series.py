@@ -54,9 +54,12 @@ lowest terms, ``{d: (m, {exps: c})}``; :func:`graded_exp` and
 and derivatives make one gcd per bucket, and one sparse kernel,
 ``_mul_sum``, accumulates each output degree of a product over one common
 denominator, for a PowerSeries or a BiPoly as for any MultiSeries;
-:func:`divide_exact` solves on the same buckets.  Fractions are built
-only where coefficients leave the series.  Values are immutable
-after construction and safe to share.
+:func:`divide_exact` solves on the same buckets.  This storage is private
+to the module: other modules build a series from Fraction terms, read it
+through :attr:`MultiSeries.terms`, and take its homogeneous part of one
+weighted degree with :meth:`MultiSeries.part`.  Fractions are built only
+where coefficients leave the series.  Values are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -137,24 +140,6 @@ def _lowest(m: int, acc: dict):
     if g != 1 or 0 in acc.values():
         acc = {e: c // g for e, c in acc.items() if c}
     return (m // g, acc) if acc else None
-
-
-def _lcm_bucket(pairs: Mapping):
-    """``{exps: (numerator, denominator)}`` as one integer bucket over the
-    lcm of the denominators, in lowest terms; None if every numerator is 0."""
-    m = lcm(*(den for _, den in pairs.values()))
-    return _lowest(m, {e: num * (m // den) for e, (num, den) in pairs.items()})
-
-
-def _bucket_derivative(bucket: tuple, i: int):
-    """d/dx_i of an integer bucket ``(m, {exps: c})``; None if it vanishes."""
-    m, t = bucket
-    acc = {}
-    for e, c in t.items():
-        k = e[i]
-        if k:
-            acc[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
-    return _lowest(m, acc)
 
 
 def _mul_sum(pairs, limit, den: int = 1) -> dict:
@@ -274,8 +259,13 @@ class MultiSeries:
             if c:
                 d = grading.degree(exps)
                 if d <= max_degree:
-                    parts.setdefault(d, {})[tuple(exps)] = (c.numerator, c.denominator)
-        self._buckets = {d: _lcm_bucket(part) for d, part in parts.items()}
+                    parts.setdefault(d, {})[tuple(exps)] = c
+        # Each degree over the lcm of its denominators, in lowest terms.
+        self._buckets = {}
+        for d, part in parts.items():
+            m = lcm(*(c.denominator for c in part.values()))
+            self._buckets[d] = _lowest(m, {e: c.numerator * (m // c.denominator)
+                                           for e, c in part.items()})
         self._terms = None
 
     @classmethod
@@ -290,11 +280,6 @@ class MultiSeries:
         self._buckets = buckets
         self._terms = None
         return self
-
-    def buckets(self) -> dict:
-        """The integer buckets ``{d: (m, {exps: c})}`` the series is stored
-        as; shared with the series, so callers must not modify them."""
-        return self._buckets
 
     @property
     def terms(self) -> dict:
@@ -326,6 +311,17 @@ class MultiSeries:
         if self.grading.degree(exps) > self.max_degree:
             raise IndexError("monomial beyond weighted truncation degree")
         return self.terms.get(exps, Q(0))
+
+    def part(self, d: int) -> "MultiSeries":
+        """The homogeneous part of weighted degree d, a series of the same
+        class known as far as this one; the zero series if no term has
+        degree d.
+
+        >>> MultiSeries(Grading(["x"], [2]), {(0,): 1, (1,): 3}, 4).part(2)
+        MultiSeries(3*x^1; deg<=4)
+        """
+        kept = {d: self._buckets[d]} if d in self._buckets else {}
+        return self.from_buckets(self.grading, kept, self.max_degree)
 
     def truncate(self, max_degree: int) -> "MultiSeries":
         n = min(max_degree, self.max_degree)
@@ -420,8 +416,13 @@ class MultiSeries:
         i = self.grading.index[name]
         w = self.grading.weights[i]
         out = {}
-        for d, b in self._buckets.items():
-            b = _bucket_derivative(b, i)
+        for d, (m, t) in self._buckets.items():
+            acc = {}
+            for e, c in t.items():
+                k = e[i]
+                if k:
+                    acc[e[:i] + (k - 1,) + e[i + 1 :]] = c * k
+            b = _lowest(m, acc)
             if b:
                 out[d - w] = b
         return self.from_buckets(self.grading, out, self.max_degree - w)
@@ -668,7 +669,7 @@ def divide_exact(num: BiPoly) -> BiPoly:
     {(1, 0): Fraction(1, 1), (0, 1): Fraction(-1, 1)}
     """
     out = {}
-    for d, (m, t) in num.buckets().items():
+    for d, (m, t) in num._buckets.items():
         # With t_k the numerator's integer at x^k y^(d-k) and c_(d+1) = 0,
         # c_k = t_k - c_(k+1) gives the quotient's coefficient c_k / m of
         # x^(k-1) y^(d-k), and the remainder c_0 / m of y^d.

@@ -457,8 +457,7 @@ def _kmz_monomial(mult, top):
     if not mult:
         return MultiSeries.constant(shift.grading, 1, top)
     j, lower = len(mult), kappa_monomial(mult[:-1] + (mult[-1] - 1,))
-    p_j = MultiSeries.from_buckets(shift.grading, {j: shift.buckets()[j]}, top)
-    return _kmz_monomial(lower, top) * p_j * Fraction(1, mult[-1])
+    return _kmz_monomial(lower, top) * shift.part(j) * Fraction(1, mult[-1])
 
 
 class Decoration(NamedTuple):

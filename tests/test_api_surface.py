@@ -1,5 +1,6 @@
 """Every function, method and class of ``tautrel`` has a caller in the
-program: the package itself or the benchmark under ``perfbench/``.
+program: the package itself or the benchmark under ``perfbench/``.  And
+the storage of a series is known to ``series.py`` alone.
 
 Both trees are parsed, not imported.  A definition counts as called when
 its name occurs outside its own body as a name or an attribute, or, in
@@ -69,3 +70,22 @@ def test_every_definition_has_a_caller():
 def test_reserved_names_exist():
     defined = {name for name, *_ in definitions()}
     assert set(RESERVED) <= defined
+
+
+# The integer-bucket storage of a series and the kernels on it.
+SERIES_PRIVATE = {
+    "_buckets", "buckets", "from_buckets", "_mul_sum", "_lcm_bucket",
+    "_bucket_derivative", "_lowest", "graded_exp", "graded_log",
+}
+
+
+def test_only_series_knows_the_buckets():
+    named = sorted(
+        "%s:%d %s" % (path.name, node.lineno, name)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "series.py"
+        for node in ast.walk(parse(path))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "arg", None))
+        if name in SERIES_PRIVATE
+    )
+    assert not named, named

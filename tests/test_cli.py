@@ -203,8 +203,14 @@ class TestExitCodes:
              "Is a directory"),
             (["frobenius", "flatness", "--model", "cp1"], "tautrel: error: "
              "argument --model: flatness is computed for 3spin only, got cp1"),
+            (["pixton", "--g", "2", "--n", "2", "--a", "1", "--d", "1"],
+             "tautrel: error: argument --a: expected one entry per leg, --n 2, "
+             "got 1"),
+            (["pixton", "--g", "2", "--n", "2", "--d", "1"], "tautrel: error: "
+             "argument --a: expected one entry per leg, --n 2, got 0"),
         ],
-        ids=["out_missing_dir", "out_directory", "flatness_cp1"],
+        ids=["out_missing_dir", "out_directory", "flatness_cp1", "pixton_a_short",
+             "pixton_a_missing"],
     )
     def test_unusable_value_error_line(self, argv, line, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -855,3 +861,22 @@ class TestMain:
         code = cli.main(["series", "--order", "0"])
         assert code == 0
         assert "coefficients" in capsys.readouterr().out
+
+    def test_closed_pipe_ends_quietly(self):
+        # The report (about 700 KB) outgrows the pipe's buffer, so the
+        # write is still blocked when the reader closes its end.
+        import tautrel
+
+        src = str(Path(tautrel.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tautrel.cli", "descendents", "closed",
+             "--degree", "36"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"degree: 36\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

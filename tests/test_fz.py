@@ -226,7 +226,7 @@ def ref_fz_relation(g, r, sigma):
                 e[grading.index["p%d" % part]] += 1
             gamma_terms[tuple(e)] = c
     gamma = MultiSeries(grading, gamma_terms, cap)
-    m, top = (gamma * Q(-1)).exp().buckets().get(cap, (1, {}))
+    m, top = (gamma * Q(-1)).exp()._buckets.get(cap, (1, {}))
     target_p = tuple(sigma.count(j) for j in p_parts)
     return {
         strata.kappa_monomial(e[:r]): Q(c, m)

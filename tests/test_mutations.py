@@ -125,7 +125,7 @@ MUTATIONS = {
     "mul_sum_denominator_plus_1": (
         "series", "_mul_sum",
         ("_lowest(m * den, acc)", "_lowest(m * den + (den > 1), acc)"),
-        ("series", "open_potential"),
+        ("series",),
         {"descendents": ["airy_specialization", "determinantal_N1",
                          "virasoro_L-1", "virasoro_L0", "virasoro_L1",
                          "virasoro_L2"],
@@ -141,19 +141,17 @@ MUTATIONS = {
     # _mul_sum, the one product of the series core.
     "mul_sum_accumulate_overwrites": (
         "series", "_mul_sum", ("acc[e] += c1 * c2", "acc[e] = c1 * c2"),
-        ("series", "open_potential"),
+        ("series",),
         {"series": ["reflection"],
          "descendents": ["airy_specialization", "determinantal_N1", "kdv_1",
                          "kdv_2", "virasoro_L-1", "virasoro_L0",
                          "virasoro_L1", "virasoro_L2"],
-         "open": ["open_three_way", "open_virasoro_L-1", "open_virasoro_L0",
-                  "open_virasoro_L1"],
+         "open": ["open_three_way", "open_virasoro_L-1", "open_virasoro_L0"],
          "pixton": ["pairings_2_0__1"],
          "all": ["airy_specialization", "determinantal_N1", "kdv_1", "kdv_2",
                  "open_three_way", "open_virasoro_L-1", "open_virasoro_L0",
-                 "open_virasoro_L1", "pairings_2_0__1", "reflection",
-                 "virasoro_L-1", "virasoro_L0", "virasoro_L1",
-                 "virasoro_L2"]},
+                 "pairings_2_0__1", "reflection", "virasoro_L-1",
+                 "virasoro_L0", "virasoro_L1", "virasoro_L2"]},
     ),
     "graded_exp_top_grade_dropped": (
         "series", "graded_exp", ("range(1, top + 1)", "range(1, top)"),

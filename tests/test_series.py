@@ -465,10 +465,10 @@ def well_bucketed(f):
     constructor builds from the terms."""
     deg = f.grading.degree
     fresh = MultiSeries(f.grading, f.terms, f.max_degree)
-    return f.buckets() == fresh.buckets() and all(
+    return f._buckets == fresh._buckets and all(
         m > 0 and t and 0 not in t.values() and gcd(m, *t.values()) == 1
         and d <= f.max_degree and all(deg(e) == d for e in t)
-        for d, (m, t) in f.buckets().items()
+        for d, (m, t) in f._buckets.items()
     )
 
 
@@ -540,6 +540,23 @@ class TestBucketConstructors:
         agree = {e: c for e, c in a.terms.items() if g.degree(e) <= n} == {
             e: c for e, c in b.terms.items() if g.degree(e) <= n}
         assert (a == b) == agree
+
+
+class TestPart:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_parts_are_homogeneous_and_sum_to_the_series(self, data):
+        f = data.draw(sparse_series(data.draw(WEIGHTS)))
+        g, D = f.grading, f.max_degree
+        parts = [f.part(d) for d in range(D + 1)]
+        assert same(sum(parts[1:], parts[0]), f)
+        for d, part in enumerate(parts):
+            assert part.max_degree == D and well_bucketed(part)
+            assert all(g.degree(e) == d for e in part.terms)
+        # A degree no term has: below 0, above the truncation, or between.
+        for d in (-1, D + 1, data.draw(st.integers(0, D))):
+            if all(g.degree(e) != d for e in f.terms):
+                assert same(f.part(d), MultiSeries.zero(g, D))
 
 
 class TestTruncationContract:
@@ -915,6 +932,7 @@ class TestPowerSeriesIntegerKernel:
             (h.exp(), 5), (f.log(), 4), (f.reciprocal(), 4),
             (f.times_monomial("x", 2), 6), (f.shift_exponents(3), 12),
             (f.scale_argument(-2), 4), (f.parity_part(0), 4), (f.parity_part(1), 4),
+            (f.part(2), 4), (f.part(3), 4),
         ]
         for got, order in cases:
             assert type(got) is PowerSeries and got.order == order
