@@ -19,13 +19,15 @@ math/0701319, times a power of 2) satisfies M(0, 0, 0) = 8, M(1) = 1 and
         + sum_{a+b=n-1} [2 M(S + {a, b}) + sum_{I+J=S} M(I + {a}) M(J + {b})]
 
 for n >= 1 and max S <= n + 1.  Only :func:`bracket` builds a Fraction,
-and it answers the one-point brackets <tau_{3g-2}>_g = 1/(24^g g!) and
-the all-ones brackets <tau_1^n>_1 = (n-1)!/24 in closed form.
+and it answers the genus-0 brackets <tau_ks>_0 = (n-3)!/prod k_i!, the
+one-point brackets <tau_{3g-2}>_g = 1/(24^g g!) and the all-ones
+brackets <tau_1^n>_1 = (n-1)!/24 in closed form.
 
 Weighted degree of t_i is 2i + 1 throughout; a genus-g, n-point bracket
-contributes a monomial of weighted degree 6g - 6 + 3n = 3 chi, and
-:func:`build_Fc` lists for each (g, n) only the multisets with
-sum k = 3g - 3 + n.
+contributes a monomial of weighted degree 6g - 6 + 3n = 3 chi.  So
+:func:`build_Fc` reads the monomials of weighted degree 3 chi from
+:meth:`tautrel.series.Grading.monomials` and keeps those of at most
+chi + 2 points, where the genus (chi + 2 - n)/2 is not negative.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ def bracket(ks: tuple) -> Fraction:
     if g is None:
         return Q(0)
     # Closed forms where the recursion would visit every lower multiset:
-    # <tau_{3g-2}>_g = 1/(24^g g!), and <tau_1^n>_1 = (n-1)!/24 by the
-    # dilaton equation.
+    # <tau_ks>_0 = (n-3)!/prod k_i!, <tau_{3g-2}>_g = 1/(24^g g!), and
+    # <tau_1^n>_1 = (n-1)!/24 by the dilaton equation.
+    if g == 0:
+        return Fraction(factorial(len(ks) - 3), prod(map(factorial, ks)))
     if len(ks) == 1:
         return Fraction(1, 24**g * factorial(g))
     if ks[0] == ks[-1] == 1:
@@ -165,25 +169,16 @@ def t_grading(degree_max: int) -> Grading:
     )
 
 
-def _multisets(s: int, n: int, top: int):
-    """Non-increasing n-tuples of integers in [0, top] summing to s."""
-    if s == 0:
-        yield (0,) * n
-        return
-    for k in range(min(top, s), 0, -1):
-        if s <= k * n:
-            for rest in _multisets(s - k, n - 1, k):
-                yield (k,) + rest
-
-
 def build_Fc(degree_max: int) -> MultiSeries:
     """F^c as a MultiSeries over t_grading(degree_max) to that degree.
 
     The coefficient of prod t_a^{m_a} is bracket(ks) / prod m_a!, that is
     M(ks) / (2^(2 chi + 1) prod ((2a + 1)!!^{m_a} m_a!)).  M is read from
     the recursion :func:`_scaled_bracket` also where :func:`bracket` has a
-    closed form, so the checks on F^c test the recursion.  The terms of
-    one chi have weighted degree 3 chi.
+    closed form, genus 0 included, so the checks on F^c test the
+    recursion.  The terms of one chi are the monomials of weighted degree
+    3 chi with at most chi + 2 points; ks and the scale are built from
+    their nonzero exponents.
 
     >>> build_Fc(5).coefficient((3, 0, 0))
     Fraction(1, 6)
@@ -191,21 +186,19 @@ def build_Fc(degree_max: int) -> MultiSeries:
     Fraction(1, 24)
     """
     grading = t_grading(degree_max)
-    nv = len(grading)
-    dfact = [double_factorial(2 * k + 1) for k in range(nv)]
+    dfact = [double_factorial(2 * k + 1) for k in range(len(grading))]
     terms = {}
     for chi in range(1, degree_max // 3 + 1):
-        for g in range((chi + 1) // 2 + 1):
-            n = chi + 2 - 2 * g
-            for ks in _multisets(3 * g - 3 + n, n, nv - 1):
-                exps = [0] * nv
-                for k in ks:
-                    exps[k] += 1
-                den = 2 ** (2 * chi + 1)
-                for k, e in enumerate(exps):
-                    if e:
-                        den *= dfact[k] ** e * factorial(e)
-                terms[tuple(exps)] = Fraction(_scaled_bracket(ks[::-1]), den)
+        for exps in grading.monomials(3 * chi):
+            if sum(exps) > chi + 2:  # negative genus
+                continue
+            ks = ()
+            den = 2 ** (2 * chi + 1)
+            for k, e in enumerate(exps):
+                if e:
+                    ks += (k,) * e
+                    den *= dfact[k] ** e * factorial(e)
+            terms[exps] = Fraction(_scaled_bracket(ks), den)
     return MultiSeries(grading, terms, degree_max)
 
 

@@ -206,14 +206,12 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
 
 
 def restriction_check(Fo: MultiSeries) -> bool:
-    """F^o with all t_{i>=1} set to zero must be s^3/6 + t_0 s."""
+    """F^o with all t_{i>=1} set to zero must be s^3/6 + t_0 s: its terms
+    free of t_{>=1} are compared with those of s^3/6 + t_0 s kept at the
+    truncation of F^o, so a missing term fails as a wrong or extra one
+    does."""
     g = Fo.grading
     nt = len(g) - 1
-    for exps, c in Fo.terms.items():
-        if any(exps[1:nt]):
-            continue
-        e0, es = exps[0], exps[nt]
-        expected = Q(1, 6) if (e0, es) == (0, 3) else Q(1) if (e0, es) == (1, 1) else Q(0)
-        if c != expected:
-            return False
-    return True
+    initial = {(1,) + (0,) * (nt - 1) + (1,): Q(1), g.monomial("s", 3): Q(1, 6)}
+    return ({e: c for e, c in Fo.terms.items() if not any(e[1:nt])}
+            == MultiSeries(g, initial, Fo.max_degree).terms)

@@ -72,8 +72,9 @@ class TestExitCodes:
         assert "options follow the mode" in err
 
     def test_descendents_table_too_deep_is_exit_1(self):
-        # 1,000 string equations in a chain, down to <tau_0^3 tau_998>.
-        ks = [0] * 1000 + [998]
+        # 1,000 string equations in a genus-1 chain, down to <tau_1>_1;
+        # the genus-0 chain of 0 x 1000, 998 has a closed form.
+        ks = [0] * 1000 + [1001]
         code, out = dispatch(["descendents", "table", "--ks",
                               ",".join(map(str, ks)), "--format", "json"])
         report = json.loads(out)
@@ -84,8 +85,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "ks,value",
         [([1000], Fraction(1, 24**334 * math.factorial(334))),
-         ([1] * 1000, Fraction(math.factorial(999), 24))],
-        ids=["k1000", "1000_ones"])
+         ([1] * 1000, Fraction(math.factorial(999), 24)),
+         ([0] * 1000 + [998], Fraction(1))],
+        ids=["k1000", "1000_ones", "zeros_chain_genus0"])
     def test_descendents_table_closed_forms_at_depth(self, ks, value):
         code, out = dispatch(["descendents", "table", "--ks",
                               ",".join(map(str, ks)), "--format", "json"])

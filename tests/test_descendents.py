@@ -242,6 +242,13 @@ class TestBracket:
         ks = (1,) * n
         assert dsc.bracket(ks) == recursion_value(ks) == Q(factorial(n - 1), 24)
 
+    def test_genus0_matches_recursion(self):
+        # <tau_ks>_0 = (n-3)!/prod k_i!, which bracket returns unrecursed.
+        kss = [ks for ks in multisets_up_to(30) if dsc._genus_of(ks) == 0]
+        assert len(kss) == 97
+        for ks in kss:
+            assert dsc.bracket(ks) == recursion_value(ks), ks
+
     def test_dijkgraaf_two_point(self):
         # (x + y) sum <tau_k tau_l>_g x^k y^l is the degree-3g part of
         # exp((x^3 + y^3)/24) sum_n n!/(2n+1)! (xy(x + y)/2)^n.

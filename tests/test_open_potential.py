@@ -200,6 +200,18 @@ class TestSolveOpenKdv:
     def test_restriction(self, Fo_kdv):
         assert op.restriction_check(Fo_kdv)
 
+    @pytest.mark.parametrize("edit", ["drop_t0_s", "add_t0^2_s^2"])
+    def test_restriction_rejects_a_wrong_slice(self, edit):
+        Fo = op.solve_open_kdv(build_Fc(12), 12)
+        g = Fo.grading
+        assert op.restriction_check(Fo)
+        if edit == "drop_t0_s":
+            t0s = exps(g, t0=1, s=1)
+            Fo = MultiSeries(g, {e: c for e, c in Fo.terms.items() if e != t0s}, 12)
+        else:
+            Fo = Fo + MultiSeries(g, {exps(g, t0=2, s=2): Q(1)}, 12)
+        assert not op.restriction_check(Fo)
+
     def test_under_truncated_Fc_rejected(self, Fc17):
         with pytest.raises(IndexError):
             op.solve_open_kdv(Fc17, 30)
