@@ -833,6 +833,11 @@ GOLDEN_REPORTS = {
         "4b19a051ca7bc7573f2bb225c59835bf2765a498b0a493b0b3cafb6f45f1c4a9",
     "descendents open --degree 20":
         "d2bbf24009c6b559782c05ed0dfd871c39212603ac66eefb18fd66d9062feabf",
+    # The deepest right sides of the open KdV system the CI step reaches.
+    "verify open --order 28":
+        "d5b328d6d9fbca1dfda28d3ae1696166b4fffdcdb8c34b3aea2decb28be20648",
+    "descendents open --degree 28":
+        "6686e9431111f146b02b6ccfd2bc950cd0cdf2de85cc1af608ce4ea271fc42c1",
     "verify strata":
         "cb5b9e921b2665e7d3521c12474e935284d69e691895cd06b6734b456fc41eb8",
     # Legs of both markings at a decoration budget of 2 and more.
