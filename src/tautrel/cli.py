@@ -286,13 +286,14 @@ def _reflection_holds(H0, H1, order):
 
     Write H = E(u) + T O(u) with u = T^2.  The left side is then
     2 (E0 E1 - u O0 O1), whose odd part vanishes identically, so the
-    identity says E0 E1 - u O0 O1 == 1 through u^(order // 2), with
-    u O0 O1 formed by a re-keying.
+    identity says E0 E1 - u O0 O1 == 1 through u^(order // 2): one sum of
+    products, with u O0 formed by a re-keying.
     """
     m = order // 2
     E0, E1 = (PowerSeries(H.coeffs[::2], m) for H in (H0, H1))
     O0, O1 = (PowerSeries(H.coeffs[1::2], m) for H in (H0, H1))
-    return E0 * E1 - (O0 * O1).times_monomial("x") == PowerSeries([1], m)
+    return (PowerSeries.sum_of_products([(1, E0, E1), (-1, O0.times_monomial("x"), O1)])
+            == PowerSeries([1], m))
 
 
 def _suite_series(order, seed):

@@ -51,7 +51,7 @@ from math import factorial, prod
 from operator import le, sub
 
 from .named_series import series_A, series_B
-from .series import PowerSeries
+from .series import MultiSeries, PowerSeries
 from .strata import _weighted_linear, kappa_monomial
 
 __all__ = [
@@ -139,7 +139,6 @@ def fz_relation(g, r, sigma):
                          prod(map(factorial, c)))
         column = (0,) * shift + tuple(scale * x for x in powers[ones])
         gamma[c] = _weighted_linear(column, r) + column[0] * (2 * g - 2)
-        terms = [sum(d) * gamma[d] * E[tuple(map(sub, c, d))]
-                 for d in gamma if any(d) and all(map(le, d, c))]
-        E[c] = sum(terms[1:], terms[0]) * Fraction(-1, k)
+        E[c] = MultiSeries.sum_of_products([(-sum(d), gamma[d], E[tuple(map(sub, c, d))])
+                                            for d in gamma if any(d) and all(map(le, d, c))], k)
     return {kappa_monomial(e): x for e, x in E[c].part(r).terms.items()}

@@ -72,12 +72,11 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
     on the right side draws its factors from F below degree d, which is
     solved, so the degree-e part of F_s F_{t_{n-1}} + 1/2 F_{t_0}
     Fc_{t_0 t_{n-1}} - 1/4 Fc_{t_0 t_0 t_{n-1}} is formed once per (n, d),
-    as a sum of products of homogeneous parts of the derivatives of F and
-    F^c, skipping the products with a zero part.  The one same-degree
-    term, F_{s t_{n-1}} at Mp, is the coefficient of M s t_{n-1} / t_n.
-    Replacing t_n by t_{n-1} lowers the descending multiset of t-indices,
-    and the monomials of a degree are solved in that order, so it is
-    known when M is reached.
+    as one sum over 4 of products of homogeneous parts of derivatives of
+    F and F^c.  The one same-degree term, F_{s t_{n-1}} at Mp, is the
+    coefficient of M s t_{n-1} / t_n.  Replacing t_n by t_{n-1} lowers
+    the descending multiset of t-indices, and the monomials of a degree
+    are solved in that order, so it is known when M is reached.
     """
     if Fc.max_degree < D_max:
         raise IndexError("Fc truncated below the requested degree")
@@ -90,6 +89,7 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
         6: {(0,) * s_i + (3,): Q(1, 6)},  # s^3 / 6
     }
     F = MultiSeries.zero(g, D_max)
+    one = MultiSeries.constant(g, 1, D_max)
 
     # The degree-e part of a derivative, read only once its source degree
     # is solved.
@@ -108,17 +108,10 @@ def solve_open_kdv(Fc: MultiSeries, D_max: int) -> MultiSeries:
         return derivative(fc, vars_, degree)
 
     def rhs_terms(n, e):
-        """The degree-e terms of F_s F_{t_{n-1}} + 1/2 F_{t_0} Fc_{t_0 t_{n-1}}
-        - 1/4 Fc_{t_0 t_0 t_{n-1}}."""
-        FsFt = Ft0Fc = MultiSeries.zero(g, e)
-        for a in range(e + 1):
-            x, y = dF((s_i,), a), dF((n - 1,), e - a)
-            if not (x.is_zero() or y.is_zero()):
-                FsFt = FsFt + x * y
-            x, y = dF((0,), a), dFc((0, n - 1), e - a)
-            if not (x.is_zero() or y.is_zero()):
-                Ft0Fc = Ft0Fc + x * y
-        return (FsFt + Ft0Fc * Q(1, 2) - dFc((0, 0, n - 1), e) * Q(1, 4)).terms
+        pairs = [(4, dF((s_i,), a), dF((n - 1,), e - a)) for a in range(e + 1)]
+        pairs += [(2, dF((0,), a), dFc((0, n - 1), e - a)) for a in range(e + 1)]
+        pairs.append((-1, dFc((0, 0, n - 1), e), one))
+        return MultiSeries.sum_of_products(pairs, 4).terms
 
     for d in range(1, D_max + 1):
         part = initial.get(d, {})
@@ -199,10 +192,8 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
     for e, c in neg.terms.items():
         parts.setdefault(e[u], {})[e[:u]] = c
     pos = exp_xi(g, D_max)
-    out = MultiSeries.zero(g, D_max)
-    for j, terms in parts.items():
-        out = out + MultiSeries(g, terms, D_max) * pos.part(j)
-    return out.log()
+    return MultiSeries.sum_of_products(
+        [(1, MultiSeries(g, terms, D_max), pos.part(j)) for j, terms in parts.items()]).log()
 
 
 def restriction_check(Fo: MultiSeries) -> bool:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .fz import NotARelationError, fz_relation
 from .named_series import series_H0, series_H1
-from .series import BiPoly, divide_exact
+from .series import BiPoly, MultiSeries, divide_exact
 from .strata import (
     Decoration,
     StrataElement,
@@ -97,7 +97,8 @@ def edge_factor(truncation):
     X = [[h.parity_part(p).substitute(y.grading, {}) for p in (0, 1)] for h in H]
     Y = [[h.parity_part(p).substitute(y.grading, {"x": y}) for p in (0, 1)] for h in H]
     return {
-        (p, q): divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])
+        (p, q): divide_exact((p ^ q) - MultiSeries.sum_of_products(
+            [(1, X[0][p], Y[1][1 - q]), (1, X[1][1 - p], Y[0][q])]))
         for p in (0, 1) for q in (0, 1)
     }
 

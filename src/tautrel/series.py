@@ -51,15 +51,15 @@ No floating point enters this module.  A :class:`MultiSeries` stores each
 weighted degree as integer numerators over one common denominator, in
 lowest terms, ``{d: (m, {exps: c})}``; :func:`graded_exp` and
 :func:`graded_log` take and return such buckets.  Sums, scalar products
-and derivatives make one gcd per bucket, and one sparse kernel,
-``_mul_sum``, accumulates each output degree of a product over one common
-denominator, for a PowerSeries or a BiPoly as for any MultiSeries;
-:func:`divide_exact` solves on the same buckets.  This storage is private
-to the module: other modules build a series from Fraction terms, read it
-through :attr:`MultiSeries.terms`, and take its homogeneous part of one
-weighted degree with :meth:`MultiSeries.part`.  Fractions are built only
-where coefficients leave the series.  Values are immutable after
-construction and safe to share.
+and derivatives make one gcd per bucket.  One sparse kernel, ``_mul_sum``,
+accumulates each output degree of a sum of products over one common
+denominator: :meth:`MultiSeries.sum_of_products`, which ``*`` calls with
+one pair; :func:`divide_exact` solves on the same buckets.  This storage
+is private to the module: other modules build a series from Fraction
+terms, read it through :attr:`MultiSeries.terms`, and take its homogeneous
+part of one weighted degree with :meth:`MultiSeries.part`.  Fractions are
+built only where coefficients leave the series.  Values are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -338,10 +338,10 @@ class MultiSeries:
         return (self.grading == other.grading
                 and self.truncate(n)._buckets == other.truncate(n)._buckets)
 
-    def _check_grading(self, other: "MultiSeries") -> None:
-        """Raise ValueError unless ``other`` is over the same grading: the
+    def _check_grading(self, *others: "MultiSeries") -> None:
+        """Raise ValueError unless ``others`` are over the same grading: the
         exponent tuples of two alphabets do not combine."""
-        if other.grading is not self.grading and other.grading != self.grading:
+        if any(o.grading is not self.grading and o.grading != self.grading for o in others):
             raise ValueError("series over different gradings do not combine")
 
     def __add__(self, other) -> "MultiSeries":
@@ -388,15 +388,30 @@ class MultiSeries:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def sum_of_products(pairs, den: int = 1) -> "MultiSeries":
+        """sum s * a * b / ``den`` over (s, a, b) in ``pairs``, for integer s,
+        ``den`` > 0 and factors over one grading, in the first factor's class:
+        one accumulation per weighted degree, through the least truncation.
+
+        >>> x = PowerSeries([0, 1], 3)
+        >>> MultiSeries.sum_of_products([(1, x, x), (3, x, PowerSeries([1], 2))], 2)
+        PowerSeries(3/2*x^1 + 1/2*x^2 + O(x^3))
+        """
+        if not pairs or den <= 0:
+            raise ValueError("a sum of products takes one pair or more and den > 0")
+        first = pairs[0][1]
+        first._check_grading(*(f for _, a, b in pairs for f in (a, b)))
+        n = min(min(a.max_degree, b.max_degree) for _, a, b in pairs)
+        out = _mul_sum([(s, a._buckets, b._buckets) for s, a, b in pairs], n, den)
+        return first.from_buckets(first.grading, out, n)
+
     def _product(self, other) -> "MultiSeries":
         """The product with a series over the same grading or a scalar: the
         one body of every class's ``__mul__``, apart from it so that
         perfbench/tracer.py times PowerSeries and BiPoly products apart."""
         if isinstance(other, MultiSeries):
-            self._check_grading(other)
-            n = min(self.max_degree, other.max_degree)
-            out = _mul_sum([(1, self._buckets, other._buckets)], n)
-            return self.from_buckets(self.grading, out, n)
+            return MultiSeries.sum_of_products([(1, self, other)])
         # p/q times c/m is (c / h)(p / g) over (m / g)(q / h), with
         # g = gcd(p, m) and h = gcd(q, *c): already in lowest terms.
         c = _q(other)

@@ -185,14 +185,24 @@ MUTATIONS = {
     # divides by psi' + psi'', and DivisibilityError stops every check.
     "edge_sector00_doubled": (
         "pixton", "edge_factor",
-        ("divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])",
-         "divide_exact((p ^ q) - X[0][p] * Y[1][1 - q] - X[1][1 - p] * Y[0][q])"
+        ("[(1, X[0][p], Y[1][1 - q]), (1, X[1][1 - p], Y[0][q])]))",
+         "[(1, X[0][p], Y[1][1 - q]), (1, X[1][1 - p], Y[0][q])]))"
          " * (2 if (p, q) == (0, 0) else 1)"),
         ("pixton",),
         {"pixton": ["edge_constant_parity00", "pairings_1_1_1_1",
                     "pairings_2_0__1"],
          "all": ["edge_constant_parity00", "pairings_1_1_1_1",
                  "pairings_2_0__1"]},
+    ),
+    # The open KdV right side with its F_{t_0} Fc_{t_0 t_{n-1}} term
+    # doubled: F^o changes only off the initial slice, so restriction holds.
+    "open_rhs_half_term_doubled": (
+        "open_potential", "solve_open_kdv",
+        ("(2, dF((0,), a)", "(4, dF((0,), a)"), ("open_potential",),
+        {"open": ["open_three_way", "open_virasoro_L-1", "open_virasoro_L0",
+                  "open_virasoro_L1"],
+         "all": ["open_three_way", "open_virasoro_L-1", "open_virasoro_L0",
+                 "open_virasoro_L1"]},
     ),
     # The flatness operator without the term of the e^{u/z} factor.
     "flatness_without_exponential": (

@@ -559,6 +559,50 @@ class TestPart:
                 assert same(f.part(d), MultiSeries.zero(g, D))
 
 
+class TestSumOfProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_chained_products(self, data):
+        w = data.draw(WEIGHTS)
+        scale = st.integers(-6, 6)
+        pairs = [(data.draw(scale), data.draw(sparse_series(w)), data.draw(sparse_series(w)))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        if data.draw(st.booleans()):
+            # A zero factor, at its own truncation degree.
+            zero = MultiSeries.zero(pairs[0][1].grading, data.draw(st.integers(0, 9)))
+            at = data.draw(st.integers(0, len(pairs)))
+            pairs.insert(at, (data.draw(scale), zero, pairs[0][2]))
+        den = data.draw(st.integers(1, 12))
+        got = MultiSeries.sum_of_products(pairs, den)
+        products = [ref_mul(a, b) * s for s, a, b in pairs]
+        want = sum(products[1:], products[0]) * Q(1, den)
+        assert same(got, want) and well_bucketed(got)
+        assert got.max_degree == min(f.max_degree for _, a, b in pairs for f in (a, b))
+
+    def test_keeps_the_first_factors_class(self):
+        x = PowerSeries([1, 2, 3], 4)
+        xy = BiPoly({(1, 0): 1, (0, 1): 2}, 3)
+        got = MultiSeries.sum_of_products([(2, x, x), (-1, x, PowerSeries([0, 1], 3))], 3)
+        assert type(got) is PowerSeries and well_bucketed(got)
+        assert got.coeffs == (Q(2, 3), Q(7, 3), Q(6), Q(7))
+        one = MultiSeries.constant(xy.grading, 1, 3)
+        got = MultiSeries.sum_of_products([(1, xy, xy), (3, xy, one)])
+        assert type(got) is BiPoly and well_bucketed(got)
+        assert same(got, xy * xy + xy * 3)
+        plain = MultiSeries(xy.grading, xy.terms, 3)
+        assert type(MultiSeries.sum_of_products([(1, plain, xy)])) is MultiSeries
+
+    def test_rejects_bad_pairs(self):
+        x = PowerSeries([1, 2], 3)
+        xy = BiPoly({(1, 0): 1}, 3)
+        for pairs in ([(1, x, xy)], [(1, x, x), (1, xy, xy)], [(1, x, x), (1, x, xy)], []):
+            with pytest.raises(ValueError):
+                MultiSeries.sum_of_products(pairs)
+        for den in (0, -4):
+            with pytest.raises(ValueError):
+                MultiSeries.sum_of_products([(1, x, x)], den)
+
+
 class TestTruncationContract:
     """Each result is known as far as its operands determine it: a
     derivative by a variable of weight w through D - w, a product by x^k
