@@ -791,6 +791,14 @@ GOLDEN_REPORTS = {
         "ee783b23beb0ba9df26900b855bad743667306e3c20b8592c35a4f1a573bcf23",
     "series --which D --order 60":
         "74b0f27ea52fc18bff7c83bff9520a64f80b38c1323ebf462af5133211bd912f",
+    # Orders not divisible by 3: the cubed series' known-zero tail past
+    # the last power x^{3i} of its source.
+    "series --which calA --order 61":
+        "520019df8463d9794a5f295a89b8d3202524dfa586d6b21608c9ca5ef75fcbce",
+    "series --which calB --order 62":
+        "fae573fcd81fbcff9b20247d9339dbe583755b91f35a0013ab68f47193f2db52",
+    "series --which D --order 61":
+        "5afbef7d3dfd077ce0f332212cbdbc6b772cfb88ca05250620a7d150c3277a2b",
     "verify series --order 60":
         "e0be2360ab916b72ca32eda428dc87b12c202e53f5e53477ab47f000bd356ced",
     "airy --x 10 --k 5":
@@ -845,6 +853,9 @@ GOLDEN_REPORTS = {
         "d3e5db1658bdf049c33419e3ef803a1e9eda31450f4053734da919ea45f3874d",
     "pixton --g 3 --n 1 --a 0 --d 4":
         "001c18ede2ebe0b09d338e1d3fbed05c3a216eed1a308a617d6eb57d8205e342",
+    # The vertex factor at a decoration budget of 5.
+    "pixton --g 4 --n 0 --d 5":
+        "154be9f15819069c028635213ca87dbe18ad8fb312fd50e22805c3f084406925",
 }
 
 
