@@ -52,7 +52,7 @@ from operator import le, sub
 
 from .named_series import series_A, series_B
 from .series import MultiSeries, PowerSeries
-from .strata import _weighted_linear, kappa_monomial
+from .strata import kappa_linear, kappa_monomial
 
 __all__ = [
     "NotARelationError",
@@ -129,7 +129,7 @@ def fz_relation(g, r, sigma):
         k = sum(c)
         if not k:
             # log A(0) = 0, so gamma_0 has no constant term.
-            gamma[c] = _weighted_linear(_log_a(r).coeffs, r)
+            gamma[c] = kappa_linear(_log_a(r).coeffs, r)
             E[c] = (-gamma[c]).exp()
             continue
         # prod_j u_j^{m_j} = t^shift (B/A)^ones
@@ -138,7 +138,7 @@ def fz_relation(g, r, sigma):
         scale = Fraction((-1) ** (k + 1) * factorial(k - 1),
                          prod(map(factorial, c)))
         column = (0,) * shift + tuple(scale * x for x in powers[ones])
-        gamma[c] = _weighted_linear(column, r) + column[0] * (2 * g - 2)
+        gamma[c] = kappa_linear(column, r) + column[0] * (2 * g - 2)
         E[c] = MultiSeries.sum_of_products([(-sum(d), gamma[d], E[tuple(map(sub, c, d))])
                                             for d in gamma if any(d) and all(map(le, d, c))], k)
     return {kappa_monomial(e): x for e, x in E[c].part(r).terms.items()}

@@ -9,7 +9,7 @@ coefficients:
   argument change of one of them:
 
   - ``series_calA``, ``series_calB`` -- A(-x^3) and -B(-x^3) in x
-    (``scale_argument(-1)``, then ``shift_exponents(3)``);
+    (``scale_argument(-1)``, then x^{3i} takes the x^i coefficient);
   - ``series_H0``, ``series_H1`` -- A(-288 T) and -B(-288 T) in T;
   - ``series_D`` -- the correction series, whose coefficients d_n are closed
     sums over the a_i, cubed the same way, and the first-order ODE it
@@ -79,8 +79,8 @@ def series_B(order: int) -> PowerSeries:
 
 
 def _cube(s: PowerSeries, order: int) -> PowerSeries:
-    """s(x^3) in the variable x through x^order."""
-    return PowerSeries(s.shift_exponents(3).coeffs, order)
+    """s(x^3) in the variable x through x^order, read from s through x^(order // 3)."""
+    return PowerSeries([s[k // 3] if k % 3 == 0 else 0 for k in range(order + 1)], order)
 
 
 def series_calA(order: int) -> PowerSeries:

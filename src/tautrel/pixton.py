@@ -6,7 +6,8 @@ sum over stable graphs.  Each vertex carries an auxiliary parity
 variable zeta_v with zeta_v^2 = 1; the graph summand is the coefficient
 of prod_v zeta_v^{h(v)-1} in the product of
 
-- vertex factors kappa(T - T H0(zeta_v T)),
+- vertex factors kappa(T - T H0(zeta_v T)), which the cycle formula
+  gives as exp(-sum_a [T^a] log H0(zeta_v T) kappa_a),
 - leg factors zeta^{a_l} H_{a_l}(zeta psi_l),
 - edge factors Delta_e, the exact quotient of
   zeta' + zeta'' - H0(zeta' psi') zeta'' H1(zeta'' psi'')
@@ -37,7 +38,8 @@ from .strata import (
     StrataElement,
     enumerate_stable_graphs,
     kappa_degree,
-    kappa_of_f,
+    kappa_linear,
+    kappa_monomial,
 )
 
 __all__ = [
@@ -55,8 +57,8 @@ class NotInPixtonSetError(ValueError):
 
 @lru_cache(maxsize=None)
 def vertex_factor(truncation):
-    """kappa(T - T H0(T)), the vertex factor at zeta = 1, as the
-    strata.kappa_of_f map {kappa exponents: coeff}.
+    """kappa(T - T H0(T)) = exp(-sum_a [T^a] log H0(T) kappa_a), the vertex
+    factor at zeta = 1, as a kappa polynomial (strata.kappa_monomial keys).
 
     The T^{b+1} coefficient of T - T H0(zeta T) carries zeta^b, so a
     kappa-monomial carries zeta to its weighted degree.  Cached per
@@ -65,7 +67,8 @@ def vertex_factor(truncation):
     >>> vertex_factor(1)
     {(): Fraction(1, 1), (1,): Fraction(60, 1)}
     """
-    return kappa_of_f((1 - series_H0(truncation)).times_monomial("x"), truncation)
+    kappa = (-kappa_linear(series_H0(truncation).log(), truncation)).exp()
+    return {kappa_monomial(e): c for e, c in kappa.terms.items()}
 
 
 @lru_cache(maxsize=None)

@@ -594,25 +594,16 @@ class PowerSeries(MultiSeries):
         order -1, the series of which no coefficient is known."""
         return super().derivative("x")
 
-    def _moved(self, move, order: int, c: Fraction = Q(1)) -> "PowerSeries":
-        """The term c_k x^k moved to c_k c^k x^move(k), kept through
-        ``order``."""
+    def scale_argument(self, c) -> "PowerSeries":
+        """Replace x by c*x: the term c_k x^k becomes c_k c^k x^k."""
+        c = _q(c)
         p, q = c.numerator, c.denominator
         out = {}
         for k, (m, t) in self._buckets.items():
-            j = move(k)
-            part = _lowest(m * q**k, {(j,): t[(k,)] * p**k}) if j <= order else None
+            part = _lowest(m * q**k, {(k,): t[(k,)] * p**k})
             if part:
-                out[j] = part
-        return self.from_buckets(self.grading, out, order)
-
-    def shift_exponents(self, factor: int) -> "PowerSeries":
-        """Replace x by x^factor (order scales accordingly)."""
-        return self._moved(lambda j: factor * j, factor * self.order)
-
-    def scale_argument(self, c) -> "PowerSeries":
-        """Replace x by c*x."""
-        return self._moved(lambda j: j, self.order, _q(c))
+                out[k] = part
+        return self.from_buckets(self.grading, out, self.max_degree)
 
     def parity_part(self, parity: int) -> "PowerSeries":
         """The terms whose exponent has the given parity, 0 or 1:

@@ -24,7 +24,7 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .descendents import bracket
-from .series import Grading, MultiSeries, PowerSeries
+from .series import Grading, MultiSeries
 
 __all__ = [
     "StableGraph",
@@ -34,7 +34,7 @@ __all__ = [
     "automorphism_order",
     "kappa_degree",
     "kappa_monomial",
-    "kappa_of_f",
+    "kappa_linear",
     "kappa_monomials",
     "vertex_integral",
     "pairings",
@@ -365,39 +365,17 @@ def kappa_monomial(e):
     return e
 
 
-def kappa_of_f(f, degree_max):
-    """The kappa-class series of a power series f with f0 = f1 = 0.
-
-    Implements sum_m (1/m!) p_m*(f(psi) ... f(psi)) using the cycle
-    formula for the multi-point forgetful push-forward: the result is
-    exp( sum_l (1/l) sum_{b_1..b_l >= 1} prod_i f_{b_i + 1} kappa_{b_1+..+b_l} ).
-    With C(T) = sum_{b >= 1} f_{b+1} T^b the inner sum is
-    sum_l C(T)^l / l = -log(1 - C(T)), so kappa_a has coefficient
-    [T^a] -log(1 - C(T)); the exponential is taken in kappa_1..kappa_D
-    with kappa_a of weight a.  The result is a kappa polynomial.
-
-    >>> f = PowerSeries([0, 0, Fraction(1)], 2)  # T^2
-    >>> sorted(kappa_of_f(f, 2).items())
-    [((), Fraction(1, 1)), ((0, 1), Fraction(1, 2)), ((1,), Fraction(1, 1)), ((2,), Fraction(1, 2))]
-    """
-    if f[0] != 0 or (f.order >= 1 and f[1] != 0):
-        raise ValueError("f must have vanishing constant and linear terms")
-    D = degree_max
-    C = PowerSeries(
-        [0] + [f[b + 1] if b < f.order else 0 for b in range(1, D + 1)], D
-    )
-    cycles = -(1 - C).log()
-    kappa = _weighted_linear(cycles, D).exp()
-    return {kappa_monomial(e): c for e, c in kappa.terms.items()}
-
-
 def _kappa_grading(top):
     """x_1..x_top, with x_a of weight a: the slots of kappa_1..kappa_top."""
     return Grading(["x%d" % a for a in range(1, top + 1)], range(1, top + 1))
 
 
-def _weighted_linear(coeffs, top):
-    """sum_a coeffs[a] x_a over :func:`_kappa_grading`."""
+def kappa_linear(coeffs, top):
+    """sum_a coeffs[a] kappa_a over kappa_1..kappa_top, kappa_a of weight a.
+
+    >>> kappa_linear((0, 2, 3), 2).terms
+    {(1, 0): Fraction(2, 1), (0, 1): Fraction(3, 1)}
+    """
     return MultiSeries(_kappa_grading(top), {
         (0,) * (a - 1) + (1,) + (0,) * (top - a): coeffs[a]
         for a in range(1, top + 1)
@@ -417,7 +395,7 @@ def kappa_monomials(degree):
 @lru_cache(maxsize=None)
 def _kmz_shift(top):
     """1 - exp(-(s_1 + ... + s_top)); its weight-j part is p_j."""
-    return 1 - (-_weighted_linear((1,) * (top + 1), top)).exp()
+    return 1 - (-kappa_linear((1,) * (top + 1), top)).exp()
 
 
 @lru_cache(maxsize=None)

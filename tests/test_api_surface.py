@@ -1,6 +1,7 @@
 """Every function, method and class of ``tautrel`` has a caller in the
-program: the package itself or the benchmark under ``perfbench/``.  And
-the storage of a series is known to ``series.py`` alone.
+program: the package itself or the benchmark under ``perfbench/``.  The
+storage of a series is known to ``series.py`` alone, and no module
+imports another module's underscore name.
 
 Both trees are parsed, not imported.  A definition counts as called when
 its name occurs outside its own body as a name or an attribute, or, in
@@ -89,3 +90,14 @@ def test_only_series_knows_the_buckets():
         if name in SERIES_PRIVATE
     )
     assert not named, named
+
+
+def test_no_module_imports_another_modules_private_name():
+    imported = sorted(
+        "%s:%d %s" % (path.name, node.lineno, alias.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path)) if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("tautrel"))
+        for alias in node.names if alias.name.startswith("_")
+    )
+    assert not imported, imported

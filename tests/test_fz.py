@@ -8,6 +8,8 @@ from tautrel import cli, fz, pixton, strata
 from tautrel.named_series import series_A, series_B
 from tautrel.series import Grading, MultiSeries, PowerSeries
 
+from test_pixton import ref_kappa_of_f
+
 
 def row1(i):
     return Q(factorial(6 * i), factorial(3 * i) * factorial(2 * i))
@@ -309,10 +311,10 @@ class TestKappaMaps:
 
     @pytest.mark.parametrize("t", range(1, 6))
     def test_kappa_of_f_and_vertex_factor_normal_form(self, t):
-        # kappa_of_f works over kappa_1..kappa_t, so kappa_1 alone
+        # vertex_factor works over kappa_1..kappa_t, so kappa_1 alone
         # comes out of the exp as (1, 0, ..., 0) before it is trimmed.
         f = PowerSeries([0, 0, 1, 0, 1], 4)
-        for poly in (strata.kappa_of_f(f, t), pixton.vertex_factor(t)):
+        for poly in (ref_kappa_of_f(f, t), pixton.vertex_factor(t)):
             assert poly and in_normal_form(poly)
 
     def test_relation_json_keys(self):

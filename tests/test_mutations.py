@@ -174,9 +174,9 @@ MUTATIONS = {
     ),
     "vertex_kappa1_doubled": (
         "pixton", "vertex_factor",
-        ('return kappa_of_f((1 - series_H0(truncation)).times_monomial("x"), truncation)',
-         "return {e: c * (2 if e == (1,) else 1) for e, c in kappa_of_f("
-         '(1 - series_H0(truncation)).times_monomial("x"), truncation).items()}'),
+        ("return {kappa_monomial(e): c for e, c in kappa.terms.items()}",
+         "return {kappa_monomial(e): c * (2 if kappa_monomial(e) == (1,) else 1)"
+         " for e, c in kappa.terms.items()}"),
         ("pixton",),
         {"pixton": ["pairings_1_1_1_1", "pairings_2_0__1"],
          "all": ["pairings_1_1_1_1", "pairings_2_0__1"]},

@@ -57,7 +57,10 @@ class TestCalAB:
         assert cB[0] == 1 and cB[3] == Q(7, 24)
 
     def test_relation_to_A(self):
-        assert ns.series_calA(15) == ns.series_A(5).scale_argument(-1).shift_exponents(3)
+        # calA(x) = A(-x^3): x^{3i} carries (-1)^i a_i, every other power 0.
+        cA, A = ns.series_calA(15), ns.series_A(5)
+        assert [cA[k] for k in range(16)] == [
+            (-1) ** (k // 3) * A[k // 3] if k % 3 == 0 else 0 for k in range(16)]
 
 
 class TestH:

@@ -4,8 +4,6 @@ import types
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tautrel import cli, fz, pixton, strata
 from tautrel.named_series import series_H0, series_H1
@@ -90,8 +88,8 @@ def ref_cycle_body(coeffs, degree_max):
 
 
 def ref_kappa_of_f(f, degree_max):
-    """The former strata.kappa_of_f: the cycle-formula loop and the
-    power-series exp of the former kappa-polynomial class."""
+    """The kappa class of f (f_0 = f_1 = 0) by the cycle-formula loop and
+    the power-series exp of the former kappa-polynomial class."""
     coeffs = {
         b: f[b + 1] for b in range(1, min(f.order, degree_max + 1)) if f[b + 1]
     }
@@ -137,23 +135,11 @@ def vertex_series(truncation):
     return T - T * series_H0(truncation + 1)
 
 
-COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-
-
 class TestKappaOracles:
     @pytest.mark.parametrize("t", range(7))
     def test_kappa_of_f_vertex_series(self, t):
-        f = vertex_series(t)
-        assert strata.kappa_of_f(f, t) == ref_kappa_of_f(f, t)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(COEFFS, min_size=0, max_size=7),
-        st.integers(0, 6),
-    )
-    def test_kappa_of_f_random(self, tail, t):
-        f = PowerSeries([0, 0] + tail, len(tail) + 1)
-        assert strata.kappa_of_f(f, t) == ref_kappa_of_f(f, t)
+        # The cycle formula on f = T - T H0(T) against exp(-kappa(log H0)).
+        assert pixton.vertex_factor(t) == ref_kappa_of_f(vertex_series(t), t)
 
     @pytest.mark.parametrize("t", range(7))
     def test_vertex_factor(self, t):
@@ -173,7 +159,7 @@ class TestKappaOracles:
         T = PowerSeries([0, 1], t + 1)
         for zeta in (1, -1):
             f = T - T * series_H0(t + 1).scale_argument(zeta)
-            assert ref_kappa_add(*halves, zeta) == strata.kappa_of_f(f, t)
+            assert ref_kappa_add(*halves, zeta) == ref_kappa_of_f(f, t)
 
 
 class TestVertexFactor:
@@ -412,7 +398,7 @@ def zeta_average_summand(graph, A, d):
         factors = []
         for z in zeta:
             f = T - T * series_H0(budget + 1).scale_argument(z)
-            kappa = strata.kappa_of_f(f, budget)
+            kappa = ref_kappa_of_f(f, budget)
             factors.append(
                 [(strata.kappa_degree(e), e, c)
                  for e, c in kappa.items()]

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from tautrel import cli, pixton, strata
 from tautrel.descendents import bracket
-from tautrel.named_series import series_H0
-from tautrel.series import PowerSeries
 from tautrel.strata import Decoration, StableGraph, StrataElement
 
 
@@ -309,36 +307,11 @@ class TestCanonicalForm:
 
 
 class TestKappaOfF:
-    def test_zero(self):
-        f = PowerSeries([0, 0, 0], 2)
-        assert strata.kappa_of_f(f, 3) == {(): Q(1)}
-
-    def test_cT2(self):
-        c = Q(5, 7)
-        f = PowerSeries([0, 0, c], 2)
-        out = strata.kappa_of_f(f, 2)
-        # m=1 gives c kappa_1; m=2 gives (c^2/2)(kappa_1^2 + kappa_2).
-        assert out == {(): 1, (1,): c, (2,): c * c / 2, (0, 1): c * c / 2}
-
-    def test_bad_low_order(self):
-        with pytest.raises(ValueError):
-            strata.kappa_of_f(PowerSeries([0, Q(1), 0], 2), 2)
-
-    def test_nonzero_constant_rejected_at_every_order(self):
-        for order in (0, 1, 3):
-            with pytest.raises(ValueError):
-                strata.kappa_of_f(PowerSeries([5], order), 2)
-        assert strata.kappa_of_f(PowerSeries([0], 0), 2) == {(): Q(1)}
-
     def test_vertex_series(self):
         # f = T - T*H0(T) = 60 T^2 - 27720 T^3 + ...; its kappa class
         # to codimension 2 is 1 + 60 k1 + 1800 k1^2 - 25920 k2, the
         # exponential of the empty-partition relation constants.
-        H0 = series_H0(3)
-        T = PowerSeries([0, Q(1)], 3)
-        f = T - T * H0
-        out = strata.kappa_of_f(f, 2)
-        assert out == {
+        assert pixton.vertex_factor(2) == {
             (): Q(1),
             (1,): Q(60),
             (2,): Q(1800),
