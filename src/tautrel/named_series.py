@@ -103,25 +103,25 @@ def series_H1(order: int) -> PowerSeries:
     return -series_B(order).scale_argument(-288)
 
 
-def d_coeff(n: int) -> Fraction:
-    """d_n = sum_{i=0}^n 3^i |a_{n-i}| prod_{k=1}^i (n + 1/2 - k).
+def series_D(order: int) -> PowerSeries:
+    """D(x) = 1 + sum_{n>=1} d_n x^{3n}, with
+    d_n = sum_{i=0}^n 3^i a_{n-i} prod_{k=1}^i (n + 1/2 - k).
 
-    >>> d_coeff(1)
+    Each d_n is one pass over i that carries 3^i prod_{k<=i} (n + 1/2 - k),
+    reading every a_{n-i} from one _a_coeffs tuple.
+
+    >>> series_D(3)[3]
     Fraction(41, 24)
     """
-    a = _a_coeffs(n)
-    total = Q(0)
-    for i in range(n + 1):
-        prod = Q(1)
-        for k in range(1, i + 1):
-            prod *= n + Q(1, 2) - k
-        total += 3**i * a[n - i] * prod
-    return total
-
-
-def series_D(order: int) -> PowerSeries:
-    """D(x) = 1 + sum_{i>=1} d_i x^{3i}."""
-    return _cube(PowerSeries([d_coeff(n) for n in range(order // 3 + 1)]), order)
+    a = _a_coeffs(order // 3)
+    d = []
+    for n in range(len(a)):
+        total, running = Q(0), Q(1)
+        for i in range(n + 1):
+            total += running * a[n - i]
+            running *= 3 * (n - i) - Q(3, 2)
+        d.append(total)
+    return _cube(PowerSeries(d), order)
 
 
 def series_D_ode(order: int) -> PowerSeries:

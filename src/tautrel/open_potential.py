@@ -38,7 +38,7 @@ from itertools import compress
 # build_Fc is unused here; it stays because the benchmark's tracer rebinds
 # open_potential.build_Fc and checks that the name exists.
 from .descendents import apply_L, build_Fc, t_grading
-from .named_series import d_coeff, double_factorial
+from .named_series import double_factorial, series_D
 from .series import Grading, MultiSeries, Q
 
 
@@ -182,8 +182,8 @@ def buryak_formula(Fc: MultiSeries, D_max: int) -> MultiSeries:
     ratio = gz_shift_t_ratio(Fc.truncate(D_max).substitute(g, {}))
     # Multiply by D(z^{-1}) = 1 + sum d_i u^{3i}.
     u = len(g)
-    D = {ratio.grading.monomial("u", 3 * i): d_coeff(i) if i else 1
-         for i in range(D_max // 3 + 1)}
+    D = {ratio.grading.monomial("u", k): c
+         for (k,), c in series_D(D_max).terms.items()}
     neg = ratio * MultiSeries(ratio.grading, D, D_max)
     # The z^0 pairing: the u^j part of neg, known to degree D_max - j,
     # times the z^j part of exp(xi), homogeneous of degree j, is known to

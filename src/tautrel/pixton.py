@@ -29,12 +29,14 @@ _graph_summand turns the parities into bits.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .fz import NotARelationError, fz_relation
 from .named_series import series_H0, series_H1
 from .series import BiPoly, MultiSeries, divide_exact
 from .strata import (
     Decoration,
+    StableGraph,
     StrataElement,
     enumerate_stable_graphs,
     kappa_degree,
@@ -112,10 +114,12 @@ def _graph_summand(graph, A, d):
     Every vertex, leg and edge offers a list of options (parity bits,
     degree, pick, coeff), where bit v of the parity bits is the
     exponent of zeta_v: the degree's parity for a vertex, and for a
-    leg marked a_l the parity of degree + a_l.  The products of one
-    option per factor are folded left to right, dropping any whose
-    degree passes the budget; a product is kept when its bits are the
-    target prod_v zeta_v^{h(v)-1} and its degree is the budget.
+    leg marked a_l the parity of degree + a_l.  Each list is folded in
+    as integer numerators over the lcm of its denominators.  The
+    products of one option per factor are folded left to right,
+    dropping any whose degree passes the budget; a product is kept when
+    its bits are the target prod_v zeta_v^{h(v)-1} and its degree is the
+    budget, and becomes one Fraction over the product of the lcms.
     """
     nv, n = len(graph.genera), len(graph.legs)
     budget = d - len(graph.edges)
@@ -138,11 +142,14 @@ def _graph_summand(graph, A, d):
             ]
         )
 
-    # partial products: (bits, degree, picks) -> coeff.  A loop's pick
-    # (i, j) occurs in two parity sectors with the same bits, so the
-    # products are summed, never assigned.
-    terms = {(0, 0, ()): Fraction(1)}
+    # partial products: (bits, degree, picks) -> numerator over den.  A
+    # loop's pick (i, j) occurs in two parity sectors with the same
+    # bits, so the products are summed, never assigned.
+    terms, den = {(0, 0, ()): 1}, 1
     for options in factors:
+        m = lcm(*(c.denominator for *_, c in options))
+        den *= m
+        options = [(b, k, p, c.numerator * (m // c.denominator)) for b, k, p, c in options]
         folded = {}
         for (bits, deg, picks), c in terms.items():
             for bits2, deg2, pick, c2 in options:
@@ -152,20 +159,15 @@ def _graph_summand(graph, A, d):
         terms = folded
 
     target = sum(((h - 1) % 2) << v for v, h in enumerate(graph.genera))
-    out = {}
-    for (bits, deg, picks), c in terms.items():
-        if bits == target and deg == budget:
-            dec = Decoration(picks[:nv], picks[nv:nv + n], picks[nv + n:])
-            out[dec] = out.get(dec, 0) + c
-    return out
+    return {
+        Decoration(picks[:nv], picks[nv:nv + n], picks[nv + n:]): Fraction(c, den)
+        for (bits, deg, picks), c in terms.items()
+        if bits == target and deg == budget and c
+    }
 
 
-def pixton_class(g, n, A, d):
-    """The degree-d relation class for leg markings A, as a StrataElement.
-
-    Admissibility requires 2g-2+n > 0, each a_i in {0,1}, len(A) = n, and
-    (g - 1 + sum A)/3 < d <= 3g - 3 + n, the dimension, above which all vanish.
-    """
+def _admissible(g, n, A, d):
+    """A as a tuple, once (g, n, A, d) is checked admissible for pixton_class."""
     A = tuple(A)
     if len(A) != n or any(a not in (0, 1) for a in A):
         raise ValueError("A must be a 0/1 vector of length n")
@@ -178,15 +180,24 @@ def pixton_class(g, n, A, d):
         )
     if d > 3 * g - 3 + n:
         raise NotInPixtonSetError("d = %d exceeds dim = 3g-3+n = %d" % (d, 3 * g - 3 + n))
+    return A
+
+
+def pixton_class(g, n, A, d):
+    """The degree-d relation class for leg markings A, as a StrataElement.
+
+    Admissibility requires 2g-2+n > 0, each a_i in {0,1}, len(A) = n, and
+    (g - 1 + sum A)/3 < d <= 3g - 3 + n, the dimension, above which all vanish.
+    """
+    A = _admissible(g, n, A, d)
     element = StrataElement(g, n, d)
     # A graph with more than d edges leaves a negative decoration
     # budget and contributes nothing.
     for graph in enumerate_stable_graphs(g, n, max_edges=d):
-        terms = _graph_summand(graph, A, d)
         # strata.pairings divides by |Aut|, matching the formula's
         # 1/|Aut(Gamma)|; only 1/2^{h1} is applied here.
         pref = Fraction(1, 2**graph.h1)
-        for dec, c in terms.items():
+        for dec, c in _graph_summand(graph, A, d).items():
             element.add_term(graph, dec, c * pref)
     return element
 
@@ -194,16 +205,17 @@ def pixton_class(g, n, A, d):
 def fz_restriction_report(g, d):
     """The smooth-graph part of the n=0 class against fz_relation.
 
-    The smooth part must equal (-1)^d fz_relation(g, d, ()) exactly;
-    ``match`` says whether it does, and both term maps are reported.
-    Data failing the parity condition of the kappa relation are not
-    comparable, and their smooth part vanishes by zeta-parity.
+    The smooth part, the summand of the one-vertex graph without edges,
+    must equal (-1)^d fz_relation(g, d, ()) exactly; ``match`` says
+    whether it does, and both term maps are reported.  Data failing the
+    parity condition of the kappa relation are not comparable, and their
+    smooth part vanishes by zeta-parity.
     """
-    element = pixton_class(g, 0, (), d)
-    smooth = {}
-    for (graph, dec), c in element.terms.items():
-        if not graph.edges:
-            smooth[dec.vertex_kappas[0]] = c
+    _admissible(g, 0, (), d)
+    smooth = {
+        dec.vertex_kappas[0]: c
+        for dec, c in _graph_summand(StableGraph((g,), (), ()), (), d).items()
+    }
     try:
         rel = fz_relation(g, d, ())
     except NotARelationError as exc:

@@ -19,7 +19,7 @@ Manin and Zagier (alg-geom/9505012) on each vertex:
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -106,30 +106,43 @@ class StableGraph:
     def n_legs(self):
         return len(self.legs)
 
-    @classmethod
-    def _unchecked(cls, genera, legs, edges):
-        """A graph known to be valid, such as a relabelling of a valid
-        one, without _validate.  ``edges`` must be sorted as __init__
-        sorts them."""
-        graph = cls.__new__(cls)
-        graph.genera, graph.legs, graph.edges = tuple(genera), legs, edges
-        return graph
-
-    def _moved_edges(self, perm):
-        """Sorted edges of the relabelling by ``perm``."""
-        edges = []
-        for v, w in self.edges:
-            pv, pw = perm[v], perm[w]
-            edges.append((pv, pw) if pv <= pw else (pw, pv))
-        edges.sort()
-        return tuple(edges)
-
     def key(self):
         return (self.genera, self.legs, self.edges)
 
     def canonical(self):
-        """The relabelling with the lexicographically least key()."""
-        return _canonical_form(self)[0]
+        """The relabelling with the lexicographically least key().
+
+        >>> graph = StableGraph((1, 0), (), [(0, 1), (1, 1)])
+        >>> graph.canonical(), graph._canonical_search[1]
+        (StableGraph((0, 1), (), ((0, 0), (0, 1))), [[1, 0]])
+        """
+        return self._canonical_search[0]
+
+    @cached_property
+    def _canonical_search(self):
+        """The least relabelling and every permutation reaching it, found
+        once per graph object; callers must not mutate the list.
+
+        key() compares sorted genera, then legs, then edges.  The least
+        legs tuple gives each leg-carrying vertex, in order of its first
+        leg, the lowest free slot of its genus; only the vertices
+        without legs are left to permute.  The permutations form one
+        coset of the vertex automorphisms that fix the legs.
+        """
+        slots = _leg_first_slots(self.genera, self.legs)
+        best, perms = None, []
+        for p in _genus_perms(self.genera, slots):
+            edges = tuple(sorted([(p[v], p[w]) if p[v] <= p[w] else (p[w], p[v])
+                                  for v, w in self.edges]))
+            if best is None or edges < best:
+                best, perms = edges, [p]
+            elif edges == best:
+                perms.append(p)
+        # A relabelling of a valid graph is valid, so _validate is skipped.
+        canon = StableGraph.__new__(StableGraph)
+        canon.genera, canon.legs, canon.edges = (
+            tuple(sorted(self.genera)), tuple([slots[v] for v in self.legs]), best)
+        return canon, perms
 
     def __eq__(self, other):
         return isinstance(other, StableGraph) and self.key() == other.key()
@@ -146,31 +159,6 @@ class StableGraph:
             "legs": list(self.legs),
             "edges": [[[v, 0], [w, 0]] for v, w in self.edges],
         }
-
-
-def _canonical_form(graph):
-    """The least relabelling of ``graph`` and every permutation reaching it.
-
-    key() compares sorted genera, then legs, then edges.  The least
-    legs tuple gives each leg-carrying vertex, in order of its first
-    leg, the lowest free slot of its genus; only the vertices without
-    legs are left to permute.  The permutations returned form one coset
-    of the vertex automorphisms that fix the legs.
-
-    >>> _canonical_form(StableGraph((1, 0), (), [(0, 1), (1, 1)]))
-    (StableGraph((0, 1), (), ((0, 0), (0, 1))), [[1, 0]])
-    """
-    slots = _leg_first_slots(graph.genera, graph.legs)
-    best, perms = None, []
-    for p in _genus_perms(graph.genera, slots):
-        edges = graph._moved_edges(p)
-        if best is None or edges < best:
-            best, perms = edges, [p]
-        elif edges == best:
-            perms.append(p)
-    legs = tuple([slots[v] for v in graph.legs])
-    canon = StableGraph._unchecked(sorted(graph.genera), legs, best)
-    return canon, perms
 
 
 def _genus_perms(genera, fixed):
@@ -332,7 +320,7 @@ def automorphism_order(graph):
     >>> automorphism_order(StableGraph((0, 0), (), [(0, 1)] * 3))
     12
     """
-    order = len(_canonical_form(graph)[1])
+    order = len(graph._canonical_search[1])
     mult = {}
     for e in graph.edges:
         mult[e] = mult.get(e, 0) + 1
@@ -463,7 +451,7 @@ def _canonical_pair(graph, dec):
     every candidate carries that graph and candidates compare by their
     vertex kappas, then their edge psis.
     """
-    canon, perms = _canonical_form(graph)
+    canon, perms = graph._canonical_search
     nv = len(graph.genera)
     best = None
     for p in perms:
@@ -555,10 +543,7 @@ def pairings(element, psi_exps=()):
         raise ValueError("degree mismatch: codim %d + psi degree %d > %d"
                          % (element.d, sum(psi_exps), top))
     total = MultiSeries.zero(_kmz_shift(top).grading, top)
-    auts = {}
     for (graph, dec), coeff in element.terms.items():
-        if graph not in auts:
-            auts[graph] = automorphism_order(graph)
         # Per-vertex psi lists: legs first, then half-edges.
         psis = [[] for _ in graph.genera]
         for i, v in enumerate(graph.legs):
@@ -569,7 +554,7 @@ def pairings(element, psi_exps=()):
         vertices = zip(graph.genera, dec.vertex_kappas, psis)
         term = prod(vertex_integral(h, kappa, tuple(sorted(ks)), top)
                     for h, kappa, ks in vertices)
-        total = total + term * (coeff / auts[graph])
+        total = total + term * (coeff / automorphism_order(graph))
     return {
         e: total.coefficient(e + (0,) * (top - len(e))) * prod(map(factorial, e))
         for e in kappa_monomials(r)

@@ -87,8 +87,9 @@ class TestD:
     def test_d0_d1(self):
         # d_1 = |a_1| + 3*(1/2)*|a_0| = 5/24 + 3/2; the product factor at
         # n=1, i=1, k=1 is n + 1/2 - k = 1/2.
-        assert ns.d_coeff(0) == 1
-        assert ns.d_coeff(1) == Q(41, 24)
+        D = ns.series_D(3)
+        assert D[0] == 1
+        assert D[3] == Q(41, 24)
 
     def test_closed_form_equals_ode_solution(self):
         assert ns.series_D(21) == ns.series_D_ode(21)

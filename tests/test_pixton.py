@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 from fractions import Fraction as Q
@@ -7,7 +8,7 @@ import pytest
 
 from tautrel import cli, fz, pixton, strata
 from tautrel.named_series import series_H0, series_H1
-from tautrel.series import BiPoly, DivisibilityError, PowerSeries, divide_exact
+from tautrel.series import BiPoly, PowerSeries, divide_exact
 
 
 def kappa_monomials(deg):
@@ -451,16 +452,106 @@ class TestZetaAveragingOracle:
         assert count > 0
 
 
+def ref_graph_summand(graph, A, d):
+    """The former pixton._graph_summand: the same option lists with
+    Fraction coefficients, folded by Fraction products."""
+    nv, n = len(graph.genera), len(graph.legs)
+    budget = d - len(graph.edges)
+    if budget < 0:
+        return {}
+    kappas = [(strata.kappa_degree(e), e, c)
+              for e, c in pixton.vertex_factor(budget).items()]
+    factors = [[((k & 1) << v, k, e, c) for k, e, c in kappas] for v in range(nv)]
+    legs = {a: (series_H0, series_H1)[a](budget).coeffs for a in set(A)}
+    for v, a_l in zip(graph.legs, A):
+        factors.append(
+            [(((k + a_l) & 1) << v, k, k, c) for k, c in enumerate(legs[a_l]) if c]
+        )
+    sectors = pixton.edge_factor(budget)
+    for v, w in graph.edges:
+        factors.append([
+            ((p1 << v) ^ (p2 << w), i + j, (i, j), c)
+            for (p1, p2), bp in sectors.items()
+            for (i, j), c in bp.terms.items()
+        ])
+    terms = {(0, 0, ()): Q(1)}
+    for options in factors:
+        folded = {}
+        for (bits, deg, picks), c in terms.items():
+            for bits2, deg2, pick, c2 in options:
+                if deg + deg2 <= budget:
+                    key = (bits ^ bits2, deg + deg2, picks + (pick,))
+                    folded[key] = folded.get(key, 0) + c * c2
+        terms = folded
+    target = sum(((h - 1) % 2) << v for v, h in enumerate(graph.genera))
+    out = {}
+    for (bits, deg, picks), c in terms.items():
+        if bits == target and deg == budget:
+            dec = strata.Decoration(picks[:nv], picks[nv:nv + n], picks[nv + n:])
+            out[dec] = out.get(dec, 0) + c
+    return {dec: c for dec, c in out.items() if c}
+
+
+HIGHER_GENUS_CASES = [
+    (4, 0, (), 5, 5), (5, 0, (), 4, 22), (6, 0, (), 3, 77), (4, 1, (1,), 4, 30),
+]
+
+
+class TestIntegerFold:
+    """_graph_summand folds each factor's options as integer numerators
+    over the lcm of their denominators; the Fraction fold is the
+    reference."""
+
+    @pytest.mark.parametrize("genera,d", [((4, 3), 8), ((4, 4), 9)])
+    def test_vertex_denominator_7(self, genera, d):
+        # Budgets 7 and 8 are the first whose vertex tables have a
+        # denominator.  The graph (4, 4) at d = 8 has no terms.
+        graph = strata.StableGraph(genera, (), [(0, 1)])
+        vertex = pixton.vertex_factor(d - 1)
+        assert math.lcm(*(c.denominator for c in vertex.values())) == 7
+        terms = pixton._graph_summand(graph, (), d)
+        assert terms and terms == ref_graph_summand(graph, (), d)
+        assert any(c.denominator % 7 == 0 for c in terms.values())
+
+    @pytest.mark.parametrize("g,n,A,d", [case[:4] for case in HIGHER_GENUS_CASES])
+    def test_matches_fraction_fold(self, g, n, A, d):
+        graphs = strata.enumerate_stable_graphs(g, n, max_edges=d)
+        nonzero = 0
+        for graph in graphs:
+            terms = pixton._graph_summand(graph, A, d)
+            assert terms == ref_graph_summand(graph, A, d), graph
+            nonzero += bool(terms)
+        assert nonzero
+
+
+class TestCanonicalSearches:
+    """Every graph of the class is searched for its canonical form once,
+    however many terms its summand adds."""
+
+    @pytest.mark.parametrize("g,n,A,d", [(4, 0, (), 5), (3, 0, (), 4)])
+    def test_one_search_per_graph(self, monkeypatch, g, n, A, d):
+        count = [0]
+        slots = strata._leg_first_slots
+
+        def counting(*args):
+            count[0] += 1
+            return slots(*args)
+
+        monkeypatch.setattr(strata, "_leg_first_slots", counting)
+        graphs = strata.enumerate_stable_graphs(g, n, max_edges=d)
+        enumeration = count[0]
+        count[0] = 0
+        element = pixton.pixton_class(g, n, A, d)
+        assert len(element.terms) > len(graphs)
+        assert enumeration < count[0] <= enumeration + len(graphs)
+
+
 class TestHigherGenusPairings:
     """Relation classes of genus 4 to 6 with terms pair to 0 against every
     psi/kappa monomial, while the same terms with random coefficients
     pair to nonzero values."""
 
-    @pytest.mark.parametrize(
-        "g,n,A,d,count",
-        [(4, 0, (), 5, 5), (5, 0, (), 4, 22), (6, 0, (), 3, 77),
-         (4, 1, (1,), 4, 30)],
-    )
+    @pytest.mark.parametrize("g,n,A,d,count", HIGHER_GENUS_CASES)
     def test_all_pairings_vanish_non_vacuously(self, g, n, A, d, count):
         element = pixton.pixton_class(g, n, A, d)
         assert element.terms
@@ -502,6 +593,17 @@ class TestFZRestriction:
         rep = pixton.fz_restriction_report(g, d)
         assert rep["comparable"] and rep["match"] is False
         assert rep["smooth"] and rep["fz"]
+
+    def test_smooth_graph_at_genus_8(self):
+        # The budget-7 vertex table has denominator 7.  Only the smooth
+        # graph is assembled; the class would need every genus-8 graph
+        # with at most 7 edges.
+        rep = pixton.fz_restriction_report(8, 7)
+        assert rep["comparable"] and rep["match"]
+        assert rep["smooth"] == {
+            e: str(-c) for e, c in fz.fz_relation(8, 7, ()).items()
+        }
+        assert any("/" in c for c in rep["smooth"].values())
 
     def test_report_not_comparable(self):
         # (3, 1) and (4, 2) are admissible for the graph sum but fail

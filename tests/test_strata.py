@@ -270,8 +270,8 @@ def relabel_pair(graph, dec, p, rng):
 
 
 class TestCanonicalForm:
-    """strata._canonical_form is the one walk over relabellings behind
-    canonical(), automorphism_order() and _canonical_pair()."""
+    """StableGraph._canonical_search is the one walk over relabellings
+    behind canonical(), automorphism_order() and _canonical_pair()."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_perms_reach_reference_key(self, seed):
@@ -282,7 +282,7 @@ class TestCanonicalForm:
             rng.shuffle(p)
             moved = ref_relabel(gr, p)
             want = ref_canonical(gr).key()
-            canon, perms = strata._canonical_form(moved)
+            canon, perms = moved._canonical_search
             assert canon.key() == want
             for q in perms:
                 assert ref_relabel(moved, q).key() == want
@@ -290,6 +290,23 @@ class TestCanonicalForm:
                 1 for q in permutations(range(nv))
                 if ref_relabel(moved, q).key() == moved.key()
             )
+
+    def test_one_search_per_graph_object(self, monkeypatch):
+        count = [0]
+        slots = strata._leg_first_slots
+
+        def counting(*args):
+            count[0] += 1
+            return slots(*args)
+
+        monkeypatch.setattr(strata, "_leg_first_slots", counting)
+        # Two genus-0 vertices with a loop each hang off a genus-1 vertex.
+        graph = StableGraph((0, 1, 0), (), [(0, 0), (0, 1), (1, 2), (2, 2)])
+        dec = Decoration(((), (), ()), (), ((0, 0),) * 4)
+        canon = graph.canonical()
+        assert strata._canonical_pair(graph, dec)[0] is canon
+        assert strata.automorphism_order(graph) == 2 * 2 * 2
+        assert count[0] == 1
 
     @pytest.mark.parametrize("g,n,A,d", [(3, 0, (), 4), (2, 2, (1, 0), 4)])
     def test_canonical_pair_of_relabelled_terms(self, g, n, A, d):
